@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BudgetExceededError, ValidationError
-from .rankers import opt_rank, ua_rank
+from .rankers import checked_ranker, opt_rank, ua_rank
 from .types import PredictionMatrix, UtilitySpec
 
 FULL_DOMAIN_GROUP = "all"
@@ -187,14 +187,7 @@ class _RankCache:
     """
 
     def __init__(self, pop: PopulationModel, fn: str, u: UtilitySpec | None, phi: float | None):
-        if fn not in ("ua", "opt", "mix"):
-            raise ValidationError(
-                f"audits support ranking functions 'ua', 'opt', 'mix'; got '{fn}'"
-            )
-        if fn in ("opt", "mix") and u is None:
-            raise ValidationError(f"ranking function '{fn}' requires a utility spec")
-        if fn == "mix" and phi is None:
-            raise ValidationError("ranking function 'mix' requires the mixture weight phi")
+        checked_ranker(fn, audit=True, u=u, phi=phi)
         self.pop = pop
         self.fn = fn
         self.u = u

@@ -35,7 +35,8 @@ def build_parser() -> argparse.ArgumentParser:
         if needs_fn:
             p.add_argument("--fn", choices=rankers.RANKING_FUNCTION_IDS, default="ua",
                            help="ranking function (default: ua)")
-        p.add_argument("--phi", type=float, help="mixture weight, required for --fn mix")
+        p.add_argument("--phi", type=float,
+                       help=f"mixture weight, required for --fn {_fns_requiring('phi')}")
         p.add_argument("--samples", type=int, help="sample count for sampling paths")
         p.add_argument("--seed", type=int, help="RNG seed for sampling paths")
         p.add_argument("--values", help="comma-separated label values (default 1..L)")
@@ -81,19 +82,25 @@ def _utility_spec(args, n, L):
     return io_mod.load_utility_spec(n, L, args.values, args.weights)
 
 
-def _rank_params(args, n, L, fn):
-    """Validated (u, phi, samples, seed) for a ranking-function id."""
-    u = _utility_spec(args, n, L) if fn in ("opt", "mix", "pl") else None
-    phi = args.phi
-    if fn == "mix" and phi is None:
-        raise ValidationError("--phi is required for --fn mix")
-    if fn != "mix" and phi is not None:
-        raise ValidationError("--phi is only meaningful for --fn mix")
-    samples, seed = args.samples, args.seed
-    if fn == "pl":
-        if samples is None or seed is None:
-            raise ValidationError("--samples and --seed are required for --fn pl")
-    return u, phi, samples, seed
+def _fns_requiring(param: str) -> str:
+    return ", ".join(fn for fn, r in rankers.RANKERS.items() if param in r.params)
+
+
+def _rank_params(args, n, L, audit=False, u=None) -> dict:
+    """Keyword arguments (u, phi, samples, seed) for `--fn`, checked against its
+    ranker table entry; `u` is built from the flags if the ranker needs one."""
+    ranker = rankers.RANKERS[args.fn]
+    if audit and not ranker.audited:
+        raise ValidationError(f"theorem audits support --fn {', '.join(rankers.AUDITED_FUNCTION_IDS)}")
+    missing = [f"--{p}" for p in ranker.params if p != "u" and getattr(args, p) is None]
+    if missing:
+        raise ValidationError(f"{' and '.join(missing)} required for --fn {args.fn}")
+    # Theorem audits accept and ignore a stray --phi.
+    if not audit and args.phi is not None and "phi" not in ranker.params:
+        raise ValidationError(f"--phi is only meaningful for --fn {_fns_requiring('phi')}")
+    if u is None and "u" in ranker.params:
+        u = _utility_spec(args, n, L)
+    return {"u": u, "phi": args.phi, "samples": args.samples, "seed": args.seed}
 
 
 def _echo_config(args) -> dict:
@@ -115,24 +122,25 @@ def _emit(args, payload: dict, table: str) -> None:
         sys.stdout.write(text)
 
 
+def _emit_ranking(args, M) -> None:
+    table = io_mod.format_matrix(M.entries) if args.format == "table" else ""
+    _emit(args, {"ranking": M.entries}, table)
+
+
 def _cmd_rank(args) -> None:
     P = io_mod.load_prediction_matrix(args.input)
-    u, phi, samples, seed = _rank_params(args, P.n, P.L, args.fn)
-    M = rankers.compute_ranking(args.fn, P, u=u, phi=phi, samples=samples, seed=seed)
-    _emit(args, {"ranking": M.entries}, io_mod.format_matrix(M.entries))
+    _emit_ranking(args, rankers.compute_ranking(args.fn, P, **_rank_params(args, P.n, P.L)))
 
 
 def _cmd_oracle(args) -> None:
     P = io_mod.load_prediction_matrix(args.input)
-    M = rankers.ua_rank_oracle(P, budget=args.budget)
-    _emit(args, {"ranking": M.entries}, io_mod.format_matrix(M.entries))
+    _emit_ranking(args, rankers.ua_rank_oracle(P, budget=args.budget))
 
 
 def _cmd_stability(args) -> None:
     P = io_mod.load_prediction_matrix(args.input)
     P2 = io_mod.load_prediction_matrix(args.input2)
-    u, phi, samples, seed = _rank_params(args, P.n, P.L, args.fn)
-    rep = metrics_mod.stability_gap(args.fn, P, P2, u=u, phi=phi, samples=samples, seed=seed)
+    rep = metrics_mod.stability_gap(args.fn, P, P2, **_rank_params(args, P.n, P.L))
     table = (
         f"inf_gap  {rep.inf_gap:.12g}\n"
         f"l1_dist  {rep.l1_dist:.12g}\n"
@@ -144,8 +152,7 @@ def _cmd_stability(args) -> None:
 def _cmd_utility(args) -> None:
     P = io_mod.load_prediction_matrix(args.input)
     u = _utility_spec(args, P.n, P.L)
-    _, phi, samples, seed = _rank_params(args, P.n, P.L, args.fn)
-    rep = metrics_mod.normalized_utility(P, args.fn, u, phi=phi, samples=samples, seed=seed)
+    rep = metrics_mod.normalized_utility(P, args.fn, **_rank_params(args, P.n, P.L, u=u))
     table = (
         f"raw         {rep.raw:.12g}\n"
         f"min         {rep.min:.12g}\n"
@@ -196,11 +203,7 @@ def _cmd_audit(args) -> None:
     if args.k is None or args.group is None:
         raise ValidationError("--k and --group are required for theorem audits")
     fn = args.fn
-    u = _utility_spec(args, args.n, pop.L) if fn in ("opt", "mix") else None
-    if fn == "pl":
-        raise ValidationError("theorem audits support --fn ua, opt, or mix")
-    if fn == "mix" and args.phi is None:
-        raise ValidationError("--phi is required for --fn mix")
+    u = _rank_params(args, args.n, pop.L, audit=True)["u"]
     if args.exact:
         gap = audit_mod.theorem_gap_exact(
             pop, args.n, args.k, args.group, fn=fn, u=u, phi=args.phi, delta=args.delta

@@ -45,7 +45,13 @@ def load_prediction_matrix(path) -> PredictionMatrix:
                 raise ValidationError(
                     f"{path}: row {r}, column {c}: cannot parse '{cell.strip()}'"
                 ) from None
-    # Pre-check row sums so errors name 1-based file rows.
+    # Pre-check entries and row sums so errors name 1-based file rows.
+    bad = ~((rows >= 0.0) & (rows <= 1.0))  # NaN fails both comparisons
+    if np.any(bad):
+        r, c = np.argwhere(bad)[0] + 1
+        raise ValidationError(
+            f"{path}: row {r}, column {c}: {rows[r - 1, c - 1]} is not a probability in [0, 1]"
+        )
     sums = rows.sum(axis=1)
     bad = np.abs(sums - 1.0) > 1e-6
     if np.any(bad):
@@ -149,38 +155,29 @@ def load_utility_spec(n: int, L: int, values: str | None, weights: str | None) -
         if v.size != L:
             raise ValidationError(f"got {v.size} label values for L={L} labels")
     if weights is None or weights == "dcg":
-        w = 1.0 / np.log2(1.0 + np.arange(1, n + 1))
-    else:
-        wpath = Path(weights)
-        if not wpath.exists():
-            raise ValidationError(f"no such weights file: {wpath}")
-        try:
-            w = np.array([float(line) for line in wpath.read_text().split()])
-        except ValueError:
-            raise ValidationError(f"{wpath}: cannot parse position weights") from None
-        if w.size < n:
-            raise ValidationError(f"{wpath}: {w.size} position weights for n={n} individuals")
-        w = w[:n]
-    return UtilitySpec(v, w)
+        return UtilitySpec.dcg(n, label_values=v)
+    wpath = Path(weights)
+    if not wpath.exists():
+        raise ValidationError(f"no such weights file: {wpath}")
+    try:
+        w = np.array([float(line) for line in wpath.read_text().split()])
+    except ValueError:
+        raise ValidationError(f"{wpath}: cannot parse position weights") from None
+    if w.size < n:
+        raise ValidationError(f"{wpath}: {w.size} position weights for n={n} individuals")
+    return UtilitySpec(v, w[:n])
 
 
 def serialize_structured(payload: dict) -> str:
     """Deterministic JSON for audit artifacts: sorted keys, full float precision."""
-    return json.dumps(_plain(payload), sort_keys=True, indent=2) + "\n"
+    return json.dumps(payload, sort_keys=True, indent=2, default=_json_default) + "\n"
 
 
-def _plain(obj):
-    if isinstance(obj, dict):
-        return {str(k): _plain(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_plain(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [_plain(v) for v in obj.tolist()]
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    return obj
+def _json_default(obj):
+    """Plain Python values for numpy arrays and scalars; json handles the rest."""
+    if isinstance(obj, (np.ndarray, np.generic)):
+        return obj.tolist()
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
 def format_matrix(M: np.ndarray, precision: int = 6) -> str:

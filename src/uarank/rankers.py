@@ -4,7 +4,7 @@ utility-optimal sort, mixtures, and Plackett-Luce (sampled and exact)."""
 from __future__ import annotations
 
 import itertools
-from concurrent.futures import ThreadPoolExecutor
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -77,38 +77,22 @@ def ua_rank_conditional(P: PredictionMatrix, i: int, label: int) -> np.ndarray:
     return _conditional_from_table(_label_count_table(others, label))
 
 
-def ua_rank(P: PredictionMatrix, n_jobs: int = 1) -> RankingDistribution:
+def ua_rank(P: PredictionMatrix) -> RankingDistribution:
     """Exact uncertainty-aware ranking distribution.
 
     Labels are drawn independently per row, individuals are sorted by label
     (higher is better) and ties are broken uniformly at random; the returned
-    matrix holds the marginal rank probabilities of that process.  The
-    per-(individual, label) DP tasks are independent; `n_jobs > 1` runs them
-    on a thread pool with identical results.
+    matrix holds the marginal rank probabilities of that process, assembled
+    from one count-table DP per (individual, label) with nonzero probability.
     """
     rows = P.rows
-    n = P.n
-    tasks = [
-        (i, label)
-        for i in range(n)
-        for label in range(1, P.L + 1)
-        if rows[i, label - 1] > 0.0
-    ]
-
-    def solve(task):
-        i, label = task
+    M = np.zeros((P.n, P.n))
+    for i in range(P.n):
         others = np.delete(rows, i, axis=0)
-        return _conditional_from_table(_label_count_table(others, label))
-
-    if n_jobs > 1:
-        with ThreadPoolExecutor(max_workers=n_jobs) as pool:
-            conds = list(pool.map(solve, tasks))
-    else:
-        conds = [solve(task) for task in tasks]
-
-    M = np.zeros((n, n))
-    for (i, label), cond in zip(tasks, conds):
-        M[i] += rows[i, label - 1] * cond
+        for label in range(1, P.L + 1):
+            if rows[i, label - 1] > 0.0:
+                cond = _conditional_from_table(_label_count_table(others, label))
+                M[i] += rows[i, label - 1] * cond
     return RankingDistribution(M)
 
 
@@ -251,7 +235,39 @@ def pl_rank_exact(P: PredictionMatrix, u: UtilitySpec, max_n: int = PL_EXACT_MAX
     return RankingDistribution(M)
 
 
-RANKING_FUNCTION_IDS = ("ua", "opt", "mix", "pl")
+class Ranker(NamedTuple):
+    """How a ranking-function id is computed and which parameters it needs."""
+
+    compute: Callable[..., RankingDistribution]  # compute(P, u=, phi=, samples=, seed=)
+    params: tuple  # keyword parameters of `compute` that must not be None
+    audited: bool  # supported by the theorem audits
+
+
+# The one table of "which ranker needs what".  Entries look the rankers up as
+# module globals at call time, so rebinding e.g. `ua_rank` here reaches them too.
+RANKERS = {
+    "ua": Ranker(lambda P, **kw: ua_rank(P), (), True),
+    "opt": Ranker(lambda P, u, **kw: opt_rank(P, u), ("u",), True),
+    "mix": Ranker(lambda P, u, phi, **kw: mix_rank(P, u, phi), ("u", "phi"), True),
+    "pl": Ranker(lambda P, u, samples, seed, **kw: pl_rank(P, u, samples, seed),
+                 ("u", "samples", "seed"), False),
+}
+RANKING_FUNCTION_IDS = tuple(RANKERS)
+AUDITED_FUNCTION_IDS = tuple(fn for fn, r in RANKERS.items() if r.audited)
+
+
+def checked_ranker(fn: str, audit: bool = False, **given) -> Ranker:
+    """Table entry for `fn`, after checking that it exists, that audits support
+    it when `audit` is set, and that every parameter it requires is given."""
+    if fn not in RANKERS:
+        raise ValidationError(f"unknown ranking function '{fn}', expected one of {RANKING_FUNCTION_IDS}")
+    ranker = RANKERS[fn]
+    if audit and not ranker.audited:
+        raise ValidationError(f"audits support ranking functions {AUDITED_FUNCTION_IDS}; got '{fn}'")
+    missing = [p for p in ranker.params if given.get(p) is None]
+    if missing:
+        raise ValidationError(f"ranking function '{fn}' requires {' and '.join(missing)}")
+    return ranker
 
 
 def compute_ranking(
@@ -263,18 +279,5 @@ def compute_ranking(
     seed: int | None = None,
 ) -> RankingDistribution:
     """Dispatch on a ranking-function id, validating the parameters it needs."""
-    if fn == "ua":
-        return ua_rank(P)
-    if fn in ("opt", "mix", "pl") and u is None:
-        raise ValidationError(f"ranking function '{fn}' requires a utility spec")
-    if fn == "opt":
-        return opt_rank(P, u)
-    if fn == "mix":
-        if phi is None:
-            raise ValidationError("ranking function 'mix' requires the mixture weight phi")
-        return mix_rank(P, u, phi)
-    if fn == "pl":
-        if samples is None or seed is None:
-            raise ValidationError("ranking function 'pl' requires samples and seed")
-        return pl_rank(P, u, samples, seed)
-    raise ValidationError(f"unknown ranking function '{fn}', expected one of {RANKING_FUNCTION_IDS}")
+    kw = {"u": u, "phi": phi, "samples": samples, "seed": seed}
+    return checked_ranker(fn, **kw).compute(P, **kw)

@@ -31,8 +31,9 @@ class PredictionMatrix:
             raise ValidationError(
                 f"prediction matrix must be 2-dimensional and nonempty, got shape {rows.shape}"
             )
-        if np.any(rows < 0.0) or np.any(rows > 1.0):
-            i, l = np.argwhere((rows < 0.0) | (rows > 1.0))[0]
+        bad = ~((rows >= 0.0) & (rows <= 1.0))  # NaN fails both comparisons
+        if np.any(bad):
+            i, l = np.argwhere(bad)[0]
             raise ValidationError(
                 f"probability out of [0, 1] at row {i}, label {l + 1}: {rows[i, l]}"
             )

@@ -6,6 +6,7 @@ import pytest
 from uarank import ValidationError, load_population_model, load_prediction_matrix
 from uarank.cli import main
 from uarank.io import load_utility_spec, serialize_structured
+from uarank.rankers import RANKERS
 
 
 TWO_TYPE_DOC = {
@@ -73,6 +74,19 @@ class TestLoadPredictionMatrix:
     def test_missing_file(self, tmp_path):
         with pytest.raises(ValidationError, match="no such file"):
             load_prediction_matrix(tmp_path / "nope.csv")
+
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "NaN", "Infinity"])
+    def test_non_finite_cell_names_row_and_column(self, tmp_path, cell):
+        p = tmp_path / "bad.csv"
+        p.write_text(f"0.5,0.5,0\n0.5,{cell},0.5\n")
+        with pytest.raises(ValidationError, match="row 2, column 2"):
+            load_prediction_matrix(p)
+
+    def test_out_of_range_names_file_row(self, tmp_path):
+        p = tmp_path / "bad.csv"
+        p.write_text("label_1,label_2\n0.5,0.5\n1.5,-0.5\n")
+        with pytest.raises(ValidationError, match=r"row 2, column 1: 1\.5 is not a probability"):
+            load_prediction_matrix(p)
 
 
 class TestLoadPopulationModel:
@@ -182,6 +196,26 @@ class TestCli:
         assert main(["rank", "--fn", "mix", "--in", stab_lb_csv]) == 1
         assert "--phi" in capsys.readouterr().err
 
+    def test_phi_rejected_for_ua(self, stab_lb_csv, capsys):
+        assert main(["rank", "--fn", "ua", "--phi", "0.5", "--in", stab_lb_csv]) == 1
+        assert "--phi" in capsys.readouterr().err
+
+    def test_theorem_rejects_pl(self, two_type_json, capsys):
+        code = main([
+            "audit", "theorem", "--model", two_type_json, "--fn", "pl",
+            "--samples", "10", "--seed", "1", "--n", "3", "--k", "1", "--group", "1", "--exact",
+        ])
+        assert code == 1
+        assert "--fn" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("cell", ["nan", "inf"])
+    def test_non_finite_input_exit_code(self, tmp_path, capsys, cell):
+        p = tmp_path / "bad.csv"
+        p.write_text(f"{cell},0.5,0.5\n0,1,0\n")
+        assert main(["rank", "--fn", "opt", "--in", str(p)]) == 1
+        err = capsys.readouterr().err
+        assert "error: validation" in err and "row 1, column 1" in err
+
     def test_structured_output_deterministic(self, stab_lb_csv, capsys):
         argv = ["rank", "--fn", "ua", "--in", stab_lb_csv, "--format", "structured"]
         assert main(argv) == 0
@@ -210,6 +244,41 @@ class TestCli:
         assert doc["ranking"][1] == pytest.approx([0.25, 0.5, 0.25], abs=1e-12)
 
 
+# Every ranking function crossed with every subcommand that takes --fn; the
+# theorem audit only takes the ranking functions the table marks as audited.
+FLAG_VALUES = {"phi": "0.5", "samples": "20", "seed": "3"}
+FN_SUBCOMMANDS = [
+    (fn, cmd)
+    for fn, ranker in RANKERS.items()
+    for cmd in ("rank", "stability", "utility", "theorem")
+    if cmd != "theorem" or ranker.audited
+]
+
+
+def _subcommand_argv(cmd, csv, model):
+    return {
+        "rank": ["rank", "--in", csv],
+        "stability": ["stability", "--in", csv, "--in2", csv],
+        "utility": ["utility", "--in", csv],
+        "theorem": ["audit", "theorem", "--model", model, "--exact",
+                    "--n", "3", "--k", "1", "--group", "1"],
+    }[cmd]
+
+
+@pytest.mark.parametrize("fn,cmd", FN_SUBCOMMANDS)
+def test_required_flags_follow_ranker_table(fn, cmd, stab_lb_csv, two_type_json, capsys):
+    """With all the flags its table entry requires, `--fn` runs; without any one, exit 1 naming it."""
+    base = _subcommand_argv(cmd, stab_lb_csv, two_type_json) + ["--fn", fn]
+    flags = [p for p in RANKERS[fn].params if p in FLAG_VALUES]
+    full = base + [a for p in flags for a in (f"--{p}", FLAG_VALUES[p])]
+    assert main(full) == 0
+    capsys.readouterr()
+    for dropped in flags:
+        argv = base + [a for p in flags if p != dropped for a in (f"--{p}", FLAG_VALUES[p])]
+        assert main(argv) == 1
+        assert f"--{dropped}" in capsys.readouterr().err
+
+
 class TestSerializeStructured:
     def test_sorted_and_plain(self):
         text = serialize_structured({"b": np.float64(0.5), "a": np.arange(2)})
@@ -219,3 +288,22 @@ class TestSerializeStructured:
     def test_full_precision(self):
         x = 1.0 / 3.0
         assert json.loads(serialize_structured({"x": x}))["x"] == x
+
+    def test_golden_mixed_payload(self):
+        payload = {
+            "matrix": np.array([[0.1, 1.0 / 3.0], [1.0, 0.0]]),
+            "count": np.int64(7),
+            "weight": np.float64(0.25),
+            "bucket": (1, None, True),
+            "missing": None,
+            "flag": False,
+            "outer": {"inner": {"ids": np.arange(3), "ok": True}, "label": "g1"},
+        }
+        assert serialize_structured(payload) == (
+            '{\n  "bucket": [\n    1,\n    null,\n    true\n  ],\n  "count": 7,\n'
+            '  "flag": false,\n  "matrix": [\n    [\n      0.1,\n      0.3333333333333333\n'
+            '    ],\n    [\n      1.0,\n      0.0\n    ]\n  ],\n  "missing": null,\n'
+            '  "outer": {\n    "inner": {\n      "ids": [\n        0,\n        1,\n'
+            '        2\n      ],\n      "ok": true\n    },\n    "label": "g1"\n  },\n'
+            '  "weight": 0.25\n}\n'
+        )

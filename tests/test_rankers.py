@@ -6,6 +6,7 @@ from uarank import (
     PredictionMatrix,
     UtilitySpec,
     ValidationError,
+    compute_ranking,
     min_rank,
     mix_rank,
     opt_rank,
@@ -16,6 +17,8 @@ from uarank import (
     ua_rank_oracle,
     utility,
 )
+
+from uarank.rankers import RANKERS, checked_ranker
 
 from conftest import random_prediction
 
@@ -72,11 +75,6 @@ class TestUaRank:
                     P.rows[i, l - 1] * ua_rank_conditional(P, i, l) for l in range(1, L + 1)
                 )
                 assert np.abs(assembled - M[i]).max() <= 1e-12
-
-    def test_parallel_matches_serial(self):
-        rng = np.random.default_rng(14)
-        P = random_prediction(rng, 12, 4)
-        assert np.array_equal(ua_rank(P).entries, ua_rank(P, n_jobs=4).entries)
 
 
 class TestConditional:
@@ -248,3 +246,34 @@ class TestDoubleStochasticity:
         ):
             assert np.abs(M.entries.sum(axis=0) - 1).max() <= 1e-9
             assert np.abs(M.entries.sum(axis=1) - 1).max() <= 1e-9
+
+
+class TestRankerTable:
+    KW = {"phi": 0.3, "samples": 200, "seed": 5}
+
+    @pytest.mark.parametrize("fn", list(RANKERS))
+    def test_dispatch_matches_direct_call(self, fn):
+        P = random_prediction(np.random.default_rng(21), 4, 3)
+        u = u_linear(4, 3)
+        direct = {
+            "ua": lambda: ua_rank(P),
+            "opt": lambda: opt_rank(P, u),
+            "mix": lambda: mix_rank(P, u, 0.3),
+            "pl": lambda: pl_rank(P, u, 200, 5),
+        }[fn]()
+        assert np.array_equal(compute_ranking(fn, P, u=u, **self.KW).entries, direct.entries)
+
+    @pytest.mark.parametrize("fn,param", [(fn, p) for fn, r in RANKERS.items() for p in r.params])
+    def test_missing_parameter_named(self, fn, param):
+        P = random_prediction(np.random.default_rng(22), 3, 2)
+        kw = {"u": u_linear(3, 2), **self.KW, param: None}
+        with pytest.raises(ValidationError, match=f"'{fn}' requires .*{param}"):
+            compute_ranking(fn, P, **kw)
+
+    def test_unknown_and_unaudited_ids(self):
+        with pytest.raises(ValidationError, match="unknown ranking function"):
+            checked_ranker("bogus")
+        unaudited = [fn for fn, r in RANKERS.items() if not r.audited]
+        assert unaudited == ["pl"]
+        with pytest.raises(ValidationError, match="audits support"):
+            checked_ranker("pl", audit=True, u=u_linear(2, 2), samples=1, seed=0)

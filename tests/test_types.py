@@ -21,6 +21,11 @@ class TestPredictionMatrix:
         with pytest.raises(ValidationError, match=r"out of \[0, 1\]"):
             PredictionMatrix(np.array([[-0.1, 1.1]]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_entry(self, bad):
+        with pytest.raises(ValidationError, match=r"row 1, label 1"):
+            PredictionMatrix(np.array([[0.5, 0.5], [bad, 0.5]]))
+
     def test_rejects_empty(self):
         with pytest.raises(ValidationError):
             PredictionMatrix(np.zeros((0, 2)))
