@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import BudgetExceededError, ValidationError
 from .rankers import checked_ranker, opt_rank, ua_rank
-from .types import PredictionMatrix, UtilitySpec
+from .types import ROW_SUM_TOL, PredictionMatrix, UtilitySpec, _check_distributions
 
 FULL_DOMAIN_GROUP = "all"
 ENUM_BUDGET = 10**6
@@ -40,15 +40,14 @@ class PopulationModel:
         gt = np.asarray(self.ground_truth, dtype=np.float64)
         pred = np.asarray(self.predicted, dtype=np.float64)
         T = len(self.type_names)
-        if w.shape != (T,) or np.any(w < 0):
-            raise ValidationError("type weights must be nonnegative, one per type")
-        if abs(w.sum() - 1.0) > _WEIGHT_TOL:
-            raise ValidationError(f"type weights sum to {w.sum()}, expected 1")
-        for name, arr in (("ground-truth", gt), ("predicted", pred)):
+        if w.shape != (T,):
+            raise ValidationError("type weights must be one per type")
+        # Checked, not renormalized: the audits read these arrays bit for bit.
+        _check_distributions(w[None], "type weights: ", _WEIGHT_TOL)
+        for name, arr in (("ground truth", gt), ("predicted", pred)):
             if arr.ndim != 2 or arr.shape[0] != T:
                 raise ValidationError(f"{name} distributions must be a T x L matrix")
-            if np.any(arr < 0) or np.any(np.abs(arr.sum(axis=1) - 1.0) > 1e-6):
-                raise ValidationError(f"{name} rows must be valid distributions")
+            _check_distributions(arr, f"{name}: ", ROW_SUM_TOL)
         if gt.shape != pred.shape:
             raise ValidationError("ground-truth and predicted label counts differ")
         groups = dict(self.groups)
@@ -360,6 +359,8 @@ def nature_closeness_check(
     """
     if n < 1:
         raise ValidationError(f"dataset size must be positive, got {n}")
+    if samples < 1:
+        raise ValidationError(f"need at least one sample, got {samples}")
     eps = float(np.abs(pop.predicted - pop.ground_truth).sum(axis=1).max())
     rng = np.random.default_rng(seed)
     draws = rng.choice(pop.T, size=(samples, n), p=pop.weights)

@@ -123,7 +123,7 @@ def if_composition_check(
     for idx in (i, j):
         if not 0 <= idx < M.n:
             raise ValidationError(f"individual index {idx} out of range for n={M.n}")
-    if d_ij < 0 or beta <= 0 or gamma <= 0:
+    if not (d_ij >= 0 and beta > 0 and gamma > 0):  # NaN fails every comparison
         raise ValidationError("need d_ij >= 0 and beta, gamma > 0")
     row_gap = float(np.abs(M.entries[i] - M.entries[j]).max())
     bound = 2.0 * beta * gamma * d_ij

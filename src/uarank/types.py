@@ -19,6 +19,24 @@ ROW_SUM_TOL = 1e-6
 DS_TOL = 1e-9
 
 
+def _check_distributions(rows: np.ndarray, what: str, tol: float, slack: float = 0.0) -> np.ndarray:
+    """Check that every row of a 2-d float array is a probability distribution; return
+    the row sums.  Entries must lie in [-slack, 1 + slack], which NaN and +-inf fail,
+    and sums must be 1 within `tol`.  Errors start with `what` and count from 1."""
+    bad = ~((rows >= -slack) & (rows <= 1.0 + slack))  # NaN fails both comparisons
+    if bad.any():
+        r, c = np.argwhere(bad)[0]
+        raise ValidationError(
+            f"{what}row {r + 1}, column {c + 1}: {rows[r, c]} is not a probability in [0, 1]"
+        )
+    sums = rows.sum(axis=1)
+    bad = np.abs(sums - 1.0) > tol
+    if bad.any():
+        r = int(np.argmax(bad))
+        raise ValidationError(f"{what}row {r + 1} sums to {sums[r]:.12g}, expected 1 within {tol}")
+    return sums
+
+
 @dataclass(frozen=True)
 class PredictionMatrix:
     """An n x L matrix whose row i is individual i's distribution over labels."""
@@ -31,17 +49,7 @@ class PredictionMatrix:
             raise ValidationError(
                 f"prediction matrix must be 2-dimensional and nonempty, got shape {rows.shape}"
             )
-        bad = ~((rows >= 0.0) & (rows <= 1.0))  # NaN fails both comparisons
-        if np.any(bad):
-            i, l = np.argwhere(bad)[0]
-            raise ValidationError(
-                f"probability out of [0, 1] at row {i}, label {l + 1}: {rows[i, l]}"
-            )
-        sums = rows.sum(axis=1)
-        bad = np.abs(sums - 1.0) > ROW_SUM_TOL
-        if np.any(bad):
-            i = int(np.argmax(bad))
-            raise ValidationError(f"row {i} sums to {sums[i]}, expected 1 within {ROW_SUM_TOL}")
+        sums = _check_distributions(rows, "", ROW_SUM_TOL)
         # Exact renormalization so downstream arithmetic sees true distributions.
         rows = rows / sums[:, None]
         rows.flags.writeable = False
@@ -74,10 +82,7 @@ class RankingDistribution:
         m = np.asarray(self.entries, dtype=np.float64)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValidationError(f"ranking distribution must be square, got shape {m.shape}")
-        if np.any(m < -1e-12) or np.any(m > 1.0 + 1e-12):
-            raise ValidationError("ranking distribution has entries outside [0, 1]")
-        if np.any(np.abs(m.sum(axis=1) - 1.0) > DS_TOL):
-            raise ValidationError(f"row sums deviate from 1 by more than {DS_TOL}")
+        _check_distributions(m, "ranking distribution: ", DS_TOL, slack=1e-12)
         if np.any(np.abs(m.sum(axis=0) - 1.0) > DS_TOL):
             raise ValidationError(f"column sums deviate from 1 by more than {DS_TOL}")
         m.flags.writeable = False
@@ -98,11 +103,14 @@ class UtilitySpec:
     def __post_init__(self):
         v = np.asarray(self.label_values, dtype=np.float64)
         w = np.asarray(self.position_weights, dtype=np.float64)
-        if v.ndim != 1 or v.size < 1:
-            raise ValidationError("label values must be a nonempty vector")
+        for what, x in (("label values", v), ("position weights", w)):
+            if x.ndim != 1 or x.size < 1:
+                raise ValidationError(f"{what} must be a nonempty vector")
+            if not np.isfinite(x).all():
+                raise ValidationError(f"{what}: entry {np.argmin(np.isfinite(x)) + 1} is not finite")
         if v[0] < 0 or np.any(np.diff(v) <= 0):
             raise ValidationError("label values must be nonnegative and strictly increasing")
-        if w.ndim != 1 or w.size < 1 or np.any(w < 0) or np.any(np.diff(w) > 0):
+        if np.any(w < 0) or np.any(np.diff(w) > 0):
             raise ValidationError("position weights must be nonnegative and nonincreasing")
         v.flags.writeable = False
         w.flags.writeable = False

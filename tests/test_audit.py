@@ -243,3 +243,7 @@ class TestNatureCloseness:
         )
         rep = nature_closeness_check(pop, 3, seed=2, samples=10)
         assert rep.within_bound
+
+    def test_rejects_zero_samples(self):
+        with pytest.raises(ValidationError, match="at least one sample"):
+            nature_closeness_check(perfect_model(), 3, samples=0)

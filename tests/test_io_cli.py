@@ -216,6 +216,40 @@ class TestCli:
         err = capsys.readouterr().err
         assert "error: validation" in err and "row 1, column 1" in err
 
+    @pytest.mark.parametrize("mutate,named", [
+        (lambda d: d["types"][0].update(weight="abc"), "type 1: 'weight' is not numeric"),
+        (lambda d: d["types"][1].update(weight=None), "type 2: 'weight' is not numeric"),
+        (lambda d: d["types"][0].update(groundTruth=0.5), "type 1: 'groundTruth' is not numeric"),
+        (lambda d: d.update(types=[1, 2]), "type 1 must be an object"),
+        (lambda d: d["types"][0].update(weight=float("nan")), "type weights: row 1, column 1: nan"),
+        (lambda d: d["types"][1]["groundTruth"].__setitem__(0, float("nan")),
+         "ground truth: row 2, column 1: nan"),
+        (lambda d: (d.pop("labels"), d["types"][1]["groundTruth"].append(0.0)),
+         "type '2' has 3 labels, expected 2"),
+    ], ids=["weight-string", "weight-null", "ground-truth-scalar", "types-not-objects",
+            "weight-nan", "ground-truth-nan", "ragged-undeclared-labels"])
+    def test_malformed_model_exit_code(self, tmp_path, capsys, mutate, named):
+        doc = json.loads(json.dumps(TWO_TYPE_DOC))
+        mutate(doc)
+        p = tmp_path / "bad.json"
+        p.write_text(json.dumps(doc))
+        assert main(["audit", "multiaccuracy", "--model", str(p)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: validation:") and named in err
+
+    @pytest.mark.parametrize("values,named", [("nan,1", "entry 1 is not finite"), ("1,inf", "entry 2 is not finite")])
+    def test_non_finite_label_values_exit_code(self, tmp_path, capsys, values, named):
+        p = tmp_path / "m.csv"
+        p.write_text("0.5,0.5\n0,1\n")
+        assert main(["utility", "--fn", "opt", "--values", values, "--in", str(p)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: validation:") and named in err
+
+    def test_nature_zero_samples_exit_code(self, two_type_json, capsys):
+        argv = ["audit", "nature", "--model", two_type_json, "--n", "3", "--samples", "0"]
+        assert main(argv) == 1
+        assert "error: validation: need at least one sample" in capsys.readouterr().err
+
     def test_structured_output_deterministic(self, stab_lb_csv, capsys):
         argv = ["rank", "--fn", "ua", "--in", stab_lb_csv, "--format", "structured"]
         assert main(argv) == 0

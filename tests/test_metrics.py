@@ -165,3 +165,11 @@ class TestCompositionCheck:
         P, _ = stab_lb
         with pytest.raises(ValidationError):
             if_composition_check(P, ua_rank(P), 1, 1, 0.1, 1.0, 1.0)
+
+    @pytest.mark.parametrize("d_ij,beta,gamma", [
+        (np.nan, 1.0, 1.0), (0.1, np.nan, 1.0), (0.1, 1.0, np.nan), (-0.1, 1.0, 1.0),
+    ])
+    def test_rejects_nan_or_negative_parameters(self, stab_lb, d_ij, beta, gamma):
+        P, _ = stab_lb
+        with pytest.raises(ValidationError, match="d_ij"):
+            if_composition_check(P, ua_rank(P), 0, 1, d_ij, beta, gamma)

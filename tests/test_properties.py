@@ -1,12 +1,28 @@
 """Invariant checks driven by hypothesis-generated prediction matrices."""
 
 import numpy as np
-from hypothesis import given, settings
+import pytest
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from uarank import PredictionMatrix, UtilitySpec, mix_rank, opt_rank, ua_rank
+from uarank import (
+    PopulationModel,
+    PredictionMatrix,
+    RankingDistribution,
+    UtilitySpec,
+    ValidationError,
+    mix_rank,
+    opt_rank,
+    pl_rank,
+    ua_rank,
+    ua_rank_oracle,
+)
 from uarank.metrics import l1_distance, linf_distance
+
+from conftest import random_population
+
+NON_FINITE = st.sampled_from([np.nan, np.inf, -np.inf])
 
 
 def prediction_matrices(max_n=8, max_l=4):
@@ -87,3 +103,85 @@ def test_opt_rows_are_permutation(P):
     assert set(np.unique(M)) <= {0.0, 1.0}
     assert np.array_equal(M.sum(axis=0), np.ones(P.n))
     assert np.array_equal(M.sum(axis=1), np.ones(P.n))
+
+
+def _poisoned(rows, data, bad):
+    """Copy of a 2-d array with `bad` at a drawn cell, and that cell's 1-based (row, column)."""
+    r = data.draw(st.integers(0, rows.shape[0] - 1))
+    c = data.draw(st.integers(0, rows.shape[1] - 1))
+    out = np.array(rows, dtype=np.float64)
+    out[r, c] = bad
+    return out, (r + 1, c + 1)
+
+
+@settings(max_examples=40, deadline=None)
+@given(prediction_matrices(), NON_FINITE, st.data())
+def test_prediction_matrix_names_non_finite_cell(P, bad, data):
+    rows, (r, c) = _poisoned(P.rows, data, bad)
+    with pytest.raises(ValidationError, match=f"^row {r}, column {c}: "):
+        PredictionMatrix(rows)
+
+
+@settings(max_examples=25, deadline=None)
+@given(prediction_matrices(max_n=6, max_l=3), NON_FINITE, st.data())
+def test_ranking_distribution_names_non_finite_cell(P, bad, data):
+    entries, (r, c) = _poisoned(ua_rank(P).entries, data, bad)
+    with pytest.raises(ValidationError, match=f"^ranking distribution: row {r}, column {c}: "):
+        RankingDistribution(entries)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1), st.integers(1, 5), st.integers(1, 4),
+    st.sampled_from(["type weights", "ground truth", "predicted"]), NON_FINITE, st.data(),
+)
+def test_population_model_names_non_finite_cell(seed, T, L, field, bad, data):
+    pop = random_population(np.random.default_rng(seed), T, L)
+    tables = {
+        "type weights": pop.weights[None],
+        "ground truth": pop.ground_truth,
+        "predicted": pop.predicted,
+    }
+    tables[field], (r, c) = _poisoned(tables[field], data, bad)
+    with pytest.raises(ValidationError, match=f"^{field}: row {r}, column {c}: "):
+        PopulationModel(pop.type_names, tables["type weights"][0], tables["ground truth"],
+                        tables["predicted"], pop.groups)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 6), st.sampled_from(["label values", "position weights"]), NON_FINITE,
+       st.data())
+def test_utility_spec_names_non_finite_entry(n, field, bad, data):
+    vectors = {"label values": np.arange(1.0, n + 1), "position weights": np.ones(n)}
+    i = data.draw(st.integers(0, n - 1))
+    vectors[field][i] = bad
+    with pytest.raises(ValidationError, match=f"^{field}: entry {i + 1} is "):
+        UtilitySpec(vectors["label values"], vectors["position weights"])
+
+
+# Rows with all mass on one label, padded with zeros, negative zeros and
+# denormals small enough that the row still sums to exactly 1.
+EDGE_ENTRIES = st.sampled_from([0.0, -0.0, 5e-324, 1e-310])
+
+
+@st.composite
+def edge_matrices(draw, max_n=5, max_l=3):
+    n, L = draw(st.integers(1, max_n)), draw(st.integers(1, max_l))
+    rows = np.array(draw(st.lists(st.lists(EDGE_ENTRIES, min_size=L, max_size=L),
+                                  min_size=n, max_size=n)))
+    rows[np.arange(n), draw(st.lists(st.integers(0, L - 1), min_size=n, max_size=n))] = 1.0
+    return rows
+
+
+@settings(max_examples=40, deadline=None)
+@given(edge_matrices())
+@example(np.array([[1.0]]))
+@example(np.array([[-0.0, 1.0], [5e-324, 1.0]]))
+def test_edge_inputs_give_doubly_stochastic_rankings(rows):
+    P = PredictionMatrix(rows)
+    assert np.array_equal(P.rows, rows)
+    u = UtilitySpec.dcg(P.n, L=P.L)
+    for M in (ua_rank(P), opt_rank(P, u), mix_rank(P, u, 0.5), pl_rank(P, u, 50, 0),
+              ua_rank_oracle(P)):
+        assert np.abs(M.entries.sum(axis=0) - 1.0).max() <= 1e-9
+        assert np.abs(M.entries.sum(axis=1) - 1.0).max() <= 1e-9

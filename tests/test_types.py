@@ -18,12 +18,12 @@ class TestPredictionMatrix:
             PredictionMatrix(np.array([[0.5, 0.4]]))
 
     def test_rejects_negative_entry(self):
-        with pytest.raises(ValidationError, match=r"out of \[0, 1\]"):
+        with pytest.raises(ValidationError, match=r"is not a probability"):
             PredictionMatrix(np.array([[-0.1, 1.1]]))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_rejects_non_finite_entry(self, bad):
-        with pytest.raises(ValidationError, match=r"row 1, label 1"):
+        with pytest.raises(ValidationError, match=r"row 2, column 1"):
             PredictionMatrix(np.array([[0.5, 0.5], [bad, 0.5]]))
 
     def test_rejects_empty(self):
