@@ -186,6 +186,8 @@ def _cmd_audit(args) -> None:
         raise ValidationError(f"--n is required for {args.mode} audits")
 
     if args.mode == "nature":
+        if args.fn != "ua":
+            raise ValidationError(f"nature audits check the UA ranking only; got --fn {args.fn}")
         rep = audit_mod.nature_closeness_check(
             pop, args.n, seed=args.seed if args.seed is not None else 0,
             samples=args.samples if args.samples is not None else 50,

@@ -16,7 +16,8 @@ from .types import PredictionMatrix, UtilitySpec
 def load_prediction_matrix(path) -> PredictionMatrix:
     """Load a CSV matrix: one row per individual, one probability column per label.
 
-    An optional header row `label_1,...,label_L` is accepted and skipped.
+    An optional header row `label_1,...,label_L` is accepted and skipped; a first
+    row counts as a header only when none of its cells parses as a number.
     Errors name the offending row (1-based data row) and column.
     """
     path = Path(path)
@@ -26,7 +27,7 @@ def load_prediction_matrix(path) -> PredictionMatrix:
         records = [row for row in csv.reader(fh) if row and any(cell.strip() for cell in row)]
     if not records:
         raise ValidationError(f"{path}: empty file")
-    if records[0] and not _is_number(records[0][0]):
+    if not any(_is_number(cell) for cell in records[0]):
         records = records[1:]
         if not records:
             raise ValidationError(f"{path}: header but no data rows")

@@ -1,8 +1,10 @@
-"""Ranking functions: exact uncertainty-aware DP, brute-force oracle,
-utility-optimal sort, mixtures, and Plackett-Luce (sampled and exact)."""
+"""Ranking functions: exact uncertainty-aware marginals (one leave-one-out
+Poisson-binomial kernel per label), brute-force oracle, utility-optimal sort,
+mixtures, and Plackett-Luce (sampled and exact)."""
 
 from __future__ import annotations
 
+import functools
 import itertools
 from typing import Callable, NamedTuple
 
@@ -13,58 +15,64 @@ from .types import PredictionMatrix, RankingDistribution, UtilitySpec
 
 ORACLE_BUDGET = 10**6
 PL_EXACT_MAX_N = 8
-_TABLE_TOL = 1e-9
+_PL_BATCH_ELEMENTS = 2**21  # Gumbel draws per pl_rank batch: 16 MB of doubles
 
 
-def _label_count_table(others: np.ndarray, label: int) -> np.ndarray:
-    """Joint distribution of (#others with `label`, #others with a better label).
+@functools.lru_cache(maxsize=64)
+def _legendre_nodes(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights on [0, 1], exact for polynomials of degree
+    < 2m: Newton's method on the Legendre polynomial P_m from Tricomi's guesses,
+    which converges to machine precision within a few steps.  Cached, because
+    audits rank thousands of same-size datasets; the arrays are read-only."""
+    x = np.cos(np.pi * (np.arange(1, m + 1) - 0.25) / (m + 0.5))
+    for _ in range(8):
+        prev, cur = np.ones_like(x), x
+        for k in range(2, m + 1):
+            prev, cur = cur, ((2 * k - 1) * x * cur - (k - 1) * prev) / k
+        slope = m * (x * cur - prev) / (x * x - 1.0)  # P_m'(x)
+        x = x - cur / slope
+    w = 1.0 / ((1.0 - x * x) * slope**2)
+    nodes, weights = (1.0 + x) / 2.0, w / w.sum()
+    nodes.flags.writeable = weights.flags.writeable = False
+    return nodes, weights
 
-    `others` holds the n-1 rows of the prediction matrix with the focal
-    individual removed.  Returns A with A[j, jp] = Pr[exactly j of the others
-    have the label and exactly jp have a strictly better one].  Only the
-    current t-slice is kept, so memory stays O(n^2).
+
+def _ua_label_kernel(rows: np.ndarray, label: int) -> np.ndarray:
+    """C[i, k-1] = Pr[individual i gets rank k | i's label equals `label`], for every i.
+
+    Given i's uniform tie-break draw u, each other j ranks above i independently
+    with probability q_j(u) = Pr[label_j > label] + u Pr[label_j = label], so
+    rank - 1 is Poisson-binomial and its pmf is a polynomial of degree < n in u,
+    which n//2 + 1 Gauss-Legendre nodes integrate exactly.  Per node the product
+    prod_j (1 - q_j + q_j z) is built once; each individual's own factor is then
+    divided back out, forwards where its q <= 1/2 and backwards otherwise, the
+    direction in which the recurrence does not amplify rounding error.  Memory
+    stays O(n^2): the weighted leave-one-out pmfs are summed one degree at a time.
     """
-    m = others.shape[0]
-    p_eq = others[:, label - 1]
-    p_gt = others[:, label:].sum(axis=1)
-    p_lt = others[:, : label - 1].sum(axis=1)
-
-    A = np.ones((1, 1))
-    for t in range(m):
-        # After t others only a (t+1)x(t+1) corner can be nonzero, so the
-        # table grows one row and column per step instead of being full-size.
-        s = t + 1
-        B = np.zeros((s + 1, s + 1))
-        B[:s, :s] = p_lt[t] * A
-        B[1:, :s] += p_eq[t] * A
-        B[:s, 1:] += p_gt[t] * A
-        A = B
-        total = A.sum()
-        if abs(total - 1.0) > _TABLE_TOL:
-            raise AssertionError(f"count table mass drifted to {total} at step {t + 1}")
-    full = np.zeros((m + 1, m + 1))
-    full[: A.shape[0], : A.shape[1]] = A
-    return full
-
-
-def _conditional_from_table(A: np.ndarray) -> np.ndarray:
-    """Rank probabilities given the focal individual's label, from its count table.
-
-    Pr[rank k | label] = sum_j 1/(j+1) * Pr[N^eq = j and k-(j+1) <= N^gt < k],
-    evaluated with prefix sums along the N^gt axis.
-    """
-    m = A.shape[0] - 1  # number of other individuals
-    n = m + 1
-    S = np.cumsum(A, axis=1)
-    inv = 1.0 / np.arange(1, m + 2)
-    js = np.arange(m + 1)
-    cond = np.empty(n)
-    for k in range(1, n + 1):
-        hi = S[js, min(k - 1, m)]
-        lo_idx = k - js - 2
-        lo = np.where(lo_idx >= 0, S[js, np.clip(lo_idx, 0, m)], 0.0)
-        cond[k - 1] = float(np.dot(inv, hi - lo))
-    return cond
+    n = rows.shape[0]
+    u, w = _legendre_nodes(n // 2 + 1)
+    q = rows[:, label:].sum(axis=1) + u[:, None] * rows[:, label - 1]  # (nodes, n)
+    p = 1.0 - q
+    F = np.zeros((n + 1, u.size))  # F[k, t]: coefficient of z^k at node t
+    F[0] = 1.0
+    for j in range(n):
+        carried = F[: j + 1] * q[:, j]
+        F[: j + 2] *= p[:, j]
+        F[1 : j + 2] += carried
+    # F = G (p + q z) for the leave-one-out G: forwards G_k = (F_k - q G_{k-1}) / p,
+    # backwards G_{k-1} = (F_k - p G_k) / q.  Each pass divides by inf where it is
+    # not the stable direction, which keeps those entries of G at exactly 0.
+    fwd = q <= 0.5
+    C = np.zeros((n, n))
+    for degrees, shift, other, den in ((range(n), 0, q, np.where(fwd, p, np.inf)),
+                                       (range(n, 0, -1), 1, p, np.where(fwd, np.inf, q))):
+        G = np.zeros_like(q)
+        for k in degrees:
+            G *= other
+            np.subtract(F[k, :, None], G, out=G)
+            G /= den
+            C[:, k - shift] += w @ G
+    return C
 
 
 def ua_rank_conditional(P: PredictionMatrix, i: int, label: int) -> np.ndarray:
@@ -73,8 +81,7 @@ def ua_rank_conditional(P: PredictionMatrix, i: int, label: int) -> np.ndarray:
         raise ValidationError(f"individual index {i} out of range for n={P.n}")
     if not 1 <= label <= P.L:
         raise ValidationError(f"label {label} out of range for L={P.L}")
-    others = np.delete(P.rows, i, axis=0)
-    return _conditional_from_table(_label_count_table(others, label))
+    return _ua_label_kernel(P.rows, label)[i]
 
 
 def ua_rank(P: PredictionMatrix) -> RankingDistribution:
@@ -82,17 +89,14 @@ def ua_rank(P: PredictionMatrix) -> RankingDistribution:
 
     Labels are drawn independently per row, individuals are sorted by label
     (higher is better) and ties are broken uniformly at random; the returned
-    matrix holds the marginal rank probabilities of that process, assembled
-    from one count-table DP per (individual, label) with nonzero probability.
+    matrix holds the marginal rank probabilities of that process, the sum over
+    labels of Pr[label_i = label] times the label's conditional rank kernel.
     """
     rows = P.rows
     M = np.zeros((P.n, P.n))
-    for i in range(P.n):
-        others = np.delete(rows, i, axis=0)
-        for label in range(1, P.L + 1):
-            if rows[i, label - 1] > 0.0:
-                cond = _conditional_from_table(_label_count_table(others, label))
-                M[i] += rows[i, label - 1] * cond
+    for label in range(1, P.L + 1):
+        if rows[:, label - 1].any():
+            M += rows[:, label - 1, None] * _ua_label_kernel(rows, label)
     return RankingDistribution(M)
 
 
@@ -101,7 +105,7 @@ def ua_rank_oracle(P: PredictionMatrix, budget: int = ORACLE_BUDGET) -> RankingD
 
     Each vector is weighted by its product probability; within it, individual
     i gets probability 1/N^eq on each rank in the tie block
-    (N^gt, N^gt + N^eq].  Independent of the DP path; used to validate it.
+    (N^gt, N^gt + N^eq].  Independent of the UA kernel; used to validate it.
     """
     n, L = P.n, P.L
     count = L**n
@@ -181,13 +185,7 @@ def _gumbel(rng: np.random.Generator, shape) -> np.ndarray:
     return -np.log(-np.log(u))
 
 
-def pl_rank(
-    P: PredictionMatrix,
-    u: UtilitySpec,
-    samples: int,
-    seed: int,
-    batch_size: int = 100_000,
-) -> RankingDistribution:
+def pl_rank(P: PredictionMatrix, u: UtilitySpec, samples: int, seed: int) -> RankingDistribution:
     """Estimated Plackett-Luce marginals via the Gumbel trick.
 
     Each sample sorts individuals by decreasing tau(p_i) + g_i with g_i
@@ -200,15 +198,13 @@ def pl_rank(
     n = P.n
     rng = np.random.default_rng(seed)
     counts = np.zeros(n * n, dtype=np.int64)
-    cols = None
     done = 0
     while done < samples:
-        b = min(batch_size, samples - done)
+        b = min(max(1, _PL_BATCH_ELEMENTS // n), samples - done)
         scores = tau[None, :] + _gumbel(rng, (b, n))
         order = np.argsort(-scores, axis=1, kind="stable")
-        if cols is None or cols.shape[0] != b:
-            cols = np.broadcast_to(np.arange(n), (b, n))
-        counts += np.bincount((order * n + cols).ravel(), minlength=n * n)
+        # order[s, k] is the individual at position k: count it in cell (individual, k).
+        counts += np.bincount((order * n + np.arange(n)).ravel(), minlength=n * n)
         done += b
     return RankingDistribution(counts.reshape(n, n) / samples)
 

@@ -245,6 +245,18 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error: validation:") and named in err
 
+    def test_unparseable_first_cell_is_not_a_header(self, tmp_path, capsys):
+        p = tmp_path / "m.csv"
+        p.write_text("0.5x,0.5\n0.5,0.5\n")
+        assert main(["rank", "--in", str(p)]) == 1
+        assert "row 1, column 1: cannot parse '0.5x'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("fn", [fn for fn in RANKERS if fn != "ua"])
+    def test_nature_rejects_non_ua_fn(self, two_type_json, capsys, fn):
+        argv = ["audit", "nature", "--model", two_type_json, "--n", "3", "--fn", fn]
+        assert main(argv) == 1
+        assert f"--fn {fn}" in capsys.readouterr().err
+
     def test_nature_zero_samples_exit_code(self, two_type_json, capsys):
         argv = ["audit", "nature", "--model", two_type_json, "--n", "3", "--samples", "0"]
         assert main(argv) == 1

@@ -13,8 +13,10 @@ from uarank import (
     UtilitySpec,
     ValidationError,
     mix_rank,
+    multiaccuracy_alpha,
     opt_rank,
     pl_rank,
+    theorem_gap_exact,
     ua_rank,
     ua_rank_oracle,
 )
@@ -185,3 +187,48 @@ def test_edge_inputs_give_doubly_stochastic_rankings(rows):
               ua_rank_oracle(P)):
         assert np.abs(M.entries.sum(axis=0) - 1.0).max() <= 1e-9
         assert np.abs(M.entries.sum(axis=1) - 1.0).max() <= 1e-9
+
+
+@st.composite
+def small_populations(draw, max_t=3, max_l=3):
+    """Populations with T <= 3 types and L <= 3 labels, every type a singleton
+    group plus one drawn group (the full domain is added automatically)."""
+    T, L = draw(st.integers(1, max_t)), draw(st.integers(1, max_l))
+
+    def distributions(shape):
+        raw = draw(arrays(np.float64, shape, elements=st.floats(0.0, 1.0))) + 1e-6
+        return raw / raw.sum(axis=-1, keepdims=True)
+
+    groups = {f"g{t}": (t,) for t in range(T)}
+    groups["drawn"] = tuple(sorted(draw(st.sets(st.integers(0, T - 1), min_size=1))))
+    return PopulationModel(
+        type_names=tuple(f"t{t}" for t in range(T)),
+        weights=distributions((T,)),
+        ground_truth=distributions((T, L)),
+        predicted=distributions((T, L)),
+        groups=groups,
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_populations(), st.integers(1, 4), st.data())
+def test_ua_theorem_gap_bounded_and_anonymous(pop, n, data):
+    bound = pop.L * n * multiaccuracy_alpha(pop).alpha
+    for group in pop.groups:
+        for k in range(1, n + 1):
+            assert theorem_gap_exact(pop, n, k, group, fn="ua") <= bound + 1e-12
+    # _RankCache reuses one UA matrix for every ordering of a type vector, which
+    # is valid because UA is anonymous: the i = n variant equals the average.
+    group, k = data.draw(st.sampled_from(sorted(pop.groups))), data.draw(st.integers(1, n))
+    uniform = theorem_gap_exact(pop, n, k, group, fn="ua")
+    assert abs(theorem_gap_exact(pop, n, k, group, fn="ua", fix_last=True) - uniform) <= 1e-12
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_populations(), st.integers(1, 4), st.floats(0.0, 1.0))
+def test_mix_theorem_gap_bounded(pop, n, phi):
+    u = UtilitySpec.dcg(n, L=pop.L)
+    bound = phi * pop.L * n * multiaccuracy_alpha(pop).alpha + (1.0 - phi)
+    for group in pop.groups:
+        for k in range(1, n + 1):
+            assert theorem_gap_exact(pop, n, k, group, fn="mix", u=u, phi=phi) <= bound + 1e-12

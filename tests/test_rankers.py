@@ -18,6 +18,7 @@ from uarank import (
     utility,
 )
 
+from uarank import rankers
 from uarank.rankers import RANKERS, checked_ranker
 
 from conftest import random_prediction
@@ -25,6 +26,18 @@ from conftest import random_prediction
 
 def u_linear(n, L):
     return UtilitySpec(np.arange(1, L + 1, dtype=float), np.ones(n))
+
+
+def hard_rows(rng, n, L):
+    """Peaked Dirichlet(0.05), one-hot and half-bottom/half-top rows, so the
+    kernel's per-individual probabilities q hit 0, 1 and exactly 1/2."""
+    rows = rng.dirichlet(np.full(L, 0.05), size=n)
+    kind = rng.integers(0, 3, size=n)
+    rows[kind == 1] = np.eye(L)[rng.integers(0, L, size=int((kind == 1).sum()))]
+    rows[kind == 2] = 0.0
+    rows[kind == 2, 0] += 0.5
+    rows[kind == 2, -1] += 0.5
+    return rows
 
 
 class TestUaRank:
@@ -75,6 +88,30 @@ class TestUaRank:
                     P.rows[i, l - 1] * ua_rank_conditional(P, i, l) for l in range(1, L + 1)
                 )
                 assert np.abs(assembled - M[i]).max() <= 1e-12
+
+
+class TestUaKernelHardInputs:
+    def test_matches_oracle_on_peaked_one_hot_and_tie_rows(self):
+        rng = np.random.default_rng(30)
+        for _ in range(60):
+            n, L = int(rng.integers(1, 8)), int(rng.integers(2, 5))
+            if L**n > 20_000:
+                continue
+            P = PredictionMatrix(hard_rows(rng, n, L))
+            assert np.abs(ua_rank(P).entries - ua_rank_oracle(P).entries).max() <= 1e-12
+
+    def test_expected_rank_closed_form_at_n150(self):
+        rng = np.random.default_rng(31)
+        n = 150
+        P = PredictionMatrix(hard_rows(rng, n, 4))
+        M = ua_rank(P).entries
+        above = np.cumsum(P.rows[:, ::-1], axis=1)[:, ::-1] - P.rows  # Pr[label > l]
+        # beats[i, j] = Pr[label_j > label_i] + 1/2 Pr[label_j = label_i]
+        beats = P.rows @ (above + 0.5 * P.rows).T
+        expected = 1.0 + beats.sum(axis=1) - np.diag(beats)
+        assert np.abs(M @ np.arange(1, n + 1) - expected).max() <= 1e-9
+        assert np.abs(M.sum(axis=0) - 1).max() <= 1e-9
+        assert np.abs(M.sum(axis=1) - 1).max() <= 1e-9
 
 
 class TestConditional:
@@ -224,6 +261,15 @@ class TestPlackettLuce:
         P = random_prediction(rng, 9, 2)
         with pytest.raises(BudgetExceededError):
             pl_rank_exact(P, UtilitySpec.dcg(9, L=2))
+
+    @pytest.mark.parametrize("batch_elements", [1, 37 * 40 + 5])
+    def test_batch_size_does_not_change_output(self, monkeypatch, batch_elements):
+        rng = np.random.default_rng(23)
+        P = random_prediction(rng, 40, 3)
+        u = UtilitySpec.dcg(40, L=3)
+        whole = pl_rank(P, u, samples=500, seed=9).entries
+        monkeypatch.setattr(rankers, "_PL_BATCH_ELEMENTS", batch_elements)
+        assert np.array_equal(pl_rank(P, u, samples=500, seed=9).entries, whole)
 
     def test_requires_positive_samples(self):
         P = PredictionMatrix(np.array([[0.5, 0.5]]))
