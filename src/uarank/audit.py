@@ -10,19 +10,19 @@ enumeration of type vectors and by Monte-Carlo sampling.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import BudgetExceededError, ValidationError
-from .rankers import checked_ranker, opt_rank, ua_rank
+from .rankers import checked_ranker, ua_rank
 from .types import ROW_SUM_TOL, PredictionMatrix, UtilitySpec, _check_distributions
 
 FULL_DOMAIN_GROUP = "all"
 ENUM_BUDGET = 10**6
 AUDIT_MAX_N = 16
 _WEIGHT_TOL = 1e-9
+_AUDIT_BLOCK_ROWS = 4096  # type vectors per engine block: O(block * n) working memory
 
 
 @dataclass(frozen=True)
@@ -177,64 +177,70 @@ class AuditReport:
     delta: float | None = None
 
 
-class _RankCache:
-    """Per-type-vector ranking matrices, deduplicated up to row permutation.
+class _GapEngine:
+    """Gaps Pr_truth[i -> k] - Pr_pred[i -> k] for blocks of type vectors, one per row.
 
-    The UA ranking function is anonymous, so the matrix for a type vector can
-    be recovered from the matrix of its sorted version; the deterministic
-    index-tie-broken opt component is order-dependent and computed directly.
+    UA is anonymous, so its matrix is computed once per sorted type vector (under
+    the truth and under the predictor) and kept; its row j belongs to the j-th
+    individual of a stable sort by type.  opt breaks tau ties by ascending index,
+    so it stays order-dependent: tau once per type, then one argsort per block.
     """
 
     def __init__(self, pop: PopulationModel, fn: str, u: UtilitySpec | None, phi: float | None):
         checked_ranker(fn, audit=True, u=u, phi=phi)
-        self.pop = pop
-        self.fn = fn
-        self.u = u
-        self.phi = phi
-        self._ua = {}
+        self.fn, self.phi = fn, phi
+        self.dists = (pop.ground_truth, pop.predicted)
+        self.taus = None if fn == "ua" else [u.tau(PredictionMatrix(d)) for d in self.dists]
+        self.ua = {}  # sorted type vector -> (UA matrix under truth, under predictor)
 
-    def matrices(self, tvec: tuple):
-        """(ranking under ground truth, ranking under predictor) for a type vector."""
-        out = []
-        for which, dist in (("gt", self.pop.ground_truth), ("pred", self.pop.predicted)):
-            rows = dist[list(tvec)]
-            if self.fn == "ua":
-                M = self._ua_matrix(which, tvec, dist)
-            elif self.fn == "opt":
-                M = opt_rank(PredictionMatrix(rows), self.u).entries
-            else:
-                ua_part = self._ua_matrix(which, tvec, dist)
-                opt_part = opt_rank(PredictionMatrix(rows), self.u).entries
-                M = self.phi * ua_part + (1.0 - self.phi) * opt_part
-            out.append(M)
-        return out
+    def ua_keys(self, block: np.ndarray):
+        """The distinct sorted rows of `block`, their UA pairs computed on first sight,
+        and the index of each row's sorted form among them."""
+        keys, inv = np.unique(np.sort(block, axis=1), axis=0, return_inverse=True)
+        keys = [tuple(key) for key in keys.tolist()]
+        for key in keys:
+            if key not in self.ua:
+                self.ua[key] = tuple(ua_rank(PredictionMatrix(d[list(key)])).entries for d in self.dists)
+        return keys, inv.reshape(-1)
 
-    def _ua_matrix(self, which: str, tvec: tuple, dist: np.ndarray) -> np.ndarray:
-        order = np.argsort(np.asarray(tvec), kind="stable")
-        key = (which, tuple(sorted(tvec)))
-        if key not in self._ua:
-            self._ua[key] = ua_rank(PredictionMatrix(dist[list(key[1])])).entries
-        M = np.empty_like(self._ua[key])
-        M[order] = self._ua[key]
-        return M
+    def gaps(self, block: np.ndarray, k: int) -> np.ndarray:
+        """(m, n): the gap at position k of each individual of each type vector in `block`."""
+        if self.fn != "opt":
+            keys, inv = self.ua_keys(block)
+            order = np.argsort(block, axis=1, kind="stable")
+        cols = []
+        for which in (0, 1):
+            if self.fn != "ua":
+                opt = np.zeros(block.shape)
+                first = np.argsort(-self.taus[which][block], axis=1, kind="stable")[:, k - 1]
+                opt[np.arange(len(block)), first] = 1.0
+            if self.fn != "opt":
+                ua = np.empty(block.shape)
+                kth = np.array([self.ua[key][which][:, k - 1] for key in keys])
+                np.put_along_axis(ua, order, kth[inv], axis=1)
+            cols.append(opt if self.fn == "opt" else ua if self.fn == "ua"
+                        else self.phi * ua + (1.0 - self.phi) * opt)
+        return cols[0] - cols[1]
+
+    def values(self, block: np.ndarray, k: int, ind: np.ndarray, fix_last: bool = False) -> np.ndarray:
+        """Per dataset: the mean over i of ind[x_i] times i's gap (the last i's under `fix_last`)."""
+        terms = ind[block] * self.gaps(block, k)
+        return terms[:, -1] if fix_last else terms.mean(axis=1)
 
 
-def _indicator(pop, tvec, mask, bucket_of, bucket):
-    """Per-individual indicator: group membership, optionally bucket membership."""
-    ind = mask[list(tvec)].astype(np.float64)
+def _blocks(rows: np.ndarray):
+    return (rows[s : s + _AUDIT_BLOCK_ROWS] for s in range(0, len(rows), _AUDIT_BLOCK_ROWS))
+
+
+def _type_indicator(pop, group, delta, bucket) -> np.ndarray:
+    """Per type: 1.0 if it is in the group (and in the calibration bucket, if one is given)."""
+    ind = pop.group_mask(group).astype(np.float64)
+    bucket_of = type_buckets(pop, delta) if delta is not None else None
     if bucket is not None:
-        ind *= np.array([1.0 if bucket_of[t] == bucket else 0.0 for t in tvec])
+        if bucket_of is None:
+            raise ValidationError("a calibration bucket needs its width delta")
+        ind *= np.array([1.0 if b == bucket else 0.0 for b in bucket_of])
     return ind
-
-
-def _sample_value(pop, tvec, cache, mask, k, bucket_of, bucket, fix_last=False):
-    """One dataset's contribution: mean over i of 1[x_i in S] * (M*_{i,k} - M_{i,k})."""
-    M_star, M_pred = cache.matrices(tvec)
-    diff = M_star[:, k - 1] - M_pred[:, k - 1]
-    ind = _indicator(pop, tvec, mask, bucket_of, bucket)
-    if fix_last:
-        return float(ind[-1] * diff[-1])
-    return float((ind * diff).mean())
 
 
 def _gap_bound(pop, n, fn, phi, alpha):
@@ -247,14 +253,8 @@ def _gap_bound(pop, n, fn, phi, alpha):
 def _measured_alpha(pop, delta):
     if delta is None:
         return multiaccuracy_alpha(pop).alpha
-    full_domain = [
-        name for name, members in pop.groups.items()
-        if tuple(sorted(members)) == tuple(range(pop.T))
-    ][0]
-    return max(
-        multicalibration_alpha(pop, delta).alpha,
-        multiaccuracy_alpha(pop).per_group[full_domain],
-    )
+    full_domain = next(name for name, m in pop.groups.items() if sorted(m) == list(range(pop.T)))
+    return max(multicalibration_alpha(pop, delta).alpha, multiaccuracy_alpha(pop).per_group[full_domain])
 
 
 def theorem_gap_exact(
@@ -279,19 +279,22 @@ def theorem_gap_exact(
     not in general.
     """
     _validate_audit_args(pop, n, k, group)
+    engine = _GapEngine(pop, fn, u, phi)
     total = pop.T**n
     if total > budget:
         raise BudgetExceededError(f"enumeration needs {total} type vectors, budget is {budget}")
-    cache = _RankCache(pop, fn, u, phi)
-    mask = pop.group_mask(group)
-    bucket_of = type_buckets(pop, delta) if delta is not None else None
+    ind = _type_indicator(pop, group, delta, bucket)
+    # Type vector number j, in itertools.product order, has the base-T digits of j.
+    place = pop.T ** np.arange(n - 1, -1, -1)
     acc = 0.0
-    for tvec in itertools.product(range(pop.T), repeat=n):
-        w = float(np.prod(pop.weights[list(tvec)]))
-        if w == 0.0:
-            continue
-        acc += w * _sample_value(pop, tvec, cache, mask, k, bucket_of, bucket, fix_last)
-    return abs(acc)
+    for start in range(0, total, _AUDIT_BLOCK_ROWS):
+        block = np.arange(start, min(start + _AUDIT_BLOCK_ROWS, total))[:, None] // place % pop.T
+        w = np.prod(pop.weights[block], axis=1)
+        block, w = block[w != 0.0], w[w != 0.0]
+        if len(block):
+            # Summed one term at a time, in enumeration order.
+            acc = np.cumsum(np.concatenate(([acc], w * engine.values(block, k, ind, fix_last))))[-1]
+    return abs(float(acc))
 
 
 def theorem_gap_estimate(
@@ -313,30 +316,17 @@ def theorem_gap_estimate(
         raise ValidationError(f"need at least one sample, got {mc_samples}")
     if n > AUDIT_MAX_N:
         raise BudgetExceededError(f"audit sampling limited to n <= {AUDIT_MAX_N}, got {n}")
-    cache = _RankCache(pop, fn, u, phi)
-    mask = pop.group_mask(group)
-    bucket_of = type_buckets(pop, delta) if delta is not None else None
+    engine = _GapEngine(pop, fn, u, phi)
+    ind = _type_indicator(pop, group, delta, bucket)
     rng = np.random.default_rng(seed)
     draws = rng.choice(pop.T, size=(mc_samples, n), p=pop.weights)
-    values = np.array([
-        _sample_value(pop, tuple(row), cache, mask, k, bucket_of, bucket)
-        for row in draws
-    ])
+    values = np.concatenate([engine.values(block, k, ind) for block in _blocks(draws)])
     mean = float(values.mean())
     se = float(values.std(ddof=1) / np.sqrt(mc_samples)) if mc_samples > 1 else 0.0
     alpha = _measured_alpha(pop, delta)
-    return AuditReport(
-        group=group,
-        position=k,
-        estimate=abs(mean),
-        mc_error=se,
-        bound=_gap_bound(pop, n, fn, phi, alpha),
-        alpha=alpha,
-        samples=mc_samples,
-        seed=seed,
-        bucket=bucket,
-        delta=delta,
-    )
+    return AuditReport(group=group, position=k, estimate=abs(mean), mc_error=se,
+                       bound=_gap_bound(pop, n, fn, phi, alpha), alpha=alpha,
+                       samples=mc_samples, seed=seed, bucket=bucket, delta=delta)
 
 
 @dataclass(frozen=True)
@@ -364,20 +354,15 @@ def nature_closeness_check(
     eps = float(np.abs(pop.predicted - pop.ground_truth).sum(axis=1).max())
     rng = np.random.default_rng(seed)
     draws = rng.choice(pop.T, size=(samples, n), p=pop.weights)
-    cache = _RankCache(pop, "ua", None, None)
-    max_gap = 0.0
-    for row in draws:
-        M_star, M_pred = cache.matrices(tuple(row))
-        max_gap = max(max_gap, float(np.abs(M_pred - M_star).max()))
+    engine = _GapEngine(pop, "ua", None, None)
+    for block in _blocks(draws):
+        engine.ua_keys(block)
+    # Both matrices of a dataset are the same row permutation of its sorted
+    # type vector's pair, so the largest entrywise gap is read off the pairs.
+    max_gap = max(float(np.abs(pred - truth).max()) for truth, pred in engine.ua.values())
     bound = n * eps
-    return NatureClosenessReport(
-        eps=eps,
-        bound=bound,
-        max_gap=max_gap,
-        within_bound=max_gap <= bound + 1e-12,
-        samples=samples,
-        seed=seed,
-    )
+    return NatureClosenessReport(eps=eps, bound=bound, max_gap=max_gap,
+                                 within_bound=max_gap <= bound + 1e-12, samples=samples, seed=seed)
 
 
 def _validate_audit_args(pop: PopulationModel, n: int, k: int, group: str) -> None:

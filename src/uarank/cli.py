@@ -103,6 +103,14 @@ def _rank_params(args, n, L, audit=False, u=None) -> dict:
     return {"u": u, "phi": args.phi, "samples": args.samples, "seed": args.seed}
 
 
+def _reject_unread(args, names) -> None:
+    """Refuse flags the audit mode never reads, rather than echo them as if used."""
+    defaults = {"fn": "ua", "exact": False, "weights": "dcg"}
+    given = [f"--{name}" for name in names if getattr(args, name) != defaults.get(name)]
+    if given:
+        raise ValidationError(f"{args.mode} audits do not read {', '.join(given)}")
+
+
 def _echo_config(args) -> dict:
     skip = {"out", "format"}
     return {
@@ -164,6 +172,9 @@ def _cmd_utility(args) -> None:
 
 def _cmd_audit(args) -> None:
     pop = io_mod.load_population_model(args.model)
+    if args.mode in ("multiaccuracy", "multicalibration"):
+        _reject_unread(args, ("fn", "phi", "samples", "seed", "n", "k", "group", "exact", "values",
+                              "weights") + (("delta",) if args.mode == "multiaccuracy" else ()))
 
     if args.mode == "multiaccuracy":
         res = audit_mod.multiaccuracy_alpha(pop)

@@ -170,8 +170,7 @@ def min_rank(P: PredictionMatrix, u: UtilitySpec) -> RankingDistribution:
 
 def mix_rank(P: PredictionMatrix, u: UtilitySpec, phi: float) -> RankingDistribution:
     """Convex mixture: UA with probability phi, utility-optimal otherwise."""
-    if not 0.0 <= phi <= 1.0:
-        raise ValidationError(f"mixture weight must lie in [0, 1], got {phi}")
+    checked_ranker("mix", u=u, phi=phi)
     return RankingDistribution(
         phi * ua_rank(P).entries + (1.0 - phi) * opt_rank(P, u).entries
     )
@@ -254,7 +253,8 @@ AUDITED_FUNCTION_IDS = tuple(fn for fn, r in RANKERS.items() if r.audited)
 
 def checked_ranker(fn: str, audit: bool = False, **given) -> Ranker:
     """Table entry for `fn`, after checking that it exists, that audits support
-    it when `audit` is set, and that every parameter it requires is given."""
+    it when `audit` is set, and that every parameter it requires is given (a
+    mixture weight also within [0, 1])."""
     if fn not in RANKERS:
         raise ValidationError(f"unknown ranking function '{fn}', expected one of {RANKING_FUNCTION_IDS}")
     ranker = RANKERS[fn]
@@ -263,6 +263,8 @@ def checked_ranker(fn: str, audit: bool = False, **given) -> Ranker:
     missing = [p for p in ranker.params if given.get(p) is None]
     if missing:
         raise ValidationError(f"ranking function '{fn}' requires {' and '.join(missing)}")
+    if "phi" in ranker.params and not 0.0 <= given["phi"] <= 1.0:
+        raise ValidationError(f"mixture weight must lie in [0, 1], got {given['phi']}")
     return ranker
 
 

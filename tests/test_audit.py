@@ -1,9 +1,12 @@
+import itertools
+
 import numpy as np
 import pytest
 
 from uarank import (
     BudgetExceededError,
     PopulationModel,
+    PredictionMatrix,
     UtilitySpec,
     ValidationError,
     multiaccuracy_alpha,
@@ -13,7 +16,9 @@ from uarank import (
     theorem_gap_exact,
     two_type_biased_model,
 )
+from uarank import audit
 from uarank.audit import type_buckets
+from uarank.rankers import compute_ranking
 
 from conftest import random_population
 
@@ -247,3 +252,113 @@ class TestNatureCloseness:
     def test_rejects_zero_samples(self):
         with pytest.raises(ValidationError, match="at least one sample"):
             nature_closeness_check(perfect_model(), 3, samples=0)
+
+
+def tied_model():
+    """Types 0 and 1 share a predicted row, so opt's tau ties across types and
+    falls to the ascending-index tie-break; every tau here is exact in binary."""
+    return PopulationModel(
+        type_names=("a", "b", "c"),
+        weights=np.array([0.25, 0.25, 0.5]),
+        ground_truth=np.array([[0.75, 0.25], [0.5, 0.5], [0.25, 0.75]]),
+        predicted=np.array([[0.5, 0.5], [0.5, 0.5], [0.25, 0.75]]),
+        groups={"a": (0,), "ab": (0, 1)},
+    )
+
+
+class ReferenceAudit:
+    """The audit written out one dataset at a time: one `compute_ranking` call per
+    type vector under the ground truth and one under the predictor."""
+
+    def __init__(self, pop, fn, u=None, phi=None):
+        self.pop, self.fn, self.u, self.phi = pop, fn, u, phi
+        self._matrices = {}
+
+    def value(self, tvec, k, group, delta=None, bucket=None, fix_last=False):
+        if tvec not in self._matrices:
+            self._matrices[tvec] = [
+                compute_ranking(self.fn, PredictionMatrix(d[list(tvec)]), u=self.u, phi=self.phi).entries
+                for d in (self.pop.ground_truth, self.pop.predicted)
+            ]
+        truth, pred = self._matrices[tvec]
+        mask = self.pop.group_mask(group)
+        bucket_of = type_buckets(self.pop, delta) if bucket is not None else None
+        ind = np.array([mask[t] and (bucket is None or bucket_of[t] == bucket) for t in tvec], dtype=float)
+        terms = ind * (truth[:, k - 1] - pred[:, k - 1])
+        return terms[-1] if fix_last else terms.mean()
+
+    def exact(self, n, k, group, **kw):
+        return abs(sum(
+            np.prod(self.pop.weights[list(tvec)]) * self.value(tvec, k, group, **kw)
+            for tvec in itertools.product(range(self.pop.T), repeat=n)
+        ))
+
+    def estimate(self, n, k, group, samples, seed, **kw):
+        draws = np.random.default_rng(seed).choice(self.pop.T, size=(samples, n), p=self.pop.weights)
+        return abs(np.mean([self.value(tuple(row), k, group, **kw) for row in draws.tolist()]))
+
+
+class TestEngineMatchesPerVectorReference:
+    @pytest.mark.parametrize("make_pop", [tied_model, lambda: random_population(np.random.default_rng(57), 3, 3)],
+                             ids=["tied", "random"])
+    @pytest.mark.parametrize("fn,phi", [("ua", None), ("opt", None), ("mix", 0.35)])
+    def test_exact_and_sampled(self, make_pop, fn, phi):
+        pop, n = make_pop(), 4
+        u = UtilitySpec.dcg(n, L=pop.L)
+        ref = ReferenceAudit(pop, fn, u, phi)
+        buckets = sorted(set(type_buckets(pop, 0.5)))
+        for group in pop.groups:
+            for k in range(1, n + 1):
+                for fix_last in (False, True):
+                    got = theorem_gap_exact(pop, n, k, group, fn=fn, u=u, phi=phi, fix_last=fix_last)
+                    assert got == pytest.approx(ref.exact(n, k, group, fix_last=fix_last), abs=1e-12)
+                for bucket in buckets:
+                    got = theorem_gap_exact(pop, n, k, group, fn=fn, u=u, phi=phi, delta=0.5, bucket=bucket)
+                    assert got == pytest.approx(ref.exact(n, k, group, delta=0.5, bucket=bucket), abs=1e-12)
+                rep = theorem_gap_estimate(pop, n, k, group, fn=fn, u=u, phi=phi, mc_samples=200, seed=k)
+                assert rep.estimate == pytest.approx(ref.estimate(n, k, group, 200, k), abs=1e-12)
+
+    def test_tied_types_keep_the_index_tie_break(self):
+        # Under the predictor types a and b tie on tau, so who is ranked first
+        # depends on the order of the type vector: (a, b) and (b, a) differ.
+        pop = tied_model()
+        u = UtilitySpec.dcg(2, L=2)
+        ref = ReferenceAudit(pop, "opt", u)
+        assert ref.value((0, 1), 1, "a") != ref.value((1, 0), 1, "a")
+        for fix_last in (False, True):
+            assert theorem_gap_exact(pop, 2, 1, "a", fn="opt", u=u, fix_last=fix_last) == pytest.approx(
+                ref.exact(2, 1, "a", fix_last=fix_last), abs=1e-12)
+
+
+class TestBlockSize:
+    @pytest.mark.parametrize("rows", [1, 7])
+    def test_block_size_does_not_change_output(self, monkeypatch, rows):
+        pop = random_population(np.random.default_rng(58), 3, 2)
+        u = UtilitySpec.dcg(4, L=2)
+
+        def results():
+            out = []
+            for fn, phi in (("ua", None), ("opt", None), ("mix", 0.5)):
+                out.append(theorem_gap_exact(pop, 4, 2, "pair", fn=fn, u=u, phi=phi))
+                out.append(theorem_gap_exact(pop, 4, 3, "g1", fn=fn, u=u, phi=phi, fix_last=True))
+                out.append(theorem_gap_estimate(pop, 4, 1, "g0", fn=fn, u=u, phi=phi, mc_samples=60, seed=4))
+            out.append(nature_closeness_check(pop, 4, seed=5, samples=40))
+            return out
+
+        whole = results()
+        monkeypatch.setattr(audit, "_AUDIT_BLOCK_ROWS", rows)
+        assert results() == whole
+
+
+class TestMixtureWeightRange:
+    @pytest.mark.parametrize("phi", [-0.5, 1.5, 3.0, float("nan")])
+    def test_exact_and_sampled_reject(self, phi):
+        pop = two_type_biased_model(0.1)
+        with pytest.raises(ValidationError, match="mixture weight"):
+            theorem_gap_exact(pop, 3, 1, "1", fn="mix", u=u2(3), phi=phi)
+        with pytest.raises(ValidationError, match="mixture weight"):
+            theorem_gap_estimate(pop, 3, 1, "1", fn="mix", u=u2(3), phi=phi, mc_samples=10, seed=0)
+
+    @pytest.mark.parametrize("phi", [0.0, 1.0])
+    def test_endpoints_accepted(self, phi):
+        assert theorem_gap_exact(two_type_biased_model(0.1), 3, 1, "1", fn="mix", u=u2(3), phi=phi) >= 0.0

@@ -200,6 +200,40 @@ class TestCli:
         assert main(["rank", "--fn", "ua", "--phi", "0.5", "--in", stab_lb_csv]) == 1
         assert "--phi" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("phi", ["3", "-0.5"])
+    @pytest.mark.parametrize("path", [["--exact"], ["--samples", "20", "--seed", "1"]], ids=["exact", "sampled"])
+    def test_theorem_rejects_phi_outside_unit_interval(self, two_type_json, capsys, phi, path):
+        argv = ["audit", "theorem", "--model", two_type_json, "--fn", "mix", f"--phi={phi}",
+                "--n", "3", "--k", "1", "--group", "1", *path]
+        assert main(argv) == 1
+        assert "mixture weight must lie in [0, 1]" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("mode", ["multiaccuracy", "multicalibration"])
+    @pytest.mark.parametrize("flags,named", [
+        (["--phi", "3"], "--phi"), (["--samples", "10"], "--samples"), (["--seed", "1"], "--seed"),
+        (["--n", "3"], "--n"), (["--k", "1"], "--k"), (["--group", "1"], "--group"),
+        (["--exact"], "--exact"), (["--fn", "pl"], "--fn"), (["--fn", "opt"], "--fn"),
+        (["--values", "1,2"], "--values"), (["--weights", "w.txt"], "--weights"),
+    ])
+    def test_alpha_audits_reject_unread_flags(self, two_type_json, capsys, mode, flags, named):
+        delta = ["--delta", "0.5"] if mode == "multicalibration" else []
+        assert main(["audit", mode, "--model", two_type_json, *delta, *flags]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: validation: {mode} audits do not read") and named in err
+
+    def test_multiaccuracy_rejects_delta(self, two_type_json, capsys):
+        assert main(["audit", "multiaccuracy", "--model", two_type_json, "--delta", "0.5"]) == 1
+        assert "--delta" in capsys.readouterr().err
+
+    def test_alpha_audits_echo_only_read_flags(self, two_type_json, capsys):
+        argv = ["audit", "multicalibration", "--model", two_type_json, "--delta", "0.5", "--fn", "ua",
+                "--format", "structured"]
+        assert main(argv) == 0
+        assert json.loads(capsys.readouterr().out)["config"] == {
+            "command": "audit", "delta": 0.5, "exact": False, "fn": "ua",
+            "mode": "multicalibration", "model": two_type_json, "weights": "dcg",
+        }
+
     def test_theorem_rejects_pl(self, two_type_json, capsys):
         code = main([
             "audit", "theorem", "--model", two_type_json, "--fn", "pl",
