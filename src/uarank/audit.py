@@ -55,8 +55,13 @@ class PopulationModel:
             members = tuple(members)
             if not members or any(not 0 <= t < T for t in members):
                 raise ValidationError(f"group '{name}' must be a nonempty subset of types")
+            if len(set(members)) < len(members):
+                t = next(t for i, t in enumerate(members) if t in members[:i])
+                raise ValidationError(f"group '{name}' lists type '{self.type_names[t]}' more than once")
             groups[name] = members
         full = tuple(range(T))
+        if FULL_DOMAIN_GROUP in groups and sorted(groups[FULL_DOMAIN_GROUP]) != list(full):
+            raise ValidationError(f"group '{FULL_DOMAIN_GROUP}' must hold every type: it names the full domain")
         if full not in [tuple(sorted(m)) for m in groups.values()]:
             groups[FULL_DOMAIN_GROUP] = full
         for arr in (w, gt, pred):

@@ -10,8 +10,6 @@ import sys
 from dataclasses import asdict
 from pathlib import Path
 
-import numpy as np
-
 from . import audit as audit_mod
 from . import io as io_mod
 from . import metrics as metrics_mod
@@ -35,8 +33,8 @@ def build_parser() -> argparse.ArgumentParser:
         if needs_fn:
             p.add_argument("--fn", choices=rankers.RANKING_FUNCTION_IDS, default="ua",
                            help="ranking function (default: ua)")
-        p.add_argument("--phi", type=float,
-                       help=f"mixture weight, required for --fn {_fns_requiring('phi')}")
+        p.add_argument("--phi", type=float, help="mixture weight, required for --fn " +
+                       ", ".join(fn for fn, r in rankers.RANKERS.items() if "phi" in r.params))
         p.add_argument("--samples", type=int, help="sample count for sampling paths")
         p.add_argument("--seed", type=int, help="RNG seed for sampling paths")
         p.add_argument("--values", help="comma-separated label values (default 1..L)")
@@ -78,37 +76,59 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _utility_spec(args, n, L):
-    return io_mod.load_utility_spec(n, L, args.values, args.weights)
+# The one table of which flags each command or audit mode reads besides its
+# inputs, --fn, --out and --format: (required, optional, accepted --fn ids).
+# The --fn ranker adds its `rankers.RANKERS[fn].params`: `u` is read from
+# --values and --weights, and phi, samples and seed are required flags.
+_ANY, _AUDITED = rankers.RANKING_FUNCTION_IDS, rankers.AUDITED_FUNCTION_IDS
+_READS = {
+    "rank": ((), (), _ANY),
+    "oracle": ((), ("budget",), ()),
+    "stability": ((), (), _ANY),
+    "utility": ((), ("values", "weights"), _ANY),
+    "multiaccuracy": ((), (), ("ua",)),
+    "multicalibration": (("delta",), (), ("ua",)),
+    "nature": (("n",), ("samples", "seed"), ("ua",)),
+    "exact theorem": (("n", "k", "group"), ("exact", "delta"), _AUDITED),
+    "sampled theorem": (("n", "k", "group", "samples", "seed"), ("delta",), _AUDITED),
+}
 
 
-def _fns_requiring(param: str) -> str:
-    return ", ".join(fn for fn, r in rankers.RANKERS.items() if param in r.params)
-
-
-def _rank_params(args, n, L, audit=False, u=None) -> dict:
-    """Keyword arguments (u, phi, samples, seed) for `--fn`, checked against its
-    ranker table entry; `u` is built from the flags if the ranker needs one."""
-    ranker = rankers.RANKERS[args.fn]
-    if audit and not ranker.audited:
-        raise ValidationError(f"theorem audits support --fn {', '.join(rankers.AUDITED_FUNCTION_IDS)}")
-    missing = [f"--{p}" for p in ranker.params if p != "u" and getattr(args, p) is None]
+def _check_flags(args, parser) -> None:
+    """Refuse a --fn the mode does not accept, then every given flag it does not
+    read, then require each flag it needs, naming them.  A flag is given when its
+    value differs from its argparse default."""
+    mode = getattr(args, "mode", args.command)
+    if mode == "theorem":
+        mode = f"{'exact' if args.exact else 'sampled'} theorem"
+    required, optional, fns = _READS[mode]
+    scope = f"{mode} audits" if args.command == "audit" else f"{mode} calls"
+    fn = getattr(args, "fn", None)
+    if fn is not None and fn not in fns:
+        raise ValidationError(f"{scope} do not read --fn {fn}; they take --fn {', '.join(fns)}")
+    params = ()
+    if len(fns) > 1:  # --fn picks a ranker, whose needs are read too
+        params = rankers.RANKERS[fn].params
+        scope += f" with --fn {fn}"
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    given = [a.dest for a in sub.choices[args.command]._actions
+             if not a.required and getattr(args, a.dest, a.default) != a.default]
+    read = {"fn", "out", "format", *required, *optional, *params,
+            *(("values", "weights") if "u" in params else ())}
+    unread = [f"--{name}" for name in given if name not in read]
+    if unread:
+        raise ValidationError(f"{scope} do not read {', '.join(unread)}")
+    missing = [f"--{p}" for p in (*required, *params) if p != "u" and p not in given]
     if missing:
-        raise ValidationError(f"{' and '.join(missing)} required for --fn {args.fn}")
-    # Theorem audits accept and ignore a stray --phi.
-    if not audit and args.phi is not None and "phi" not in ranker.params:
-        raise ValidationError(f"--phi is only meaningful for --fn {_fns_requiring('phi')}")
-    if u is None and "u" in ranker.params:
-        u = _utility_spec(args, n, L)
+        raise ValidationError(f"{scope} require {', '.join(missing)}")
+
+
+def _rank_params(args, n, L, u=None) -> dict:
+    """Keyword arguments (u, phi, samples, seed) for `--fn`; `u` is built from
+    --values and --weights if the ranker needs one."""
+    if u is None and "u" in rankers.RANKERS[args.fn].params:
+        u = io_mod.load_utility_spec(n, L, args.values, args.weights)
     return {"u": u, "phi": args.phi, "samples": args.samples, "seed": args.seed}
-
-
-def _reject_unread(args, names) -> None:
-    """Refuse flags the audit mode never reads, rather than echo them as if used."""
-    defaults = {"fn": "ua", "exact": False, "weights": "dcg"}
-    given = [f"--{name}" for name in names if getattr(args, name) != defaults.get(name)]
-    if given:
-        raise ValidationError(f"{args.mode} audits do not read {', '.join(given)}")
 
 
 def _echo_config(args) -> dict:
@@ -159,7 +179,7 @@ def _cmd_stability(args) -> None:
 
 def _cmd_utility(args) -> None:
     P = io_mod.load_prediction_matrix(args.input)
-    u = _utility_spec(args, P.n, P.L)
+    u = io_mod.load_utility_spec(P.n, P.L, args.values, args.weights)
     rep = metrics_mod.normalized_utility(P, args.fn, **_rank_params(args, P.n, P.L, u=u))
     table = (
         f"raw         {rep.raw:.12g}\n"
@@ -172,33 +192,18 @@ def _cmd_utility(args) -> None:
 
 def _cmd_audit(args) -> None:
     pop = io_mod.load_population_model(args.model)
-    if args.mode in ("multiaccuracy", "multicalibration"):
-        _reject_unread(args, ("fn", "phi", "samples", "seed", "n", "k", "group", "exact", "values",
-                              "weights") + (("delta",) if args.mode == "multiaccuracy" else ()))
-
     if args.mode == "multiaccuracy":
         res = audit_mod.multiaccuracy_alpha(pop)
         table = "".join(f"{name}  {v:.12g}\n" for name, v in sorted(res.per_group.items()))
         table += f"alpha  {res.alpha:.12g}\n"
         _emit(args, {"multiaccuracy": {"perGroup": res.per_group, "alpha": res.alpha}}, table)
-        return
-
-    if args.mode == "multicalibration":
-        if args.delta is None:
-            raise ValidationError("--delta is required for multicalibration audits")
+    elif args.mode == "multicalibration":
         res = audit_mod.multicalibration_alpha(pop, args.delta)
         cells = {f"{name}|{','.join(map(str, bucket))}": v for (name, bucket), v in res.per_cell.items()}
         table = "".join(f"{key}  {v:.12g}\n" for key, v in sorted(cells.items()))
         table += f"alpha  {res.alpha:.12g}\n"
         _emit(args, {"multicalibration": {"perCell": cells, "alpha": res.alpha}}, table)
-        return
-
-    if args.n is None:
-        raise ValidationError(f"--n is required for {args.mode} audits")
-
-    if args.mode == "nature":
-        if args.fn != "ua":
-            raise ValidationError(f"nature audits check the UA ranking only; got --fn {args.fn}")
+    elif args.mode == "nature":
         rep = audit_mod.nature_closeness_check(
             pop, args.n, seed=args.seed if args.seed is not None else 0,
             samples=args.samples if args.samples is not None else 50,
@@ -210,27 +215,20 @@ def _cmd_audit(args) -> None:
             f"within    {rep.within_bound}\n"
         )
         _emit(args, {"nature": asdict(rep)}, table)
-        return
-
-    # theorem
-    if args.k is None or args.group is None:
-        raise ValidationError("--k and --group are required for theorem audits")
-    fn = args.fn
-    u = _rank_params(args, args.n, pop.L, audit=True)["u"]
-    if args.exact:
+    elif args.exact:  # theorem audits from here on
+        u = _rank_params(args, args.n, pop.L)["u"]
         gap = audit_mod.theorem_gap_exact(
-            pop, args.n, args.k, args.group, fn=fn, u=u, phi=args.phi, delta=args.delta
+            pop, args.n, args.k, args.group, fn=args.fn, u=u, phi=args.phi, delta=args.delta
         )
         alpha = audit_mod._measured_alpha(pop, args.delta)
-        bound = audit_mod._gap_bound(pop, args.n, fn, args.phi, alpha)
+        bound = audit_mod._gap_bound(pop, args.n, args.fn, args.phi, alpha)
         table = f"gap    {gap:.12g}\nbound  {bound:.12g}\nalpha  {alpha:.12g}\n"
         _emit(args, {"theorem": {"exactGap": gap, "bound": bound, "alpha": alpha}}, table)
     else:
-        if args.samples is None or args.seed is None:
-            raise ValidationError("--samples and --seed are required for sampled theorem audits")
         rep = audit_mod.theorem_gap_estimate(
-            pop, args.n, args.k, args.group, fn=fn,
-            mc_samples=args.samples, seed=args.seed, u=u, phi=args.phi, delta=args.delta,
+            pop, args.n, args.k, args.group, fn=args.fn,
+            mc_samples=args.samples, seed=args.seed, u=_rank_params(args, args.n, pop.L)["u"],
+            phi=args.phi, delta=args.delta,
         )
         table = (
             f"estimate  {rep.estimate:.12g}\n"
@@ -258,6 +256,7 @@ def main(argv=None) -> int:
         # argparse exits 2 on usage errors; those are validation failures here.
         return EXIT_OK if not exc.code else EXIT_VALIDATION
     try:
+        _check_flags(args, parser)
         _DISPATCH[args.command](args)
     except BudgetExceededError as exc:
         print(f"error: budget: {exc}", file=sys.stderr)

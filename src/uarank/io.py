@@ -69,7 +69,8 @@ def load_population_model(path) -> PopulationModel:
         "types": [{"name", "weight", "groundTruth": [...], "predicted": [...]}],
         "groups": [{"name", "members": [type names]}]
       }
-    The full-domain group is added automatically if absent.
+    Group names are unique and members are listed once; a group named `all` must
+    be the full domain, which is added under that name when no group covers it.
     """
     path = Path(path)
     if not path.exists():
@@ -116,6 +117,8 @@ def population_model_from_dict(doc: dict, source: str = "population model") -> P
             if str(m) not in by_name:
                 raise ValidationError(f"{source}: group '{g['name']}' references unknown type '{m}'")
             members.append(by_name[str(m)])
+        if str(g["name"]) in groups:
+            raise ValidationError(f"{source}: duplicate group name '{g['name']}'")
         groups[str(g["name"])] = tuple(members)
     try:
         return PopulationModel(

