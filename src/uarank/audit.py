@@ -4,25 +4,27 @@ A population model declares a finite set of types with sampling weights, a
 ground-truth label distribution and a predicted one per type, and named
 protected groups of types.  The audits measure how multiaccurate or
 multicalibrated the predictor is, and how far ranking outcomes under the
-predictor drift from ranking outcomes under the ground truth, both by exact
-enumeration of type vectors and by Monte-Carlo sampling.
+predictor drift from ranking outcomes under the ground truth, both exactly, over
+the multisets of types (whose arrangements are equally likely), and by sampling.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import BudgetExceededError, ValidationError
-from .rankers import checked_ranker, ua_rank
+from .rankers import _seeded_rng, checked_ranker, ua_rank
 from .types import ROW_SUM_TOL, PredictionMatrix, UtilitySpec, _check_distributions
 
 FULL_DOMAIN_GROUP = "all"
-ENUM_BUDGET = 10**6
-AUDIT_MAX_N = 16
+ENUM_BUDGET = 10**6  # multisets of types an exact audit may enumerate
+AUDIT_MAX_N = 19
 _WEIGHT_TOL = 1e-9
-_AUDIT_BLOCK_ROWS = 4096  # type vectors per engine block: O(block * n) working memory
+_AUDIT_BLOCK_ROWS = 4096  # rows per engine block: O(block * n^2) working memory
 
 
 @dataclass(frozen=True)
@@ -188,7 +190,7 @@ class _GapEngine:
     UA is anonymous, so its matrix is computed once per sorted type vector (under
     the truth and under the predictor) and kept; its row j belongs to the j-th
     individual of a stable sort by type.  opt breaks tau ties by ascending index,
-    so it stays order-dependent: tau once per type, then one argsort per block.
+    so on type vectors it is order-dependent: tau once per type, one argsort per block.
     """
 
     def __init__(self, pop: PopulationModel, fn: str, u: UtilitySpec | None, phi: float | None):
@@ -208,29 +210,33 @@ class _GapEngine:
                 self.ua[key] = tuple(ua_rank(PredictionMatrix(d[list(key)])).entries for d in self.dists)
         return keys, inv.reshape(-1)
 
-    def gaps(self, block: np.ndarray, k: int) -> np.ndarray:
-        """(m, n): the gap at position k of each individual of each type vector in `block`."""
+    def values(self, block: np.ndarray, k: int, ind: np.ndarray, fix_last: bool | None = None) -> np.ndarray:
+        """Per row of `block`: the mean over i of ind[x_i] times i's gap at position k.
+
+        Rows are type vectors if `fix_last` is None, else sorted multisets, over whose
+        arrangements opt is averaged: a member of the tau tie block at positions (a, a+b]
+        gets 1/b at each, or all at a+b under `fix_last` (index n sorts last in its block).
+        """
         if self.fn != "opt":
             keys, inv = self.ua_keys(block)
             order = np.argsort(block, axis=1, kind="stable")
         cols = []
         for which in (0, 1):
-            if self.fn != "ua":
+            tau = self.taus[which][block] if self.fn != "ua" else None
+            if tau is not None and fix_last is None:
                 opt = np.zeros(block.shape)
-                first = np.argsort(-self.taus[which][block], axis=1, kind="stable")[:, k - 1]
-                opt[np.arange(len(block)), first] = 1.0
+                opt[np.arange(len(block)), np.argsort(-tau, axis=1, kind="stable")[:, k - 1]] = 1.0
+            elif tau is not None:  # slot j's tie block spans positions (above_j, end_j]
+                other = tau[:, None, :]  # [r, 0, j'], compared with tau[r, j, None]
+                above, end = (other > tau[..., None]).sum(axis=2), (other >= tau[..., None]).sum(axis=2)
+                opt = 1.0 * (end == k) if fix_last else ((above < k) & (k <= end)) / (end - above)
             if self.fn != "opt":
                 ua = np.empty(block.shape)
                 kth = np.array([self.ua[key][which][:, k - 1] for key in keys])
                 np.put_along_axis(ua, order, kth[inv], axis=1)
             cols.append(opt if self.fn == "opt" else ua if self.fn == "ua"
                         else self.phi * ua + (1.0 - self.phi) * opt)
-        return cols[0] - cols[1]
-
-    def values(self, block: np.ndarray, k: int, ind: np.ndarray, fix_last: bool = False) -> np.ndarray:
-        """Per dataset: the mean over i of ind[x_i] times i's gap (the last i's under `fix_last`)."""
-        terms = ind[block] * self.gaps(block, k)
-        return terms[:, -1] if fix_last else terms.mean(axis=1)
+        return (ind[block] * (cols[0] - cols[1])).mean(axis=1)
 
 
 def _blocks(rows: np.ndarray):
@@ -272,34 +278,34 @@ def theorem_gap_exact(
     phi: float | None = None,
     delta: float | None = None,
     bucket: tuple | None = None,
-    budget: int = ENUM_BUDGET,
     fix_last: bool = False,
 ) -> float:
-    """Exact group-level ranking gap by enumerating all T^n type vectors.
+    """Exact group-level ranking gap, summed over the multisets of n types.
 
     Returns |E[1[x_i in S] * (Pr under ground truth[i -> k] - Pr under
     predictor[i -> k])]| with x drawn i.i.d. from the type weights and i
-    uniform over the dataset.  `fix_last` evaluates the i = n variant instead
-    of the uniform average; the two agree for anonymous ranking functions but
-    not in general.
+    uniform over the dataset.  A sorted multiset of positive-weight types stands
+    for its equally likely arrangements, weighted n!/prod m_t! * prod w_t^m_t; the
+    terms are summed with `math.fsum`, so the result depends on neither block
+    size nor order.  `fix_last` evaluates the i = n variant instead of the
+    uniform average; the two agree for anonymous ranking functions but not in
+    general.
     """
+    engine = _GapEngine(pop, fn, u, phi)  # ranker checks first, so they win over the n cap
     _validate_audit_args(pop, n, k, group)
-    engine = _GapEngine(pop, fn, u, phi)
-    total = pop.T**n
-    if total > budget:
-        raise BudgetExceededError(f"enumeration needs {total} type vectors, budget is {budget}")
+    types = np.flatnonzero(pop.weights > 0.0).tolist()
+    total = math.comb(n + len(types) - 1, n)
+    if total > ENUM_BUDGET:
+        raise BudgetExceededError(f"enumeration needs {total} multisets of types, budget is {ENUM_BUDGET}")
     ind = _type_indicator(pop, group, delta, bucket)
-    # Type vector number j, in itertools.product order, has the base-T digits of j.
-    place = pop.T ** np.arange(n - 1, -1, -1)
-    acc = 0.0
-    for start in range(0, total, _AUDIT_BLOCK_ROWS):
-        block = np.arange(start, min(start + _AUDIT_BLOCK_ROWS, total))[:, None] // place % pop.T
-        w = np.prod(pop.weights[block], axis=1)
-        block, w = block[w != 0.0], w[w != 0.0]
-        if len(block):
-            # Summed one term at a time, in enumeration order.
-            acc = np.cumsum(np.concatenate(([acc], w * engine.values(block, k, ind, fix_last))))[-1]
-    return abs(float(acc))
+    rows, terms = itertools.combinations_with_replacement(types, n), []
+    while chunk := list(itertools.islice(rows, _AUDIT_BLOCK_ROWS)):
+        block = np.array(chunk)
+        # Python integers keep n! exact; each coefficient is rounded once, to float.
+        coef = [math.factorial(n) // math.prod(math.factorial(row.count(t)) for t in set(row)) for row in chunk]
+        w = np.array(coef, dtype=np.float64) * np.prod(pop.weights[block], axis=1)
+        terms += (w * engine.values(block, k, ind, fix_last)).tolist()
+    return abs(math.fsum(terms))
 
 
 def theorem_gap_estimate(
@@ -316,14 +322,12 @@ def theorem_gap_estimate(
     bucket: tuple | None = None,
 ) -> AuditReport:
     """Monte-Carlo estimate of the group-level ranking gap, with standard error."""
-    _validate_audit_args(pop, n, k, group)
     if mc_samples < 1:
         raise ValidationError(f"need at least one sample, got {mc_samples}")
-    if n > AUDIT_MAX_N:
-        raise BudgetExceededError(f"audit sampling limited to n <= {AUDIT_MAX_N}, got {n}")
+    _validate_audit_args(pop, n, k, group)
     engine = _GapEngine(pop, fn, u, phi)
     ind = _type_indicator(pop, group, delta, bucket)
-    rng = np.random.default_rng(seed)
+    rng = _seeded_rng(seed)
     draws = rng.choice(pop.T, size=(mc_samples, n), p=pop.weights)
     values = np.concatenate([engine.values(block, k, ind) for block in _blocks(draws)])
     mean = float(values.mean())
@@ -357,7 +361,7 @@ def nature_closeness_check(
     if samples < 1:
         raise ValidationError(f"need at least one sample, got {samples}")
     eps = float(np.abs(pop.predicted - pop.ground_truth).sum(axis=1).max())
-    rng = np.random.default_rng(seed)
+    rng = _seeded_rng(seed)
     draws = rng.choice(pop.T, size=(samples, n), p=pop.weights)
     engine = _GapEngine(pop, "ua", None, None)
     for block in _blocks(draws):
@@ -376,3 +380,5 @@ def _validate_audit_args(pop: PopulationModel, n: int, k: int, group: str) -> No
     if not 1 <= k <= n:
         raise ValidationError(f"position {k} out of range for n={n}")
     pop.group_mask(group)  # raises for unknown groups
+    if n > AUDIT_MAX_N:
+        raise BudgetExceededError(f"audits are limited to n <= {AUDIT_MAX_N}, got {n}")

@@ -173,8 +173,8 @@ def _json_default(obj):
     raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
-def format_matrix(M: np.ndarray, precision: int = 6) -> str:
-    """Aligned human-readable matrix table."""
-    cells = [[f"{v:.{precision}f}" for v in row] for row in np.asarray(M)]
+def format_matrix(M: np.ndarray) -> str:
+    """Aligned human-readable matrix table, six decimals per cell."""
+    cells = [[f"{v:.6f}" for v in row] for row in np.asarray(M)]
     width = max(len(c) for row in cells for c in row)
     return "\n".join("  ".join(c.rjust(width) for c in row) for row in cells)

@@ -176,6 +176,13 @@ def mix_rank(P: PredictionMatrix, u: UtilitySpec, phi: float) -> RankingDistribu
     )
 
 
+def _seeded_rng(seed: int) -> np.random.Generator:
+    """The generator of every sampling path, after refusing a seed numpy would reject."""
+    if seed < 0:
+        raise ValidationError(f"seed must be a nonnegative integer, got {seed}")
+    return np.random.default_rng(seed)
+
+
 def _gumbel(rng: np.random.Generator, shape) -> np.ndarray:
     # U on the open interval (0,1): push exact zeros to the smallest positive
     # double so -log(-log(u)) stays finite.
@@ -195,7 +202,7 @@ def pl_rank(P: PredictionMatrix, u: UtilitySpec, samples: int, seed: int) -> Ran
         raise ValidationError(f"need at least one sample, got {samples}")
     tau = u.tau(P)
     n = P.n
-    rng = np.random.default_rng(seed)
+    rng = _seeded_rng(seed)
     counts = np.zeros(n * n, dtype=np.int64)
     done = 0
     while done < samples:
@@ -208,15 +215,15 @@ def pl_rank(P: PredictionMatrix, u: UtilitySpec, samples: int, seed: int) -> Ran
     return RankingDistribution(counts.reshape(n, n) / samples)
 
 
-def pl_rank_exact(P: PredictionMatrix, u: UtilitySpec, max_n: int = PL_EXACT_MAX_N) -> RankingDistribution:
+def pl_rank_exact(P: PredictionMatrix, u: UtilitySpec) -> RankingDistribution:
     """Exact Plackett-Luce marginals by summing over all n! permutations.
 
     Sequential softmax model: position t is filled by remaining individual i
     with probability exp(tau_i) / sum over remaining exp(tau_j).
     """
     n = P.n
-    if n > max_n:
-        raise BudgetExceededError(f"exact PL enumeration limited to n <= {max_n}, got {n}")
+    if n > PL_EXACT_MAX_N:
+        raise BudgetExceededError(f"exact PL enumeration limited to n <= {PL_EXACT_MAX_N}, got {n}")
     w = np.exp(u.tau(P))
     M = np.zeros((n, n))
     for perm in itertools.permutations(range(n)):

@@ -1,4 +1,6 @@
+import dataclasses
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -17,8 +19,8 @@ from uarank import (
     two_type_biased_model,
 )
 from uarank import audit
-from uarank.audit import type_buckets
-from uarank.rankers import compute_ranking
+from uarank.audit import AUDIT_MAX_N, type_buckets
+from uarank.rankers import compute_ranking, pl_rank, ua_rank
 
 from conftest import random_population
 
@@ -187,10 +189,11 @@ class TestTheoremGapExact:
                     assert gap <= pop.L * n * alpha + 1e-12
 
     def test_budget_refusal(self):
+        # C(37, 8), about 3.9e7 multisets of 8 of 30 types, is over the budget.
         rng = np.random.default_rng(55)
-        pop = random_population(rng, 4, 2)
+        pop = random_population(rng, 30, 2)
         with pytest.raises(BudgetExceededError):
-            theorem_gap_exact(pop, 12, 1, "g0")
+            theorem_gap_exact(pop, 8, 1, "g0")
 
     def test_validates_position(self):
         with pytest.raises(ValidationError):
@@ -225,7 +228,7 @@ class TestTheoremGapEstimate:
     def test_refuses_large_n(self):
         pop = two_type_biased_model(0.1)
         with pytest.raises(BudgetExceededError):
-            theorem_gap_estimate(pop, 17, 1, "1", mc_samples=10, seed=0)
+            theorem_gap_estimate(pop, 20, 1, "1", mc_samples=10, seed=0)
 
 
 class TestNatureCloseness:
@@ -266,6 +269,13 @@ def tied_model():
     )
 
 
+def zero_weight_model():
+    """A random population whose type t1 has weight 0, which exact audits leave
+    out of the multisets they enumerate."""
+    pop = random_population(np.random.default_rng(59), 3, 2)
+    return dataclasses.replace(pop, weights=np.array([0.375, 0.0, 0.625]))
+
+
 class ReferenceAudit:
     """The audit written out one dataset at a time: one `compute_ranking` call per
     type vector under the ground truth and one under the predictor."""
@@ -299,8 +309,9 @@ class ReferenceAudit:
 
 
 class TestEngineMatchesPerVectorReference:
-    @pytest.mark.parametrize("make_pop", [tied_model, lambda: random_population(np.random.default_rng(57), 3, 3)],
-                             ids=["tied", "random"])
+    @pytest.mark.parametrize("make_pop", [tied_model, lambda: random_population(np.random.default_rng(57), 3, 3),
+                                          zero_weight_model],
+                             ids=["tied", "random", "zero_weight"])
     @pytest.mark.parametrize("fn,phi", [("ua", None), ("opt", None), ("mix", 0.35)])
     def test_exact_and_sampled(self, make_pop, fn, phi):
         pop, n = make_pop(), 4
@@ -330,6 +341,48 @@ class TestEngineMatchesPerVectorReference:
                 ref.exact(2, 1, "a", fix_last=fix_last), abs=1e-12)
 
 
+class TestMultisetEnumeration:
+    """Exact audits sum over multisets of types, which reaches sizes where all T^n
+    ordered type vectors would not fit the enumeration budget."""
+
+    @pytest.mark.parametrize("n", [12, 16])
+    def test_four_types(self, n):
+        # 4^12 and 4^16 ordered vectors, but only 455 and 969 multisets.
+        pop = random_population(np.random.default_rng(60), 4, 2)
+        bound = pop.L * n * multiaccuracy_alpha(pop).alpha
+        for group, k in (("g0", 1), ("pair", n // 2)):
+            gap = theorem_gap_exact(pop, n, k, group)
+            rep = theorem_gap_estimate(pop, n, k, group, mc_samples=1000, seed=n)
+            assert abs(rep.estimate - gap) <= 4 * rep.mc_error
+            assert gap <= bound + 1e-12
+
+    @pytest.mark.parametrize("n", range(9, AUDIT_MAX_N + 1))
+    def test_two_type_opt_closed_form(self, n):
+        # Under a nearly multiaccurate predictor opt's gap stays at (1/n)(1/2 - 2^-n),
+        # above the L*n*alpha that bounds UA.
+        pop = two_type_biased_model(0.001)
+        gap = theorem_gap_exact(pop, n, 1, "1", fn="opt", u=u2(n))
+        assert gap == pytest.approx((1 / n) * (0.5 - 2.0**-n), abs=1e-12)
+        assert gap > pop.L * n * multiaccuracy_alpha(pop).alpha
+        rep = theorem_gap_estimate(pop, n, 1, "1", fn="opt", u=u2(n), mc_samples=4000, seed=n)
+        assert abs(rep.estimate - gap) <= 4 * rep.mc_error
+
+    def test_one_ua_pair_per_multiset_of_positive_weight_types(self, monkeypatch):
+        sizes = []
+        monkeypatch.setattr(audit, "ua_rank", lambda P: sizes.append(P.n) or ua_rank(P))
+        theorem_gap_exact(zero_weight_model(), 4, 1, "g0")
+        assert sizes == [4] * 2 * math.comb(4 + 1, 4)  # 2 of 3 types have weight
+
+    def test_n_beyond_cap_refused_by_both_paths(self):
+        single = PopulationModel(type_names=("only",), weights=np.array([1.0]),
+                                 ground_truth=np.array([[0.3, 0.7]]), predicted=np.array([[0.4, 0.6]]), groups={})
+        for pop in (two_type_biased_model(0.1), single):
+            with pytest.raises(BudgetExceededError, match="n <= 19"):
+                theorem_gap_exact(pop, AUDIT_MAX_N + 1, 1, "all")
+            with pytest.raises(BudgetExceededError, match="n <= 19"):
+                theorem_gap_estimate(pop, AUDIT_MAX_N + 1, 1, "all", mc_samples=10, seed=0)
+
+
 class TestBlockSize:
     @pytest.mark.parametrize("rows", [1, 7])
     def test_block_size_does_not_change_output(self, monkeypatch, rows):
@@ -348,6 +401,16 @@ class TestBlockSize:
         whole = results()
         monkeypatch.setattr(audit, "_AUDIT_BLOCK_ROWS", rows)
         assert results() == whole
+
+
+def test_negative_seed_refused_before_any_draw():
+    pop = two_type_biased_model(0.1)
+    P = PredictionMatrix(np.array([[0.25, 0.75], [0.5, 0.5]]))
+    for call in (lambda: pl_rank(P, u2(2), samples=10, seed=-1),
+                 lambda: theorem_gap_estimate(pop, 3, 1, "1", mc_samples=10, seed=-1),
+                 lambda: nature_closeness_check(pop, 3, seed=-1, samples=10)):
+        with pytest.raises(ValidationError, match="seed must be a nonnegative integer, got -1"):
+            call()
 
 
 class TestMixtureWeightRange:

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from uarank import ValidationError, load_population_model, load_prediction_matrix
+from uarank import ValidationError, load_population_model, load_prediction_matrix, theorem_gap_exact
 from uarank.cli import build_parser, main
 from uarank.io import load_utility_spec, serialize_structured
 from uarank.rankers import RANKERS
@@ -486,6 +486,199 @@ def test_readme_cli_examples_run(tmp_path, capsys):
     for argv in calls:
         argv = [str(tmp_path / a) if a in files else a for a in argv]
         assert main(argv) == 0, (argv, capsys.readouterr().err)
+
+
+NEGATIVE_SEED = [
+    ["rank", "--fn", "pl", "--samples", "20", "--seed", "-1", "--in", "CSV"],
+    ["audit", "theorem", "--model", "MODEL", "--n", "3", "--k", "1", "--group", "1",
+     "--samples", "20", "--seed", "-1"],
+    ["audit", "nature", "--model", "MODEL", "--n", "3", "--seed", "-1"],
+]
+
+
+@pytest.mark.parametrize("argv", NEGATIVE_SEED, ids=["rank-pl", "theorem-sampled", "nature"])
+def test_negative_seed_exit_1(argv, stab_lb_csv, two_type_json, capsys):
+    argv = [{"CSV": stab_lb_csv, "MODEL": two_type_json}.get(a, a) for a in argv]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == "error: validation: seed must be a nonnegative integer, got -1\n"
+
+
+FOUR_TYPE_DOC = {
+    "labels": 2,
+    "types": [
+        {"name": "a", "weight": 0.125, "groundTruth": [0.75, 0.25], "predicted": [0.625, 0.375]},
+        {"name": "b", "weight": 0.25, "groundTruth": [0.5, 0.5], "predicted": [0.5, 0.5]},
+        {"name": "c", "weight": 0.25, "groundTruth": [0.375, 0.625], "predicted": [0.5, 0.5]},
+        {"name": "d", "weight": 0.375, "groundTruth": [0.25, 0.75], "predicted": [0.25, 0.75]},
+    ],
+    "groups": [{"name": "ab", "members": ["a", "b"]}],
+}
+
+
+@pytest.mark.parametrize("n", [12, 16])
+def test_exact_audit_of_four_types(n, tmp_path, capsys):
+    # 4^n ordered type vectors are over the enumeration budget; their 455 or 969
+    # multisets are not.
+    path = tmp_path / "four.json"
+    path.write_text(json.dumps(FOUR_TYPE_DOC))
+    argv = ["audit", "theorem", "--model", str(path), "--n", str(n), "--k", "2", "--group", "ab", "--exact",
+            "--format", "structured"]
+    assert main(argv) == 0
+    th = json.loads(capsys.readouterr().out)["theorem"]
+    assert th["exactGap"] == theorem_gap_exact(load_population_model(path), n, 2, "ab")
+    assert 0.0 < th["exactGap"] <= th["bound"]
+
+
+@pytest.mark.parametrize("types,path", [(TWO_TYPE_DOC["types"], ["--exact"]),
+                                        (TWO_TYPE_DOC["types"], ["--samples", "10", "--seed", "1"]),
+                                        (TWO_TYPE_DOC["types"][:1], ["--exact"])],
+                         ids=["exact", "sampled", "one-type-exact"])
+def test_audit_beyond_n_cap_exit_2(types, path, tmp_path, capsys):
+    model = tmp_path / "m.json"
+    model.write_text(json.dumps({"labels": 2, "types": [{**t, "weight": 1.0 / len(types)} for t in types]}))
+    argv = ["audit", "theorem", "--model", str(model), "--n", "20", "--k", "1", "--group", "all", *path]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == "error: budget: audits are limited to n <= 19, got 20\n"
+
+
+# tests/test_audit.py's tied_model: types a and b share a predicted row, so opt's
+# tau ties across types and falls to the ascending-index tie-break.
+TIED_DOC = {
+    "labels": 2,
+    "types": [
+        {"name": "a", "weight": 0.25, "groundTruth": [0.75, 0.25], "predicted": [0.5, 0.5]},
+        {"name": "b", "weight": 0.25, "groundTruth": [0.5, 0.5], "predicted": [0.5, 0.5]},
+        {"name": "c", "weight": 0.5, "groundTruth": [0.25, 0.75], "predicted": [0.25, 0.75]},
+    ],
+    "groups": [{"name": "a", "members": ["a"]}, {"name": "ab", "members": ["a", "b"]}],
+}
+
+# Structured stdout of the sampled theorem audits and the nature check, recorded
+# from the engine before exact audits moved to multisets of types; the sampled
+# paths still rank ordered type vectors and must keep these exact bytes.
+GOLDEN_AUDITS = {
+    "ua": ('theorem --fn ua --n 4 --k 2 --group ab --samples 300 --seed 5', """\
+{
+  "config": {
+    "command": "audit",
+    "exact": false,
+    "fn": "ua",
+    "group": "ab",
+    "k": 2,
+    "mode": "theorem",
+    "model": "tied_model.json",
+    "n": 4,
+    "samples": 300,
+    "seed": 5,
+    "weights": "dcg"
+  },
+  "theorem": {
+    "alpha": 0.0625,
+    "bound": 0.5,
+    "bucket": null,
+    "delta": null,
+    "estimate": 0.005455729166666668,
+    "group": "ab",
+    "mc_error": 0.0004634718501505993,
+    "position": 2,
+    "samples": 300,
+    "seed": 5
+  }
+}
+"""),
+    "opt": ('theorem --fn opt --n 4 --k 1 --group a --samples 300 --seed 6', """\
+{
+  "config": {
+    "command": "audit",
+    "exact": false,
+    "fn": "opt",
+    "group": "a",
+    "k": 1,
+    "mode": "theorem",
+    "model": "tied_model.json",
+    "n": 4,
+    "samples": 300,
+    "seed": 6,
+    "weights": "dcg"
+  },
+  "theorem": {
+    "alpha": 0.0625,
+    "bound": 0.5,
+    "bucket": null,
+    "delta": null,
+    "estimate": 0.0033333333333333335,
+    "group": "a",
+    "mc_error": 0.0016582843838537423,
+    "position": 1,
+    "samples": 300,
+    "seed": 6
+  }
+}
+"""),
+    "mix": ('theorem --fn mix --phi 0.35 --n 4 --k 3 --group ab --samples 300 --seed 7', """\
+{
+  "config": {
+    "command": "audit",
+    "exact": false,
+    "fn": "mix",
+    "group": "ab",
+    "k": 3,
+    "mode": "theorem",
+    "model": "tied_model.json",
+    "n": 4,
+    "phi": 0.35,
+    "samples": 300,
+    "seed": 7,
+    "weights": "dcg"
+  },
+  "theorem": {
+    "alpha": 0.0625,
+    "bound": 0.825,
+    "bucket": null,
+    "delta": null,
+    "estimate": 0.002510308159722218,
+    "group": "ab",
+    "mc_error": 0.00017929555977665604,
+    "position": 3,
+    "samples": 300,
+    "seed": 7
+  }
+}
+"""),
+    "nature": ('nature --n 5 --samples 40 --seed 8', """\
+{
+  "config": {
+    "command": "audit",
+    "exact": false,
+    "fn": "ua",
+    "mode": "nature",
+    "model": "tied_model.json",
+    "n": 5,
+    "samples": 40,
+    "seed": 8,
+    "weights": "dcg"
+  },
+  "nature": {
+    "bound": 2.5,
+    "eps": 0.5,
+    "max_gap": 0.1796875,
+    "samples": 40,
+    "seed": 8,
+    "within_bound": true
+  }
+}
+"""),
+}
+
+
+@pytest.mark.parametrize("name", GOLDEN_AUDITS)
+def test_sampled_audit_golden_bytes(name, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "tied_model.json").write_text(json.dumps(TIED_DOC))
+    flags, expected = GOLDEN_AUDITS[name]
+    mode, *rest = flags.split()
+    assert main(["audit", mode, "--model", "tied_model.json", *rest, "--format", "structured"]) == 0
+    assert capsys.readouterr().out == expected
 
 
 class TestSerializeStructured:
