@@ -50,7 +50,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("oracle", help="brute-force UA ranking by label-vector enumeration")
     p.add_argument("--in", dest="input", required=True, help="prediction matrix CSV")
     p.add_argument("--budget", type=int, default=rankers.ORACLE_BUDGET,
-                   help="max number of label vectors to enumerate")
+                   help="max number of label vectors to enumerate (at least 1)")
     add_common(p, needs_fn=False)
 
     p = sub.add_parser("stability", help="ranking deviation between two prediction matrices")
@@ -78,8 +78,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 # The one table of which flags each command or audit mode reads besides its
 # inputs, --fn, --out and --format: (required, optional, accepted --fn ids).
-# The --fn ranker adds its `rankers.RANKERS[fn].params`: `u` is read from
-# --values and --weights, and phi, samples and seed are required flags.
+# Where several --fn ids are accepted, --fn is read and its ranker adds its
+# `rankers.RANKERS[fn].params`: `u` is read from --values and --weights, and
+# phi, samples and seed are required flags.
 _ANY, _AUDITED = rankers.RANKING_FUNCTION_IDS, rankers.AUDITED_FUNCTION_IDS
 _READS = {
     "rank": ((), (), _ANY),
@@ -90,35 +91,43 @@ _READS = {
     "multicalibration": (("delta",), (), ("ua",)),
     "nature": (("n",), ("samples", "seed"), ("ua",)),
     "exact theorem": (("n", "k", "group"), ("exact", "delta"), _AUDITED),
-    "sampled theorem": (("n", "k", "group", "samples", "seed"), ("delta",), _AUDITED),
+    "sampled theorem": (("n", "k", "group", "samples", "seed"), ("exact", "delta"), _AUDITED),
 }
+
+
+def _reads(args) -> tuple[str, tuple, tuple, set]:
+    """The call's mode, the --fn ids it accepts, the flags it requires, and every
+    flag its result depends on: its `_READS` entry, plus --fn and the ranker's
+    `params` when --fn picks one of several rankers."""
+    mode = getattr(args, "mode", args.command)
+    if mode == "theorem":  # --exact picks the mode, so both modes read it
+        mode = f"{'exact' if args.exact else 'sampled'} theorem"
+    required, optional, fns = _READS[mode]
+    params = rankers.RANKERS[args.fn].params if len(fns) > 1 else ()
+    required += tuple(p for p in params if p != "u")
+    read = {*required, *optional, *(("fn",) if len(fns) > 1 else ()),
+            *(("values", "weights") if "u" in params else ())}
+    return mode, fns, required, read
 
 
 def _check_flags(args, parser) -> None:
     """Refuse a --fn the mode does not accept, then every given flag it does not
     read, then require each flag it needs, naming them.  A flag is given when its
     value differs from its argparse default."""
-    mode = getattr(args, "mode", args.command)
-    if mode == "theorem":
-        mode = f"{'exact' if args.exact else 'sampled'} theorem"
-    required, optional, fns = _READS[mode]
+    mode, fns, required, read = _reads(args)
     scope = f"{mode} audits" if args.command == "audit" else f"{mode} calls"
     fn = getattr(args, "fn", None)
     if fn is not None and fn not in fns:
         raise ValidationError(f"{scope} do not read --fn {fn}; they take --fn {', '.join(fns)}")
-    params = ()
-    if len(fns) > 1:  # --fn picks a ranker, whose needs are read too
-        params = rankers.RANKERS[fn].params
+    if len(fns) > 1:
         scope += f" with --fn {fn}"
     sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
     given = [a.dest for a in sub.choices[args.command]._actions
              if not a.required and getattr(args, a.dest, a.default) != a.default]
-    read = {"fn", "out", "format", *required, *optional, *params,
-            *(("values", "weights") if "u" in params else ())}
-    unread = [f"--{name}" for name in given if name not in read]
+    unread = [f"--{name}" for name in given if name not in read | {"out", "format"}]
     if unread:
         raise ValidationError(f"{scope} do not read {', '.join(unread)}")
-    missing = [f"--{p}" for p in (*required, *params) if p != "u" and p not in given]
+    missing = [f"--{p}" for p in required if p not in given]
     if missing:
         raise ValidationError(f"{scope} require {', '.join(missing)}")
 
@@ -132,11 +141,9 @@ def _rank_params(args, n, L, u=None) -> dict:
 
 
 def _echo_config(args) -> dict:
-    skip = {"out", "format"}
-    return {
-        k: v for k, v in sorted(vars(args).items())
-        if v is not None and k not in skip
-    }
+    """The command, mode and inputs, and every set flag the result depends on."""
+    echoed = _reads(args)[-1] | {"command", "mode", "input", "input2", "model"}
+    return {k: v for k, v in sorted(vars(args).items()) if v is not None and k in echoed}
 
 
 def _emit(args, payload: dict, table: str) -> None:
@@ -161,6 +168,8 @@ def _cmd_rank(args) -> None:
 
 
 def _cmd_oracle(args) -> None:
+    if args.budget < 1:
+        raise ValidationError(f"--budget must be at least 1, got {args.budget}")
     P = io_mod.load_prediction_matrix(args.input)
     _emit_ranking(args, rankers.ua_rank_oracle(P, budget=args.budget))
 

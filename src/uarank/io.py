@@ -162,8 +162,23 @@ def load_utility_spec(n: int, L: int, values: str | None, weights: str | None) -
 
 
 def serialize_structured(payload: dict) -> str:
-    """Deterministic JSON for audit artifacts: sorted keys, full float precision."""
-    return json.dumps(payload, sort_keys=True, indent=2, default=_json_default) + "\n"
+    """Deterministic JSON for audit artifacts: sorted keys, full float precision.
+
+    The text is exactly `json.dumps(payload, sort_keys=True, indent=2)` with
+    numpy values as lists.  `indent` forces json's pure-Python encoder, so each
+    nonempty numeric 2-d array at the top level (a ranking matrix) is encoded
+    by the C encoder on one line and its separators are then laid out as
+    `indent=2` would.  That is exact because both encoders print a number with
+    `float.__repr__` or `int.__repr__`, and neither repr contains ", " or "], [".
+    """
+    bulk = {k: v for k, v in payload.items() if isinstance(k, str) and isinstance(v, np.ndarray)
+            and v.ndim == 2 and v.size and v.dtype.kind in "biuf"}
+    text = json.dumps({**payload, **dict.fromkeys(bulk)}, sort_keys=True, indent=2, default=_json_default)
+    for key, M in bulk.items():
+        rows = json.dumps(M.tolist())[2:-2].replace("], [", "\n    ],\n    [\n      ").replace(", ", ",\n      ")
+        head = f"\n  {json.dumps(key)}: "
+        text = text.replace(head + "null", f"{head}[\n    [\n      {rows}\n    ]\n  ]", 1)
+    return text + "\n"
 
 
 def _json_default(obj):
@@ -174,7 +189,14 @@ def _json_default(obj):
 
 
 def format_matrix(M: np.ndarray) -> str:
-    """Aligned human-readable matrix table, six decimals per cell."""
-    cells = [[f"{v:.6f}" for v in row] for row in np.asarray(M)]
-    width = max(len(c) for row in cells for c in row)
-    return "\n".join("  ".join(c.rjust(width) for c in row) for row in cells)
+    """Aligned human-readable matrix table of finite entries, six decimals per cell.
+
+    Every cell is right-aligned to the widest `.6f` cell.  Within one sign that
+    length grows with |v|, so the widest cell is the maximum's or the
+    minimum's, or "-0.000000" when -0.0 is the only negative-signed entry; one
+    `%{width}.6f` row format then pads exactly as `f"{v:.6f}".rjust(width)`.
+    """
+    M = np.asarray(M)
+    ends = (M.min(), M.max(), -0.0 if np.signbit(M).any() else 0.0)
+    row = "  ".join([f"%{max(len(f'{v:.6f}') for v in ends)}.6f"] * M.shape[1])
+    return "\n".join(row % tuple(r) for r in M.tolist())

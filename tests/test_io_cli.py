@@ -6,10 +6,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
-from uarank import ValidationError, load_population_model, load_prediction_matrix, theorem_gap_exact
+from uarank import (RankingDistribution, ValidationError, load_population_model, load_prediction_matrix,
+                    theorem_gap_exact)
 from uarank.cli import build_parser, main
-from uarank.io import load_utility_spec, serialize_structured
+from uarank.io import format_matrix, load_utility_spec, serialize_structured
 from uarank.rankers import RANKERS
 
 
@@ -196,6 +200,11 @@ class TestCli:
         assert main(["oracle", "--in", str(p), "--budget", "100"]) == 2
         assert "error: budget" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("budget", ["0", "-1"])
+    def test_budget_below_one_exit_code(self, stab_lb_csv, capsys, budget):
+        assert main(["oracle", "--in", stab_lb_csv, "--budget", budget]) == 1
+        assert capsys.readouterr().err == f"error: validation: --budget must be at least 1, got {budget}\n"
+
     def test_phi_required_for_mix(self, stab_lb_csv, capsys):
         assert main(["rank", "--fn", "mix", "--in", stab_lb_csv]) == 1
         assert "--phi" in capsys.readouterr().err
@@ -234,9 +243,17 @@ class TestCli:
                 "--format", "structured"]
         assert main(argv) == 0
         assert json.loads(capsys.readouterr().out)["config"] == {
-            "command": "audit", "delta": 0.5, "exact": False, "fn": "ua",
-            "mode": "multicalibration", "model": two_type_json, "weights": "dcg",
+            "command": "audit", "delta": 0.5, "mode": "multicalibration", "model": two_type_json,
         }
+
+    @pytest.mark.parametrize("argv,config", [
+        (["rank", "--fn", "ua"], {"command": "rank", "fn": "ua"}),
+        (["rank", "--fn", "opt"], {"command": "rank", "fn": "opt", "weights": "dcg"}),
+        (["oracle"], {"budget": 1000000, "command": "oracle"}),
+    ], ids=["rank-ua", "rank-opt", "oracle"])
+    def test_ranking_calls_echo_only_read_flags(self, stab_lb_csv, capsys, argv, config):
+        assert main([*argv, "--in", stab_lb_csv, "--format", "structured"]) == 0
+        assert json.loads(capsys.readouterr().out)["config"] == {**config, "input": stab_lb_csv}
 
     def test_theorem_rejects_pl(self, two_type_json, capsys):
         code = main([
@@ -555,7 +572,8 @@ TIED_DOC = {
 
 # Structured stdout of the sampled theorem audits and the nature check, recorded
 # from the engine before exact audits moved to multisets of types; the sampled
-# paths still rank ordered type vectors and must keep these exact bytes.
+# paths still rank ordered type vectors and must keep these exact bytes.  The
+# config blocks echo only the flags each call reads.
 GOLDEN_AUDITS = {
     "ua": ('theorem --fn ua --n 4 --k 2 --group ab --samples 300 --seed 5', """\
 {
@@ -569,8 +587,7 @@ GOLDEN_AUDITS = {
     "model": "tied_model.json",
     "n": 4,
     "samples": 300,
-    "seed": 5,
-    "weights": "dcg"
+    "seed": 5
   },
   "theorem": {
     "alpha": 0.0625,
@@ -649,14 +666,11 @@ GOLDEN_AUDITS = {
 {
   "config": {
     "command": "audit",
-    "exact": false,
-    "fn": "ua",
     "mode": "nature",
     "model": "tied_model.json",
     "n": 5,
     "samples": 40,
-    "seed": 8,
-    "weights": "dcg"
+    "seed": 8
   },
   "nature": {
     "bound": 2.5,
@@ -709,3 +723,69 @@ class TestSerializeStructured:
             '        2\n      ],\n      "ok": true\n    },\n    "label": "g1"\n  },\n'
             '  "weight": 0.25\n}\n'
         )
+
+
+class TestFormatMatrix:
+    def test_negative_zero_cell_widens_every_column(self):
+        # -1e-13 lies inside the ranking distribution's 1e-12 entry slack.
+        R = RankingDistribution(np.array([[1.0, -1e-13, 1e-13], [0.0, 0.5, 0.5], [0.0, 0.5, 0.5]]))
+        assert format_matrix(R.entries) == (
+            " 1.000000  -0.000000   0.000000\n"
+            " 0.000000   0.500000   0.500000\n"
+            " 0.000000   0.500000   0.500000"
+        )
+
+    def test_signed_zero_alone(self):
+        assert format_matrix(np.array([[0.0, -0.0]])) == " 0.000000  -0.000000"
+
+    def test_one_by_one(self, tmp_path, capsys):
+        assert format_matrix(np.array([[1.0]])) == "1.000000"
+        p = tmp_path / "one.csv"
+        p.write_text("0.3,0.7\n")
+        assert main(["rank", "--in", str(p)]) == 0
+        assert capsys.readouterr().out == "1.000000\n"
+
+    def test_cell_of_ten_or_more_widens_the_columns(self):
+        assert format_matrix(np.array([[12.5, 0.25], [3.0, 1.0]])) == "12.500000   0.250000\n 3.000000   1.000000"
+        assert format_matrix(np.array([[-123.0, 0.0]])) == "-123.000000     0.000000"
+
+
+# Matrices for the output-layer properties: the float cases the writers must
+# reproduce (signed zero, the smallest subnormal, non-terminating binaries)
+# beside integers and arbitrary finite floats.
+MATRICES = st.one_of(
+    arrays(np.float64, array_shapes(min_dims=2, max_dims=2, min_side=0, max_side=6),
+           elements=st.one_of(st.sampled_from([-0.0, 5e-324, 0.1, 1.0 / 3.0, 1.0]),
+                              st.integers(-99, 99).map(float),
+                              st.floats(allow_nan=False, allow_infinity=False))),
+    arrays(np.int64, array_shapes(min_dims=2, max_dims=2, min_side=0, max_side=6), elements=st.integers(-99, 99)),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(MATRICES)
+def test_writers_equal_the_plain_expressions(M):
+    """Both writers give the bytes of the plain expressions they replace."""
+    payload = {"ranking": M, "config": {"fn": "ua", "n": M.shape[0]}, "diagonal": np.diagonal(M),
+               "peak": M.max(initial=0), "nested": {"matrix": M}}
+    assert serialize_structured(payload) == json.dumps(
+        payload, sort_keys=True, indent=2, default=lambda o: o.tolist()) + "\n"
+    if not M.size:  # a table needs a cell
+        return
+    cells = [[f"{v:.6f}" for v in row] for row in M]
+    width = max(len(c) for row in cells for c in row)
+    assert format_matrix(M) == "\n".join("  ".join(c.rjust(width) for c in row) for row in cells)
+
+
+@pytest.mark.parametrize("fmt", ["table", "structured"])
+@pytest.mark.parametrize("cmd", ["rank", "oracle"])
+def test_out_file_bytes_equal_stdout(cmd, fmt, tmp_path, capsys):
+    p = tmp_path / "m.csv"
+    p.write_text("0.2,0.3,0.5\n0.6,0.2,0.2\n0.1,0.8,0.1\n0.3,0.3,0.4\n")
+    argv = [cmd, "--in", str(p), "--format", fmt]
+    assert main(argv) == 0
+    stdout = capsys.readouterr().out
+    dest = tmp_path / "report"
+    assert main([*argv, "--out", str(dest)]) == 0
+    assert capsys.readouterr().out == ""
+    assert dest.read_bytes() == stdout.encode()
