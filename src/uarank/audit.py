@@ -24,7 +24,7 @@ FULL_DOMAIN_GROUP = "all"
 ENUM_BUDGET = 10**6  # multisets of types an exact audit may enumerate
 AUDIT_MAX_N = 19
 _WEIGHT_TOL = 1e-9
-_AUDIT_BLOCK_ROWS = 4096  # rows per engine block: O(block * n^2) working memory
+_AUDIT_BLOCK_ROWS = 4096  # type vectors per audit block: O(block * n^2) working memory
 
 
 @dataclass(frozen=True)
@@ -184,63 +184,27 @@ class AuditReport:
     delta: float | None = None
 
 
-class _GapEngine:
-    """Gaps Pr_truth[i -> k] - Pr_pred[i -> k] for blocks of type vectors, one per row.
-
-    UA is anonymous, so its matrix is computed once per sorted type vector (under
-    the truth and under the predictor) and kept; its row j belongs to the j-th
-    individual of a stable sort by type.  opt breaks tau ties by ascending index,
-    so on type vectors it is order-dependent: tau once per type, one argsort per block.
-    """
-
-    def __init__(self, pop: PopulationModel, fn: str, u: UtilitySpec | None, phi: float | None):
-        checked_ranker(fn, audit=True, u=u, phi=phi)
-        self.fn, self.phi = fn, phi
-        self.dists = (pop.ground_truth, pop.predicted)
-        self.taus = None if fn == "ua" else [u.tau(PredictionMatrix(d)) for d in self.dists]
-        self.ua = {}  # sorted type vector -> (UA matrix under truth, under predictor)
-
-    def ua_keys(self, block: np.ndarray):
-        """The distinct sorted rows of `block`, their UA pairs computed on first sight,
-        and the index of each row's sorted form among them."""
-        keys, inv = np.unique(np.sort(block, axis=1), axis=0, return_inverse=True)
-        keys = [tuple(key) for key in keys.tolist()]
-        for key in keys:
-            if key not in self.ua:
-                self.ua[key] = tuple(ua_rank(PredictionMatrix(d[list(key)])).entries for d in self.dists)
-        return keys, inv.reshape(-1)
-
-    def values(self, block: np.ndarray, k: int, ind: np.ndarray, fix_last: bool | None = None) -> np.ndarray:
-        """Per row of `block`: the mean over i of ind[x_i] times i's gap at position k.
-
-        Rows are type vectors if `fix_last` is None, else sorted multisets, over whose
-        arrangements opt is averaged: a member of the tau tie block at positions (a, a+b]
-        gets 1/b at each, or all at a+b under `fix_last` (index n sorts last in its block).
-        """
-        if self.fn != "opt":
-            keys, inv = self.ua_keys(block)
-            order = np.argsort(block, axis=1, kind="stable")
-        cols = []
-        for which in (0, 1):
-            tau = self.taus[which][block] if self.fn != "ua" else None
-            if tau is not None and fix_last is None:
-                opt = np.zeros(block.shape)
-                opt[np.arange(len(block)), np.argsort(-tau, axis=1, kind="stable")[:, k - 1]] = 1.0
-            elif tau is not None:  # slot j's tie block spans positions (above_j, end_j]
-                other = tau[:, None, :]  # [r, 0, j'], compared with tau[r, j, None]
-                above, end = (other > tau[..., None]).sum(axis=2), (other >= tau[..., None]).sum(axis=2)
-                opt = 1.0 * (end == k) if fix_last else ((above < k) & (k <= end)) / (end - above)
-            if self.fn != "opt":
-                ua = np.empty(block.shape)
-                kth = np.array([self.ua[key][which][:, k - 1] for key in keys])
-                np.put_along_axis(ua, order, kth[inv], axis=1)
-            cols.append(opt if self.fn == "opt" else ua if self.fn == "ua"
-                        else self.phi * ua + (1.0 - self.phi) * opt)
-        return (ind[block] * (cols[0] - cols[1])).mean(axis=1)
+def _ua_kth(pop: PopulationModel, keys: np.ndarray, k: int) -> np.ndarray:
+    """Column k-1 of UA under the truth and under the predictor, a (2, m, n) array
+    with one row per sorted type vector in `keys`.  UA is anonymous, so row j
+    belongs to the j-th individual of a stable sort of any arrangement by type."""
+    kth = np.empty((2, *keys.shape))
+    for r, key in enumerate(keys):
+        for which, d in enumerate((pop.ground_truth, pop.predicted)):
+            kth[which, r] = ua_rank(PredictionMatrix(d[key])).entries[:, k - 1]
+    return kth
 
 
-def _blocks(rows: np.ndarray):
-    return (rows[s : s + _AUDIT_BLOCK_ROWS] for s in range(0, len(rows), _AUDIT_BLOCK_ROWS))
+def _taus(pop: PopulationModel, fn: str, u: UtilitySpec | None) -> np.ndarray | None:
+    """tau per type under the truth and under the predictor, a (2, T) array; None for UA."""
+    return None if fn == "ua" else np.array([u.tau(PredictionMatrix(d)) for d in (pop.ground_truth, pop.predicted)])
+
+
+def _gaps(fn: str, phi: float | None, ind_rows: np.ndarray, ua, opt) -> np.ndarray:
+    """Per row: the mean over i of ind[x_i] times (truth - predictor) at position k,
+    from the (2, rows, n) per-individual columns of UA and of opt (None where unused)."""
+    truth, pred = opt if fn == "opt" else ua if fn == "ua" else phi * ua + (1.0 - phi) * opt
+    return (ind_rows * (truth - pred)).mean(axis=1)
 
 
 def _type_indicator(pop, group, delta, bucket) -> np.ndarray:
@@ -291,7 +255,8 @@ def theorem_gap_exact(
     uniform average; the two agree for anonymous ranking functions but not in
     general.
     """
-    engine = _GapEngine(pop, fn, u, phi)  # ranker checks first, so they win over the n cap
+    checked_ranker(fn, audit=True, u=u, phi=phi)  # ranker and tau checks win over the n cap
+    taus = _taus(pop, fn, u)
     _validate_audit_args(pop, n, k, group)
     types = np.flatnonzero(pop.weights > 0.0).tolist()
     total = math.comb(n + len(types) - 1, n)
@@ -304,7 +269,16 @@ def theorem_gap_exact(
         # Python integers keep n! exact; each coefficient is rounded once, to float.
         coef = [math.factorial(n) // math.prod(math.factorial(row.count(t)) for t in set(row)) for row in chunk]
         w = np.array(coef, dtype=np.float64) * np.prod(pop.weights[block], axis=1)
-        terms += (w * engine.values(block, k, ind, fix_last)).tolist()
+        ua = _ua_kth(pop, block, k) if fn != "opt" else None  # rows are sorted and distinct
+        opt = None
+        if taus is not None:
+            # Averaged over arrangements: member j's tau tie block spans positions
+            # (above_j, end_j] and gets 1/b at each, or all at end_j under fix_last.
+            tau = taus[:, block]
+            other = tau[..., None, :]  # [which, r, 0, j'], compared with tau[which, r, j, None]
+            above, end = (other > tau[..., None]).sum(axis=3), (other >= tau[..., None]).sum(axis=3)
+            opt = 1.0 * (end == k) if fix_last else ((above < k) & (k <= end)) / (end - above)
+        terms += (w * _gaps(fn, phi, ind[block], ua, opt)).tolist()
     return abs(math.fsum(terms))
 
 
@@ -325,11 +299,28 @@ def theorem_gap_estimate(
     if mc_samples < 1:
         raise ValidationError(f"need at least one sample, got {mc_samples}")
     _validate_audit_args(pop, n, k, group)
-    engine = _GapEngine(pop, fn, u, phi)
+    checked_ranker(fn, audit=True, u=u, phi=phi)
+    taus = _taus(pop, fn, u)
     ind = _type_indicator(pop, group, delta, bucket)
     rng = _seeded_rng(seed)
     draws = rng.choice(pop.T, size=(mc_samples, n), p=pop.weights)
-    values = np.concatenate([engine.values(block, k, ind) for block in _blocks(draws)])
+    if fn != "opt":  # UA once per distinct sorted draw; a dict dedupes 3-8x faster than np.unique(axis=0)
+        index = {}
+        inv = np.array([index.setdefault(row, len(index)) for row in map(tuple, np.sort(draws, axis=1).tolist())])
+        kth = _ua_kth(pop, np.array(list(index)), k)
+    values = []
+    for s in range(0, mc_samples, _AUDIT_BLOCK_ROWS):
+        block, ua, opt = draws[s : s + _AUDIT_BLOCK_ROWS], None, None
+        if fn != "opt":  # individual i takes its sorted vector's row at i's place in a stable sort
+            ua, order = np.empty((2, *block.shape)), np.argsort(block, axis=1, kind="stable")
+            for which in (0, 1):
+                np.put_along_axis(ua[which], order, kth[which, inv[s : s + _AUDIT_BLOCK_ROWS]], axis=1)
+        if taus is not None:  # opt breaks tau ties by ascending index
+            opt = np.zeros((2, *block.shape))
+            for which, tau in enumerate(taus):
+                opt[which, np.arange(len(block)), np.argsort(-tau[block], axis=1, kind="stable")[:, k - 1]] = 1.0
+        values.append(_gaps(fn, phi, ind[block], ua, opt))
+    values = np.concatenate(values)
     mean = float(values.mean())
     se = float(values.std(ddof=1) / np.sqrt(mc_samples)) if mc_samples > 1 else 0.0
     alpha = _measured_alpha(pop, delta)
@@ -363,12 +354,11 @@ def nature_closeness_check(
     eps = float(np.abs(pop.predicted - pop.ground_truth).sum(axis=1).max())
     rng = _seeded_rng(seed)
     draws = rng.choice(pop.T, size=(samples, n), p=pop.weights)
-    engine = _GapEngine(pop, "ua", None, None)
-    for block in _blocks(draws):
-        engine.ua_keys(block)
     # Both matrices of a dataset are the same row permutation of its sorted
     # type vector's pair, so the largest entrywise gap is read off the pairs.
-    max_gap = max(float(np.abs(pred - truth).max()) for truth, pred in engine.ua.values())
+    pairs = ([ua_rank(PredictionMatrix(d[key])).entries for d in (pop.ground_truth, pop.predicted)]
+             for key in np.unique(np.sort(draws, axis=1), axis=0))
+    max_gap = max(float(np.abs(pred - truth).max()) for truth, pred in pairs)
     bound = n * eps
     return NatureClosenessReport(eps=eps, bound=bound, max_gap=max_gap,
                                  within_bound=max_gap <= bound + 1e-12, samples=samples, seed=seed)

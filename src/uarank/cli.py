@@ -168,8 +168,6 @@ def _cmd_rank(args) -> None:
 
 
 def _cmd_oracle(args) -> None:
-    if args.budget < 1:
-        raise ValidationError(f"--budget must be at least 1, got {args.budget}")
     P = io_mod.load_prediction_matrix(args.input)
     _emit_ranking(args, rankers.ua_rank_oracle(P, budget=args.budget))
 

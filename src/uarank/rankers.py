@@ -107,6 +107,8 @@ def ua_rank_oracle(P: PredictionMatrix, budget: int = ORACLE_BUDGET) -> RankingD
     i gets probability 1/N^eq on each rank in the tie block
     (N^gt, N^gt + N^eq].  Independent of the UA kernel; used to validate it.
     """
+    if budget < 1:
+        raise ValidationError(f"budget must be at least 1, got {budget}")
     n, L = P.n, P.L
     count = L**n
     if count > budget:

@@ -1,6 +1,8 @@
 import dataclasses
 import itertools
 import math
+import re
+import weakref
 
 import numpy as np
 import pytest
@@ -373,6 +375,24 @@ class TestMultisetEnumeration:
         theorem_gap_exact(zero_weight_model(), 4, 1, "g0")
         assert sizes == [4] * 2 * math.comb(4 + 1, 4)  # 2 of 3 types have weight
 
+    def test_ua_matrices_do_not_outlive_their_block(self, monkeypatch):
+        # 84 multisets of 4 types at n=6, in blocks of 7: at most one block's
+        # UA pairs may be alive at once, never every multiset's.
+        refs, most = [], 0
+
+        def recorded(P):
+            nonlocal most
+            M = ua_rank(P)
+            refs.append(weakref.ref(M.entries))
+            most = max(most, sum(r() is not None for r in refs))
+            return M
+
+        monkeypatch.setattr(audit, "ua_rank", recorded)
+        monkeypatch.setattr(audit, "_AUDIT_BLOCK_ROWS", 7)
+        theorem_gap_exact(random_population(np.random.default_rng(62), 4, 2), 6, 3, "all")
+        assert len(refs) == 2 * math.comb(6 + 3, 6)
+        assert most <= 2 * 7
+
     def test_n_beyond_cap_refused_by_both_paths(self):
         single = PopulationModel(type_names=("only",), weights=np.array([1.0]),
                                  ground_truth=np.array([[0.3, 0.7]]), predicted=np.array([[0.4, 0.6]]), groups={})
@@ -411,6 +431,53 @@ def test_negative_seed_refused_before_any_draw():
                  lambda: nature_closeness_check(pop, 3, seed=-1, samples=10)):
         with pytest.raises(ValidationError, match="seed must be a nonnegative integer, got -1"):
             call()
+
+
+U3 = UtilitySpec(np.array([1.0, 2.0, 3.0]), np.ones(AUDIT_MAX_N + 1))  # 3 label values, models have 2
+
+
+def _case(name, path, error, message, **kw):
+    return pytest.param(path, kw, error, message, id=f"{path}-{name}")
+
+
+@pytest.mark.parametrize("path, kw, error, message", [
+    # Exact: the ranker and its tau checks come before n, k and the group.
+    _case("unaudited_fn", "exact", ValidationError, "audits support ranking functions ('ua', 'opt', 'mix'); got 'pl'",
+          n=20, k=0, group="nope", fn="pl"),
+    _case("missing_u", "exact", ValidationError, "ranking function 'opt' requires u",
+          n=20, k=0, group="nope", fn="opt"),
+    _case("phi_range", "exact", ValidationError, "mixture weight must lie in [0, 1], got 2.0",
+          n=20, k=0, group="nope", fn="mix", u=U3, phi=2.0),
+    _case("tau_labels", "exact", ValidationError, "utility spec has 3 label values, matrix has 2 labels",
+          n=20, k=0, group="nope", fn="opt", u=U3),
+    _case("n_positive", "exact", ValidationError, "dataset size must be positive, got 0", n=0, k=0, group="nope"),
+    _case("k_range", "exact", ValidationError, "position 0 out of range for n=20", n=20, k=0, group="nope"),
+    _case("unknown_group", "exact", ValidationError, "unknown group 'nope'", n=20, k=1, group="nope"),
+    _case("n_cap", "exact", BudgetExceededError, "audits are limited to n <= 19, got 20", n=20, k=1, group="1"),
+    # Sampled: the sample count, then n, k and the group, then the ranker.
+    _case("samples", "sampled", ValidationError, "need at least one sample, got 0",
+          n=20, k=0, group="nope", fn="pl", mc_samples=0),
+    _case("n_positive", "sampled", ValidationError, "dataset size must be positive, got 0",
+          n=0, k=0, group="nope", fn="pl"),
+    _case("k_range", "sampled", ValidationError, "position 0 out of range for n=20", n=20, k=0, group="nope", fn="pl"),
+    _case("unknown_group", "sampled", ValidationError, "unknown group 'nope'", n=20, k=1, group="nope", fn="pl"),
+    _case("n_cap", "sampled", BudgetExceededError, "audits are limited to n <= 19, got 20",
+          n=20, k=1, group="1", fn="opt", u=U3),
+    _case("unaudited_fn", "sampled", ValidationError, "audits support ranking functions ('ua', 'opt', 'mix'); got 'pl'",
+          n=3, k=1, group="1", fn="pl"),
+    _case("phi_range", "sampled", ValidationError, "mixture weight must lie in [0, 1], got 2.0",
+          n=3, k=1, group="1", fn="mix", u=U3, phi=2.0),
+    _case("tau_labels", "sampled", ValidationError, "utility spec has 3 label values, matrix has 2 labels",
+          n=3, k=1, group="1", fn="opt", u=U3),
+])
+def test_audit_error_order(path, kw, error, message):
+    pop = two_type_biased_model(0.1)
+    if path == "exact":
+        call = lambda: theorem_gap_exact(pop, **kw)
+    else:
+        call = lambda: theorem_gap_estimate(pop, **{"mc_samples": 10, "seed": 0, **kw})
+    with pytest.raises(error, match=re.escape(message)):
+        call()
 
 
 class TestMixtureWeightRange:

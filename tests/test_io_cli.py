@@ -203,7 +203,7 @@ class TestCli:
     @pytest.mark.parametrize("budget", ["0", "-1"])
     def test_budget_below_one_exit_code(self, stab_lb_csv, capsys, budget):
         assert main(["oracle", "--in", stab_lb_csv, "--budget", budget]) == 1
-        assert capsys.readouterr().err == f"error: validation: --budget must be at least 1, got {budget}\n"
+        assert capsys.readouterr().err == f"error: validation: budget must be at least 1, got {budget}\n"
 
     def test_phi_required_for_mix(self, stab_lb_csv, capsys):
         assert main(["rank", "--fn", "mix", "--in", stab_lb_csv]) == 1
@@ -571,8 +571,8 @@ TIED_DOC = {
 }
 
 # Structured stdout of the sampled theorem audits and the nature check, recorded
-# from the engine before exact audits moved to multisets of types; the sampled
-# paths still rank ordered type vectors and must keep these exact bytes.  The
+# before exact audits moved to multisets of types; the sampled paths still rank
+# ordered type vectors and must keep these exact bytes.  The
 # config blocks echo only the flags each call reads.
 GOLDEN_AUDITS = {
     "ua": ('theorem --fn ua --n 4 --k 2 --group ab --samples 300 --seed 5', """\

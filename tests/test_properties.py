@@ -217,9 +217,9 @@ def test_ua_theorem_gap_bounded_and_anonymous(pop, n, data):
     for group in pop.groups:
         for k in range(1, n + 1):
             assert theorem_gap_exact(pop, n, k, group, fn="ua") <= bound + 1e-12
-    # The audit engine computes one UA matrix per sorted type vector and reuses it
-    # for every ordering, which is valid because UA is anonymous: the i = n
-    # variant equals the average.
+    # The audits compute UA once per sorted type vector and read it for every
+    # arrangement, which is valid because UA is anonymous: the i = n variant
+    # equals the average.
     group, k = data.draw(st.sampled_from(sorted(pop.groups))), data.draw(st.integers(1, n))
     uniform = theorem_gap_exact(pop, n, k, group, fn="ua")
     assert abs(theorem_gap_exact(pop, n, k, group, fn="ua", fix_last=True) - uniform) <= 1e-12

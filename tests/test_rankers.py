@@ -181,6 +181,12 @@ class TestOracle:
         with pytest.raises(BudgetExceededError):
             ua_rank_oracle(P, budget=10)
 
+    @pytest.mark.parametrize("budget", [0, -1])
+    def test_budget_below_one_is_a_validation_error(self, budget):
+        P = PredictionMatrix(np.array([[0.25, 0.75], [0.5, 0.5], [1.0, 0.0]]))
+        with pytest.raises(ValidationError, match=f"^budget must be at least 1, got {budget}$"):
+            ua_rank_oracle(P, budget=budget)
+
 
 class TestOptRank:
     def test_eps_instance_swaps(self):
