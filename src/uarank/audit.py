@@ -17,14 +17,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BudgetExceededError, ValidationError
-from .rankers import _seeded_rng, checked_ranker, ua_rank
-from .types import ROW_SUM_TOL, PredictionMatrix, UtilitySpec, _check_distributions
+from .rankers import _seeded_rng, _ua_marginals, checked_ranker
+from .types import ROW_SUM_TOL, PredictionMatrix, UtilitySpec, _check_distributions, _check_doubly_stochastic
 
 FULL_DOMAIN_GROUP = "all"
 ENUM_BUDGET = 10**6  # multisets of types an exact audit may enumerate
 AUDIT_MAX_N = 19
 _WEIGHT_TOL = 1e-9
 _AUDIT_BLOCK_ROWS = 4096  # type vectors per audit block: O(block * n^2) working memory
+_UA_CHUNK_CELLS = 2**16  # n x n cells per distribution in one batched UA call: memory flat in n
 
 
 @dataclass(frozen=True)
@@ -184,14 +185,27 @@ class AuditReport:
     delta: float | None = None
 
 
+def _ua_chunks(pop: PopulationModel, keys: np.ndarray):
+    """UA under the truth and under the predictor for the (m, n) sorted type vectors
+    `keys`, yielded chunk by chunk as (start, M): M is the doubly-stochastic-checked
+    (2, c, n, n) stack for keys[start : start + c], with c * n^2 <= _UA_CHUNK_CELLS
+    (c >= 1).  Rows are renormalized as PredictionMatrix renormalizes them, so each
+    matrix is bit for bit the one `ua_rank(PredictionMatrix(d[key]))` returns."""
+    step = max(1, _UA_CHUNK_CELLS // keys.shape[1] ** 2)
+    for s in range(0, len(keys), step):
+        rows = np.stack([d[keys[s : s + step]] for d in (pop.ground_truth, pop.predicted)])
+        M = _ua_marginals(rows / rows.sum(axis=-1)[..., None])
+        _check_doubly_stochastic(M)
+        yield s, M
+
+
 def _ua_kth(pop: PopulationModel, keys: np.ndarray, k: int) -> np.ndarray:
     """Column k-1 of UA under the truth and under the predictor, a (2, m, n) array
     with one row per sorted type vector in `keys`.  UA is anonymous, so row j
     belongs to the j-th individual of a stable sort of any arrangement by type."""
     kth = np.empty((2, *keys.shape))
-    for r, key in enumerate(keys):
-        for which, d in enumerate((pop.ground_truth, pop.predicted)):
-            kth[which, r] = ua_rank(PredictionMatrix(d[key])).entries[:, k - 1]
+    for s, M in _ua_chunks(pop, keys):
+        kth[:, s : s + M.shape[1]] = M[..., k - 1]
     return kth
 
 
@@ -356,9 +370,8 @@ def nature_closeness_check(
     draws = rng.choice(pop.T, size=(samples, n), p=pop.weights)
     # Both matrices of a dataset are the same row permutation of its sorted
     # type vector's pair, so the largest entrywise gap is read off the pairs.
-    pairs = ([ua_rank(PredictionMatrix(d[key])).entries for d in (pop.ground_truth, pop.predicted)]
-             for key in np.unique(np.sort(draws, axis=1), axis=0))
-    max_gap = max(float(np.abs(pred - truth).max()) for truth, pred in pairs)
+    keys = np.unique(np.sort(draws, axis=1), axis=0)
+    max_gap = max(float(np.abs(M[1] - M[0]).max()) for _, M in _ua_chunks(pop, keys))
     bound = n * eps
     return NatureClosenessReport(eps=eps, bound=bound, max_gap=max_gap,
                                  within_bound=max_gap <= bound + 1e-12, samples=samples, seed=seed)

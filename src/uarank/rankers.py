@@ -38,7 +38,8 @@ def _legendre_nodes(m: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _ua_label_kernel(rows: np.ndarray, label: int) -> np.ndarray:
-    """C[i, k-1] = Pr[individual i gets rank k | i's label equals `label`], for every i.
+    """C[..., i, k-1] = Pr[individual i gets rank k | i's label equals `label`], for
+    every i of every n x L matrix in the (..., n, L) stack `rows`.
 
     Given i's uniform tie-break draw u, each other j ranks above i independently
     with probability q_j(u) = Pr[label_j > label] + u Pr[label_j = label], so
@@ -47,32 +48,50 @@ def _ua_label_kernel(rows: np.ndarray, label: int) -> np.ndarray:
     prod_j (1 - q_j + q_j z) is built once; each individual's own factor is then
     divided back out, forwards where its q <= 1/2 and backwards otherwise, the
     direction in which the recurrence does not amplify rounding error.  Memory
-    stays O(n^2): the weighted leave-one-out pmfs are summed one degree at a time.
+    stays O(n^2) per matrix: the weighted leave-one-out pmfs are summed one
+    degree at a time.  Each matrix of a stack gets the same arithmetic as it
+    would alone: G is C-contiguous whatever the layout of `rows`, so `w @ G`
+    takes the same BLAS path for every matrix.
     """
-    n = rows.shape[0]
+    n = rows.shape[-2]
     u, w = _legendre_nodes(n // 2 + 1)
-    q = rows[:, label:].sum(axis=1) + u[:, None] * rows[:, label - 1]  # (nodes, n)
+    q = rows[..., label:].sum(axis=-1)[..., None, :] + u[:, None] * rows[..., None, :, label - 1]  # (..., nodes, n)
     p = 1.0 - q
-    F = np.zeros((n + 1, u.size))  # F[k, t]: coefficient of z^k at node t
+    # Leading axes index individual, degree or rank, so the loops index like 2-d code.
+    stack = tuple(range(q.ndim - 1))
+    q_j, p_j = q.transpose(-1, *stack), p.transpose(-1, *stack)  # (n, ..., nodes) views
+    F = np.zeros((n + 1, *q_j.shape[1:]))  # F[k, ..., t]: coefficient of z^k at node t
     F[0] = 1.0
     for j in range(n):
-        carried = F[: j + 1] * q[:, j]
-        F[: j + 2] *= p[:, j]
+        carried = F[: j + 1] * q_j[j]
+        F[: j + 2] *= p_j[j]
         F[1 : j + 2] += carried
     # F = G (p + q z) for the leave-one-out G: forwards G_k = (F_k - q G_{k-1}) / p,
     # backwards G_{k-1} = (F_k - p G_k) / q.  Each pass divides by inf where it is
     # not the stable direction, which keeps those entries of G at exactly 0.
     fwd = q <= 0.5
-    C = np.zeros((n, n))
+    C = np.zeros((n, *q.shape[:-2], n))  # C[k-1, ..., i]
     for degrees, shift, other, den in ((range(n), 0, q, np.where(fwd, p, np.inf)),
                                        (range(n, 0, -1), 1, p, np.where(fwd, np.inf, q))):
-        G = np.zeros_like(q)
+        G = np.zeros(q.shape)
         for k in degrees:
             G *= other
-            np.subtract(F[k, :, None], G, out=G)
+            np.subtract(F[k, ..., None], G, out=G)
             G /= den
-            C[:, k - shift] += w @ G
-    return C
+            C[k - shift] += w @ G
+    return C.transpose(*range(1, C.ndim), 0)
+
+
+def _ua_marginals(rows: np.ndarray) -> np.ndarray:
+    """UA marginals of every matrix in the (..., n, L) stack `rows` of renormalized
+    prediction rows, as a (..., n, n) stack: the sum over labels of Pr[label_i =
+    label] times the label's conditional rank kernel.  One kernel call per label
+    serves the whole stack; a label no row of the stack can take is skipped."""
+    M = np.zeros((*rows.shape[:-1], rows.shape[-2]))
+    for label in range(1, rows.shape[-1] + 1):
+        if rows[..., label - 1].any():
+            M += rows[..., label - 1, None] * _ua_label_kernel(rows, label)
+    return M
 
 
 def ua_rank_conditional(P: PredictionMatrix, i: int, label: int) -> np.ndarray:
@@ -92,12 +111,7 @@ def ua_rank(P: PredictionMatrix) -> RankingDistribution:
     matrix holds the marginal rank probabilities of that process, the sum over
     labels of Pr[label_i = label] times the label's conditional rank kernel.
     """
-    rows = P.rows
-    M = np.zeros((P.n, P.n))
-    for label in range(1, P.L + 1):
-        if rows[:, label - 1].any():
-            M += rows[:, label - 1, None] * _ua_label_kernel(rows, label)
-    return RankingDistribution(M)
+    return RankingDistribution(_ua_marginals(P.rows))
 
 
 def ua_rank_oracle(P: PredictionMatrix, budget: int = ORACLE_BUDGET) -> RankingDistribution:

@@ -37,6 +37,16 @@ def _check_distributions(rows: np.ndarray, what: str, tol: float, slack: float =
     return sums
 
 
+def _check_doubly_stochastic(m: np.ndarray) -> None:
+    """Check that an n x n matrix, or each matrix of a (..., n, n) stack, is doubly
+    stochastic: entries within 1e-12 of [0, 1], row and column sums 1 within DS_TOL.
+    A stack's rows are numbered across the whole stack."""
+    rows = m.reshape(-1, m.shape[-1]) if m.ndim > 2 else m
+    _check_distributions(rows, "ranking distribution: ", DS_TOL, slack=1e-12)
+    if np.any(np.abs(m.sum(axis=-2) - 1.0) > DS_TOL):
+        raise ValidationError(f"column sums deviate from 1 by more than {DS_TOL}")
+
+
 @dataclass(frozen=True)
 class PredictionMatrix:
     """An n x L matrix whose row i is individual i's distribution over labels."""
@@ -82,9 +92,7 @@ class RankingDistribution:
         m = np.asarray(self.entries, dtype=np.float64)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValidationError(f"ranking distribution must be square, got shape {m.shape}")
-        _check_distributions(m, "ranking distribution: ", DS_TOL, slack=1e-12)
-        if np.any(np.abs(m.sum(axis=0) - 1.0) > DS_TOL):
-            raise ValidationError(f"column sums deviate from 1 by more than {DS_TOL}")
+        _check_doubly_stochastic(m)
         m.flags.writeable = False
         object.__setattr__(self, "entries", m)
 

@@ -20,9 +20,9 @@ from uarank import (
     theorem_gap_exact,
     two_type_biased_model,
 )
-from uarank import audit
+from uarank import audit, rankers
 from uarank.audit import AUDIT_MAX_N, type_buckets
-from uarank.rankers import compute_ranking, pl_rank, ua_rank
+from uarank.rankers import _ua_marginals, compute_ranking, pl_rank, ua_rank
 
 from conftest import random_population
 
@@ -370,27 +370,28 @@ class TestMultisetEnumeration:
         assert abs(rep.estimate - gap) <= 4 * rep.mc_error
 
     def test_one_ua_pair_per_multiset_of_positive_weight_types(self, monkeypatch):
-        sizes = []
-        monkeypatch.setattr(audit, "ua_rank", lambda P: sizes.append(P.n) or ua_rank(P))
+        shapes = []
+        monkeypatch.setattr(audit, "_ua_marginals", lambda rows: shapes.append(rows.shape) or _ua_marginals(rows))
         theorem_gap_exact(zero_weight_model(), 4, 1, "g0")
-        assert sizes == [4] * 2 * math.comb(4 + 1, 4)  # 2 of 3 types have weight
+        assert all(s[0] == 2 and s[2:] == (4, 2) for s in shapes)
+        assert sum(s[0] * s[1] for s in shapes) == 2 * math.comb(4 + 1, 4)  # 2 of 3 types have weight
 
     def test_ua_matrices_do_not_outlive_their_block(self, monkeypatch):
         # 84 multisets of 4 types at n=6, in blocks of 7: at most one block's
         # UA pairs may be alive at once, never every multiset's.
         refs, most = [], 0
 
-        def recorded(P):
+        def recorded(rows):
             nonlocal most
-            M = ua_rank(P)
-            refs.append(weakref.ref(M.entries))
-            most = max(most, sum(r() is not None for r in refs))
+            M = _ua_marginals(rows)
+            refs.append((weakref.ref(M), rows.shape[0] * rows.shape[1]))
+            most = max(most, sum(size for r, size in refs if r() is not None))
             return M
 
-        monkeypatch.setattr(audit, "ua_rank", recorded)
+        monkeypatch.setattr(audit, "_ua_marginals", recorded)
         monkeypatch.setattr(audit, "_AUDIT_BLOCK_ROWS", 7)
         theorem_gap_exact(random_population(np.random.default_rng(62), 4, 2), 6, 3, "all")
-        assert len(refs) == 2 * math.comb(6 + 3, 6)
+        assert sum(size for _, size in refs) == 2 * math.comb(6 + 3, 6)
         assert most <= 2 * 7
 
     def test_n_beyond_cap_refused_by_both_paths(self):
@@ -421,6 +422,58 @@ class TestBlockSize:
         whole = results()
         monkeypatch.setattr(audit, "_AUDIT_BLOCK_ROWS", rows)
         assert results() == whole
+
+
+class TestBatchedUa:
+    """The audits rank a chunk of sorted type vectors per UA kernel call."""
+
+    @pytest.mark.parametrize("rows", [1, 7, None])
+    def test_chunk_size_does_not_change_output(self, monkeypatch, rows):
+        pop, n = random_population(np.random.default_rng(63), 3, 3), 4
+        keys = np.array(list(itertools.combinations_with_replacement(range(3), n)))
+
+        def results():
+            return [audit._ua_kth(pop, keys, 2).tobytes(),
+                    theorem_gap_exact(pop, n, 2, "pair"),
+                    theorem_gap_exact(pop, n, 4, "g1", fix_last=True),
+                    theorem_gap_estimate(pop, n, 1, "g0", mc_samples=300, seed=6),
+                    nature_closeness_check(pop, n, seed=7, samples=60)]
+
+        whole, sizes = results(), []
+        monkeypatch.setattr(audit, "_UA_CHUNK_CELLS", rows * n * n if rows else 10**9)
+        monkeypatch.setattr(audit, "_ua_marginals", lambda r: sizes.append(r.shape[1]) or _ua_marginals(r))
+        assert results() == whole
+        assert max(sizes) == (rows or len(keys))
+        # Each key's column pair is the one ua_rank gives it alone.
+        kth = audit._ua_kth(pop, keys, 2)
+        for r, key in enumerate(keys):
+            for which, d in enumerate((pop.ground_truth, pop.predicted)):
+                assert np.array_equal(kth[which, r], ua_rank(PredictionMatrix(d[key])).entries[:, 1])
+
+    def test_kernel_calls_per_exact_audit(self, monkeypatch):
+        # T=10, L=3, n=5: 2002 multisets, 12 012 kernel calls when ranked one by one.
+        calls, kernel = [], rankers._ua_label_kernel
+        monkeypatch.setattr(rankers, "_ua_label_kernel", lambda rows, label: calls.append(rows.shape) or kernel(rows, label))
+        pop, n = random_population(np.random.default_rng(64), 10, 3), 5
+        theorem_gap_exact(pop, n, 2, "g0")
+        chunks = math.ceil(math.comb(n + 9, n) / max(1, audit._UA_CHUNK_CELLS // n**2))
+        assert 0 < len(calls) <= pop.L * chunks
+        assert sum(math.prod(s[:-2]) for s in calls) <= pop.L * 2 * math.comb(n + 9, n)
+
+    @pytest.mark.parametrize("cell", [(0, 0, 0, 0), (1, -1, -1, -1)])
+    def test_ua_chunks_are_ds_checked(self, monkeypatch, cell):
+        def off(rows):
+            M = _ua_marginals(rows)
+            M[cell] += 1e-6
+            return M
+
+        monkeypatch.setattr(audit, "_ua_marginals", off)
+        pop = random_population(np.random.default_rng(65), 3, 2)
+        for call in (lambda: theorem_gap_exact(pop, 3, 1, "g0"),
+                     lambda: theorem_gap_estimate(pop, 3, 1, "g0", mc_samples=50, seed=1),
+                     lambda: nature_closeness_check(pop, 3, seed=1, samples=20)):
+            with pytest.raises(ValidationError, match="ranking distribution"):
+                call()
 
 
 def test_negative_seed_refused_before_any_draw():

@@ -130,6 +130,57 @@ class TestUaKernelHardInputs:
             assert -M.min() <= bound
 
 
+class TestStackedKernel:
+    """`_ua_marginals` on a (2, m, n, L) stack returns, matrix by matrix, exactly the
+    entries `ua_rank` returns for that matrix alone."""
+
+    @staticmethod
+    def stack(make, m):
+        """(2, m) prediction matrices from `make()` and their (2, m, n, L) stack of rows."""
+        Ps = [[PredictionMatrix(make()) for _ in range(m)] for _ in range(2)]
+        return Ps, np.array([[P.rows for P in row] for row in Ps])
+
+    @staticmethod
+    def assert_exact(Ps, rows):
+        M = rankers._ua_marginals(rows)
+        assert M.shape == (*rows.shape[:-1], rows.shape[-2])
+        for idx in np.ndindex(rows.shape[:-2]):
+            assert np.array_equal(M[idx], ua_rank(Ps[idx[0]][idx[1]]).entries)
+
+    @pytest.mark.parametrize("n,L", [(1, 1), (1, 3), (4, 1), (2, 2), (5, 3), (7, 4), (12, 9)])
+    def test_hard_rows(self, n, L):
+        rng = np.random.default_rng([70, n, L])
+        self.assert_exact(*self.stack(lambda: hard_rows(rng, n, L), 5))
+
+    def test_one_hot_rows(self):
+        rng = np.random.default_rng(71)
+        self.assert_exact(*self.stack(lambda: np.eye(3)[rng.integers(0, 3, size=6)], 4))
+
+    def test_label_zero_across_the_stack(self, monkeypatch):
+        rng = np.random.default_rng(72)
+
+        def rows():
+            r = hard_rows(rng, 5, 4)
+            r[:, 2] = 0.0
+            r[r.sum(axis=1) == 0, 0] = 1.0
+            return r / r.sum(axis=1, keepdims=True)
+
+        calls, kernel = [], rankers._ua_label_kernel
+        monkeypatch.setattr(rankers, "_ua_label_kernel", lambda rows, label: calls.append(label) or kernel(rows, label))
+        self.assert_exact(*self.stack(rows, 6))
+        assert 3 not in calls  # skipped for the stack, as for each matrix alone
+
+    def test_non_contiguous_input(self):
+        rng = np.random.default_rng(73)
+        Ps, base = self.stack(lambda: hard_rows(rng, 6, 3), 8)
+        # Every other matrix, the transposed (m, 2) stack's every other pair, and a Fortran-order copy.
+        for rows, sub in ((base[:, ::2], [row[::2] for row in Ps]),
+                          (base.transpose(1, 0, 2, 3)[::2], [list(pair) for pair in zip(*Ps)][::2]),
+                          (np.asfortranarray(base), Ps)):
+            assert not rows.flags.c_contiguous
+            self.assert_exact(sub, rows)
+
+
 class TestConditional:
     def test_single_individual_any_label(self):
         P = PredictionMatrix(np.array([[0.4, 0.6]]))
