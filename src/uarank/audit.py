@@ -17,15 +17,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BudgetExceededError, ValidationError
-from .rankers import _seeded_rng, _ua_marginals, checked_ranker
+from .rankers import AUDITED_FUNCTION_IDS, _seeded_rng, _ua_marginals, checked_ranker
 from .types import ROW_SUM_TOL, PredictionMatrix, UtilitySpec, _check_distributions, _check_doubly_stochastic
 
 FULL_DOMAIN_GROUP = "all"
 ENUM_BUDGET = 10**6  # multisets of types an exact audit may enumerate
 AUDIT_MAX_N = 19
 _WEIGHT_TOL = 1e-9
-_AUDIT_BLOCK_ROWS = 4096  # type vectors per audit block: O(block * n^2) working memory
-_UA_CHUNK_CELLS = 2**16  # n x n cells per distribution in one batched UA call: memory flat in n
+_AUDIT_CHUNK_CELLS = 2**16  # n x n cells per distribution in one audit chunk: memory flat in n
 
 
 @dataclass(frozen=True)
@@ -67,11 +66,9 @@ class PopulationModel:
             raise ValidationError(f"group '{FULL_DOMAIN_GROUP}' must hold every type: it names the full domain")
         if full not in [tuple(sorted(m)) for m in groups.values()]:
             groups[FULL_DOMAIN_GROUP] = full
-        for arr in (w, gt, pred):
+        for name, arr in (("weights", w), ("ground_truth", gt), ("predicted", pred)):
             arr.flags.writeable = False
-        object.__setattr__(self, "weights", w)
-        object.__setattr__(self, "ground_truth", gt)
-        object.__setattr__(self, "predicted", pred)
+            object.__setattr__(self, name, arr)
         object.__setattr__(self, "groups", groups)
 
     @property
@@ -130,6 +127,8 @@ def multiaccuracy_alpha(pop: PopulationModel) -> MultiaccuracyResult:
 def _bucket_count(delta: float) -> int:
     if not 0.0 < delta <= 1.0:
         raise ValidationError(f"bucket width must lie in (0, 1], got {delta}")
+    if not 1.0 / delta <= 2.0**53:  # beyond, every double passes the integer test below
+        raise ValidationError(f"1/delta must be at most 2^53, got delta={delta}")
     b = round(1.0 / delta)
     if abs(b * delta - 1.0) > 1e-9:
         raise ValidationError(f"1/delta must be an integer, got delta={delta}")
@@ -185,28 +184,34 @@ class AuditReport:
     delta: float | None = None
 
 
-def _ua_chunks(pop: PopulationModel, keys: np.ndarray):
-    """UA under the truth and under the predictor for the (m, n) sorted type vectors
-    `keys`, yielded chunk by chunk as (start, M): M is the doubly-stochastic-checked
-    (2, c, n, n) stack for keys[start : start + c], with c * n^2 <= _UA_CHUNK_CELLS
-    (c >= 1).  Rows are renormalized as PredictionMatrix renormalizes them, so each
-    matrix is bit for bit the one `ua_rank(PredictionMatrix(d[key]))` returns."""
-    step = max(1, _UA_CHUNK_CELLS // keys.shape[1] ** 2)
-    for s in range(0, len(keys), step):
-        rows = np.stack([d[keys[s : s + step]] for d in (pop.ground_truth, pop.predicted)])
-        M = _ua_marginals(rows / rows.sum(axis=-1)[..., None])
-        _check_doubly_stochastic(M)
-        yield s, M
+def _chunk_rows(n: int) -> int:
+    """Type vectors per audit chunk: c * n^2 <= _AUDIT_CHUNK_CELLS, and c >= 1."""
+    return max(1, _AUDIT_CHUNK_CELLS // n**2)
 
 
-def _ua_kth(pop: PopulationModel, keys: np.ndarray, k: int) -> np.ndarray:
-    """Column k-1 of UA under the truth and under the predictor, a (2, m, n) array
-    with one row per sorted type vector in `keys`.  UA is anonymous, so row j
-    belongs to the j-th individual of a stable sort of any arrangement by type."""
-    kth = np.empty((2, *keys.shape))
-    for s, M in _ua_chunks(pop, keys):
-        kth[:, s : s + M.shape[1]] = M[..., k - 1]
-    return kth
+def _ua_pairs(pop: PopulationModel, keys: np.ndarray) -> np.ndarray:
+    """The doubly-stochastic-checked (2, c, n, n) UA stack, truth then predictor, of one
+    chunk of (c, n) sorted type vectors, each matrix bit for bit `ua_rank(PredictionMatrix(d[key]))`.
+    UA is anonymous: row j is the j-th individual of a stable sort of any arrangement."""
+    rows = np.stack([d[keys] for d in (pop.ground_truth, pop.predicted)])
+    M = _ua_marginals(rows / rows.sum(axis=-1)[..., None])
+    _check_doubly_stochastic(M)
+    return M
+
+
+def _distinct_sorted(draws: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct row-sorted draws, first seen first, and each draw's index among them."""
+    index = {}  # 3-8x faster than a sort-based unique over rows
+    inv = np.array([index.setdefault(row, len(index)) for row in map(tuple, np.sort(draws, axis=1).tolist())])
+    return np.array(list(index)), inv
+
+
+def _multinomial(rows: np.ndarray) -> np.ndarray:
+    """n!/prod m_t! per sorted row, exact in int64 (n <= AUDIT_MAX_N, 19! < 2^63) and
+    rounded once to float.  prod m_t! is the product of each entry's place in its run."""
+    j = np.arange(rows.shape[1])
+    starts = np.maximum.accumulate(np.where(rows == np.roll(rows, 1, axis=1), 0, j), axis=1)
+    return (math.factorial(len(j)) // np.prod(j - starts + 1, axis=1)).astype(np.float64)
 
 
 def _taus(pop: PopulationModel, fn: str, u: UtilitySpec | None) -> np.ndarray | None:
@@ -232,18 +237,17 @@ def _type_indicator(pop, group, delta, bucket) -> np.ndarray:
     return ind
 
 
-def _gap_bound(pop, n, fn, phi, alpha):
-    base = pop.L * n * alpha
-    if fn == "mix":
-        return phi * base + (1.0 - phi)
-    return base
-
-
-def _measured_alpha(pop, delta):
-    if delta is None:
-        return multiaccuracy_alpha(pop).alpha
+def theorem_bound(pop: PopulationModel, n: int, fn="ua", phi=None, delta=None) -> tuple[float, float]:
+    """(bound, alpha) of a theorem audit.  alpha is the measured multiaccuracy violation or, given a
+    bucket width delta, the larger of the multicalibration and the full domain's multiaccuracy
+    violations; the bound is L*n*alpha, or phi*L*n*alpha + 1 - phi for fn="mix"."""
+    if fn not in AUDITED_FUNCTION_IDS or (fn == "mix" and phi is None):
+        raise ValidationError(f"no theorem bound for fn={fn!r} with phi={phi}")
+    ma = multiaccuracy_alpha(pop)
     full_domain = next(name for name, m in pop.groups.items() if sorted(m) == list(range(pop.T)))
-    return max(multicalibration_alpha(pop, delta).alpha, multiaccuracy_alpha(pop).per_group[full_domain])
+    alpha = ma.alpha if delta is None else max(multicalibration_alpha(pop, delta).alpha, ma.per_group[full_domain])
+    base = pop.L * n * alpha
+    return (phi * base + (1.0 - phi) if fn == "mix" else base), alpha
 
 
 def theorem_gap_exact(
@@ -264,7 +268,7 @@ def theorem_gap_exact(
     predictor[i -> k])]| with x drawn i.i.d. from the type weights and i
     uniform over the dataset.  A sorted multiset of positive-weight types stands
     for its equally likely arrangements, weighted n!/prod m_t! * prod w_t^m_t; the
-    terms are summed with `math.fsum`, so the result depends on neither block
+    terms are summed with `math.fsum`, so the result depends on neither chunk
     size nor order.  `fix_last` evaluates the i = n variant instead of the
     uniform average; the two agree for anonymous ranking functions but not in
     general.
@@ -278,12 +282,10 @@ def theorem_gap_exact(
         raise BudgetExceededError(f"enumeration needs {total} multisets of types, budget is {ENUM_BUDGET}")
     ind = _type_indicator(pop, group, delta, bucket)
     rows, terms = itertools.combinations_with_replacement(types, n), []
-    while chunk := list(itertools.islice(rows, _AUDIT_BLOCK_ROWS)):
+    while chunk := list(itertools.islice(rows, _chunk_rows(n))):
         block = np.array(chunk)
-        # Python integers keep n! exact; each coefficient is rounded once, to float.
-        coef = [math.factorial(n) // math.prod(math.factorial(row.count(t)) for t in set(row)) for row in chunk]
-        w = np.array(coef, dtype=np.float64) * np.prod(pop.weights[block], axis=1)
-        ua = _ua_kth(pop, block, k) if fn != "opt" else None  # rows are sorted and distinct
+        w = _multinomial(block) * np.prod(pop.weights[block], axis=1)
+        ua = _ua_pairs(pop, block)[..., k - 1].copy() if fn != "opt" else None  # copied: frees the stack
         opt = None
         if taus is not None:
             # Averaged over arrangements: member j's tau tie block spans positions
@@ -316,19 +318,19 @@ def theorem_gap_estimate(
     checked_ranker(fn, audit=True, u=u, phi=phi)
     taus = _taus(pop, fn, u)
     ind = _type_indicator(pop, group, delta, bucket)
-    rng = _seeded_rng(seed)
-    draws = rng.choice(pop.T, size=(mc_samples, n), p=pop.weights)
-    if fn != "opt":  # UA once per distinct sorted draw; a dict dedupes 3-8x faster than np.unique(axis=0)
-        index = {}
-        inv = np.array([index.setdefault(row, len(index)) for row in map(tuple, np.sort(draws, axis=1).tolist())])
-        kth = _ua_kth(pop, np.array(list(index)), k)
+    draws, step = _seeded_rng(seed).choice(pop.T, size=(mc_samples, n), p=pop.weights), _chunk_rows(n)
+    if fn != "opt":  # UA once per distinct sorted draw; opt needs no dedupe
+        keys, inv = _distinct_sorted(draws)
+        kth = np.empty((2, *keys.shape))
+        for s in range(0, len(keys), step):
+            kth[:, s : s + step] = _ua_pairs(pop, keys[s : s + step])[..., k - 1]
     values = []
-    for s in range(0, mc_samples, _AUDIT_BLOCK_ROWS):
-        block, ua, opt = draws[s : s + _AUDIT_BLOCK_ROWS], None, None
+    for s in range(0, mc_samples, step):
+        block, ua, opt = draws[s : s + step], None, None
         if fn != "opt":  # individual i takes its sorted vector's row at i's place in a stable sort
             ua, order = np.empty((2, *block.shape)), np.argsort(block, axis=1, kind="stable")
             for which in (0, 1):
-                np.put_along_axis(ua[which], order, kth[which, inv[s : s + _AUDIT_BLOCK_ROWS]], axis=1)
+                np.put_along_axis(ua[which], order, kth[which, inv[s : s + step]], axis=1)
         if taus is not None:  # opt breaks tau ties by ascending index
             opt = np.zeros((2, *block.shape))
             for which, tau in enumerate(taus):
@@ -337,9 +339,8 @@ def theorem_gap_estimate(
     values = np.concatenate(values)
     mean = float(values.mean())
     se = float(values.std(ddof=1) / np.sqrt(mc_samples)) if mc_samples > 1 else 0.0
-    alpha = _measured_alpha(pop, delta)
-    return AuditReport(group=group, position=k, estimate=abs(mean), mc_error=se,
-                       bound=_gap_bound(pop, n, fn, phi, alpha), alpha=alpha,
+    bound, alpha = theorem_bound(pop, n, fn, phi, delta)
+    return AuditReport(group=group, position=k, estimate=abs(mean), mc_error=se, bound=bound, alpha=alpha,
                        samples=mc_samples, seed=seed, bucket=bucket, delta=delta)
 
 
@@ -353,9 +354,7 @@ class NatureClosenessReport:
     seed: int
 
 
-def nature_closeness_check(
-    pop: PopulationModel, n: int, seed: int = 0, samples: int = 50
-) -> NatureClosenessReport:
+def nature_closeness_check(pop: PopulationModel, n: int, seed: int = 0, samples: int = 50) -> NatureClosenessReport:
     """Sampled check that predictor-close-to-truth implies rankings close.
 
     eps bounds the per-type 1-norm prediction error; every sampled dataset
@@ -366,12 +365,12 @@ def nature_closeness_check(
     if samples < 1:
         raise ValidationError(f"need at least one sample, got {samples}")
     eps = float(np.abs(pop.predicted - pop.ground_truth).sum(axis=1).max())
-    rng = _seeded_rng(seed)
-    draws = rng.choice(pop.T, size=(samples, n), p=pop.weights)
+    draws = _seeded_rng(seed).choice(pop.T, size=(samples, n), p=pop.weights)
     # Both matrices of a dataset are the same row permutation of its sorted
     # type vector's pair, so the largest entrywise gap is read off the pairs.
-    keys = np.unique(np.sort(draws, axis=1), axis=0)
-    max_gap = max(float(np.abs(M[1] - M[0]).max()) for _, M in _ua_chunks(pop, keys))
+    (keys, _), step = _distinct_sorted(draws), _chunk_rows(n)
+    pairs = (_ua_pairs(pop, keys[s : s + step]) for s in range(0, len(keys), step))
+    max_gap = max(float(np.abs(M[1] - M[0]).max()) for M in pairs)
     bound = n * eps
     return NatureClosenessReport(eps=eps, bound=bound, max_gap=max_gap,
                                  within_bound=max_gap <= bound + 1e-12, samples=samples, seed=seed)

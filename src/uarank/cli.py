@@ -223,12 +223,9 @@ def _cmd_audit(args) -> None:
         )
         _emit(args, {"nature": asdict(rep)}, table)
     elif args.exact:  # theorem audits from here on
-        u = _rank_params(args, args.n, pop.L)["u"]
-        gap = audit_mod.theorem_gap_exact(
-            pop, args.n, args.k, args.group, fn=args.fn, u=u, phi=args.phi, delta=args.delta
-        )
-        alpha = audit_mod._measured_alpha(pop, args.delta)
-        bound = audit_mod._gap_bound(pop, args.n, args.fn, args.phi, alpha)
+        gap = audit_mod.theorem_gap_exact(pop, args.n, args.k, args.group, fn=args.fn,
+                                          u=_rank_params(args, args.n, pop.L)["u"], phi=args.phi, delta=args.delta)
+        bound, alpha = audit_mod.theorem_bound(pop, args.n, args.fn, args.phi, args.delta)
         table = f"gap    {gap:.12g}\nbound  {bound:.12g}\nalpha  {alpha:.12g}\n"
         _emit(args, {"theorem": {"exactGap": gap, "bound": bound, "alpha": alpha}}, table)
     else:

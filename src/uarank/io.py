@@ -88,6 +88,8 @@ def population_model_from_dict(doc: dict, source: str = "population model") -> P
     if not isinstance(types, list) or not types:
         raise ValidationError(f"{source}: 'types' must be a nonempty list")
     L = doc.get("labels")
+    if L is not None and (type(L) is not int or L < 1):  # bool is an int subclass, not a count
+        raise ValidationError(f"{source}: 'labels' must be a positive integer, got {L!r}")
     names, weights, gt, pred = [], [], [], []
     for idx, t in enumerate(types, start=1):
         if not isinstance(t, dict):
@@ -112,6 +114,8 @@ def population_model_from_dict(doc: dict, source: str = "population model") -> P
     for g in doc.get("groups", []):
         if not isinstance(g, dict) or "name" not in g or "members" not in g:
             raise ValidationError(f"{source}: each group needs 'name' and 'members'")
+        if not isinstance(g["members"], list):
+            raise ValidationError(f"{source}: group '{g['name']}': 'members' must be a list, got {g['members']!r}")
         members = []
         for m in g["members"]:
             if str(m) not in by_name:

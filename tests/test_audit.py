@@ -123,6 +123,19 @@ class TestMulticalibration:
         with pytest.raises(ValidationError):
             multicalibration_alpha(perfect_model(), 0.3)
 
+    @pytest.mark.parametrize("delta", [1e-20, 1e-310, 2.0**-54])
+    def test_rejects_inverse_delta_beyond_2_to_53(self, delta):
+        # Beyond 2^53 every double passes the integer test, and 1/1e-310 is inf.
+        pop = two_type_biased_model(0.1)
+        for call in (lambda: multicalibration_alpha(pop, delta),
+                     lambda: theorem_gap_exact(pop, 2, 1, "1", delta=delta),
+                     lambda: theorem_gap_estimate(pop, 2, 1, "1", mc_samples=10, seed=0, delta=delta)):
+            with pytest.raises(ValidationError, match=re.escape(f"1/delta must be at most 2^53, got delta={delta}")):
+                call()
+
+    def test_accepts_inverse_delta_of_2_to_53(self):
+        assert type_buckets(two_type_biased_model(0.25), 2.0**-53) == [(2**51, 3 * 2**51), (3 * 2**51, 2**51)]
+
 
 class TestTheoremGapExact:
     def test_perfect_predictor_zero(self):
@@ -377,7 +390,7 @@ class TestMultisetEnumeration:
         assert sum(s[0] * s[1] for s in shapes) == 2 * math.comb(4 + 1, 4)  # 2 of 3 types have weight
 
     def test_ua_matrices_do_not_outlive_their_block(self, monkeypatch):
-        # 84 multisets of 4 types at n=6, in blocks of 7: at most one block's
+        # 84 multisets of 4 types at n=6, in chunks of 7: at most one chunk's
         # UA pairs may be alive at once, never every multiset's.
         refs, most = [], 0
 
@@ -389,7 +402,7 @@ class TestMultisetEnumeration:
             return M
 
         monkeypatch.setattr(audit, "_ua_marginals", recorded)
-        monkeypatch.setattr(audit, "_AUDIT_BLOCK_ROWS", 7)
+        monkeypatch.setattr(audit, "_AUDIT_CHUNK_CELLS", 7 * 6**2)
         theorem_gap_exact(random_population(np.random.default_rng(62), 4, 2), 6, 3, "all")
         assert sum(size for _, size in refs) == 2 * math.comb(6 + 3, 6)
         assert most <= 2 * 7
@@ -404,51 +417,51 @@ class TestMultisetEnumeration:
                 theorem_gap_estimate(pop, AUDIT_MAX_N + 1, 1, "all", mc_samples=10, seed=0)
 
 
-class TestBlockSize:
-    @pytest.mark.parametrize("rows", [1, 7])
-    def test_block_size_does_not_change_output(self, monkeypatch, rows):
-        pop = random_population(np.random.default_rng(58), 3, 2)
-        u = UtilitySpec.dcg(4, L=2)
-
-        def results():
-            out = []
-            for fn, phi in (("ua", None), ("opt", None), ("mix", 0.5)):
-                out.append(theorem_gap_exact(pop, 4, 2, "pair", fn=fn, u=u, phi=phi))
-                out.append(theorem_gap_exact(pop, 4, 3, "g1", fn=fn, u=u, phi=phi, fix_last=True))
-                out.append(theorem_gap_estimate(pop, 4, 1, "g0", fn=fn, u=u, phi=phi, mc_samples=60, seed=4))
-            out.append(nature_closeness_check(pop, 4, seed=5, samples=40))
-            return out
-
-        whole = results()
-        monkeypatch.setattr(audit, "_AUDIT_BLOCK_ROWS", rows)
-        assert results() == whole
-
-
 class TestBatchedUa:
-    """The audits rank a chunk of sorted type vectors per UA kernel call."""
+    """The audits rank a chunk of sorted type vectors per UA kernel call, and one
+    chunk step bounds every block of every audit loop."""
 
     @pytest.mark.parametrize("rows", [1, 7, None])
     def test_chunk_size_does_not_change_output(self, monkeypatch, rows):
         pop, n = random_population(np.random.default_rng(63), 3, 3), 4
+        u = UtilitySpec.dcg(n, L=3)
         keys = np.array(list(itertools.combinations_with_replacement(range(3), n)))
 
         def results():
-            return [audit._ua_kth(pop, keys, 2).tobytes(),
-                    theorem_gap_exact(pop, n, 2, "pair"),
-                    theorem_gap_exact(pop, n, 4, "g1", fix_last=True),
-                    theorem_gap_estimate(pop, n, 1, "g0", mc_samples=300, seed=6),
-                    nature_closeness_check(pop, n, seed=7, samples=60)]
+            out = [nature_closeness_check(pop, n, seed=7, samples=60)]
+            for fn, phi in (("ua", None), ("opt", None), ("mix", 0.5)):
+                out.append(theorem_gap_exact(pop, n, 2, "pair", fn=fn, u=u, phi=phi))
+                out.append(theorem_gap_exact(pop, n, 4, "g1", fn=fn, u=u, phi=phi, fix_last=True))
+                out.append(theorem_gap_estimate(pop, n, 1, "g0", fn=fn, u=u, phi=phi, mc_samples=300, seed=6))
+            return out
 
         whole, sizes = results(), []
-        monkeypatch.setattr(audit, "_UA_CHUNK_CELLS", rows * n * n if rows else 10**9)
+        monkeypatch.setattr(audit, "_AUDIT_CHUNK_CELLS", rows * n * n if rows else 10**9)
         monkeypatch.setattr(audit, "_ua_marginals", lambda r: sizes.append(r.shape[1]) or _ua_marginals(r))
         assert results() == whole
         assert max(sizes) == (rows or len(keys))
-        # Each key's column pair is the one ua_rank gives it alone.
-        kth = audit._ua_kth(pop, keys, 2)
-        for r, key in enumerate(keys):
-            for which, d in enumerate((pop.ground_truth, pop.predicted)):
-                assert np.array_equal(kth[which, r], ua_rank(PredictionMatrix(d[key])).entries[:, 1])
+        # Each key's pair is the one ua_rank gives it alone, whatever chunk holds it.
+        step = rows or len(keys)
+        for s in range(0, len(keys), step):
+            M = audit._ua_pairs(pop, keys[s : s + step])
+            for r, key in enumerate(keys[s : s + step]):
+                for which, d in enumerate((pop.ground_truth, pop.predicted)):
+                    assert np.array_equal(M[which, r], ua_rank(PredictionMatrix(d[key])).entries)
+
+    def test_every_block_fits_one_chunk_step(self, monkeypatch):
+        # T=12, n=5: 4368 multisets and 3000 draws against a step of 2^16 // 25 = 2621 type vectors.
+        pop, n, step = random_population(np.random.default_rng(66), 12, 2), 5, 2621
+        gaps, gap_rows, ua_rows = audit._gaps, [], []
+        monkeypatch.setattr(audit, "_gaps", lambda fn, phi, ind_rows, ua, opt:
+                            gap_rows.append(len(ind_rows)) or gaps(fn, phi, ind_rows, ua, opt))
+        monkeypatch.setattr(audit, "_ua_marginals", lambda r: ua_rows.append(r.shape[1]) or _ua_marginals(r))
+        u = UtilitySpec.dcg(n, L=2)
+        theorem_gap_exact(pop, n, 2, "g0", fn="mix", u=u, phi=0.5)
+        assert max(gap_rows) == max(ua_rows) == step
+        theorem_gap_estimate(pop, n, 2, "g0", fn="mix", u=u, phi=0.5, mc_samples=3000, seed=8)
+        nature_closeness_check(pop, n, seed=9, samples=3000)
+        assert max(gap_rows) == max(ua_rows) == step
+        assert gap_rows[-2:] == [step, 3000 - step]
 
     def test_kernel_calls_per_exact_audit(self, monkeypatch):
         # T=10, L=3, n=5: 2002 multisets, 12 012 kernel calls when ranked one by one.
@@ -456,7 +469,7 @@ class TestBatchedUa:
         monkeypatch.setattr(rankers, "_ua_label_kernel", lambda rows, label: calls.append(rows.shape) or kernel(rows, label))
         pop, n = random_population(np.random.default_rng(64), 10, 3), 5
         theorem_gap_exact(pop, n, 2, "g0")
-        chunks = math.ceil(math.comb(n + 9, n) / max(1, audit._UA_CHUNK_CELLS // n**2))
+        chunks = math.ceil(math.comb(n + 9, n) / max(1, audit._AUDIT_CHUNK_CELLS // n**2))
         assert 0 < len(calls) <= pop.L * chunks
         assert sum(math.prod(s[:-2]) for s in calls) <= pop.L * 2 * math.comb(n + 9, n)
 
@@ -474,6 +487,15 @@ class TestBatchedUa:
                      lambda: nature_closeness_check(pop, 3, seed=1, samples=20)):
             with pytest.raises(ValidationError, match="ranking distribution"):
                 call()
+
+
+@pytest.mark.parametrize("n", [1, 2, AUDIT_MAX_N])
+def test_multinomial_coefficients_match_python_integers(n):
+    # T=5 at n=19 is 8855 multisets; 19! needs 59 bits, so int64 holds every coefficient.
+    rows = list(itertools.combinations_with_replacement(range(5), n))
+    want = [float(math.factorial(n) // math.prod(math.factorial(r.count(t)) for t in set(r))) for r in rows]
+    got = audit._multinomial(np.array(rows))
+    assert len(rows) == math.comb(n + 4, n) and got.tobytes() == np.array(want).tobytes()
 
 
 def test_negative_seed_refused_before_any_draw():
@@ -531,6 +553,18 @@ def test_audit_error_order(path, kw, error, message):
         call = lambda: theorem_gap_estimate(pop, **{"mc_samples": 10, "seed": 0, **kw})
     with pytest.raises(error, match=re.escape(message)):
         call()
+
+
+def test_theorem_bound():
+    pop = random_population(np.random.default_rng(67), 3, 2)
+    ma = multiaccuracy_alpha(pop)
+    mc = max(multicalibration_alpha(pop, 0.5).alpha, ma.per_group["all"])
+    assert audit.theorem_bound(pop, 4) == (pop.L * 4 * ma.alpha, ma.alpha)
+    assert audit.theorem_bound(pop, 4, "opt", delta=0.5) == (pop.L * 4 * mc, mc)
+    assert audit.theorem_bound(pop, 4, "mix", 0.25) == (0.25 * (pop.L * 4 * ma.alpha) + 0.75, ma.alpha)
+    for fn in ("mix", "pl"):
+        with pytest.raises(ValidationError, match=re.escape(f"no theorem bound for fn='{fn}' with phi=None")):
+            audit.theorem_bound(pop, 4, fn)
 
 
 class TestMixtureWeightRange:

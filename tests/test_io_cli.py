@@ -285,9 +285,16 @@ class TestCli:
          "group 'dup' lists type '1' more than once"),
         (lambda d: d["groups"].append({"name": "1", "members": ["2"]}), "duplicate group name '1'"),
         (lambda d: d["groups"].append({"name": "all", "members": ["1"]}), "group 'all' must hold every type"),
+        (lambda d: d["groups"].append({"name": "g", "members": 5}), "group 'g': 'members' must be a list, got 5"),
+        (lambda d: d["groups"].append({"name": "g", "members": "12"}),
+         "group 'g': 'members' must be a list, got '12'"),
+        (lambda d: d.update(labels="2"), "'labels' must be a positive integer, got '2'"),
+        (lambda d: d.update(labels=True), "'labels' must be a positive integer, got True"),
+        (lambda d: d.update(labels=0), "'labels' must be a positive integer, got 0"),
     ], ids=["weight-string", "weight-null", "ground-truth-scalar", "types-not-objects",
             "weight-nan", "ground-truth-nan", "ragged-undeclared-labels", "group-repeated-member",
-            "group-duplicate-name", "group-all-not-full-domain"])
+            "group-duplicate-name", "group-all-not-full-domain", "group-members-int", "group-members-string",
+            "labels-string", "labels-bool", "labels-zero"])
     def test_malformed_model_exit_code(self, tmp_path, capsys, mutate, named):
         doc = json.loads(json.dumps(TWO_TYPE_DOC))
         mutate(doc)
@@ -518,6 +525,23 @@ def test_negative_seed_exit_1(argv, stab_lb_csv, two_type_json, capsys):
     argv = [{"CSV": stab_lb_csv, "MODEL": two_type_json}.get(a, a) for a in argv]
     assert main(argv) == 1
     assert capsys.readouterr().err == "error: validation: seed must be a nonnegative integer, got -1\n"
+
+
+TINY_DELTA = [
+    ["audit", "multicalibration", "--delta", "1e-20"],
+    ["audit", "multicalibration", "--delta", "1e-310"],
+    ["audit", "theorem", "--n", "3", "--k", "1", "--group", "1", "--samples", "20", "--seed", "0", "--delta", "1e-20"],
+    ["audit", "theorem", "--n", "3", "--k", "1", "--group", "1", "--exact", "--delta", "1e-20"],
+]
+
+
+@pytest.mark.parametrize("argv", TINY_DELTA, ids=["multicalibration", "multicalibration-subnormal",
+                                                  "theorem-sampled", "theorem-exact"])
+def test_tiny_delta_exit_1(argv, two_type_json, capsys):
+    # 1/delta beyond 2^53 (or inf) is refused before it reaches an integer cast.
+    assert main([*argv, "--model", two_type_json]) == 1
+    delta = argv[argv.index("--delta") + 1]
+    assert capsys.readouterr().err == f"error: validation: 1/delta must be at most 2^53, got delta={float(delta)}\n"
 
 
 FOUR_TYPE_DOC = {
