@@ -417,6 +417,28 @@ class TestMultisetEnumeration:
                 theorem_gap_estimate(pop, AUDIT_MAX_N + 1, 1, "all", mc_samples=10, seed=0)
 
 
+class TestBlockSize:
+    """The block size of every audit loop is the one chunk step; it never changes a result."""
+
+    @pytest.mark.parametrize("rows", [1, 7])
+    def test_block_size_does_not_change_output(self, monkeypatch, rows):
+        pop, n = random_population(np.random.default_rng(58), 3, 2), 4
+        u = UtilitySpec.dcg(n, L=2)
+
+        def results():
+            out = []
+            for fn, phi in (("ua", None), ("opt", None), ("mix", 0.5)):
+                out.append(theorem_gap_exact(pop, n, 2, "pair", fn=fn, u=u, phi=phi))
+                out.append(theorem_gap_exact(pop, n, 3, "g1", fn=fn, u=u, phi=phi, fix_last=True))
+                out.append(theorem_gap_estimate(pop, n, 1, "g0", fn=fn, u=u, phi=phi, mc_samples=60, seed=4))
+            out.append(nature_closeness_check(pop, n, seed=5, samples=40))
+            return out
+
+        whole = results()
+        monkeypatch.setattr(audit, "_AUDIT_CHUNK_CELLS", rows * n * n)
+        assert results() == whole
+
+
 class TestBatchedUa:
     """The audits rank a chunk of sorted type vectors per UA kernel call, and one
     chunk step bounds every block of every audit loop."""
