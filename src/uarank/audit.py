@@ -17,14 +17,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BudgetExceededError, ValidationError
-from .rankers import AUDITED_FUNCTION_IDS, _seeded_rng, _ua_marginals, checked_ranker
+from .rankers import _CHUNK_CELLS, AUDITED_FUNCTION_IDS, _seeded_rng, _ua_marginals, checked_ranker
 from .types import ROW_SUM_TOL, PredictionMatrix, UtilitySpec, _check_distributions, _check_doubly_stochastic
 
 FULL_DOMAIN_GROUP = "all"
 ENUM_BUDGET = 10**6  # multisets of types an exact audit may enumerate
 AUDIT_MAX_N = 19
 _WEIGHT_TOL = 1e-9
-_AUDIT_CHUNK_CELLS = 2**16  # n x n cells per distribution in one audit chunk: memory flat in n
+_AUDIT_CHUNK_CELLS = _CHUNK_CELLS  # n x n cells per distribution in one audit chunk: memory flat in n
 
 
 @dataclass(frozen=True)
@@ -199,11 +199,16 @@ def _ua_pairs(pop: PopulationModel, keys: np.ndarray) -> np.ndarray:
     return M
 
 
-def _distinct_sorted(draws: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct row-sorted draws, first seen first, and each draw's index among them."""
-    index = {}  # 3-8x faster than a sort-based unique over rows
-    inv = np.array([index.setdefault(row, len(index)) for row in map(tuple, np.sort(draws, axis=1).tolist())])
-    return np.array(list(index)), inv
+def _distinct_sorted(draws: np.ndarray, index: dict) -> tuple[np.ndarray, np.ndarray]:
+    """Dedupe the row-sorted draws into `index`, which numbers distinct sorted rows first seen
+    first: the rows new to it, in that order, and each draw's number."""
+    seen, rows = len(index), np.sort(draws, axis=1)
+    # A dict is 3-8x faster than a sort-based unique over rows.  Its keys are the rows' bytes:
+    # unlike tuples of ints, bytes give the garbage collector nothing to traverse.
+    keys = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel().tolist()
+    inv = np.array([index.setdefault(key, len(index)) for key in keys])
+    new = itertools.islice(reversed(index), len(index) - seen)  # the keys this call added, last first
+    return np.frombuffer(b"".join(list(new)[::-1]), dtype=rows.dtype).reshape(-1, rows.shape[1]), inv
 
 
 def _multinomial(rows: np.ndarray) -> np.ndarray:
@@ -318,19 +323,20 @@ def theorem_gap_estimate(
     checked_ranker(fn, audit=True, u=u, phi=phi)
     taus = _taus(pop, fn, u)
     ind = _type_indicator(pop, group, delta, bucket)
-    draws, step = _seeded_rng(seed).choice(pop.T, size=(mc_samples, n), p=pop.weights), _chunk_rows(n)
-    if fn != "opt":  # UA once per distinct sorted draw; opt needs no dedupe
-        keys, inv = _distinct_sorted(draws)
-        kth = np.empty((2, *keys.shape))
-        for s in range(0, len(keys), step):
-            kth[:, s : s + step] = _ua_pairs(pop, keys[s : s + step])[..., k - 1]
-    values = []
+    rng, step, index, values = _seeded_rng(seed), _chunk_rows(n), {}, []
+    if fn != "opt":  # the k-th UA column pair per distinct sorted draw; opt needs no dedupe
+        kth = np.empty((2, min(mc_samples, math.comb(n + pop.T - 1, n)), n))  # pages touched as keys arrive
     for s in range(0, mc_samples, step):
-        block, ua, opt = draws[s : s + step], None, None
-        if fn != "opt":  # individual i takes its sorted vector's row at i's place in a stable sort
+        # One chunk of draws at a time continues the generator's stream exactly.
+        block, ua, opt = rng.choice(pop.T, size=(min(step, mc_samples - s), n), p=pop.weights), None, None
+        if fn != "opt":  # UA once per new sorted draw; individual i takes its row at i's place in a stable sort
+            seen = len(index)
+            new, inv = _distinct_sorted(block, index)
+            if len(new):
+                kth[:, seen : len(index)] = _ua_pairs(pop, new)[..., k - 1]
             ua, order = np.empty((2, *block.shape)), np.argsort(block, axis=1, kind="stable")
             for which in (0, 1):
-                np.put_along_axis(ua[which], order, kth[which, inv[s : s + step]], axis=1)
+                np.put_along_axis(ua[which], order, kth[which, inv], axis=1)
         if taus is not None:  # opt breaks tau ties by ascending index
             opt = np.zeros((2, *block.shape))
             for which, tau in enumerate(taus):
@@ -368,7 +374,7 @@ def nature_closeness_check(pop: PopulationModel, n: int, seed: int = 0, samples:
     draws = _seeded_rng(seed).choice(pop.T, size=(samples, n), p=pop.weights)
     # Both matrices of a dataset are the same row permutation of its sorted
     # type vector's pair, so the largest entrywise gap is read off the pairs.
-    (keys, _), step = _distinct_sorted(draws), _chunk_rows(n)
+    (keys, _), step = _distinct_sorted(draws, {}), _chunk_rows(n)
     pairs = (_ua_pairs(pop, keys[s : s + step]) for s in range(0, len(keys), step))
     max_gap = max(float(np.abs(M[1] - M[0]).max()) for M in pairs)
     bound = n * eps

@@ -23,7 +23,7 @@ def load_prediction_matrix(path) -> PredictionMatrix:
     path = Path(path)
     if not path.exists():
         raise ValidationError(f"no such file: {path}")
-    with path.open(newline="") as fh:
+    with path.open(newline="", encoding="utf-8-sig") as fh:  # "-sig": a spreadsheet's BOM is not data
         records = [row for row in csv.reader(fh) if row and any(cell.strip() for cell in row)]
     if not records:
         raise ValidationError(f"{path}: empty file")
@@ -32,6 +32,18 @@ def load_prediction_matrix(path) -> PredictionMatrix:
         if not records:
             raise ValidationError(f"{path}: header but no data rows")
 
+    try:  # numpy parses str cells as float() does; a ragged or unparsable file takes the loop below
+        rows = np.array(records, dtype=np.float64)
+    except ValueError:
+        rows = _parse_cells(path, records)
+    try:
+        return PredictionMatrix(rows)
+    except ValidationError as exc:
+        raise ValidationError(f"{path}: {exc}") from None
+
+
+def _parse_cells(path: Path, records: list) -> np.ndarray:
+    """The records as floats, cell by cell, raising for the first ragged row or bad cell."""
     width = len(records[0])
     rows = np.empty((len(records), width))
     for r, record in enumerate(records, start=1):
@@ -46,10 +58,7 @@ def load_prediction_matrix(path) -> PredictionMatrix:
                 raise ValidationError(
                     f"{path}: row {r}, column {c}: cannot parse '{cell.strip()}'"
                 ) from None
-    try:
-        return PredictionMatrix(rows)
-    except ValidationError as exc:
-        raise ValidationError(f"{path}: {exc}") from None
+    return rows
 
 
 def _is_number(cell: str) -> bool:
@@ -76,7 +85,7 @@ def load_population_model(path) -> PopulationModel:
     if not path.exists():
         raise ValidationError(f"no such file: {path}")
     try:
-        doc = json.loads(path.read_text())
+        doc = json.loads(path.read_text(encoding="utf-8-sig"))
     except json.JSONDecodeError as exc:
         raise ValidationError(f"{path}: invalid JSON: {exc}") from None
     return population_model_from_dict(doc, source=str(path))
@@ -157,7 +166,7 @@ def load_utility_spec(n: int, L: int, values: str | None, weights: str | None) -
     if not wpath.exists():
         raise ValidationError(f"no such weights file: {wpath}")
     try:
-        w = np.array([float(line) for line in wpath.read_text().split()])
+        w = np.array([float(line) for line in wpath.read_text(encoding="utf-8-sig").split()])
     except ValueError:
         raise ValidationError(f"{wpath}: cannot parse position weights") from None
     if w.size < n:

@@ -1,6 +1,6 @@
 """Ranking functions: exact uncertainty-aware marginals (one leave-one-out
-Poisson-binomial kernel per label), brute-force oracle, utility-optimal sort,
-mixtures, and Plackett-Luce (sampled and exact)."""
+Poisson-binomial kernel over a stack of labels), brute-force oracle,
+utility-optimal sort, mixtures, and Plackett-Luce (sampled and exact)."""
 
 from __future__ import annotations
 
@@ -16,6 +16,9 @@ from .types import PredictionMatrix, RankingDistribution, UtilitySpec
 ORACLE_BUDGET = 10**6
 PL_EXACT_MAX_N = 8
 _PL_BATCH_ELEMENTS = 2**21  # Gumbel draws per pl_rank batch: 16 MB of doubles
+# Matrix cells per UA kernel call (labels x matrices x n^2, beyond it one label per
+# call) and per distribution in one audit chunk: memory flat in n.
+_CHUNK_CELLS = 2**16
 
 
 @functools.lru_cache(maxsize=64)
@@ -37,9 +40,10 @@ def _legendre_nodes(m: int) -> tuple[np.ndarray, np.ndarray]:
     return nodes, weights
 
 
-def _ua_label_kernel(rows: np.ndarray, label: int) -> np.ndarray:
-    """C[..., i, k-1] = Pr[individual i gets rank k | i's label equals `label`], for
-    every i of every n x L matrix in the (..., n, L) stack `rows`.
+def _ua_label_kernel(rows: np.ndarray, labels: tuple) -> np.ndarray:
+    """C[g, ..., i, k-1] = Pr[individual i gets rank k | i's label equals labels[g]],
+    for every label g of `labels` and every i of every n x L matrix in the (..., n, L)
+    stack `rows`.
 
     Given i's uniform tie-break draw u, each other j ranks above i independently
     with probability q_j(u) = Pr[label_j > label] + u Pr[label_j = label], so
@@ -49,31 +53,35 @@ def _ua_label_kernel(rows: np.ndarray, label: int) -> np.ndarray:
     divided back out, forwards where its q <= 1/2 and backwards otherwise, the
     direction in which the recurrence does not amplify rounding error.  Memory
     stays O(n^2) per matrix: the weighted leave-one-out pmfs are summed one
-    degree at a time.  Each matrix of a stack gets the same arithmetic as it
-    would alone: G is C-contiguous whatever the layout of `rows`, so `w @ G`
-    takes the same BLAS path for every matrix.
+    degree at a time.  The labels are one more leading stack axis, so one pass
+    over the degrees serves them all.  Each matrix and label of a stack gets the
+    same arithmetic as it would alone: G is C-contiguous whatever the layout of
+    `rows`, so `w @ G` takes the same BLAS path for every matrix.
     """
     n = rows.shape[-2]
     u, w = _legendre_nodes(n // 2 + 1)
-    q = rows[..., label:].sum(axis=-1)[..., None, :] + u[:, None] * rows[..., None, :, label - 1]  # (..., nodes, n)
+    above = np.stack([rows[..., label:].sum(axis=-1) for label in labels])  # (labels, ..., n)
+    equal = np.stack([rows[..., label - 1] for label in labels])
+    q = above[..., None, :] + u[:, None] * equal[..., None, :]  # (labels, ..., nodes, n)
     p = 1.0 - q
     # Leading axes index individual, degree or rank, so the loops index like 2-d code.
     stack = tuple(range(q.ndim - 1))
     q_j, p_j = q.transpose(-1, *stack), p.transpose(-1, *stack)  # (n, ..., nodes) views
     F = np.zeros((n + 1, *q_j.shape[1:]))  # F[k, ..., t]: coefficient of z^k at node t
     F[0] = 1.0
+    carried = np.empty(F.shape)  # one buffer for every step: fresh temporaries cost page faults
     for j in range(n):
-        carried = F[: j + 1] * q_j[j]
+        np.multiply(F[: j + 1], q_j[j], out=carried[: j + 1])
         F[: j + 2] *= p_j[j]
-        F[1 : j + 2] += carried
+        F[1 : j + 2] += carried[: j + 1]
     # F = G (p + q z) for the leave-one-out G: forwards G_k = (F_k - q G_{k-1}) / p,
     # backwards G_{k-1} = (F_k - p G_k) / q.  Each pass divides by inf where it is
     # not the stable direction, which keeps those entries of G at exactly 0.
     fwd = q <= 0.5
-    C = np.zeros((n, *q.shape[:-2], n))  # C[k-1, ..., i]
+    C, G = np.zeros((n, *q.shape[:-2], n)), np.empty(q.shape)  # C[k-1, ..., i]; G serves both passes
     for degrees, shift, other, den in ((range(n), 0, q, np.where(fwd, p, np.inf)),
                                        (range(n, 0, -1), 1, p, np.where(fwd, np.inf, q))):
-        G = np.zeros(q.shape)
+        G[...] = 0.0
         for k in degrees:
             G *= other
             np.subtract(F[k, ..., None], G, out=G)
@@ -85,12 +93,18 @@ def _ua_label_kernel(rows: np.ndarray, label: int) -> np.ndarray:
 def _ua_marginals(rows: np.ndarray) -> np.ndarray:
     """UA marginals of every matrix in the (..., n, L) stack `rows` of renormalized
     prediction rows, as a (..., n, n) stack: the sum over labels of Pr[label_i =
-    label] times the label's conditional rank kernel.  One kernel call per label
-    serves the whole stack; a label no row of the stack can take is skipped."""
-    M = np.zeros((*rows.shape[:-1], rows.shape[-2]))
-    for label in range(1, rows.shape[-1] + 1):
-        if rows[..., label - 1].any():
-            M += rows[..., label - 1, None] * _ua_label_kernel(rows, label)
+    label] times the label's conditional rank kernel, added in label order.  A
+    label no row of the stack can take is skipped; the others go to the kernel in
+    groups of as many labels as keep labels x matrices x n^2 within _CHUNK_CELLS,
+    at least one, so one call serves every label of a small stack."""
+    n = rows.shape[-2]
+    labels = [label for label in range(1, rows.shape[-1] + 1) if rows[..., label - 1].any()]
+    per_call = max(1, _CHUNK_CELLS // max(1, rows[..., 0].size * n))
+    M = np.zeros((*rows.shape[:-1], n))
+    for s in range(0, len(labels), per_call):
+        group = tuple(labels[s : s + per_call])
+        for label, K in zip(group, _ua_label_kernel(rows, group)):
+            M += rows[..., label - 1, None] * K
     return M
 
 
@@ -100,7 +114,7 @@ def ua_rank_conditional(P: PredictionMatrix, i: int, label: int) -> np.ndarray:
         raise ValidationError(f"individual index {i} out of range for n={P.n}")
     if not 1 <= label <= P.L:
         raise ValidationError(f"label {label} out of range for L={P.L}")
-    return _ua_label_kernel(P.rows, label)[i]
+    return _ua_label_kernel(P.rows, (label,))[0, i]
 
 
 def ua_rank(P: PredictionMatrix) -> RankingDistribution:

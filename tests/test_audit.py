@@ -488,7 +488,7 @@ class TestBatchedUa:
     def test_kernel_calls_per_exact_audit(self, monkeypatch):
         # T=10, L=3, n=5: 2002 multisets, 12 012 kernel calls when ranked one by one.
         calls, kernel = [], rankers._ua_label_kernel
-        monkeypatch.setattr(rankers, "_ua_label_kernel", lambda rows, label: calls.append(rows.shape) or kernel(rows, label))
+        monkeypatch.setattr(rankers, "_ua_label_kernel", lambda rows, labels: calls.append(rows.shape) or kernel(rows, labels))
         pop, n = random_population(np.random.default_rng(64), 10, 3), 5
         theorem_gap_exact(pop, n, 2, "g0")
         chunks = math.ceil(math.comb(n + 9, n) / max(1, audit._AUDIT_CHUNK_CELLS // n**2))
@@ -509,6 +509,42 @@ class TestBatchedUa:
                      lambda: nature_closeness_check(pop, 3, seed=1, samples=20)):
             with pytest.raises(ValidationError, match="ranking distribution"):
                 call()
+
+
+class TestSampledDrawBlocks:
+    """The sampled audit draws one chunk step of type vectors at a time from its one
+    generator and ranks UA only for the sorted vectors new to its dedupe dict, so it
+    never holds every draw at once."""
+
+    @pytest.mark.parametrize("rows", [1, 7, None])
+    def test_blocks_continue_one_stream(self, monkeypatch, rows):
+        pop, n, samples, seed = random_population(np.random.default_rng(67), 3, 3), 4, 250, 11
+        u = UtilitySpec.dcg(n, L=3)
+        runs = [dict(fn="ua"), dict(fn="opt", u=u), dict(fn="mix", u=u, phi=0.4)]
+        whole = [theorem_gap_estimate(pop, n, 2, "g0", mc_samples=samples, seed=seed, **kw) for kw in runs]
+        stream = np.random.default_rng(seed).choice(pop.T, size=(samples, n), p=pop.weights)
+        distinct = len(set(map(tuple, np.sort(stream, axis=1).tolist())))
+        draws, ranked = [], []
+
+        class Recording:
+            def __init__(self, rng):
+                self.rng = rng
+
+            def choice(self, *args, **kwargs):
+                draws.append(self.rng.choice(*args, **kwargs))
+                return draws[-1]
+
+        monkeypatch.setattr(audit, "_seeded_rng", lambda s: Recording(rankers._seeded_rng(s)))
+        monkeypatch.setattr(audit, "_AUDIT_CHUNK_CELLS", rows * n * n if rows else 10**9)
+        monkeypatch.setattr(audit, "_ua_marginals", lambda r: ranked.append(r.shape[1]) or _ua_marginals(r))
+        for kw, want in zip(runs, whole):
+            draws.clear()
+            ranked.clear()
+            got = theorem_gap_estimate(pop, n, 2, "g0", mc_samples=samples, seed=seed, **kw)
+            assert (got.estimate, got.mc_error) == (want.estimate, want.mc_error) and got == want
+            assert max(len(d) for d in draws) == (rows or samples)
+            assert np.array_equal(np.concatenate(draws), stream)
+            assert sum(ranked) == (0 if kw["fn"] == "opt" else distinct)  # each distinct sorted draw once
 
 
 @pytest.mark.parametrize("n", [1, 2, AUDIT_MAX_N])

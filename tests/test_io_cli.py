@@ -96,6 +96,36 @@ class TestLoadPredictionMatrix:
         with pytest.raises(ValidationError, match=r"row 2, column 1: 1\.5 is not a probability"):
             load_prediction_matrix(p)
 
+    @pytest.mark.parametrize("text,message", [
+        ("", "empty file"),
+        ("\n ,\n", "empty file"),
+        ("label_1,label_2\n", "header but no data rows"),
+        ("0.5,0.5\n1.0\n", "row 2 has 1 columns, expected 2"),
+        ("0.5,0.5\n1,,\n", "row 2 has 3 columns, expected 2"),
+        ("1\n0.5,0.5\n", "row 2 has 2 columns, expected 1"),
+        ("0.5,0.5\n0.5,oops\n", "row 2, column 2: cannot parse 'oops'"),
+        ("0.5,0.5\n0.5, 0x1 \n", "row 2, column 2: cannot parse '0x1'"),
+        ("0.5,\n", "row 1, column 2: cannot parse ''"),
+        ("0.5,0.5\n0.5,oops\n1\n", "row 2, column 2: cannot parse 'oops'"),  # the first fault in file order
+        ("0.5,0.4\n", "row 1 sums to 0.9, expected 1 within 1e-06"),
+        ("0.5,0.5,0\n0.5,nan,0.5\n", "row 2, column 2: nan is not a probability in [0, 1]"),
+        ("a,b\n1.5,-0.5\n", "row 1, column 1: 1.5 is not a probability in [0, 1]"),
+    ])
+    def test_malformed_file_messages(self, tmp_path, text, message):
+        p = tmp_path / "bad.csv"
+        p.write_text(text)
+        with pytest.raises(ValidationError) as err:
+            load_prediction_matrix(p)
+        assert str(err.value) == f"{p}: {message}"
+
+    def test_cells_parse_as_python_float(self, tmp_path):
+        cells = [" 0.25 ", "+.25", "2.5e-1", "0_0.25", "\u0660.\u0662\u0665", "1e-400", "-0", "25e-2\t"]
+        p = tmp_path / "m.csv"
+        p.write_text("".join(f"{cell},{1 - float(cell)}\n" for cell in cells))
+        rows = load_prediction_matrix(p).rows
+        assert rows[:, 0].tolist() == [float(cell) for cell in cells]
+        assert np.signbit(rows[6, 0])
+
 
 class TestLoadPopulationModel:
     def test_two_type(self, two_type_json):
@@ -146,6 +176,11 @@ class TestLoadUtilitySpec:
         p.write_text("1.0\n0.5\n")
         u = load_utility_spec(2, 2, None, str(p))
         assert u.position_weights == pytest.approx([1.0, 0.5])
+
+    def test_weights_file_with_utf8_bom(self, tmp_path):
+        p = tmp_path / "w.txt"
+        p.write_text("\ufeff1.0\n0.5\n", encoding="utf-8")
+        assert load_utility_spec(2, 2, None, str(p)).position_weights == pytest.approx([1.0, 0.5])
 
 
 class TestCli:
@@ -311,6 +346,29 @@ class TestCli:
         assert main(["utility", "--fn", "opt", "--values", values, "--in", str(p)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: validation:") and named in err
+
+    @pytest.mark.parametrize("text", ["0.5,0,0.5\n0,1,0\n0,1,0\n", "label_1,label_2,label_3\n0.5,0,0.5\n0,1,0\n0,1,0\n"],
+                             ids=["data", "header"])
+    def test_csv_with_utf8_bom(self, tmp_path, capsys, text):
+        # A spreadsheet's "CSV UTF-8" starts with a byte order mark; it is not part of the first cell.
+        plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+        plain.write_text(text, encoding="utf-8")
+        marked.write_text("\ufeff" + text, encoding="utf-8")
+        outs = []
+        for p in (plain, marked):
+            assert main(["rank", "--fn", "ua", "--in", str(p), "--format", "structured"]) == 0
+            outs.append(capsys.readouterr().out.replace(str(p), "IN"))
+        assert outs[0] == outs[1]
+
+    def test_population_json_with_utf8_bom(self, tmp_path, capsys):
+        plain, marked = tmp_path / "plain.json", tmp_path / "marked.json"
+        plain.write_text(json.dumps(TWO_TYPE_DOC), encoding="utf-8")
+        marked.write_text("\ufeff" + json.dumps(TWO_TYPE_DOC), encoding="utf-8")
+        outs = []
+        for p in (plain, marked):
+            assert main(["audit", "multiaccuracy", "--model", str(p), "--format", "structured"]) == 0
+            outs.append(capsys.readouterr().out.replace(str(p), "MODEL"))
+        assert outs[0] == outs[1]
 
     def test_unparseable_first_cell_is_not_a_header(self, tmp_path, capsys):
         p = tmp_path / "m.csv"

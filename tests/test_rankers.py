@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -166,7 +168,7 @@ class TestStackedKernel:
             return r / r.sum(axis=1, keepdims=True)
 
         calls, kernel = [], rankers._ua_label_kernel
-        monkeypatch.setattr(rankers, "_ua_label_kernel", lambda rows, label: calls.append(label) or kernel(rows, label))
+        monkeypatch.setattr(rankers, "_ua_label_kernel", lambda rows, labels: calls.extend(labels) or kernel(rows, labels))
         self.assert_exact(*self.stack(rows, 6))
         assert 3 not in calls  # skipped for the stack, as for each matrix alone
 
@@ -179,6 +181,73 @@ class TestStackedKernel:
                           (np.asfortranarray(base), Ps)):
             assert not rows.flags.c_contiguous
             self.assert_exact(sub, rows)
+
+
+def recording_kernel(monkeypatch):
+    """Patch the UA kernel to record (rows shape, labels) of every call; returns the record."""
+    calls, kernel = [], rankers._ua_label_kernel
+    monkeypatch.setattr(rankers, "_ua_label_kernel",
+                        lambda rows, labels: calls.append((rows.shape, labels)) or kernel(rows, labels))
+    return calls
+
+
+class TestLabelGroups:
+    """`_ua_marginals` hands the kernel as many labels per call as keep labels x
+    matrices x n^2 within the chunk bound, at least one, and the grouping never
+    changes an entry."""
+
+    @staticmethod
+    def cases():
+        rng = np.random.default_rng(74)
+        stack = np.array([[hard_rows(rng, 5, 4) for _ in range(3)] for _ in range(2)])
+        return {"stack": stack, "L1": np.ones((2, 3, 4, 1)), "one_hot": np.eye(3)[rng.integers(0, 3, size=(4, 6))],
+                "non_contiguous": np.asfortranarray(stack)[:, ::2], "single": hard_rows(rng, 9, 5)}
+
+    @pytest.mark.parametrize("per_call", [1, 2, None])
+    def test_grouping_does_not_change_output(self, monkeypatch, per_call):
+        cases = self.cases()
+        whole = {name: rankers._ua_marginals(rows) for name, rows in cases.items()}
+        calls = recording_kernel(monkeypatch)
+        for name, rows in cases.items():
+            calls.clear()
+            cells = rows[..., 0].size * rows.shape[-2]
+            monkeypatch.setattr(rankers, "_CHUNK_CELLS", per_call * cells if per_call else 10**9)
+            assert np.array_equal(rankers._ua_marginals(rows), whole[name]), name
+            taken = [label for label in range(1, rows.shape[-1] + 1) if rows[..., label - 1].any()]
+            assert [label for _, labels in calls for label in labels] == taken
+            assert max(len(labels) for _, labels in calls) == min(per_call or len(taken), len(taken))
+
+    def test_absent_label_is_in_no_group(self, monkeypatch):
+        rows = hard_rows(np.random.default_rng(75), 6, 4)
+        rows[:, 2] = 0.0
+        rows[rows.sum(axis=1) == 0, 0] = 1.0
+        rows /= rows.sum(axis=1, keepdims=True)
+        calls = recording_kernel(monkeypatch)
+        monkeypatch.setattr(rankers, "_CHUNK_CELLS", 2 * 6 * 6)
+        rankers._ua_marginals(rows)
+        assert [labels for _, labels in calls] == [(1, 2), (4,)]
+
+    def test_conditional_is_a_slice_of_a_multi_label_call(self):
+        P = PredictionMatrix(hard_rows(np.random.default_rng(76), 7, 4))
+        K = rankers._ua_label_kernel(P.rows, (1, 2, 3, 4))
+        assert K.shape == (4, 7, 7)
+        for label in range(1, 5):
+            for i in range(7):
+                assert np.array_equal(ua_rank_conditional(P, i, label), K[label - 1, i])
+
+    def test_one_kernel_call_ranks_every_label_of_a_small_matrix(self, monkeypatch):
+        calls = recording_kernel(monkeypatch)
+        ua_rank(PredictionMatrix(np.random.default_rng(77).dirichlet(np.ones(5), size=30)))
+        assert [labels for _, labels in calls] == [(1, 2, 3, 4, 5)]
+
+    def test_calls_beyond_the_bound_hold_one_label(self, monkeypatch):
+        # n=150: 2 * 150^2 cells fit 2^16, 3 do not; a full audit-sized stack takes one label per call.
+        calls = recording_kernel(monkeypatch)
+        ua_rank(PredictionMatrix(np.random.default_rng(78).dirichlet(np.ones(5), size=150)))
+        rankers._ua_marginals(np.random.default_rng(79).dirichlet(np.ones(3), size=(2, 2**16 // 25, 5)))
+        assert [labels for _, labels in calls] == [(1, 2), (3, 4), (5,), (1,), (2,), (3,)]
+        for shape, labels in calls:
+            assert len(labels) == 1 or len(labels) * math.prod(shape[:-1]) * shape[-2] <= rankers._CHUNK_CELLS
 
 
 class TestConditional:
