@@ -6,6 +6,7 @@ Exit codes: 0 success, 1 validation failure, 2 exact-path budget refusal.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from dataclasses import asdict
 from pathlib import Path
@@ -76,6 +77,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> tuple[argparse.ArgumentParser, dict]:
+    """The parser `main` reuses for every call in this process, built on first use
+    (not at import), and each command's non-required flags as (dest, default) pairs.
+
+    Reuse is safe: parsing does not change the parser, and argparse reads
+    `sys.stdout`, `sys.stderr` and the terminal width when it prints, not when
+    it is built."""
+    parser = build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    flags = {cmd: tuple((a.dest, a.default) for a in p._actions if not a.required)
+             for cmd, p in sub.choices.items()}
+    return parser, flags
+
+
 # The one table of which flags each command or audit mode reads besides its
 # inputs, --fn, --out and --format: (required, optional, accepted --fn ids).
 # Where several --fn ids are accepted, --fn is read and its ranker adds its
@@ -110,10 +126,10 @@ def _reads(args) -> tuple[str, tuple, tuple, set]:
     return mode, fns, required, read
 
 
-def _check_flags(args, parser) -> None:
+def _check_flags(args, flags: dict) -> None:
     """Refuse a --fn the mode does not accept, then every given flag it does not
     read, then require each flag it needs, naming them.  A flag is given when its
-    value differs from its argparse default."""
+    value differs from its argparse default; `flags` is `_parser()`'s second item."""
     mode, fns, required, read = _reads(args)
     scope = f"{mode} audits" if args.command == "audit" else f"{mode} calls"
     fn = getattr(args, "fn", None)
@@ -121,9 +137,7 @@ def _check_flags(args, parser) -> None:
         raise ValidationError(f"{scope} do not read --fn {fn}; they take --fn {', '.join(fns)}")
     if len(fns) > 1:
         scope += f" with --fn {fn}"
-    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    given = [a.dest for a in sub.choices[args.command]._actions
-             if not a.required and getattr(args, a.dest, a.default) != a.default]
+    given = [dest for dest, default in flags[args.command] if getattr(args, dest, default) != default]
     unread = [f"--{name}" for name in given if name not in read | {"out", "format"}]
     if unread:
         raise ValidationError(f"{scope} do not read {', '.join(unread)}")
@@ -152,7 +166,10 @@ def _emit(args, payload: dict, table: str) -> None:
     else:
         text = table if table.endswith("\n") else table + "\n"
     if args.out:
-        Path(args.out).write_text(text)
+        try:
+            Path(args.out).write_text(text)
+        except OSError as exc:
+            raise ValidationError(f"cannot write {args.out}: {exc.strerror or exc}") from None
     else:
         sys.stdout.write(text)
 
@@ -253,14 +270,14 @@ _DISPATCH = {
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser, flags = _parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         # argparse exits 2 on usage errors; those are validation failures here.
         return EXIT_OK if not exc.code else EXIT_VALIDATION
     try:
-        _check_flags(args, parser)
+        _check_flags(args, flags)
         _DISPATCH[args.command](args)
     except BudgetExceededError as exc:
         print(f"error: budget: {exc}", file=sys.stderr)

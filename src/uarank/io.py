@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import json
+from io import StringIO
 from pathlib import Path
 
 import numpy as np
@@ -23,8 +24,8 @@ def load_prediction_matrix(path) -> PredictionMatrix:
     path = Path(path)
     if not path.exists():
         raise ValidationError(f"no such file: {path}")
-    with path.open(newline="", encoding="utf-8-sig") as fh:  # "-sig": a spreadsheet's BOM is not data
-        records = [row for row in csv.reader(fh) if row and any(cell.strip() for cell in row)]
+    text = StringIO(_read_text(path, newline=""), newline="")  # csv parses newlines inside quoted cells itself
+    records = [row for row in csv.reader(text) if row and any(cell.strip() for cell in row)]
     if not records:
         raise ValidationError(f"{path}: empty file")
     if not any(_is_number(cell) for cell in records[0]):
@@ -40,6 +41,19 @@ def load_prediction_matrix(path) -> PredictionMatrix:
         return PredictionMatrix(rows)
     except ValidationError as exc:
         raise ValidationError(f"{path}: {exc}") from None
+
+
+def _read_text(path: Path, newline: str | None = None) -> str:
+    """The file's text as UTF-8, without a leading byte order mark (a spreadsheet's
+    BOM is not data).  A file that cannot be opened or decoded, such as a
+    directory or a UTF-16 export, is a ValidationError naming the path and reason."""
+    try:
+        with path.open(encoding="utf-8-sig", newline=newline) as fh:
+            return fh.read()
+    except OSError as exc:
+        raise ValidationError(f"cannot read {path}: {exc.strerror or exc}") from None
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"cannot read {path}: not UTF-8 text ({exc})") from None
 
 
 def _parse_cells(path: Path, records: list) -> np.ndarray:
@@ -85,7 +99,7 @@ def load_population_model(path) -> PopulationModel:
     if not path.exists():
         raise ValidationError(f"no such file: {path}")
     try:
-        doc = json.loads(path.read_text(encoding="utf-8-sig"))
+        doc = json.loads(_read_text(path))
     except json.JSONDecodeError as exc:
         raise ValidationError(f"{path}: invalid JSON: {exc}") from None
     return population_model_from_dict(doc, source=str(path))
@@ -109,7 +123,7 @@ def population_model_from_dict(doc: dict, source: str = "population model") -> P
         names.append(str(t["name"]))
         for key, out in (("weight", weights), ("groundTruth", gt), ("predicted", pred)):
             try:
-                out.append(float(t[key]) if key == "weight" else [float(v) for v in t[key]])
+                out.append(_json_float(t[key]) if key == "weight" else [_json_float(v) for v in t[key]])
             except (TypeError, ValueError):
                 raise ValidationError(f"{source}: type {idx}: '{key}' is not numeric: {t[key]!r}") from None
         L = len(gt[-1]) if L is None else L
@@ -145,6 +159,13 @@ def population_model_from_dict(doc: dict, source: str = "population model") -> P
         raise ValidationError(f"{source}: {exc}") from None
 
 
+def _json_float(v) -> float:
+    """A JSON number as a float; `float()` would also take true, false and numeric strings."""
+    if isinstance(v, (bool, str)):
+        raise TypeError
+    return float(v)
+
+
 def load_utility_spec(n: int, L: int, values: str | None, weights: str | None) -> UtilitySpec:
     """Build a utility spec from CLI-style arguments.
 
@@ -165,8 +186,9 @@ def load_utility_spec(n: int, L: int, values: str | None, weights: str | None) -
     wpath = Path(weights)
     if not wpath.exists():
         raise ValidationError(f"no such weights file: {wpath}")
+    lines = _read_text(wpath).split()
     try:
-        w = np.array([float(line) for line in wpath.read_text(encoding="utf-8-sig").split()])
+        w = np.array([float(line) for line in lines])
     except ValueError:
         raise ValidationError(f"{wpath}: cannot parse position weights") from None
     if w.size < n:

@@ -12,6 +12,7 @@ from hypothesis.extra.numpy import array_shapes, arrays
 
 from uarank import (RankingDistribution, ValidationError, load_population_model, load_prediction_matrix,
                     theorem_gap_exact)
+from uarank import cli
 from uarank.cli import build_parser, main
 from uarank.io import format_matrix, load_utility_spec, serialize_structured
 from uarank.rankers import RANKERS
@@ -326,10 +327,17 @@ class TestCli:
         (lambda d: d.update(labels="2"), "'labels' must be a positive integer, got '2'"),
         (lambda d: d.update(labels=True), "'labels' must be a positive integer, got True"),
         (lambda d: d.update(labels=0), "'labels' must be a positive integer, got 0"),
+        (lambda d: d["types"][0].update(weight=True), "type 1: 'weight' is not numeric: True"),
+        (lambda d: d["types"][1].update(groundTruth=[True, False]),
+         "type 2: 'groundTruth' is not numeric: [True, False]"),
+        (lambda d: d["types"][0].update(predicted=["0.5", "0.5"]),
+         "type 1: 'predicted' is not numeric: ['0.5', '0.5']"),
+        (lambda d: d["types"][0].update(weight="0.5"), "type 1: 'weight' is not numeric: '0.5'"),
     ], ids=["weight-string", "weight-null", "ground-truth-scalar", "types-not-objects",
             "weight-nan", "ground-truth-nan", "ragged-undeclared-labels", "group-repeated-member",
             "group-duplicate-name", "group-all-not-full-domain", "group-members-int", "group-members-string",
-            "labels-string", "labels-bool", "labels-zero"])
+            "labels-string", "labels-bool", "labels-zero", "weight-bool", "ground-truth-bools",
+            "predicted-numeric-strings", "weight-numeric-string"])
     def test_malformed_model_exit_code(self, tmp_path, capsys, mutate, named):
         doc = json.loads(json.dumps(TWO_TYPE_DOC))
         mutate(doc)
@@ -871,3 +879,99 @@ def test_out_file_bytes_equal_stdout(cmd, fmt, tmp_path, capsys):
     assert main([*argv, "--out", str(dest)]) == 0
     assert capsys.readouterr().out == ""
     assert dest.read_bytes() == stdout.encode()
+
+
+UNREADABLE = [  # (argv, the path the error names, OS reason); DIR is a directory, U16 a UTF-16 file
+    (["rank", "--in", "DIR"], "DIR", "Is a directory"),
+    (["audit", "multiaccuracy", "--model", "DIR"], "DIR", "Is a directory"),
+    (["rank", "--fn", "opt", "--weights", "DIR", "--in", "CSV"], "DIR", "Is a directory"),
+    (["rank", "--in", "U16"], "U16", "not UTF-8 text"),
+    (["audit", "multiaccuracy", "--model", "U16"], "U16", "not UTF-8 text"),
+]
+
+
+@pytest.mark.parametrize("argv,path,reason", UNREADABLE,
+                         ids=["csv-dir", "model-dir", "weights-dir", "csv-utf16", "model-utf16"])
+def test_unreadable_input_exit_1(argv, path, reason, stab_lb_csv, tmp_path, capsys):
+    files = {"DIR": str(tmp_path), "CSV": stab_lb_csv, "U16": str(tmp_path / "utf16.txt")}
+    (tmp_path / "utf16.txt").write_text("0.5,0.5\n", encoding="utf-16")  # starts with bytes ff fe
+    assert main([files.get(a, a) for a in argv]) == 1
+    assert capsys.readouterr().err.startswith(f"error: validation: cannot read {files[path]}: {reason}")
+
+
+def test_unwritable_out_exit_1(stab_lb_csv, tmp_path, capsys):
+    out = tmp_path / "nodir" / "x.txt"
+    assert main(["rank", "--in", stab_lb_csv, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: validation: cannot write {out}: No such file or directory\n"
+
+
+@pytest.fixture
+def fresh_parser_cache():
+    """An empty parser cache before the test and after it, so that neither sees the other's parser."""
+    cached = cli._parser
+    cached.cache_clear()
+    yield
+    cached.cache_clear()
+
+
+def _replay(argvs, out: Path, capsys):
+    """Each call's exit code, stdout, stderr and --out bytes, in order, in this process."""
+    results = []
+    for argv in argvs:
+        out.unlink(missing_ok=True)
+        code = main(argv)
+        captured = capsys.readouterr()
+        results.append((argv, code, captured.out, captured.err, out.read_bytes() if out.exists() else None))
+    return results
+
+
+def test_reused_parser_matches_a_fresh_one_per_call(stab_lb_csv, two_type_json, tmp_path, capsys, monkeypatch,
+                                                    fresh_parser_cache):
+    """A mixed call list, forwards then reversed, gives the same results from the one
+    cached parser as from a parser built afresh for every call."""
+    out = tmp_path / "report"
+    csv, model = stab_lb_csv, two_type_json
+    theorem = ["audit", "theorem", "--model", model, "--n", "3", "--k", "1", "--group", "1"]
+    valid = [
+        ["rank", "--fn", "ua", "--in", csv], ["rank", "--fn", "mix", "--phi", "0.5", "--in", csv],
+        ["rank", "--fn", "pl", "--samples", "20", "--seed", "1", "--in", csv, "--out", str(out)],
+        ["oracle", "--in", csv, "--format", "structured", "--out", str(out)],
+        ["stability", "--fn", "opt", "--in", csv, "--in2", csv, "--format", "structured"],
+        ["utility", "--fn", "opt", "--values", "0,1,3", "--in", csv],
+        ["audit", "multiaccuracy", "--model", model],
+        ["audit", "multicalibration", "--model", model, "--delta", "0.5", "--format", "structured"],
+        ["audit", "nature", "--model", model, "--n", "3", "--samples", "5"],
+        [*theorem, "--fn", "opt", "--exact", "--format", "structured", "--out", str(out)],
+        [*theorem, "--fn", "ua", "--samples", "20", "--seed", "2"],
+    ]
+    usage = [[], ["rank"], ["bogus"], ["rank", "--in", csv, "--fn", "nope"], ["rank", "--in", csv, "--bogus"],
+             ["audit", "theorem"], ["--help"], ["audit", "--help"], ["rank", "-h"]]
+    probes = [[{"CSV": csv, "MODEL": model}.get(a, a) for a in argv] for argv, _ in PROBES]
+    calls = valid + usage + probes + [[*theorem, "--fn", "mix", "--exact"], ["rank", "--in", str(tmp_path)]]
+    calls += calls[::-1]
+    reused = _replay(calls, out, capsys)
+    monkeypatch.setattr(cli, "_parser", cli._parser.__wrapped__)  # a new parser for every call
+    assert _replay(calls, out, capsys) == reused
+    assert {code for _, code, *_ in reused} == {0, 1}
+
+
+def test_main_builds_one_parser_per_process(stab_lb_csv, monkeypatch, capsys, fresh_parser_cache):
+    built = []
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build_parser())
+    for argv in (["rank", "--in", stab_lb_csv], ["rank"], ["--help"], ["oracle", "--in", stab_lb_csv]) * 3:
+        main(argv)
+    assert len(built) == 1
+
+
+def test_help_follows_columns_at_each_call(monkeypatch, capsys, fresh_parser_cache):
+    """The cached parser, built at the first call's width, wraps --help to each later call's."""
+    helps = []
+    for columns in ("40", "120", "40"):
+        monkeypatch.setenv("COLUMNS", columns)
+        assert main(["audit", "--help"]) == 0
+        helps.append(capsys.readouterr().out)
+        with monkeypatch.context() as m:
+            m.setattr(cli, "_parser", cli._parser.__wrapped__)
+            assert main(["audit", "--help"]) == 0
+        assert capsys.readouterr().out == helps[-1]
+    assert helps[0] == helps[2] != helps[1]
