@@ -25,7 +25,7 @@ def load_prediction_matrix(path) -> PredictionMatrix:
     if not path.exists():
         raise ValidationError(f"no such file: {path}")
     text = StringIO(_read_text(path, newline=""), newline="")  # csv parses newlines inside quoted cells itself
-    records = [row for row in csv.reader(text) if row and any(cell.strip() for cell in row)]
+    records = [row for row in csv.reader(text) if "".join(row).strip()]
     if not records:
         raise ValidationError(f"{path}: empty file")
     if not any(_is_number(cell) for cell in records[0]):

@@ -7,20 +7,28 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .rankers import compute_ranking, min_rank, opt_rank
+from .rankers import compute_ranking
 from .types import PredictionMatrix, RankingDistribution, UtilitySpec
 
 _DEGENERATE_DENOM = 1e-12
 
 
+def _abs_difference(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """|A - B| in one temporary, refusing arrays of different shapes (no broadcasting)."""
+    if A.shape != B.shape:
+        raise ValidationError(f"cannot compare arrays of shapes {A.shape} and {B.shape}")
+    d = np.subtract(A, B)
+    return np.abs(d, out=d)
+
+
 def l1_distance(A: np.ndarray, B: np.ndarray) -> float:
     """Entrywise 1-norm of the difference."""
-    return float(np.abs(A - B).sum())
+    return float(_abs_difference(A, B).sum())
 
 
 def linf_distance(A: np.ndarray, B: np.ndarray) -> float:
     """Entrywise max-norm of the difference."""
-    return float(np.abs(A - B).max())
+    return float(_abs_difference(A, B).max())
 
 
 @dataclass(frozen=True)
@@ -81,11 +89,17 @@ def normalized_utility(
 
     When all tau values coincide the denominator vanishes and every ranking is
     optimal; the normalized score is 1 by convention.
+
+    The bounds are the utilities of `min_rank` and `opt_rank` (tau ascending and
+    descending), taken as sorted tau @ w: tau @ M for a permutation matrix M is
+    exactly tau in M's order, so the bits are those of the matrix products.
     """
     M = compute_ranking(fn, P, u=u, phi=phi, samples=samples, seed=seed)
     raw = utility(P, M, u)
-    lo = utility(P, min_rank(P, u), u)
-    hi = utility(P, opt_rank(P, u), u)
+    tau = np.sort(u.tau(P))
+    w = u.weights_for(P.n)
+    lo = float(tau @ w)
+    hi = float(tau[::-1].copy() @ w)  # contiguous, so the dot takes the same BLAS path
     denom = hi - lo
     if denom < _DEGENERATE_DENOM:
         norm = 1.0

@@ -23,8 +23,9 @@ def _check_distributions(rows: np.ndarray, what: str, tol: float, slack: float =
     """Check that every row of a 2-d float array is a probability distribution; return
     the row sums.  Entries must lie in [-slack, 1 + slack], which NaN and +-inf fail,
     and sums must be 1 within `tol`.  Errors start with `what` and count from 1."""
-    bad = ~((rows >= -slack) & (rows <= 1.0 + slack))  # NaN fails both comparisons
-    if bad.any():
+    # NaN propagates through min/max and fails both tests; the mask only names the cell.
+    if rows.size and not (rows.min() >= -slack and rows.max() <= 1.0 + slack):
+        bad = ~((rows >= -slack) & (rows <= 1.0 + slack))
         r, c = np.argwhere(bad)[0]
         raise ValidationError(
             f"{what}row {r + 1}, column {c + 1}: {rows[r, c]} is not a probability in [0, 1]"
@@ -92,6 +93,8 @@ class RankingDistribution:
         m = np.asarray(self.entries, dtype=np.float64)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValidationError(f"ranking distribution must be square, got shape {m.shape}")
+        if m.size == 0:
+            raise ValidationError(f"ranking distribution must be nonempty, got shape {m.shape}")
         _check_doubly_stochastic(m)
         m.flags.writeable = False
         object.__setattr__(self, "entries", m)

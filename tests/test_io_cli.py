@@ -100,6 +100,7 @@ class TestLoadPredictionMatrix:
     @pytest.mark.parametrize("text,message", [
         ("", "empty file"),
         ("\n ,\n", "empty file"),
+        ("0.5,0.5\n \t,\u3000\n\n0.5,0.4\n", "row 2 sums to 0.9, expected 1 within 1e-06"),  # blank rows skipped
         ("label_1,label_2\n", "header but no data rows"),
         ("0.5,0.5\n1.0\n", "row 2 has 1 columns, expected 2"),
         ("0.5,0.5\n1,,\n", "row 2 has 3 columns, expected 2"),

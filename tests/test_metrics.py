@@ -15,6 +15,8 @@ from uarank import (
     ua_rank,
     utility,
 )
+from uarank.metrics import l1_distance, linf_distance
+from uarank.rankers import compute_ranking
 
 from conftest import eps_pair, random_prediction
 
@@ -65,6 +67,23 @@ class TestStabilityGap:
                 "mix", random_prediction(rng, n, 3), random_prediction(rng, n, 3), u=u, phi=phi
             )
             assert rep.inf_gap <= phi * rep.l1_dist + (1 - phi) + 1e-12
+
+
+class TestDistances:
+    def test_l1_refuses_mismatched_shapes(self):
+        with pytest.raises(ValidationError, match=r"shapes \(3, 3\) and \(1, 3\)"):
+            l1_distance(np.eye(3), np.ones((1, 3)) / 3)
+
+    def test_linf_refuses_mismatched_shapes(self):
+        with pytest.raises(ValidationError, match=r"shapes \(3, 3\) and \(3,\)"):
+            linf_distance(np.eye(3), np.ones(3) / 3)
+
+    def test_match_the_two_temporary_reference(self):
+        rng = np.random.default_rng(38)
+        for shape in [(1, 1), (4, 3), (50, 50)]:
+            A, B = rng.random(shape), rng.random(shape)
+            assert l1_distance(A, B) == float(np.abs(A - B).sum())
+            assert linf_distance(A, B) == float(np.abs(A - B).max())
 
 
 class TestUtility:
@@ -135,6 +154,69 @@ class TestNormalizedUtility:
                 seed=0 if fn == "pl" else None,
             )
             assert 0.0 <= rep.normalized <= 1.0
+
+
+def _matrix_utility_report(P, fn, u, **kw):
+    """normalized_utility as it was computed from the min_rank and opt_rank matrices."""
+    raw = utility(P, compute_ranking(fn, P, u=u, **kw), u)
+    lo = utility(P, min_rank(P, u), u)
+    hi = utility(P, opt_rank(P, u), u)
+    norm = 1.0 if hi - lo < 1e-12 else min(1.0, max(0.0, (raw - lo) / (hi - lo)))
+    return raw, lo, hi, norm
+
+
+def _bound_cases():
+    """Seeded (P, u) cases: n = 1, tied, all-equal and one-hot tau, DCG and custom
+    weights (some with trailing zeros, some longer than n), label values from 0."""
+    rng = np.random.default_rng(39)
+    yield PredictionMatrix(np.array([[0.3, 0.7]])), UtilitySpec.dcg(1, L=2)
+    yield PredictionMatrix(np.full((5, 3), 1 / 3)), UtilitySpec.dcg(5, L=3)
+    yield PredictionMatrix(np.eye(3)[[0, 2, 2, 1, 0, 2]]), UtilitySpec([0.0, 1.0, 2.5], [3, 2, 2, 1, 0, 0])
+    yield PredictionMatrix(np.eye(2)[[0, 0, 0]]), UtilitySpec([0.0, 1.0], [1.0, 0.5, 0.0, 0.0])
+    for _ in range(60):
+        n, L = int(rng.integers(1, 80)), int(rng.integers(1, 6))
+        rows = rng.random((n, L)) + 1e-9
+        rows[rng.random(n) < 0.2] = np.eye(L)[rng.integers(L)]
+        if n > 1:
+            rows[rng.integers(n, size=n // 2)] = rows[0]  # tied tau
+        P = PredictionMatrix(rows / rows.sum(axis=1, keepdims=True))
+        values = np.cumsum(rng.random(L) + 0.1) - (0.1 if rng.random() < 0.3 else 0.0)
+        if rng.random() < 0.5:
+            u = UtilitySpec.dcg(n, label_values=values)
+        else:
+            w = np.sort(rng.random(n + int(rng.integers(3))))[::-1]
+            w[rng.integers(len(w) + 1):] = 0.0
+            u = UtilitySpec(values, w)
+        yield P, u
+
+
+class TestSortedTauBounds:
+    @pytest.mark.parametrize("fn", ["opt", "ua"])
+    def test_equal_to_matrix_bounds_bit_for_bit(self, fn):
+        for P, u in _bound_cases():
+            if fn == "ua" and P.n > 40:
+                continue
+            rep = normalized_utility(P, fn, u)
+            got = [rep.raw, rep.min, rep.max, rep.normalized]
+            assert [x.hex() for x in got] == [x.hex() for x in _matrix_utility_report(P, fn, u)]
+
+    @pytest.mark.parametrize("fn,kw", [("opt", {}), ("ua", {}), ("pl", {"samples": 50, "seed": 0})])
+    def test_matrices_built_per_call(self, monkeypatch, fn, kw):
+        built = []
+        post_init = RankingDistribution.__post_init__
+
+        def counting(self):
+            built.append(self)
+            post_init(self)
+
+        monkeypatch.setattr(RankingDistribution, "__post_init__", counting)
+        rng = np.random.default_rng(40)
+        P, P2 = random_prediction(rng, 7, 3), random_prediction(rng, 7, 3)
+        u = UtilitySpec.dcg(7, L=3)
+        normalized_utility(P, fn, u, **kw)
+        assert len(built) == 1
+        stability_gap(fn, P, P2, u=u, **kw)
+        assert len(built) == 3
 
 
 class TestCompositionCheck:

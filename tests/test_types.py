@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from uarank import PredictionMatrix, RankingDistribution, UtilitySpec, ValidationError
+from uarank import PopulationModel, PredictionMatrix, RankingDistribution, UtilitySpec, ValidationError
 
 
 class TestPredictionMatrix:
@@ -54,6 +54,64 @@ class TestRankingDistribution:
         m = np.array([[0.6, 0.4], [0.6, 0.4]])
         with pytest.raises(ValidationError, match="olumn"):
             RankingDistribution(m)
+
+    def test_rejects_empty(self):
+        with pytest.raises(ValidationError, match=r"^ranking distribution must be nonempty, got shape \(0, 0\)$"):
+            RankingDistribution(np.zeros((0, 0)))
+
+    def test_accepts_entry_within_slack(self):
+        m = np.eye(3)
+        m[1, 2] = -1e-12  # -3e-12 is refused: TestCheckMessages
+        assert RankingDistribution(m).entries[1, 2] == -1e-12
+
+
+# One bad cell at a row and column other than the first, and the text it prints.
+BAD_CELLS = [
+    (np.nan, "nan"), (np.inf, "inf"), (-np.inf, "-inf"), (-0.25, "-0.25"), (1.5, "1.5"),
+]
+
+
+def _population(weights, gt):
+    return PopulationModel(type_names=("a", "b", "c"), weights=np.asarray(weights),
+                           ground_truth=gt, predicted=np.full((3, 2), 0.5), groups={})
+
+
+class TestCheckMessages:
+    @pytest.mark.parametrize("bad,text", BAD_CELLS)
+    def test_prediction_matrix(self, bad, text):
+        rows = np.full((3, 3), 1 / 3)
+        rows[1, 2] = bad
+        with pytest.raises(ValidationError) as exc:
+            PredictionMatrix(rows)
+        assert str(exc.value) == f"row 2, column 3: {text} is not a probability in [0, 1]"
+
+    @pytest.mark.parametrize("bad,text", BAD_CELLS[:3] + [(-3e-12, "-3e-12"), (1 + 3e-12, "1.000000000003")])
+    def test_ranking_distribution(self, bad, text):
+        m = np.eye(3)
+        m[2, 1] = bad
+        with pytest.raises(ValidationError) as exc:
+            RankingDistribution(m)
+        assert str(exc.value) == f"ranking distribution: row 3, column 2: {text} is not a probability in [0, 1]"
+
+    @pytest.mark.parametrize("bad,text", BAD_CELLS)
+    def test_population_weights(self, bad, text):
+        with pytest.raises(ValidationError) as exc:
+            _population([0.5, bad, 0.5], np.full((3, 2), 0.5))
+        assert str(exc.value) == f"type weights: row 1, column 2: {text} is not a probability in [0, 1]"
+
+    @pytest.mark.parametrize("bad,text", BAD_CELLS)
+    def test_population_ground_truth(self, bad, text):
+        gt = np.full((3, 2), 0.5)
+        gt[2, 1] = bad
+        with pytest.raises(ValidationError) as exc:
+            _population([0.25, 0.25, 0.5], gt)
+        assert str(exc.value) == f"ground truth: row 3, column 2: {text} is not a probability in [0, 1]"
+
+    def test_population_without_types(self):
+        with pytest.raises(ValidationError) as exc:
+            PopulationModel(type_names=(), weights=np.zeros(0), ground_truth=np.zeros((0, 2)),
+                            predicted=np.zeros((0, 2)), groups={})
+        assert str(exc.value) == "type weights: row 1 sums to 0, expected 1 within 1e-09"
 
 
 class TestUtilitySpec:
