@@ -21,8 +21,9 @@ from .rankers import _CHUNK_CELLS, AUDITED_FUNCTION_IDS, _seeded_rng, _ua_margin
 from .types import ROW_SUM_TOL, PredictionMatrix, UtilitySpec, _check_distributions, _check_doubly_stochastic
 
 FULL_DOMAIN_GROUP = "all"
-ENUM_BUDGET = 10**6  # multisets of types an exact audit may enumerate
-AUDIT_MAX_N = 19
+# (rankings, n): an audit may rank 10^6 multisets of n <= 19 types, or as many of n > 19 types
+# as cost the same total under the UA kernel's n^3 work per ranking.
+AUDIT_BUDGET = (10**6, 19)
 _WEIGHT_TOL = 1e-9
 _AUDIT_CHUNK_CELLS = _CHUNK_CELLS  # n x n cells per distribution in one audit chunk: memory flat in n
 
@@ -38,9 +39,10 @@ class PopulationModel:
     groups: dict  # name -> tuple of type indices; always contains the full domain
 
     def __post_init__(self):
-        w = np.asarray(self.weights, dtype=np.float64)
-        gt = np.asarray(self.ground_truth, dtype=np.float64)
-        pred = np.asarray(self.predicted, dtype=np.float64)
+        # Copies, frozen below: the caller's arrays stay writable.
+        w = np.array(self.weights, dtype=np.float64)
+        gt = np.array(self.ground_truth, dtype=np.float64)
+        pred = np.array(self.predicted, dtype=np.float64)
         T = len(self.type_names)
         if w.shape != (T,):
             raise ValidationError("type weights must be one per type")
@@ -189,6 +191,29 @@ def _chunk_rows(n: int) -> int:
     return max(1, _AUDIT_CHUNK_CELLS // n**2)
 
 
+def _charge(pop: PopulationModel, n: int, samples: int | None, what: str) -> int:
+    """The most multisets of n types a call ranks: every multiset of the positive-weight types,
+    or at most one per draw when `samples` are drawn.  Refuses the call with BudgetExceededError
+    when that many cost more than `AUDIT_BUDGET`; a ranking costs max(n, 19)^3, since below n = 19
+    the per-multiset overhead (and the exact audit's 32 B `math.fsum` term) outweighs the kernel."""
+    multisets = math.comb(n + int(np.count_nonzero(pop.weights)) - 1, n)
+    rankings = multisets if samples is None else min(samples, multisets)
+    most, small = AUDIT_BUDGET
+    budget = most * small**3 // max(n, small) ** 3
+    if rankings > budget:
+        raise BudgetExceededError(f"{what} needs {rankings} multisets of types, budget is {budget}"
+                                  + (f" at n={n}" if n > small else ""))
+    return rankings
+
+
+def _draws(rng: np.random.Generator, pop: PopulationModel, n: int, samples: int):
+    """`samples` i.i.d. type vectors of size n, one chunk step at a time; the blocks
+    continue the generator's stream exactly as one draw of every vector would."""
+    step = _chunk_rows(n)
+    for s in range(0, samples, step):
+        yield rng.choice(pop.T, size=(min(step, samples - s), n), p=pop.weights)
+
+
 def _ua_pairs(pop: PopulationModel, keys: np.ndarray) -> np.ndarray:
     """The doubly-stochastic-checked (2, c, n, n) UA stack, truth then predictor, of one
     chunk of (c, n) sorted type vectors, each matrix bit for bit `ua_rank(PredictionMatrix(d[key]))`.
@@ -212,11 +237,12 @@ def _distinct_sorted(draws: np.ndarray, index: dict) -> tuple[np.ndarray, np.nda
 
 
 def _multinomial(rows: np.ndarray) -> np.ndarray:
-    """n!/prod m_t! per sorted row, exact in int64 (n <= AUDIT_MAX_N, 19! < 2^63) and
-    rounded once to float.  prod m_t! is the product of each entry's place in its run."""
+    """n!/prod m_t! per sorted row, exact in Python integers at any n (21! overflows int64)
+    and rounded once to float.  prod m_t! is the product of each entry's place in its run.
+    Under the audit budget a coefficient stays below 2^287 (two types, n <= 287)."""
     j = np.arange(rows.shape[1])
     starts = np.maximum.accumulate(np.where(rows == np.roll(rows, 1, axis=1), 0, j), axis=1)
-    return (math.factorial(len(j)) // np.prod(j - starts + 1, axis=1)).astype(np.float64)
+    return (math.factorial(len(j)) // np.prod((j - starts + 1).astype(object), axis=1)).astype(np.float64)
 
 
 def _taus(pop: PopulationModel, fn: str, u: UtilitySpec | None) -> np.ndarray | None:
@@ -248,6 +274,9 @@ def theorem_bound(pop: PopulationModel, n: int, fn="ua", phi=None, delta=None) -
     violations; the bound is L*n*alpha, or phi*L*n*alpha + 1 - phi for fn="mix"."""
     if fn not in AUDITED_FUNCTION_IDS or (fn == "mix" and phi is None):
         raise ValidationError(f"no theorem bound for fn={fn!r} with phi={phi}")
+    if fn == "mix" and not 0.0 <= phi <= 1.0:
+        raise ValidationError(f"mixture weight must lie in [0, 1], got {phi}")
+    _check_size(n)
     ma = multiaccuracy_alpha(pop)
     full_domain = next(name for name, m in pop.groups.items() if sorted(m) == list(range(pop.T)))
     alpha = ma.alpha if delta is None else max(multicalibration_alpha(pop, delta).alpha, ma.per_group[full_domain])
@@ -276,16 +305,15 @@ def theorem_gap_exact(
     terms are summed with `math.fsum`, so the result depends on neither chunk
     size nor order.  `fix_last` evaluates the i = n variant instead of the
     uniform average; the two agree for anonymous ranking functions but not in
-    general.
+    general.  A call over `AUDIT_BUDGET` raises BudgetExceededError, after every
+    validation error.
     """
-    checked_ranker(fn, audit=True, u=u, phi=phi)  # ranker and tau checks win over the n cap
+    checked_ranker(fn, audit=True, u=u, phi=phi)
     taus = _taus(pop, fn, u)
     _validate_audit_args(pop, n, k, group)
-    types = np.flatnonzero(pop.weights > 0.0).tolist()
-    total = math.comb(n + len(types) - 1, n)
-    if total > ENUM_BUDGET:
-        raise BudgetExceededError(f"enumeration needs {total} multisets of types, budget is {ENUM_BUDGET}")
     ind = _type_indicator(pop, group, delta, bucket)
+    _charge(pop, n, None, "enumeration")
+    types = np.flatnonzero(pop.weights > 0.0).tolist()
     rows, terms = itertools.combinations_with_replacement(types, n), []
     while chunk := list(itertools.islice(rows, _chunk_rows(n))):
         block = np.array(chunk)
@@ -316,19 +344,20 @@ def theorem_gap_estimate(
     delta: float | None = None,
     bucket: tuple | None = None,
 ) -> AuditReport:
-    """Monte-Carlo estimate of the group-level ranking gap, with standard error."""
+    """Monte-Carlo estimate of the group-level ranking gap, with standard error.  A call over
+    `AUDIT_BUDGET` raises BudgetExceededError, after every validation error."""
     if mc_samples < 1:
         raise ValidationError(f"need at least one sample, got {mc_samples}")
     _validate_audit_args(pop, n, k, group)
     checked_ranker(fn, audit=True, u=u, phi=phi)
     taus = _taus(pop, fn, u)
     ind = _type_indicator(pop, group, delta, bucket)
-    rng, step, index, values = _seeded_rng(seed), _chunk_rows(n), {}, []
+    rng, index, values = _seeded_rng(seed), {}, []
+    distinct = _charge(pop, n, mc_samples, "sampling")
     if fn != "opt":  # the k-th UA column pair per distinct sorted draw; opt needs no dedupe
-        kth = np.empty((2, min(mc_samples, math.comb(n + pop.T - 1, n)), n))  # pages touched as keys arrive
-    for s in range(0, mc_samples, step):
-        # One chunk of draws at a time continues the generator's stream exactly.
-        block, ua, opt = rng.choice(pop.T, size=(min(step, mc_samples - s), n), p=pop.weights), None, None
+        kth = np.empty((2, distinct, n))  # pages touched as keys arrive
+    for block in _draws(rng, pop, n, mc_samples):
+        ua = opt = None
         if fn != "opt":  # UA once per new sorted draw; individual i takes its row at i's place in a stable sort
             seen = len(index)
             new, inv = _distinct_sorted(block, index)
@@ -364,29 +393,34 @@ def nature_closeness_check(pop: PopulationModel, n: int, seed: int = 0, samples:
     """Sampled check that predictor-close-to-truth implies rankings close.
 
     eps bounds the per-type 1-norm prediction error; every sampled dataset
-    must satisfy ||ua(predicted) - ua(ground truth)||_inf <= n * eps.
+    must satisfy ||ua(predicted) - ua(ground truth)||_inf <= n * eps.  A call
+    over `AUDIT_BUDGET` raises BudgetExceededError, after every validation error.
     """
-    if n < 1:
-        raise ValidationError(f"dataset size must be positive, got {n}")
+    _check_size(n)
     if samples < 1:
         raise ValidationError(f"need at least one sample, got {samples}")
+    rng, index, max_gap = _seeded_rng(seed), {}, 0.0
+    _charge(pop, n, samples, "nature check")
     eps = float(np.abs(pop.predicted - pop.ground_truth).sum(axis=1).max())
-    draws = _seeded_rng(seed).choice(pop.T, size=(samples, n), p=pop.weights)
     # Both matrices of a dataset are the same row permutation of its sorted
     # type vector's pair, so the largest entrywise gap is read off the pairs.
-    (keys, _), step = _distinct_sorted(draws, {}), _chunk_rows(n)
-    pairs = (_ua_pairs(pop, keys[s : s + step]) for s in range(0, len(keys), step))
-    max_gap = max(float(np.abs(M[1] - M[0]).max()) for M in pairs)
+    for block in _draws(rng, pop, n, samples):
+        new, _ = _distinct_sorted(block, index)
+        if len(new):
+            M = _ua_pairs(pop, new)
+            max_gap = max(max_gap, float(np.abs(M[1] - M[0]).max()))
     bound = n * eps
     return NatureClosenessReport(eps=eps, bound=bound, max_gap=max_gap,
                                  within_bound=max_gap <= bound + 1e-12, samples=samples, seed=seed)
 
 
-def _validate_audit_args(pop: PopulationModel, n: int, k: int, group: str) -> None:
+def _check_size(n: int) -> None:
     if n < 1:
         raise ValidationError(f"dataset size must be positive, got {n}")
+
+
+def _validate_audit_args(pop: PopulationModel, n: int, k: int, group: str) -> None:
+    _check_size(n)
     if not 1 <= k <= n:
         raise ValidationError(f"position {k} out of range for n={n}")
     pop.group_mask(group)  # raises for unknown groups
-    if n > AUDIT_MAX_N:
-        raise BudgetExceededError(f"audits are limited to n <= {AUDIT_MAX_N}, got {n}")

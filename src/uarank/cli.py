@@ -1,6 +1,8 @@
 """Command-line interface: rank, oracle, stability, utility, and audit subcommands.
 
-Exit codes: 0 success, 1 validation failure, 2 exact-path budget refusal.
+Exit codes: 0 success, 1 validation failure, 2 budget refusal: the oracle's
+enumeration budget, or the work budget of any theorem or nature audit
+(`audit.AUDIT_BUDGET`).
 """
 
 from __future__ import annotations

@@ -85,12 +85,16 @@ class PredictionMatrix:
 
 @dataclass(frozen=True)
 class RankingDistribution:
-    """Doubly stochastic n x n matrix; entries[i, k-1] = Pr[individual i gets rank k]."""
+    """Doubly stochastic n x n matrix; entries[i, k-1] = Pr[individual i gets rank k].
+
+    `entries` is a read-only view that shares memory with a float64 input array, not a
+    copy (that would add an n x n pass per ranking): the input stays writable to its
+    owner, and writes through it show in `entries`."""
 
     entries: np.ndarray
 
     def __post_init__(self):
-        m = np.asarray(self.entries, dtype=np.float64)
+        m = np.asarray(self.entries, dtype=np.float64).view()
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValidationError(f"ranking distribution must be square, got shape {m.shape}")
         if m.size == 0:
@@ -112,8 +116,8 @@ class UtilitySpec:
     position_weights: np.ndarray
 
     def __post_init__(self):
-        v = np.asarray(self.label_values, dtype=np.float64)
-        w = np.asarray(self.position_weights, dtype=np.float64)
+        v = np.array(self.label_values, dtype=np.float64)  # copies, frozen below
+        w = np.array(self.position_weights, dtype=np.float64)
         for what, x in (("label values", v), ("position weights", w)):
             if x.ndim != 1 or x.size < 1:
                 raise ValidationError(f"{what} must be a nonempty vector")

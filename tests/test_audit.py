@@ -21,7 +21,7 @@ from uarank import (
     two_type_biased_model,
 )
 from uarank import audit, rankers
-from uarank.audit import AUDIT_MAX_N, type_buckets
+from uarank.audit import type_buckets
 from uarank.rankers import _ua_marginals, compute_ranking, pl_rank, ua_rank
 
 from conftest import random_population
@@ -241,9 +241,10 @@ class TestTheoremGapEstimate:
         assert a == b
 
     def test_refuses_large_n(self):
+        # Up to 289 distinct sorted draws of two types at n=288: over the budget of 287.
         pop = two_type_biased_model(0.1)
-        with pytest.raises(BudgetExceededError):
-            theorem_gap_estimate(pop, 20, 1, "1", mc_samples=10, seed=0)
+        with pytest.raises(BudgetExceededError, match=re.escape("needs 289 multisets of types, budget is 287 at n=288")):
+            theorem_gap_estimate(pop, 288, 1, "1", mc_samples=10**6, seed=0)
 
 
 class TestNatureCloseness:
@@ -371,7 +372,7 @@ class TestMultisetEnumeration:
             assert abs(rep.estimate - gap) <= 4 * rep.mc_error
             assert gap <= bound + 1e-12
 
-    @pytest.mark.parametrize("n", range(9, AUDIT_MAX_N + 1))
+    @pytest.mark.parametrize("n", range(9, 20))
     def test_two_type_opt_closed_form(self, n):
         # Under a nearly multiaccurate predictor opt's gap stays at (1/n)(1/2 - 2^-n),
         # above the L*n*alpha that bounds UA.
@@ -408,13 +409,82 @@ class TestMultisetEnumeration:
         assert most <= 2 * 7
 
     def test_n_beyond_cap_refused_by_both_paths(self):
+        # The budget caps n per type count: rankings * max(n, 19)^3 <= 10^6 * 19^3 admits
+        # the n+1 multisets of two types up to n=287, and one type's one multiset up to n=1900.
         single = PopulationModel(type_names=("only",), weights=np.array([1.0]),
                                  ground_truth=np.array([[0.3, 0.7]]), predicted=np.array([[0.4, 0.6]]), groups={})
-        for pop in (two_type_biased_model(0.1), single):
-            with pytest.raises(BudgetExceededError, match="n <= 19"):
-                theorem_gap_exact(pop, AUDIT_MAX_N + 1, 1, "all")
-            with pytest.raises(BudgetExceededError, match="n <= 19"):
-                theorem_gap_estimate(pop, AUDIT_MAX_N + 1, 1, "all", mc_samples=10, seed=0)
+        for pop, cap, refusal in ((two_type_biased_model(0.1), 287, "needs 289 multisets of types, budget is 287"),
+                                  (single, 1900, "needs 1 multisets of types, budget is 0")):
+            assert audit._charge(pop, cap, None, "enumeration") == math.comb(cap + pop.T - 1, cap)
+            message = re.escape(f"{refusal} at n={cap + 1}")
+            with pytest.raises(BudgetExceededError, match="^enumeration " + message):
+                theorem_gap_exact(pop, cap + 1, 1, "all")
+            with pytest.raises(BudgetExceededError, match="^sampling " + message):
+                theorem_gap_estimate(pop, cap + 1, 1, "all", mc_samples=10**6, seed=0)
+            with pytest.raises(BudgetExceededError, match="^nature check " + message):
+                nature_closeness_check(pop, cap + 1, seed=0, samples=10**6)
+
+    def test_budget_is_the_multiset_count_up_to_n19(self):
+        # At n <= 19 the budget is 10^6 multisets: C(27, 8) = 2 220 075 multisets of 20 types
+        # are refused, and a sampled call is charged min(samples, multisets).
+        pop = random_population(np.random.default_rng(61), 20, 2)
+        with pytest.raises(BudgetExceededError,
+                           match=re.escape("enumeration needs 2220075 multisets of types, budget is 1000000") + "$"):
+            theorem_gap_exact(pop, 8, 1, "g0")
+        assert audit._charge(pop, 6, None, "enumeration") == math.comb(25, 6)
+        assert audit._charge(pop, 8, 10**6, "sampling") == 10**6
+        with pytest.raises(BudgetExceededError, match=re.escape("sampling needs 1000001 multisets")):
+            audit._charge(pop, 19, 10**6 + 1, "sampling")
+        assert audit._charge(two_type_biased_model(0.1), 19, 10**9, "sampling") == 20
+
+
+def two_type_ua_gap(alpha, n, k):
+    """Exact UA gap of `two_type_biased_model(alpha)` for group "1" or "2" at position k:
+    (alpha/n) * |Pr[B > k-1] - Pr[B < k-1]| with B ~ Bin(n-1, 1/2).
+
+    Under the truth every row is (1/2, 1/2), so UA is 1/n everywhere.  Under the
+    predictor, fix individual i of type "1".  Averaged over their types, the others'
+    labels are i.i.d. with the top label at probability (1/2)(1/2 + alpha) +
+    (1/2)(1/2 - alpha) = 1/2, so B, the others holding the top label, is Bin(n-1, 1/2).
+    i holds the top label with probability 1/2 + alpha and ties break uniformly, so
+    Pr[i -> k] = (1/2 + alpha) a_k + (1/2 - alpha) b_k with a_k = E[1[k <= B+1] / (B+1)]
+    and b_k = E[1[k >= B+1] / (n-B)]; the truth's 1/n is the same with 1/2 and 1/2.
+    Type "1" has weight 1/2, so the gap is (alpha/2) |a_k - b_k|.  By
+    C(n-1, b)/(b+1) = C(n, b+1)/n and C(n-1, b)/(n-b) = C(n, b)/n, a_k = (2/n) Pr[B' >= k]
+    and b_k = (2/n) Pr[B' < k] for B' = B + Bernoulli(1/2) ~ Bin(n, 1/2), and splitting
+    on the Bernoulli gives Pr[B' >= k] - Pr[B' < k] = Pr[B > k-1] - Pr[B < k-1].
+    Type "2" contributes the opposite sign, so group "all" has gap 0.
+    """
+    above = sum(math.comb(n - 1, b) for b in range(k, n))
+    below = sum(math.comb(n - 1, b) for b in range(k - 1))
+    return alpha / n * (abs(above - below) / 2 ** (n - 1))
+
+
+class TestTwoTypeClosedForm:
+    """The exact audit against closed forms on the two-type biased model, at n far beyond
+    what the per-vector reference audit reaches."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 9, 14, 19])
+    @pytest.mark.parametrize("alpha", [0.01, 0.3, 0.49])
+    def test_ua_gap_at_every_position(self, n, alpha):
+        pop = two_type_biased_model(alpha)
+        for k in range(1, n + 1):
+            for group in ("1", "2"):
+                assert theorem_gap_exact(pop, n, k, group) == pytest.approx(two_type_ua_gap(alpha, n, k), abs=1e-15)
+            assert theorem_gap_exact(pop, n, k, "all") <= 1e-15
+
+    @pytest.mark.parametrize("n, ks", [(40, (1, 20, 40)), (100, (1,))])
+    def test_ua_gap_beyond_n19(self, n, ks):
+        pop = two_type_biased_model(0.01)
+        gaps = {k: theorem_gap_exact(pop, n, k, "1") for k in ks}
+        for k, gap in gaps.items():
+            assert gap == pytest.approx(two_type_ua_gap(0.01, n, k), abs=1e-15)
+        # The measured alpha is 0.01/2, so the bound L*n*alpha is n * 0.01: about n^2 times the gap at k=1.
+        assert audit.theorem_bound(pop, n)[0] / gaps[1] == pytest.approx(n**2, rel=1e-9)
+
+    def test_opt_gap_at_n200(self):
+        gap = theorem_gap_exact(two_type_biased_model(0.01), 200, 1, "1", fn="opt", u=u2(200))
+        assert gap == pytest.approx((1 / 200) * (0.5 - 2.0**-200), abs=1e-15)
 
 
 class TestBlockSize:
@@ -547,13 +617,17 @@ class TestSampledDrawBlocks:
             assert sum(ranked) == (0 if kw["fn"] == "opt" else distinct)  # each distinct sorted draw once
 
 
-@pytest.mark.parametrize("n", [1, 2, AUDIT_MAX_N])
-def test_multinomial_coefficients_match_python_integers(n):
-    # T=5 at n=19 is 8855 multisets; 19! needs 59 bits, so int64 holds every coefficient.
-    rows = list(itertools.combinations_with_replacement(range(5), n))
+MULTINOMIAL_CASES = [(1, 5), (2, 5), (19, 5), (25, 5), (21, 2), (100, 2), (287, 2)]
+
+
+@pytest.mark.parametrize("n, T", MULTINOMIAL_CASES, ids=[f"{n}" if T == 5 else f"{n}-two-types"
+                                                         for n, T in MULTINOMIAL_CASES])
+def test_multinomial_coefficients_match_python_integers(n, T):
+    # 21! overflows int64; at n=287 two types reach C(287, 143), about 2^283, still a finite double.
+    rows = list(itertools.combinations_with_replacement(range(T), n))
     want = [float(math.factorial(n) // math.prod(math.factorial(r.count(t)) for t in set(r))) for r in rows]
     got = audit._multinomial(np.array(rows))
-    assert len(rows) == math.comb(n + 4, n) and got.tobytes() == np.array(want).tobytes()
+    assert len(rows) == math.comb(n + T - 1, n) and got.tobytes() == np.array(want).tobytes()
 
 
 def test_negative_seed_refused_before_any_draw():
@@ -566,7 +640,8 @@ def test_negative_seed_refused_before_any_draw():
             call()
 
 
-U3 = UtilitySpec(np.array([1.0, 2.0, 3.0]), np.ones(AUDIT_MAX_N + 1))  # 3 label values, models have 2
+U3 = UtilitySpec(np.array([1.0, 2.0, 3.0]), np.ones(2))  # 3 label values, models have 2
+OVER = 288  # the first n the budget refuses for two types: 289 multisets, budget 287
 
 
 def _case(name, path, error, message, **kw):
@@ -574,43 +649,62 @@ def _case(name, path, error, message, **kw):
 
 
 @pytest.mark.parametrize("path, kw, error, message", [
-    # Exact: the ranker and its tau checks come before n, k and the group.
+    # Exact: the ranker and its tau checks come before n, k and the group, and every
+    # validation error before the budget.
     _case("unaudited_fn", "exact", ValidationError, "audits support ranking functions ('ua', 'opt', 'mix'); got 'pl'",
-          n=20, k=0, group="nope", fn="pl"),
+          n=OVER, k=0, group="nope", fn="pl"),
     _case("missing_u", "exact", ValidationError, "ranking function 'opt' requires u",
-          n=20, k=0, group="nope", fn="opt"),
+          n=OVER, k=0, group="nope", fn="opt"),
     _case("phi_range", "exact", ValidationError, "mixture weight must lie in [0, 1], got 2.0",
-          n=20, k=0, group="nope", fn="mix", u=U3, phi=2.0),
+          n=OVER, k=0, group="nope", fn="mix", u=U3, phi=2.0),
     _case("tau_labels", "exact", ValidationError, "utility spec has 3 label values, matrix has 2 labels",
-          n=20, k=0, group="nope", fn="opt", u=U3),
+          n=OVER, k=0, group="nope", fn="opt", u=U3),
     _case("n_positive", "exact", ValidationError, "dataset size must be positive, got 0", n=0, k=0, group="nope"),
-    _case("k_range", "exact", ValidationError, "position 0 out of range for n=20", n=20, k=0, group="nope"),
-    _case("unknown_group", "exact", ValidationError, "unknown group 'nope'", n=20, k=1, group="nope"),
-    _case("n_cap", "exact", BudgetExceededError, "audits are limited to n <= 19, got 20", n=20, k=1, group="1"),
-    # Sampled: the sample count, then n, k and the group, then the ranker.
+    _case("k_range", "exact", ValidationError, "position 0 out of range for n=288", n=OVER, k=0, group="nope"),
+    _case("unknown_group", "exact", ValidationError, "unknown group 'nope'", n=OVER, k=1, group="nope"),
+    _case("bucket_width", "exact", ValidationError, "a calibration bucket needs its width delta",
+          n=OVER, k=1, group="1", bucket=(0, 1)),
+    _case("n_cap", "exact", BudgetExceededError, "enumeration needs 289 multisets of types, budget is 287 at n=288",
+          n=OVER, k=1, group="1"),
+    # Sampled: the sample count, then n, k and the group, then the ranker, then the budget.
     _case("samples", "sampled", ValidationError, "need at least one sample, got 0",
-          n=20, k=0, group="nope", fn="pl", mc_samples=0),
+          n=OVER, k=0, group="nope", fn="pl", mc_samples=0),
     _case("n_positive", "sampled", ValidationError, "dataset size must be positive, got 0",
           n=0, k=0, group="nope", fn="pl"),
-    _case("k_range", "sampled", ValidationError, "position 0 out of range for n=20", n=20, k=0, group="nope", fn="pl"),
-    _case("unknown_group", "sampled", ValidationError, "unknown group 'nope'", n=20, k=1, group="nope", fn="pl"),
-    _case("n_cap", "sampled", BudgetExceededError, "audits are limited to n <= 19, got 20",
-          n=20, k=1, group="1", fn="opt", u=U3),
+    _case("k_range", "sampled", ValidationError, "position 0 out of range for n=288",
+          n=OVER, k=0, group="nope", fn="pl"),
+    _case("unknown_group", "sampled", ValidationError, "unknown group 'nope'", n=OVER, k=1, group="nope", fn="pl"),
     _case("unaudited_fn", "sampled", ValidationError, "audits support ranking functions ('ua', 'opt', 'mix'); got 'pl'",
-          n=3, k=1, group="1", fn="pl"),
+          n=OVER, k=1, group="1", fn="pl"),
     _case("phi_range", "sampled", ValidationError, "mixture weight must lie in [0, 1], got 2.0",
-          n=3, k=1, group="1", fn="mix", u=U3, phi=2.0),
+          n=OVER, k=1, group="1", fn="mix", u=U3, phi=2.0),
     _case("tau_labels", "sampled", ValidationError, "utility spec has 3 label values, matrix has 2 labels",
-          n=3, k=1, group="1", fn="opt", u=U3),
+          n=OVER, k=1, group="1", fn="opt", u=U3),
+    _case("seed", "sampled", ValidationError, "seed must be a nonnegative integer, got -1",
+          n=OVER, k=1, group="1", seed=-1),
+    _case("n_cap", "sampled", BudgetExceededError, "sampling needs 289 multisets of types, budget is 287 at n=288",
+          n=OVER, k=1, group="1", fn="opt", u=u2(2)),
 ])
 def test_audit_error_order(path, kw, error, message):
     pop = two_type_biased_model(0.1)
     if path == "exact":
         call = lambda: theorem_gap_exact(pop, **kw)
-    else:
-        call = lambda: theorem_gap_estimate(pop, **{"mc_samples": 10, "seed": 0, **kw})
+    else:  # 10^6 samples: more than the 289 multisets, so the budget is charged for every one
+        call = lambda: theorem_gap_estimate(pop, **{"mc_samples": 10**6, "seed": 0, **kw})
     with pytest.raises(error, match=re.escape(message)):
         call()
+
+
+def test_nature_validates_before_the_budget():
+    pop = two_type_biased_model(0.1)
+    for kw, message in ((dict(n=0), "dataset size must be positive, got 0"),
+                        (dict(n=OVER, samples=0), "need at least one sample, got 0"),
+                        (dict(n=OVER, seed=-1), "seed must be a nonnegative integer, got -1")):
+        with pytest.raises(ValidationError, match=re.escape(message)):
+            nature_closeness_check(pop, **{"samples": 10**6, **kw})
+    with pytest.raises(BudgetExceededError, match=re.escape("nature check needs 289 multisets of types, "
+                                                            "budget is 287 at n=288")):
+        nature_closeness_check(pop, OVER, samples=10**6)
 
 
 def test_theorem_bound():
@@ -623,6 +717,19 @@ def test_theorem_bound():
     for fn in ("mix", "pl"):
         with pytest.raises(ValidationError, match=re.escape(f"no theorem bound for fn='{fn}' with phi=None")):
             audit.theorem_bound(pop, 4, fn)
+
+
+@pytest.mark.parametrize("n, fn, phi, message", [
+    (-3, "ua", None, "dataset size must be positive, got -3"),
+    (0, "opt", None, "dataset size must be positive, got 0"),
+    (4, "mix", 5.0, "mixture weight must lie in [0, 1], got 5.0"),
+    (4, "mix", -0.5, "mixture weight must lie in [0, 1], got -0.5"),
+    (4, "mix", float("nan"), "mixture weight must lie in [0, 1], got nan"),
+])
+def test_theorem_bound_refuses_impossible_arguments(n, fn, phi, message):
+    # Unchecked, these gave a bound of -0.3 (n=-3), -2.0 (phi=5) and nan on the two-type model.
+    with pytest.raises(ValidationError, match=re.escape(message)):
+        audit.theorem_bound(two_type_biased_model(0.1), n, fn, phi)
 
 
 class TestMixtureWeightRange:

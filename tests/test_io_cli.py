@@ -637,16 +637,28 @@ def test_exact_audit_of_four_types(n, tmp_path, capsys):
     assert 0.0 < th["exactGap"] <= th["bound"]
 
 
-@pytest.mark.parametrize("types,path", [(TWO_TYPE_DOC["types"], ["--exact"]),
-                                        (TWO_TYPE_DOC["types"], ["--samples", "10", "--seed", "1"]),
-                                        (TWO_TYPE_DOC["types"][:1], ["--exact"])],
-                         ids=["exact", "sampled", "one-type-exact"])
-def test_audit_beyond_n_cap_exit_2(types, path, tmp_path, capsys):
+# The first n the audit budget refuses: 288 for two types (289 multisets against a
+# budget of 287), and 1901 for one type (its one multiset against a budget of 0).
+@pytest.mark.parametrize("types,path,n,refusal", [
+    (TWO_TYPE_DOC["types"], ["--exact"], 288, "enumeration needs 289 multisets of types, budget is 287"),
+    (TWO_TYPE_DOC["types"], ["--samples", "1000000", "--seed", "1"], 288,
+     "sampling needs 289 multisets of types, budget is 287"),
+    (TWO_TYPE_DOC["types"][:1], ["--exact"], 1901, "enumeration needs 1 multisets of types, budget is 0"),
+], ids=["exact", "sampled", "one-type-exact"])
+def test_audit_beyond_n_cap_exit_2(types, path, n, refusal, tmp_path, capsys):
     model = tmp_path / "m.json"
     model.write_text(json.dumps({"labels": 2, "types": [{**t, "weight": 1.0 / len(types)} for t in types]}))
-    argv = ["audit", "theorem", "--model", str(model), "--n", "20", "--k", "1", "--group", "all", *path]
+    argv = ["audit", "theorem", "--model", str(model), "--n", str(n), "--k", "1", "--group", "all", *path]
     assert main(argv) == 2
-    assert capsys.readouterr().err == "error: budget: audits are limited to n <= 19, got 20\n"
+    assert capsys.readouterr().err == f"error: budget: {refusal} at n={n}\n"
+
+
+def test_audit_nature_beyond_budget_exit_2(two_type_json, capsys):
+    # One sampled dataset of 10^6 individuals would need a pair of 10^6 x 10^6 UA matrices.
+    assert main(["audit", "nature", "--model", two_type_json, "--n", "1000000", "--samples", "1"]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == "error: budget: nature check needs 1 multisets of types, budget is 0 at n=1000000\n"
 
 
 # tests/test_audit.py's tied_model: types a and b share a predicted row, so opt's

@@ -132,3 +132,20 @@ class TestUtilitySpec:
         u = UtilitySpec(np.array([1.0, 2.0]), np.array([1.0, 1.0]))
         P = PredictionMatrix(np.array([[0.25, 0.75], [1.0, 0.0]]))
         assert u.tau(P) == pytest.approx([1.75, 1.0])
+
+
+def test_values_freeze_their_own_arrays_not_the_callers():
+    # UtilitySpec and PopulationModel copy their small inputs; RankingDistribution freezes a
+    # view that shares memory with its float64 input.  Each caller keeps a writable array.
+    v, w, eye = np.array([1.0, 2.0]), np.array([1.0, 0.5]), np.eye(3)
+    weights, rows = np.array([0.5, 0.5]), np.array([[0.5, 0.5], [0.25, 0.75]])
+    u = UtilitySpec(v, w)
+    pop = PopulationModel(type_names=("a", "b"), weights=weights, ground_truth=rows, predicted=rows, groups={})
+    M = RankingDistribution(eye)
+    for frozen in (u.label_values, u.position_weights, pop.weights, pop.ground_truth, pop.predicted, M.entries):
+        assert not frozen.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            frozen[0] = 0.0
+    v[0], w[1], weights[0], rows[0, 0], eye[1, 2] = 0.5, 0.25, 0.75, 0.125, -3e-12
+    assert (u.label_values[0], u.position_weights[1], pop.weights[0], pop.ground_truth[0, 0]) == (1.0, 0.5, 0.5, 0.5)
+    assert np.shares_memory(M.entries, eye) and M.entries[1, 2] == -3e-12
