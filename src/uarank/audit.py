@@ -4,8 +4,8 @@ A population model declares a finite set of types with sampling weights, a
 ground-truth label distribution and a predicted one per type, and named
 protected groups of types.  The audits measure how multiaccurate or
 multicalibrated the predictor is, and how far ranking outcomes under the
-predictor drift from ranking outcomes under the ground truth, both exactly, over
-the multisets of types (whose arrangements are equally likely), and by sampling.
+predictor drift from ranking outcomes under the ground truth, both exactly, in
+closed form over the i.i.d. types, and by sampling.
 """
 
 from __future__ import annotations
@@ -17,11 +17,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BudgetExceededError, ValidationError
-from .rankers import _CHUNK_CELLS, AUDITED_FUNCTION_IDS, _seeded_rng, _ua_marginals, checked_ranker
-from .types import ROW_SUM_TOL, PredictionMatrix, UtilitySpec, _check_distributions, _check_doubly_stochastic
+from .rankers import _CHUNK_CELLS, AUDITED_FUNCTION_IDS, _legendre_nodes, _seeded_rng, _ua_marginals, checked_ranker
+from .types import DS_TOL, ROW_SUM_TOL, PredictionMatrix, UtilitySpec, _check_distributions, _check_doubly_stochastic
 
 FULL_DOMAIN_GROUP = "all"
-# (rankings, n): an audit may rank 10^6 multisets of n <= 19 types, or as many of n > 19 types
+# (rankings, n): an audit may make 10^6 rankings of n <= 19 types, or as many of n > 19 types
 # as cost the same total under the UA kernel's n^3 work per ranking.
 AUDIT_BUDGET = (10**6, 19)
 _WEIGHT_TOL = 1e-9
@@ -186,22 +186,16 @@ class AuditReport:
     delta: float | None = None
 
 
-def _chunk_rows(n: int) -> int:
-    """Type vectors per audit chunk: c * n^2 <= _AUDIT_CHUNK_CELLS, and c >= 1."""
-    return max(1, _AUDIT_CHUNK_CELLS // n**2)
-
-
 def _charge(pop: PopulationModel, n: int, samples: int | None, what: str) -> int:
-    """The most multisets of n types a call ranks: every multiset of the positive-weight types,
-    or at most one per draw when `samples` are drawn.  Refuses the call with BudgetExceededError
-    when that many cost more than `AUDIT_BUDGET`; a ranking costs max(n, 19)^3, since below n = 19
-    the per-multiset overhead (and the exact audit's 32 B `math.fsum` term) outweighs the kernel."""
-    multisets = math.comb(n + int(np.count_nonzero(pop.weights)) - 1, n)
-    rankings = multisets if samples is None else min(samples, multisets)
+    """The most rankings of n types a call makes: one in closed form (exact), or one per distinct
+    sorted draw of `samples`, at most every multiset of positive-weight types.  Over `AUDIT_BUDGET`, at
+    max(n, 19)^3 per ranking (below n = 19 overhead outweighs the kernel), it raises BudgetExceededError."""
+    rankings, unit = (1, "ranking") if samples is None else (
+        min(samples, math.comb(n + int(np.count_nonzero(pop.weights)) - 1, n)), "multisets of types")
     most, small = AUDIT_BUDGET
     budget = most * small**3 // max(n, small) ** 3
     if rankings > budget:
-        raise BudgetExceededError(f"{what} needs {rankings} multisets of types, budget is {budget}"
+        raise BudgetExceededError(f"{what} needs {rankings} {unit}, budget is {budget}"
                                   + (f" at n={n}" if n > small else ""))
     return rankings
 
@@ -209,7 +203,7 @@ def _charge(pop: PopulationModel, n: int, samples: int | None, what: str) -> int
 def _draws(rng: np.random.Generator, pop: PopulationModel, n: int, samples: int):
     """`samples` i.i.d. type vectors of size n, one chunk step at a time; the blocks
     continue the generator's stream exactly as one draw of every vector would."""
-    step = _chunk_rows(n)
+    step = max(1, _AUDIT_CHUNK_CELLS // n**2)  # step * n^2 cells, or one n x n matrix beyond
     for s in range(0, samples, step):
         yield rng.choice(pop.T, size=(min(step, samples - s), n), p=pop.weights)
 
@@ -236,25 +230,42 @@ def _distinct_sorted(draws: np.ndarray, index: dict) -> tuple[np.ndarray, np.nda
     return np.frombuffer(b"".join(list(new)[::-1]), dtype=rows.dtype).reshape(-1, rows.shape[1]), inv
 
 
-def _multinomial(rows: np.ndarray) -> np.ndarray:
-    """n!/prod m_t! per sorted row, exact in Python integers at any n (21! overflows int64)
-    and rounded once to float.  prod m_t! is the product of each entry's place in its run.
-    Under the audit budget a coefficient stays below 2^287 (two types, n <= 287)."""
-    j = np.arange(rows.shape[1])
-    starts = np.maximum.accumulate(np.where(rows == np.roll(rows, 1, axis=1), 0, j), axis=1)
-    return (math.factorial(len(j)) // np.prod((j - starts + 1).astype(object), axis=1)).astype(np.float64)
-
-
 def _taus(pop: PopulationModel, fn: str, u: UtilitySpec | None) -> np.ndarray | None:
     """tau per type under the truth and under the predictor, a (2, T) array; None for UA."""
     return None if fn == "ua" else np.array([u.tau(PredictionMatrix(d)) for d in (pop.ground_truth, pop.predicted)])
 
 
-def _gaps(fn: str, phi: float | None, ind_rows: np.ndarray, ua, opt) -> np.ndarray:
-    """Per row: the mean over i of ind[x_i] times (truth - predictor) at position k,
-    from the (2, rows, n) per-individual columns of UA and of opt (None where unused)."""
+def _gaps(fn: str, phi: float | None, ind: np.ndarray, ua, opt) -> np.ndarray:
+    """ind times (truth - predictor) at position k, entry by entry, from the (2, ...) pairs
+    of UA and of opt (None where unused): per individual of sampled rows, or per type."""
     truth, pred = opt if fn == "opt" else ua if fn == "ua" else phi * ua + (1.0 - phi) * opt
-    return (ind_rows * (truth - pred)).mean(axis=1)
+    return ind * (truth - pred)
+
+
+def _binomial_pmf(n: int, j: int, q: np.ndarray) -> np.ndarray:
+    """Pr[Bin(n, q) = j] for each q in [0, 1], in log space; a power with exponent 0 is
+    left out, so q = 0 or 1 takes no 0 * log 0."""
+    log_q = np.log(q, out=np.full(q.shape, -np.inf), where=q > 0.0)
+    log_p = np.log1p(-q, out=np.full(q.shape, -np.inf), where=q < 1.0)
+    coef = math.lgamma(n + 1) - math.lgamma(j + 1) - math.lgamma(n - j + 1)
+    return np.exp(coef + (j * log_q if j else np.zeros(q.shape)) + ((n - j) * log_p if n - j else 0.0))
+
+
+def _positions(n: int, k: int, w: np.ndarray, d: np.ndarray, last: bool = False) -> np.ndarray:
+    """Per table of the (..., T, V) stack d and type t: Pr[a type-t individual takes position k]
+    among n i.i.d. types of weights w, levels drawn from the types' rows, higher levels first and
+    ties in uniform random order (`last`: behind its ties).  The others' levels are i.i.d. from
+    m = w @ d, so given a uniform u a level-v individual has Bin(n-1, m_{>v} + u m_v) others ahead;
+    ⌊n/2⌋+1 Gauss-Legendre nodes integrate that exactly (`last`: u = 1).  A uniform table is
+    checked to give each position one of the n individuals: n sum_t w_t P_t(k) = 1 within DS_TOL."""
+    u, uw = (np.ones(1), np.ones(1)) if last else _legendre_nodes(n // 2 + 1)
+    m = w @ d
+    above = m @ np.tril(np.ones((m.shape[-1],) * 2), -1)  # m_{>v}
+    K = _binomial_pmf(n - 1, k - 1, np.clip(above[..., None] + m[..., None] * u, 0.0, 1.0)) @ uw
+    P = (d @ K[..., None])[..., 0]
+    if not last and np.any(np.abs(n * (P @ w) - 1.0) > DS_TOL):
+        raise ValidationError(f"position {k} holds {(n * (P @ w)).tolist()} of {n} individuals, not 1 within {DS_TOL}")
+    return P
 
 
 def _type_indicator(pop, group, delta, bucket) -> np.ndarray:
@@ -296,39 +307,27 @@ def theorem_gap_exact(
     bucket: tuple | None = None,
     fix_last: bool = False,
 ) -> float:
-    """Exact group-level ranking gap, summed over the multisets of n types.
+    """Exact group-level ranking gap, in closed form.
 
-    Returns |E[1[x_i in S] * (Pr under ground truth[i -> k] - Pr under
-    predictor[i -> k])]| with x drawn i.i.d. from the type weights and i
-    uniform over the dataset.  A sorted multiset of positive-weight types stands
-    for its equally likely arrangements, weighted n!/prod m_t! * prod w_t^m_t; the
-    terms are summed with `math.fsum`, so the result depends on neither chunk
-    size nor order.  `fix_last` evaluates the i = n variant instead of the
-    uniform average; the two agree for anonymous ranking functions but not in
-    general.  A call over `AUDIT_BUDGET` raises BudgetExceededError, after every
-    validation error.
+    Returns |E[1[x_i in S] * (Pr under ground truth[i -> k] - Pr under predictor[i -> k])]| with x
+    i.i.d. from the type weights and i uniform: the w-weighted sum over the types in S of the truth's
+    minus the predictor's `_positions` table.  `fix_last` evaluates i = n instead, which only opt's
+    index tie-break tells apart.  A call costs one ranking of `AUDIT_BUDGET`, charged after every
+    validation error, so n = 1901 and beyond raise BudgetExceededError.
     """
     checked_ranker(fn, audit=True, u=u, phi=phi)
     taus = _taus(pop, fn, u)
     _validate_audit_args(pop, n, k, group)
     ind = _type_indicator(pop, group, delta, bucket)
-    _charge(pop, n, None, "enumeration")
-    types = np.flatnonzero(pop.weights > 0.0).tolist()
-    rows, terms = itertools.combinations_with_replacement(types, n), []
-    while chunk := list(itertools.islice(rows, _chunk_rows(n))):
-        block = np.array(chunk)
-        w = _multinomial(block) * np.prod(pop.weights[block], axis=1)
-        ua = _ua_pairs(pop, block)[..., k - 1].copy() if fn != "opt" else None  # copied: frees the stack
-        opt = None
-        if taus is not None:
-            # Averaged over arrangements: member j's tau tie block spans positions
-            # (above_j, end_j] and gets 1/b at each, or all at end_j under fix_last.
-            tau = taus[:, block]
-            other = tau[..., None, :]  # [which, r, 0, j'], compared with tau[which, r, j, None]
-            above, end = (other > tau[..., None]).sum(axis=3), (other >= tau[..., None]).sum(axis=3)
-            opt = 1.0 * (end == k) if fix_last else ((above < k) & (k <= end)) / (end - above)
-        terms += (w * _gaps(fn, phi, ind[block], ua, opt)).tolist()
-    return abs(math.fsum(terms))
+    _charge(pop, n, None, "exact audit")
+    ua = opt = None
+    if fn != "opt":  # levels are the labels of the renormalized rows
+        rows = np.stack([pop.ground_truth, pop.predicted])
+        ua = _positions(n, k, pop.weights, rows / rows.sum(axis=-1)[..., None])
+    if taus is not None:  # levels are the distinct taus; opt breaks ties by ascending index
+        levels, inv = np.unique(taus, return_inverse=True)
+        opt = _positions(n, k, pop.weights, np.eye(len(levels))[inv.reshape(taus.shape)], last=fix_last)
+    return abs(float(_gaps(fn, phi, ind * pop.weights, ua, opt).sum()))
 
 
 def theorem_gap_estimate(
@@ -370,7 +369,7 @@ def theorem_gap_estimate(
             opt = np.zeros((2, *block.shape))
             for which, tau in enumerate(taus):
                 opt[which, np.arange(len(block)), np.argsort(-tau[block], axis=1, kind="stable")[:, k - 1]] = 1.0
-        values.append(_gaps(fn, phi, ind[block], ua, opt))
+        values.append(_gaps(fn, phi, ind[block], ua, opt).mean(axis=1))
     values = np.concatenate(values)
     mean = float(values.mean())
     se = float(values.std(ddof=1) / np.sqrt(mc_samples)) if mc_samples > 1 else 0.0

@@ -73,7 +73,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, help="rank position (1-based)")
     p.add_argument("--group", help="group name to audit")
     p.add_argument("--exact", action="store_true",
-                   help="exact enumeration instead of Monte-Carlo sampling")
+                   help="exact closed form instead of Monte-Carlo sampling")
     add_common(p)
 
     return parser

@@ -625,8 +625,7 @@ FOUR_TYPE_DOC = {
 
 @pytest.mark.parametrize("n", [12, 16])
 def test_exact_audit_of_four_types(n, tmp_path, capsys):
-    # 4^n ordered type vectors are over the enumeration budget; their 455 or 969
-    # multisets are not.
+    # 4^n ordered type vectors, audited in closed form as one ranking.
     path = tmp_path / "four.json"
     path.write_text(json.dumps(FOUR_TYPE_DOC))
     argv = ["audit", "theorem", "--model", str(path), "--n", str(n), "--k", "2", "--group", "ab", "--exact",
@@ -637,13 +636,13 @@ def test_exact_audit_of_four_types(n, tmp_path, capsys):
     assert 0.0 < th["exactGap"] <= th["bound"]
 
 
-# The first n the audit budget refuses: 288 for two types (289 multisets against a
-# budget of 287), and 1901 for one type (its one multiset against a budget of 0).
+# The first n the audit budget refuses: for sampling, 288 for two types (289 multisets
+# against a budget of 287); for the exact closed form, one ranking, 1901 for any population.
 @pytest.mark.parametrize("types,path,n,refusal", [
-    (TWO_TYPE_DOC["types"], ["--exact"], 288, "enumeration needs 289 multisets of types, budget is 287"),
+    (TWO_TYPE_DOC["types"], ["--exact"], 1901, "exact audit needs 1 ranking, budget is 0"),
     (TWO_TYPE_DOC["types"], ["--samples", "1000000", "--seed", "1"], 288,
      "sampling needs 289 multisets of types, budget is 287"),
-    (TWO_TYPE_DOC["types"][:1], ["--exact"], 1901, "enumeration needs 1 multisets of types, budget is 0"),
+    (TWO_TYPE_DOC["types"][:1], ["--exact"], 1901, "exact audit needs 1 ranking, budget is 0"),
 ], ids=["exact", "sampled", "one-type-exact"])
 def test_audit_beyond_n_cap_exit_2(types, path, n, refusal, tmp_path, capsys):
     model = tmp_path / "m.json"
