@@ -235,11 +235,11 @@ def _taus(pop: PopulationModel, fn: str, u: UtilitySpec | None) -> np.ndarray | 
     return None if fn == "ua" else np.array([u.tau(PredictionMatrix(d)) for d in (pop.ground_truth, pop.predicted)])
 
 
-def _gaps(fn: str, phi: float | None, ind: np.ndarray, ua, opt) -> np.ndarray:
-    """ind times (truth - predictor) at position k, entry by entry, from the (2, ...) pairs
-    of UA and of opt (None where unused): per individual of sampled rows, or per type."""
+def _gaps(fn: str, phi: float | None, ua, opt) -> np.ndarray:
+    """truth - predictor from the (2, ...) pairs of UA and of opt (None where unused):
+    per type at position k, or per sampled draw."""
     truth, pred = opt if fn == "opt" else ua if fn == "ua" else phi * ua + (1.0 - phi) * opt
-    return ind * (truth - pred)
+    return truth - pred
 
 
 def _binomial_pmf(n: int, j: int, q: np.ndarray) -> np.ndarray:
@@ -269,13 +269,18 @@ def _positions(n: int, k: int, w: np.ndarray, d: np.ndarray, last: bool = False)
 
 
 def _type_indicator(pop, group, delta, bucket) -> np.ndarray:
-    """Per type: 1.0 if it is in the group (and in the calibration bucket, if one is given)."""
+    """Per type: 1.0 if it is in the group (and in the calibration bucket, if one is given).
+    A bucket is L integers in [0, 1/delta), as a tuple or a list."""
     ind = pop.group_mask(group).astype(np.float64)
     bucket_of = type_buckets(pop, delta) if delta is not None else None
     if bucket is not None:
         if bucket_of is None:
             raise ValidationError("a calibration bucket needs its width delta")
-        ind *= np.array([1.0 if b == bucket else 0.0 for b in bucket_of])
+        b = _bucket_count(delta)
+        if not (isinstance(bucket, (tuple, list)) and len(bucket) == pop.L and all(
+                isinstance(j, (int, np.integer)) and not isinstance(j, bool) and 0 <= j < b for j in bucket)):
+            raise ValidationError(f"calibration bucket must be {pop.L} integers in [0, {b}), got {bucket!r}")
+        ind *= np.array([1.0 if j == tuple(bucket) else 0.0 for j in bucket_of])
     return ind
 
 
@@ -327,7 +332,7 @@ def theorem_gap_exact(
     if taus is not None:  # levels are the distinct taus; opt breaks ties by ascending index
         levels, inv = np.unique(taus, return_inverse=True)
         opt = _positions(n, k, pop.weights, np.eye(len(levels))[inv.reshape(taus.shape)], last=fix_last)
-    return abs(float(_gaps(fn, phi, ind * pop.weights, ua, opt).sum()))
+    return abs(float((ind * pop.weights * _gaps(fn, phi, ua, opt)).sum()))
 
 
 def theorem_gap_estimate(
@@ -353,23 +358,20 @@ def theorem_gap_estimate(
     ind = _type_indicator(pop, group, delta, bucket)
     rng, index, values = _seeded_rng(seed), {}, []
     distinct = _charge(pop, n, mc_samples, "sampling")
-    if fn != "opt":  # the k-th UA column pair per distinct sorted draw; opt needs no dedupe
-        kth = np.empty((2, distinct, n))  # pages touched as keys arrive
+    if fn != "opt":  # per distinct sorted draw: the mean over its individuals of ind times UA's k-th column
+        per_key = np.empty((2, distinct))  # pages touched as keys arrive
     for block in _draws(rng, pop, n, mc_samples):
         ua = opt = None
-        if fn != "opt":  # UA once per new sorted draw; individual i takes its row at i's place in a stable sort
+        if fn != "opt":  # UA is anonymous: a draw's pair is its sorted draw's, ranked once when new
             seen = len(index)
             new, inv = _distinct_sorted(block, index)
             if len(new):
-                kth[:, seen : len(index)] = _ua_pairs(pop, new)[..., k - 1]
-            ua, order = np.empty((2, *block.shape)), np.argsort(block, axis=1, kind="stable")
-            for which in (0, 1):
-                np.put_along_axis(ua[which], order, kth[which, inv], axis=1)
-        if taus is not None:  # opt breaks tau ties by ascending index
-            opt = np.zeros((2, *block.shape))
-            for which, tau in enumerate(taus):
-                opt[which, np.arange(len(block)), np.argsort(-tau[block], axis=1, kind="stable")[:, k - 1]] = 1.0
-        values.append(_gaps(fn, phi, ind[block], ua, opt).mean(axis=1))
+                per_key[:, seen : len(index)] = (ind[new] * _ua_pairs(pop, new)[..., k - 1]).mean(axis=-1)
+            ua = per_key[:, inv]
+        if taus is not None:  # ind of the type opt ranks k-th, over n; tau ties go to the lower index
+            at_k = [np.argsort(-tau[block], axis=1, kind="stable")[:, k - 1] for tau in taus]
+            opt = ind[block[np.arange(len(block)), at_k]] / n
+        values.append(_gaps(fn, phi, ua, opt))
     values = np.concatenate(values)
     mean = float(values.mean())
     se = float(values.std(ddof=1) / np.sqrt(mc_samples)) if mc_samples > 1 else 0.0

@@ -604,8 +604,8 @@ class TestBatchedUa:
         # T=12, n=5: 3000 draws against a step of 2^16 // 25 = 2621 type vectors.
         pop, n, step = random_population(np.random.default_rng(66), 12, 2), 5, 2621
         gaps, gap_rows, ua_rows = audit._gaps, [], []
-        monkeypatch.setattr(audit, "_gaps", lambda fn, phi, ind_rows, ua, opt:
-                            gap_rows.append(len(ind_rows)) or gaps(fn, phi, ind_rows, ua, opt))
+        monkeypatch.setattr(audit, "_gaps", lambda fn, phi, ua, opt:  # one (2, block) pair per draw
+                            gap_rows.append(ua.shape[-1]) or gaps(fn, phi, ua, opt))
         monkeypatch.setattr(audit, "_ua_marginals", lambda r: ua_rows.append(r.shape[1]) or _ua_marginals(r))
         u = UtilitySpec.dcg(n, L=2)
         theorem_gap_estimate(pop, n, 2, "g0", fn="mix", u=u, phi=0.5, mc_samples=3000, seed=8)
@@ -662,6 +662,84 @@ class TestSampledDrawBlocks:
             assert max(len(d) for d in draws) == (rows or samples)
             assert np.array_equal(np.concatenate(draws), stream)
             assert sum(ranked) == (0 if kw["fn"] == "opt" else distinct)  # each distinct sorted draw once
+
+
+def draw_order_estimate(pop, n, k, group, fn, samples, seed, u=None, phi=None, delta=None, bucket=None):
+    """(estimate, mc_error) of the sampled audit written per individual in draw order: each draw's
+    k-th UA column pair un-sorted back to its individuals, opt one-hot at the individual it ranks
+    k-th, and a draw's value the mean over its individuals of ind * (truth - predictor)."""
+    mask, bucket_of = pop.group_mask(group), type_buckets(pop, delta) if bucket is not None else None
+    ind = np.array([float(mask[t] and (bucket is None or bucket_of[t] == bucket)) for t in range(pop.T)])
+    draws = np.random.default_rng(seed).choice(pop.T, size=(samples, n), p=pop.weights)
+    ua = opt = None
+    if fn != "opt":
+        keys, inv = np.unique(np.sort(draws, axis=1), axis=0, return_inverse=True)
+        kth = audit._ua_pairs(pop, keys)[..., k - 1][:, inv.ravel()]
+        ua, order = np.empty((2, samples, n)), np.argsort(draws, axis=1, kind="stable")
+        for which in (0, 1):
+            np.put_along_axis(ua[which], order, kth[which], axis=1)
+    if fn != "ua":
+        opt = np.zeros((2, samples, n))
+        for which, d in enumerate((pop.ground_truth, pop.predicted)):
+            tau = u.tau(PredictionMatrix(d))
+            opt[which, np.arange(samples), np.argsort(-tau[draws], axis=1, kind="stable")[:, k - 1]] = 1.0
+    truth, pred = opt if fn == "opt" else ua if fn == "ua" else phi * ua + (1.0 - phi) * opt
+    values = (ind[draws] * (truth - pred)).mean(axis=1)
+    se = values.std(ddof=1) / np.sqrt(samples) if samples > 1 else 0.0
+    return abs(float(values.mean())), float(se)
+
+
+class TestDrawOrderReference:
+    """A sampled draw's value is its one (truth, predictor) pair: UA's from its sorted draw, opt's
+    from the type it ranks k-th.  opt matches the draw-order formulation bit for bit; ua and mix
+    average over the individuals in sorted order, which may move the last digits."""
+
+    def check(self, pop, n, k, group, fn, samples, seed, **kw):
+        u, phi = UtilitySpec.dcg(n, L=pop.L), 0.35 if fn == "mix" else None
+        rep = theorem_gap_estimate(pop, n, k, group, fn=fn, mc_samples=samples, seed=seed, u=u, phi=phi, **kw)
+        want = draw_order_estimate(pop, n, k, group, fn, samples, seed, u=u, phi=phi, **kw)
+        if fn == "opt":
+            assert (rep.estimate, rep.mc_error) == want
+        else:
+            assert (rep.estimate, rep.mc_error) == pytest.approx(want, rel=1e-14, abs=1e-16)
+
+    @pytest.mark.parametrize("fn", ["ua", "opt", "mix"])
+    def test_every_position(self, fn):
+        rng = np.random.default_rng(71)
+        for T, L in itertools.product(range(1, 6), (2, 3)):
+            pop = random_population(rng, T, L)
+            for n in range(1, 9):
+                for k in range(1, n + 1):
+                    self.check(pop, n, k, f"g{k % T}", fn, samples=150, seed=n * k)
+
+    @pytest.mark.parametrize("fn", ["ua", "opt", "mix"])
+    def test_calibration_buckets(self, fn):
+        pop = random_population(np.random.default_rng(72), 4, 2)
+        for bucket in sorted(set(type_buckets(pop, 0.5))):
+            for group in pop.groups:
+                self.check(pop, 5, 2, group, fn, samples=200, seed=3, delta=0.5, bucket=bucket)
+
+
+class TestMalformedBucket:
+    """A bucket that names no cell of the width-delta grid is refused: no type could be in it, so
+    every indicator would be 0 and the gap a silent 0.0."""
+
+    @pytest.mark.parametrize("bucket", [(5, 5), (0,), ("x",), [5, 5], [0], ["x"], (0, 1.0), (True, 0), (-1, 1), 0])
+    @pytest.mark.parametrize("path", ["exact", "sampled"])
+    def test_refused_by_both_paths(self, path, bucket):
+        pop = two_type_biased_model(0.2)
+        call = theorem_gap_exact if path == "exact" else functools.partial(theorem_gap_estimate, mc_samples=10)
+        message = f"calibration bucket must be 2 integers in [0, 2), got {bucket!r}"
+        with pytest.raises(ValidationError, match="^" + re.escape(message) + "$"):
+            call(pop, 3, 1, "1", delta=0.5, bucket=bucket)
+
+    def test_list_names_the_same_cell_as_the_tuple(self):
+        pop = two_type_biased_model(0.2)
+        bucket = type_buckets(pop, 0.5)[0]
+        for call in (theorem_gap_exact, lambda *a, **kw: theorem_gap_estimate(*a, mc_samples=50, **kw).estimate):
+            got = call(pop, 3, 1, "1", delta=0.5, bucket=bucket)
+            assert got > 0.0 and call(pop, 3, 1, "1", delta=0.5, bucket=list(bucket)) == got
+            assert call(pop, 3, 1, "1", delta=0.5, bucket=(np.int64(bucket[0]), bucket[1])) == got
 
 
 def test_negative_seed_refused_before_any_draw():

