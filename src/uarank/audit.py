@@ -116,14 +116,11 @@ class MultiaccuracyResult:
 def multiaccuracy_alpha(pop: PopulationModel) -> MultiaccuracyResult:
     """Exact per-group multiaccuracy violations of the predictor.
 
-    For group S: || sum over types in S of weight * (f* - f) ||_inf.
+    For group S: || sum over types in S of weight * (f* - f) ||_inf, which is
+    multicalibration with one bucket (delta = 1): each group is one cell.
     """
-    diff = pop.weights[:, None] * (pop.ground_truth - pop.predicted)
-    per_group = {
-        name: float(np.abs(diff[list(members)].sum(axis=0)).max())
-        for name, members in pop.groups.items()
-    }
-    return MultiaccuracyResult(per_group=per_group, alpha=max(per_group.values()))
+    res = multicalibration_alpha(pop, 1.0)
+    return MultiaccuracyResult(per_group={name: v for (name, _), v in res.per_cell.items()}, alpha=res.alpha)
 
 
 def _bucket_count(delta: float) -> int:

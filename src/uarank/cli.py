@@ -18,6 +18,7 @@ from . import io as io_mod
 from . import metrics as metrics_mod
 from . import rankers
 from .errors import BudgetExceededError, ValidationError
+from .types import RankingDistribution
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -94,33 +95,106 @@ def _parser() -> tuple[argparse.ArgumentParser, dict]:
     return parser, flags
 
 
-# The one table of which flags each command or audit mode reads besides its
-# inputs, --fn, --out and --format: (required, optional, accepted --fn ids).
-# Where several --fn ids are accepted, --fn is read and its ranker adds its
-# `rankers.RANKERS[fn].params`: `u` is read from --values and --weights, and
-# phi, samples and seed are required flags.
+def _rank_params(args, n, L, u=None) -> dict:
+    """Keyword arguments (u, phi, samples, seed) for `--fn`; `u` is built from
+    --values and --weights if the ranker needs one."""
+    if u is None and "u" in rankers.RANKERS[args.fn].params:
+        u = io_mod.load_utility_spec(n, L, args.values, args.weights)
+    return {"u": u, "phi": args.phi, "samples": args.samples, "seed": args.seed}
+
+
+# One handler per mode.  Each returns a RankingDistribution or a report:
+# (payload key, structured payload, table rows as (name, value) pairs).
+
+def _rank(args):
+    P = io_mod.load_prediction_matrix(args.input)
+    return rankers.compute_ranking(args.fn, P, **_rank_params(args, P.n, P.L))
+
+
+def _oracle(args):
+    return rankers.ua_rank_oracle(io_mod.load_prediction_matrix(args.input), budget=args.budget)
+
+
+def _stability(args):
+    P = io_mod.load_prediction_matrix(args.input)
+    P2 = io_mod.load_prediction_matrix(args.input2)
+    rep = asdict(metrics_mod.stability_gap(args.fn, P, P2, **_rank_params(args, P.n, P.L)))
+    return "stability", rep, [(name, v) for name, v in rep.items() if v is not None]
+
+
+def _utility(args):
+    P = io_mod.load_prediction_matrix(args.input)
+    u = io_mod.load_utility_spec(P.n, P.L, args.values, args.weights)
+    rep = asdict(metrics_mod.normalized_utility(P, args.fn, **_rank_params(args, P.n, P.L, u=u)))
+    return "utility", rep, list(rep.items())
+
+
+def _multiaccuracy(args):
+    res = audit_mod.multiaccuracy_alpha(io_mod.load_population_model(args.model))
+    rows = [*sorted(res.per_group.items()), ("alpha", res.alpha)]
+    return "multiaccuracy", {"perGroup": res.per_group, "alpha": res.alpha}, rows
+
+
+def _multicalibration(args):
+    res = audit_mod.multicalibration_alpha(io_mod.load_population_model(args.model), args.delta)
+    cells = {f"{name}|{','.join(map(str, bucket))}": v for (name, bucket), v in res.per_cell.items()}
+    return "multicalibration", {"perCell": cells, "alpha": res.alpha}, [*sorted(cells.items()), ("alpha", res.alpha)]
+
+
+def _nature(args):
+    given = {flag: getattr(args, flag) for flag in ("seed", "samples") if getattr(args, flag) is not None}
+    rep = audit_mod.nature_closeness_check(io_mod.load_population_model(args.model), args.n, **given)
+    return "nature", asdict(rep), [("eps", rep.eps), ("bound", rep.bound), ("max_gap", rep.max_gap),
+                                   ("within", rep.within_bound)]
+
+
+def _exact_theorem(args):
+    pop = io_mod.load_population_model(args.model)
+    gap = audit_mod.theorem_gap_exact(pop, args.n, args.k, args.group, fn=args.fn,
+                                      u=_rank_params(args, args.n, pop.L)["u"], phi=args.phi, delta=args.delta)
+    bound, alpha = audit_mod.theorem_bound(pop, args.n, args.fn, args.phi, args.delta)
+    return "theorem", {"exactGap": gap, "bound": bound, "alpha": alpha}, [
+        ("gap", gap), ("bound", bound), ("alpha", alpha)]
+
+
+def _sampled_theorem(args):
+    pop = io_mod.load_population_model(args.model)
+    rep = audit_mod.theorem_gap_estimate(
+        pop, args.n, args.k, args.group, fn=args.fn,
+        mc_samples=args.samples, seed=args.seed, u=_rank_params(args, args.n, pop.L)["u"],
+        phi=args.phi, delta=args.delta,
+    )
+    return "theorem", asdict(rep), [("estimate", rep.estimate), ("mc_error", rep.mc_error),
+                                    ("bound", rep.bound), ("alpha", rep.alpha)]
+
+
+# The one table of the commands and audit modes: (required, optional, accepted
+# --fn ids, handler).  Required and optional name the flags a mode reads besides
+# its inputs, --fn, --out and --format.  Where several --fn ids are accepted,
+# --fn is read and its ranker adds its `rankers.RANKERS[fn].params`: `u` is read
+# from --values and --weights, and phi, samples and seed are required flags.
 _ANY, _AUDITED = rankers.RANKING_FUNCTION_IDS, rankers.AUDITED_FUNCTION_IDS
-_READS = {
-    "rank": ((), (), _ANY),
-    "oracle": ((), ("budget",), ()),
-    "stability": ((), (), _ANY),
-    "utility": ((), ("values", "weights"), _ANY),
-    "multiaccuracy": ((), (), ("ua",)),
-    "multicalibration": (("delta",), (), ("ua",)),
-    "nature": (("n",), ("samples", "seed"), ("ua",)),
-    "exact theorem": (("n", "k", "group"), ("exact", "delta"), _AUDITED),
-    "sampled theorem": (("n", "k", "group", "samples", "seed"), ("exact", "delta"), _AUDITED),
+_MODES = {
+    "rank": ((), (), _ANY, _rank),
+    "oracle": ((), ("budget",), (), _oracle),
+    "stability": ((), (), _ANY, _stability),
+    "utility": ((), ("values", "weights"), _ANY, _utility),
+    "multiaccuracy": ((), (), ("ua",), _multiaccuracy),
+    "multicalibration": (("delta",), (), ("ua",), _multicalibration),
+    "nature": (("n",), ("samples", "seed"), ("ua",), _nature),
+    "exact theorem": (("n", "k", "group"), ("exact", "delta"), _AUDITED, _exact_theorem),
+    "sampled theorem": (("n", "k", "group", "samples", "seed"), ("exact", "delta"), _AUDITED, _sampled_theorem),
 }
 
 
 def _reads(args) -> tuple[str, tuple, tuple, set]:
     """The call's mode, the --fn ids it accepts, the flags it requires, and every
-    flag its result depends on: its `_READS` entry, plus --fn and the ranker's
+    flag its result depends on: its `_MODES` row, plus --fn and the ranker's
     `params` when --fn picks one of several rankers."""
     mode = getattr(args, "mode", args.command)
     if mode == "theorem":  # --exact picks the mode, so both modes read it
         mode = f"{'exact' if args.exact else 'sampled'} theorem"
-    required, optional, fns = _READS[mode]
+    required, optional, fns, _ = _MODES[mode]
     params = rankers.RANKERS[args.fn].params if len(fns) > 1 else ()
     required += tuple(p for p in params if p != "u")
     read = {*required, *optional, *(("fn",) if len(fns) > 1 else ()),
@@ -128,10 +202,11 @@ def _reads(args) -> tuple[str, tuple, tuple, set]:
     return mode, fns, required, read
 
 
-def _check_flags(args, flags: dict) -> None:
+def _check_flags(args, flags: dict) -> tuple[str, set]:
     """Refuse a --fn the mode does not accept, then every given flag it does not
-    read, then require each flag it needs, naming them.  A flag is given when its
-    value differs from its argparse default; `flags` is `_parser()`'s second item."""
+    read, then require each flag it needs, naming them; return the mode and the
+    flags it reads.  A flag is given when its value differs from its argparse
+    default; `flags` is `_parser()`'s second item."""
     mode, fns, required, read = _reads(args)
     scope = f"{mode} audits" if args.command == "audit" else f"{mode} calls"
     fn = getattr(args, "fn", None)
@@ -146,129 +221,37 @@ def _check_flags(args, flags: dict) -> None:
     missing = [f"--{p}" for p in required if p not in given]
     if missing:
         raise ValidationError(f"{scope} require {', '.join(missing)}")
+    return mode, read
 
 
-def _rank_params(args, n, L, u=None) -> dict:
-    """Keyword arguments (u, phi, samples, seed) for `--fn`; `u` is built from
-    --values and --weights if the ranker needs one."""
-    if u is None and "u" in rankers.RANKERS[args.fn].params:
-        u = io_mod.load_utility_spec(n, L, args.values, args.weights)
-    return {"u": u, "phi": args.phi, "samples": args.samples, "seed": args.seed}
-
-
-def _echo_config(args) -> dict:
+def _echo_config(args, read: set) -> dict:
     """The command, mode and inputs, and every set flag the result depends on."""
-    echoed = _reads(args)[-1] | {"command", "mode", "input", "input2", "model"}
+    echoed = read | {"command", "mode", "input", "input2", "model"}
     return {k: v for k, v in sorted(vars(args).items()) if v is not None and k in echoed}
 
 
-def _emit(args, payload: dict, table: str) -> None:
+def _emit(args, result, read: set) -> None:
+    """Write a handler's result: structured JSON, a ranking's matrix, or a report's
+    rows, each name padded to the longest name plus two spaces.  `--out` is UTF-8."""
+    key, payload, rows = ("ranking", result.entries, None) if isinstance(result, RankingDistribution) else result
     if args.format == "structured":
-        text = io_mod.serialize_structured({"config": _echo_config(args), **payload})
+        text = io_mod.serialize_structured({"config": _echo_config(args, read), key: payload})
+    elif rows is None:
+        text = io_mod.format_matrix(payload) + "\n"
     else:
-        text = table if table.endswith("\n") else table + "\n"
+        width = 2 + max(len(name) for name, _ in rows)
+        text = "".join(f"{name:<{width}}{v if isinstance(v, bool) else format(v, '.12g')}\n" for name, v in rows)
     if args.out:
         try:
-            Path(args.out).write_text(text)
+            Path(args.out).write_text(text, encoding="utf-8")
         except OSError as exc:
             raise ValidationError(f"cannot write {args.out}: {exc.strerror or exc}") from None
     else:
-        sys.stdout.write(text)
-
-
-def _emit_ranking(args, M) -> None:
-    table = io_mod.format_matrix(M.entries) if args.format == "table" else ""
-    _emit(args, {"ranking": M.entries}, table)
-
-
-def _cmd_rank(args) -> None:
-    P = io_mod.load_prediction_matrix(args.input)
-    _emit_ranking(args, rankers.compute_ranking(args.fn, P, **_rank_params(args, P.n, P.L)))
-
-
-def _cmd_oracle(args) -> None:
-    P = io_mod.load_prediction_matrix(args.input)
-    _emit_ranking(args, rankers.ua_rank_oracle(P, budget=args.budget))
-
-
-def _cmd_stability(args) -> None:
-    P = io_mod.load_prediction_matrix(args.input)
-    P2 = io_mod.load_prediction_matrix(args.input2)
-    rep = metrics_mod.stability_gap(args.fn, P, P2, **_rank_params(args, P.n, P.L))
-    table = (
-        f"inf_gap  {rep.inf_gap:.12g}\n"
-        f"l1_dist  {rep.l1_dist:.12g}\n"
-        + (f"ratio    {rep.ratio:.12g}\n" if rep.ratio is not None else "")
-    )
-    _emit(args, {"stability": asdict(rep)}, table)
-
-
-def _cmd_utility(args) -> None:
-    P = io_mod.load_prediction_matrix(args.input)
-    u = io_mod.load_utility_spec(P.n, P.L, args.values, args.weights)
-    rep = metrics_mod.normalized_utility(P, args.fn, **_rank_params(args, P.n, P.L, u=u))
-    table = (
-        f"raw         {rep.raw:.12g}\n"
-        f"min         {rep.min:.12g}\n"
-        f"max         {rep.max:.12g}\n"
-        f"normalized  {rep.normalized:.12g}\n"
-    )
-    _emit(args, {"utility": asdict(rep)}, table)
-
-
-def _cmd_audit(args) -> None:
-    pop = io_mod.load_population_model(args.model)
-    if args.mode == "multiaccuracy":
-        res = audit_mod.multiaccuracy_alpha(pop)
-        table = "".join(f"{name}  {v:.12g}\n" for name, v in sorted(res.per_group.items()))
-        table += f"alpha  {res.alpha:.12g}\n"
-        _emit(args, {"multiaccuracy": {"perGroup": res.per_group, "alpha": res.alpha}}, table)
-    elif args.mode == "multicalibration":
-        res = audit_mod.multicalibration_alpha(pop, args.delta)
-        cells = {f"{name}|{','.join(map(str, bucket))}": v for (name, bucket), v in res.per_cell.items()}
-        table = "".join(f"{key}  {v:.12g}\n" for key, v in sorted(cells.items()))
-        table += f"alpha  {res.alpha:.12g}\n"
-        _emit(args, {"multicalibration": {"perCell": cells, "alpha": res.alpha}}, table)
-    elif args.mode == "nature":
-        rep = audit_mod.nature_closeness_check(
-            pop, args.n, seed=args.seed if args.seed is not None else 0,
-            samples=args.samples if args.samples is not None else 50,
-        )
-        table = (
-            f"eps       {rep.eps:.12g}\n"
-            f"bound     {rep.bound:.12g}\n"
-            f"max_gap   {rep.max_gap:.12g}\n"
-            f"within    {rep.within_bound}\n"
-        )
-        _emit(args, {"nature": asdict(rep)}, table)
-    elif args.exact:  # theorem audits from here on
-        gap = audit_mod.theorem_gap_exact(pop, args.n, args.k, args.group, fn=args.fn,
-                                          u=_rank_params(args, args.n, pop.L)["u"], phi=args.phi, delta=args.delta)
-        bound, alpha = audit_mod.theorem_bound(pop, args.n, args.fn, args.phi, args.delta)
-        table = f"gap    {gap:.12g}\nbound  {bound:.12g}\nalpha  {alpha:.12g}\n"
-        _emit(args, {"theorem": {"exactGap": gap, "bound": bound, "alpha": alpha}}, table)
-    else:
-        rep = audit_mod.theorem_gap_estimate(
-            pop, args.n, args.k, args.group, fn=args.fn,
-            mc_samples=args.samples, seed=args.seed, u=_rank_params(args, args.n, pop.L)["u"],
-            phi=args.phi, delta=args.delta,
-        )
-        table = (
-            f"estimate  {rep.estimate:.12g}\n"
-            f"mc_error  {rep.mc_error:.12g}\n"
-            f"bound     {rep.bound:.12g}\n"
-            f"alpha     {rep.alpha:.12g}\n"
-        )
-        _emit(args, {"theorem": asdict(rep)}, table)
-
-
-_DISPATCH = {
-    "rank": _cmd_rank,
-    "oracle": _cmd_oracle,
-    "stability": _cmd_stability,
-    "utility": _cmd_utility,
-    "audit": _cmd_audit,
-}
+        try:
+            sys.stdout.write(text)
+        except UnicodeEncodeError as exc:
+            raise ValidationError(f"stdout's encoding {sys.stdout.encoding} cannot write "
+                                  f"{exc.object[exc.start:exc.end]!r}; --out writes UTF-8") from None
 
 
 def main(argv=None) -> int:
@@ -279,8 +262,8 @@ def main(argv=None) -> int:
         # argparse exits 2 on usage errors; those are validation failures here.
         return EXIT_OK if not exc.code else EXIT_VALIDATION
     try:
-        _check_flags(args, flags)
-        _DISPATCH[args.command](args)
+        mode, read = _check_flags(args, flags)
+        _emit(args, _MODES[mode][-1](args), read)
     except BudgetExceededError as exc:
         print(f"error: budget: {exc}", file=sys.stderr)
         return EXIT_BUDGET

@@ -89,6 +89,23 @@ class TestMultiaccuracy:
         res = multiaccuracy_alpha(two_type_biased_model(0.1))
         assert res.per_group["all"] == pytest.approx(0.0, abs=1e-12)
 
+    def test_equals_the_direct_group_sums_bit_for_bit(self):
+        """The one-bucket multicalibration gives each group's direct weighted sum,
+        bit for bit and in group order, for shuffled members and one-hot rows."""
+        rng = np.random.default_rng(51)
+        for i in range(300):
+            pop = random_population(rng, int(rng.integers(1, 7)), int(rng.integers(1, 5)))
+            pred = pop.predicted.copy()
+            if i % 3 == 0:  # predicted values of exactly 0 and 1
+                pred[0] = np.eye(pop.L)[rng.integers(pop.L)]
+            groups = {f"s{j}": tuple(rng.permutation(pop.T)[:rng.integers(1, pop.T + 1)]) for j in range(3)}
+            pop = dataclasses.replace(pop, predicted=pred, groups=groups)
+            diff = pop.weights[:, None] * (pop.ground_truth - pop.predicted)
+            direct = {name: float(np.abs(diff[list(m)].sum(axis=0)).max()) for name, m in pop.groups.items()}
+            res = multiaccuracy_alpha(pop)
+            assert list(res.per_group.items()) == list(direct.items())
+            assert res.alpha == max(direct.values())
+
 
 class TestMulticalibration:
     def test_perfect_predictor_zero(self):

@@ -1,7 +1,10 @@
 import argparse
 import json
+import os
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -793,6 +796,92 @@ def test_sampled_audit_golden_bytes(name, tmp_path, monkeypatch, capsys):
     mode, *rest = flags.split()
     assert main(["audit", mode, "--model", "tied_model.json", *rest, "--format", "structured"]) == 0
     assert capsys.readouterr().out == expected
+
+
+# Table bytes of every report mode: one row per (name, value) pair, each name padded
+# to the longest name plus two spaces.  CSV is stab_lb, CSV2 its lower-bound partner,
+# PREDS a four-row matrix and MODEL the two-type fixture.
+GOLDEN_TABLES = {
+    "stability": ("stability --in CSV --in2 CSV2", "inf_gap  0.5\nl1_dist  1\nratio    0.5\n"),
+    "stability-identical": ("stability --in CSV --in2 CSV", "inf_gap  0\nl1_dist  0\n"),
+    "utility": ("utility --in PREDS", "raw         5.18582035654\nmin         4.90241559071\n"
+                "max         5.31403497542\nnormalized  0.688511708528\n"),
+    "multiaccuracy": ("audit multiaccuracy --model MODEL", "1      0.05\n2      0.05\nall    0\nalpha  0.05\n"),
+    "multicalibration": ("audit multicalibration --model MODEL --delta 0.5",
+                         "1|0,1    0.05\n2|1,0    0.05\nall|0,1  0.05\nall|1,0  0.05\nalpha    0.05\n"),
+    "nature": ("audit nature --model MODEL --n 3",
+               "eps      0.2\nbound    0.6\nmax_gap  0.106666666667\nwithin   True\n"),
+    "exact-theorem": ("audit theorem --model MODEL --fn opt --n 4 --k 1 --group 1 --exact",
+                      "gap    0.109375\nbound  0.4\nalpha  0.05\n"),
+    "sampled-theorem": ("audit theorem --model MODEL --n 4 --k 2 --group 1 --samples 200 --seed 3",
+                        "estimate  0.0096925\nmc_error  0.000307254774139\nbound     0.4\nalpha     0.05\n"),
+}
+
+
+@pytest.fixture
+def table_files(stab_lb_csv, two_type_json, tmp_path):
+    (tmp_path / "partner.csv").write_text("1,0,0\n0,1,0\n0,1,0\n")
+    (tmp_path / "preds.csv").write_text("0.2,0.3,0.5\n0.6,0.2,0.2\n0.1,0.8,0.1\n0.3,0.3,0.4\n")
+    return {"CSV": stab_lb_csv, "CSV2": str(tmp_path / "partner.csv"), "PREDS": str(tmp_path / "preds.csv"),
+            "MODEL": two_type_json}
+
+
+@pytest.mark.parametrize("name", GOLDEN_TABLES)
+def test_report_table_golden_bytes(name, table_files, capsys):
+    argv, expected = GOLDEN_TABLES[name]
+    assert main([table_files.get(a, a) for a in argv.split()]) == 0
+    assert capsys.readouterr().out == expected
+
+
+@pytest.mark.parametrize("name", GOLDEN_TABLES)
+def test_report_table_rows_are_the_structured_values(name, table_files, capsys):
+    """Each table row is `format(v, ".12g")` (a bool as True/False) of the value the
+    structured payload holds under that name, group or cell."""
+    argv = [table_files.get(a, a) for a in GOLDEN_TABLES[name][0].split()]
+    assert main(argv) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert main([*argv, "--format", "structured"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    (payload,) = [v for k, v in doc.items() if k != "config"]
+    values = {}
+    for key, v in payload.items():
+        values.update(v if isinstance(v, dict) else {key: v})
+    values.update(gap=values.get("exactGap"), within=values.get("within_bound"))
+    width = max(len(line.rsplit(None, 1)[0]) for line in lines) + 2
+    for line in lines:
+        row, text = line.rsplit(None, 1)
+        v = values[row]
+        assert line == row.ljust(width) + text
+        assert text == (str(v) if isinstance(v, bool) else format(v, ".12g"))
+
+
+def test_modes_table_has_one_row_per_command_and_audit_mode():
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    audit_modes = next(a for a in sub.choices["audit"]._actions if a.dest == "mode").choices
+    modes = [c for c in sub.choices if c != "audit"] + [m for m in audit_modes if m != "theorem"]
+    assert sorted(cli._MODES) == sorted(modes + ["exact theorem", "sampled theorem"])
+
+
+NON_ASCII_DOC = {**TWO_TYPE_DOC, "groups": [{"name": "grüppe", "members": ["1"]}]}
+
+
+@pytest.mark.parametrize("to", ["out", "stdout"])
+def test_non_ascii_report_under_an_ascii_locale(to, tmp_path):
+    """Under the C locale, --out still writes UTF-8, and stdout, which cannot encode
+    the group name, fails with a validation error instead of a traceback."""
+    (tmp_path / "m.json").write_text(json.dumps(NON_ASCII_DOC), encoding="utf-8")
+    env = {**os.environ, "LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0",
+           "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    argv = [sys.executable, "-m", "uarank.cli", "audit", "multiaccuracy", "--model", "m.json"]
+    out = tmp_path / "o.txt"
+    proc = subprocess.run([*argv, *(["--out", str(out)] if to == "out" else [])], cwd=tmp_path, env=env,
+                          capture_output=True, timeout=60)
+    if to == "out":
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, b"", b"")
+        assert out.read_bytes().decode("utf-8") == "all     0\ngrüppe  0.05\nalpha   0.05\n"
+    else:
+        assert proc.returncode == 1 and proc.stdout == b""
+        assert proc.stderr.startswith(b"error: validation: stdout's encoding ")
 
 
 class TestSerializeStructured:
