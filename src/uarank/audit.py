@@ -16,8 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import rankers
 from .errors import BudgetExceededError, ValidationError
-from .rankers import _CHUNK_CELLS, AUDITED_FUNCTION_IDS, _legendre_nodes, _seeded_rng, _ua_marginals, checked_ranker
+from .rankers import AUDITED_FUNCTION_IDS, _legendre_nodes, _seeded_rng, _ua_marginals, checked_ranker
 from .types import DS_TOL, ROW_SUM_TOL, PredictionMatrix, UtilitySpec, _check_distributions, _check_doubly_stochastic
 
 FULL_DOMAIN_GROUP = "all"
@@ -25,7 +26,6 @@ FULL_DOMAIN_GROUP = "all"
 # as cost the same total under the UA kernel's n^3 work per ranking.
 AUDIT_BUDGET = (10**6, 19)
 _WEIGHT_TOL = 1e-9
-_AUDIT_CHUNK_CELLS = _CHUNK_CELLS  # n x n cells per distribution in one audit chunk: memory flat in n
 
 
 @dataclass(frozen=True)
@@ -200,7 +200,7 @@ def _charge(pop: PopulationModel, n: int, samples: int | None, what: str) -> int
 def _draws(rng: np.random.Generator, pop: PopulationModel, n: int, samples: int):
     """`samples` i.i.d. type vectors of size n, one chunk step at a time; the blocks
     continue the generator's stream exactly as one draw of every vector would."""
-    step = max(1, _AUDIT_CHUNK_CELLS // n**2)  # step * n^2 cells, or one n x n matrix beyond
+    step = max(1, rankers._CHUNK_CELLS // n**2)  # step * n^2 cells, or one n x n matrix beyond
     for s in range(0, samples, step):
         yield rng.choice(pop.T, size=(min(step, samples - s), n), p=pop.weights)
 
@@ -248,37 +248,43 @@ def _binomial_pmf(n: int, j: int, q: np.ndarray) -> np.ndarray:
     return np.exp(coef + (j * log_q if j else np.zeros(q.shape)) + ((n - j) * log_p if n - j else 0.0))
 
 
-def _positions(n: int, k: int, w: np.ndarray, d: np.ndarray, last: bool = False) -> np.ndarray:
+def _positions(n: int, k: int, w: np.ndarray, d: np.ndarray) -> np.ndarray:
     """Per table of the (..., T, V) stack d and type t: Pr[a type-t individual takes position k]
     among n i.i.d. types of weights w, levels drawn from the types' rows, higher levels first and
-    ties in uniform random order (`last`: behind its ties).  The others' levels are i.i.d. from
-    m = w @ d, so given a uniform u a level-v individual has Bin(n-1, m_{>v} + u m_v) others ahead;
-    ⌊n/2⌋+1 Gauss-Legendre nodes integrate that exactly (`last`: u = 1).  A uniform table is
-    checked to give each position one of the n individuals: n sum_t w_t P_t(k) = 1 within DS_TOL."""
-    u, uw = (np.ones(1), np.ones(1)) if last else _legendre_nodes(n // 2 + 1)
+    ties in uniform random order.  The others' levels are i.i.d. from m = w @ d, so given a uniform
+    u a level-v individual has Bin(n-1, m_{>v} + u m_v) others ahead; ⌊n/2⌋+1 Gauss-Legendre nodes
+    integrate that exactly.  Each table is checked to give each position one of the n
+    individuals: n sum_t w_t P_t(k) = 1 within DS_TOL."""
+    u, uw = _legendre_nodes(n // 2 + 1)
     m = w @ d
     above = m @ np.tril(np.ones((m.shape[-1],) * 2), -1)  # m_{>v}
     K = _binomial_pmf(n - 1, k - 1, np.clip(above[..., None] + m[..., None] * u, 0.0, 1.0)) @ uw
     P = (d @ K[..., None])[..., 0]
-    if not last and np.any(np.abs(n * (P @ w) - 1.0) > DS_TOL):
+    if np.any(np.abs(n * (P @ w) - 1.0) > DS_TOL):
         raise ValidationError(f"position {k} holds {(n * (P @ w)).tolist()} of {n} individuals, not 1 within {DS_TOL}")
     return P
 
 
-def _type_indicator(pop, group, delta, bucket) -> np.ndarray:
-    """Per type: 1.0 if it is in the group (and in the calibration bucket, if one is given).
-    A bucket is L integers in [0, 1/delta), as a tuple or a list."""
+def _audit_setup(pop, n, k, group, fn, u, phi, delta, bucket, samples=None) -> tuple:
+    """The checked arguments of a theorem audit, (taus, ind, rankings): `_taus`, 1.0 per type in the
+    group (and in the calibration bucket, if one is given), and the rankings `_charge` counts for
+    `samples` (None: exact).  Checks n, k and the group, then the ranker, its parameters and tau,
+    then delta and the bucket, L integers in [0, 1/delta) as a tuple or a list, then the budget."""
+    _check_size(n)
+    if not 1 <= k <= n:
+        raise ValidationError(f"position {k} out of range for n={n}")
     ind = pop.group_mask(group).astype(np.float64)
-    bucket_of = type_buckets(pop, delta) if delta is not None else None
+    checked_ranker(fn, audit=True, u=u, phi=phi)
+    taus = _taus(pop, fn, u)
+    b = None if delta is None else _bucket_count(delta)
     if bucket is not None:
-        if bucket_of is None:
+        if b is None:
             raise ValidationError("a calibration bucket needs its width delta")
-        b = _bucket_count(delta)
         if not (isinstance(bucket, (tuple, list)) and len(bucket) == pop.L and all(
                 isinstance(j, (int, np.integer)) and not isinstance(j, bool) and 0 <= j < b for j in bucket)):
             raise ValidationError(f"calibration bucket must be {pop.L} integers in [0, {b}), got {bucket!r}")
-        ind *= np.array([1.0 if j == tuple(bucket) else 0.0 for j in bucket_of])
-    return ind
+        ind *= np.array([1.0 if j == tuple(bucket) else 0.0 for j in type_buckets(pop, delta)])
+    return taus, ind, _charge(pop, n, samples, "exact audit" if samples is None else "sampling")
 
 
 def theorem_bound(pop: PopulationModel, n: int, fn="ua", phi=None, delta=None) -> tuple[float, float]:
@@ -307,28 +313,22 @@ def theorem_gap_exact(
     phi: float | None = None,
     delta: float | None = None,
     bucket: tuple | None = None,
-    fix_last: bool = False,
 ) -> float:
     """Exact group-level ranking gap, in closed form.
 
     Returns |E[1[x_i in S] * (Pr under ground truth[i -> k] - Pr under predictor[i -> k])]| with x
     i.i.d. from the type weights and i uniform: the w-weighted sum over the types in S of the truth's
-    minus the predictor's `_positions` table.  `fix_last` evaluates i = n instead, which only opt's
-    index tie-break tells apart.  A call costs one ranking of `AUDIT_BUDGET`, charged after every
-    validation error, so n = 1901 and beyond raise BudgetExceededError.
+    minus the predictor's `_positions` table.  A call costs one ranking of `AUDIT_BUDGET`, charged
+    after every validation error, so n = 1901 and beyond raise BudgetExceededError.
     """
-    checked_ranker(fn, audit=True, u=u, phi=phi)
-    taus = _taus(pop, fn, u)
-    _validate_audit_args(pop, n, k, group)
-    ind = _type_indicator(pop, group, delta, bucket)
-    _charge(pop, n, None, "exact audit")
+    taus, ind, _ = _audit_setup(pop, n, k, group, fn, u, phi, delta, bucket)
     ua = opt = None
     if fn != "opt":  # levels are the labels of the renormalized rows
         rows = np.stack([pop.ground_truth, pop.predicted])
         ua = _positions(n, k, pop.weights, rows / rows.sum(axis=-1)[..., None])
     if taus is not None:  # levels are the distinct taus; opt breaks ties by ascending index
         levels, inv = np.unique(taus, return_inverse=True)
-        opt = _positions(n, k, pop.weights, np.eye(len(levels))[inv.reshape(taus.shape)], last=fix_last)
+        opt = _positions(n, k, pop.weights, np.eye(len(levels))[inv.reshape(taus.shape)])
     return abs(float((ind * pop.weights * _gaps(fn, phi, ua, opt)).sum()))
 
 
@@ -347,14 +347,8 @@ def theorem_gap_estimate(
 ) -> AuditReport:
     """Monte-Carlo estimate of the group-level ranking gap, with standard error.  A call over
     `AUDIT_BUDGET` raises BudgetExceededError, after every validation error."""
-    if mc_samples < 1:
-        raise ValidationError(f"need at least one sample, got {mc_samples}")
-    _validate_audit_args(pop, n, k, group)
-    checked_ranker(fn, audit=True, u=u, phi=phi)
-    taus = _taus(pop, fn, u)
-    ind = _type_indicator(pop, group, delta, bucket)
-    rng, index, values = _seeded_rng(seed), {}, []
-    distinct = _charge(pop, n, mc_samples, "sampling")
+    rng, index, values = _seeded_rng(seed, mc_samples), {}, []
+    taus, ind, distinct = _audit_setup(pop, n, k, group, fn, u, phi, delta, bucket, mc_samples)
     if fn != "opt":  # per distinct sorted draw: the mean over its individuals of ind times UA's k-th column
         per_key = np.empty((2, distinct))  # pages touched as keys arrive
     for block in _draws(rng, pop, n, mc_samples):
@@ -395,9 +389,7 @@ def nature_closeness_check(pop: PopulationModel, n: int, seed: int = 0, samples:
     over `AUDIT_BUDGET` raises BudgetExceededError, after every validation error.
     """
     _check_size(n)
-    if samples < 1:
-        raise ValidationError(f"need at least one sample, got {samples}")
-    rng, index, max_gap = _seeded_rng(seed), {}, 0.0
+    rng, index, max_gap = _seeded_rng(seed, samples), {}, 0.0
     _charge(pop, n, samples, "nature check")
     eps = float(np.abs(pop.predicted - pop.ground_truth).sum(axis=1).max())
     # Both matrices of a dataset are the same row permutation of its sorted
@@ -415,10 +407,3 @@ def nature_closeness_check(pop: PopulationModel, n: int, seed: int = 0, samples:
 def _check_size(n: int) -> None:
     if n < 1:
         raise ValidationError(f"dataset size must be positive, got {n}")
-
-
-def _validate_audit_args(pop: PopulationModel, n: int, k: int, group: str) -> None:
-    _check_size(n)
-    if not 1 <= k <= n:
-        raise ValidationError(f"position {k} out of range for n={n}")
-    pop.group_mask(group)  # raises for unknown groups

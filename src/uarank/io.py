@@ -22,8 +22,6 @@ def load_prediction_matrix(path) -> PredictionMatrix:
     Errors name the offending row (1-based data row) and column.
     """
     path = Path(path)
-    if not path.exists():
-        raise ValidationError(f"no such file: {path}")
     text = StringIO(_read_text(path, newline=""), newline="")  # csv parses newlines inside quoted cells itself
     records = [row for row in csv.reader(text) if "".join(row).strip()]
     if not records:
@@ -45,8 +43,8 @@ def load_prediction_matrix(path) -> PredictionMatrix:
 
 def _read_text(path: Path, newline: str | None = None) -> str:
     """The file's text as UTF-8, without a leading byte order mark (a spreadsheet's
-    BOM is not data).  A file that cannot be opened or decoded, such as a
-    directory or a UTF-16 export, is a ValidationError naming the path and reason."""
+    BOM is not data).  A file that cannot be opened or decoded, such as a missing
+    file, a directory or a UTF-16 export, is a ValidationError naming the path and reason."""
     try:
         with path.open(encoding="utf-8-sig", newline=newline) as fh:
             return fh.read()
@@ -96,8 +94,6 @@ def load_population_model(path) -> PopulationModel:
     be the full domain, which is added under that name when no group covers it.
     """
     path = Path(path)
-    if not path.exists():
-        raise ValidationError(f"no such file: {path}")
     try:
         doc = json.loads(_read_text(path))
     except json.JSONDecodeError as exc:
@@ -120,7 +116,7 @@ def population_model_from_dict(doc: dict, source: str = "population model") -> P
         for key in ("name", "weight", "groundTruth", "predicted"):
             if key not in t:
                 raise ValidationError(f"{source}: type {idx} is missing '{key}'")
-        names.append(str(t["name"]))
+        names.append(_utf8_name(t["name"], f"{source}: type {idx}"))
         for key, out in (("weight", weights), ("groundTruth", gt), ("predicted", pred)):
             try:
                 out.append(_json_float(t[key]) if key == "weight" else [_json_float(v) for v in t[key]])
@@ -134,9 +130,10 @@ def population_model_from_dict(doc: dict, source: str = "population model") -> P
 
     by_name = {name: i for i, name in enumerate(names)}
     groups = {}
-    for g in doc.get("groups", []):
+    for idx, g in enumerate(doc.get("groups", []), start=1):
         if not isinstance(g, dict) or "name" not in g or "members" not in g:
             raise ValidationError(f"{source}: each group needs 'name' and 'members'")
+        name = _utf8_name(g["name"], f"{source}: group {idx}")
         if not isinstance(g["members"], list):
             raise ValidationError(f"{source}: group '{g['name']}': 'members' must be a list, got {g['members']!r}")
         members = []
@@ -144,9 +141,9 @@ def population_model_from_dict(doc: dict, source: str = "population model") -> P
             if str(m) not in by_name:
                 raise ValidationError(f"{source}: group '{g['name']}' references unknown type '{m}'")
             members.append(by_name[str(m)])
-        if str(g["name"]) in groups:
-            raise ValidationError(f"{source}: duplicate group name '{g['name']}'")
-        groups[str(g["name"])] = tuple(members)
+        if name in groups:
+            raise ValidationError(f"{source}: duplicate group name '{name}'")
+        groups[name] = tuple(members)
     try:
         return PopulationModel(
             type_names=tuple(names),
@@ -157,6 +154,17 @@ def population_model_from_dict(doc: dict, source: str = "population model") -> P
         )
     except ValidationError as exc:
         raise ValidationError(f"{source}: {exc}") from None
+
+
+def _utf8_name(name, what: str) -> str:
+    """`str(name)`, refused when UTF-8 cannot encode it, as with a lone surrogate such as the
+    JSON string "\\ud800": a report may print the name, and every report is UTF-8 text."""
+    name = str(name)
+    try:
+        name.encode("utf-8")
+    except UnicodeEncodeError:
+        raise ValidationError(f"{what}: name {name!r} does not encode as UTF-8") from None
+    return name
 
 
 def _json_float(v) -> float:
@@ -184,8 +192,6 @@ def load_utility_spec(n: int, L: int, values: str | None, weights: str | None) -
     if weights is None or weights == "dcg":
         return UtilitySpec.dcg(n, label_values=v)
     wpath = Path(weights)
-    if not wpath.exists():
-        raise ValidationError(f"no such weights file: {wpath}")
     lines = _read_text(wpath).split()
     try:
         w = np.array([float(line) for line in lines])

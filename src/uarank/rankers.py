@@ -206,8 +206,11 @@ def mix_rank(P: PredictionMatrix, u: UtilitySpec, phi: float) -> RankingDistribu
     )
 
 
-def _seeded_rng(seed: int) -> np.random.Generator:
-    """The generator of every sampling path, after refusing a seed numpy would reject."""
+def _seeded_rng(seed: int, samples: int) -> np.random.Generator:
+    """The generator of every sampling path, after refusing a sample count below one and
+    then a seed numpy would reject."""
+    if samples < 1:
+        raise ValidationError(f"need at least one sample, got {samples}")
     if seed < 0:
         raise ValidationError(f"seed must be a nonnegative integer, got {seed}")
     return np.random.default_rng(seed)
@@ -228,11 +231,9 @@ def pl_rank(P: PredictionMatrix, u: UtilitySpec, samples: int, seed: int) -> Ran
     independent standard Gumbel noise; the returned matrix averages the
     resulting permutation matrices.  Deterministic for a fixed seed.
     """
-    if samples < 1:
-        raise ValidationError(f"need at least one sample, got {samples}")
+    rng = _seeded_rng(seed, samples)
     tau = u.tau(P)
     n = P.n
-    rng = _seeded_rng(seed)
     counts = np.zeros(n * n, dtype=np.int64)
     done = 0
     while done < samples:

@@ -193,21 +193,6 @@ class TestTheoremGapExact:
             gap = theorem_gap_exact(pop, n, k, "g0", fn="mix", u=u2(n), phi=phi)
             assert gap <= phi * pop.L * n * alpha + (1 - phi) + 1e-12
 
-    def test_fix_last_matches_uniform_for_ua(self):
-        # The i=n shortcut is only valid for anonymous ranking functions.
-        rng = np.random.default_rng(53)
-        pop = random_population(rng, 3, 2)
-        for k in (1, 2, 3):
-            a = theorem_gap_exact(pop, 3, k, "g0", fn="ua")
-            b = theorem_gap_exact(pop, 3, k, "g0", fn="ua", fix_last=True)
-            assert a == pytest.approx(b, abs=1e-12)
-
-    def test_fix_last_differs_for_opt(self):
-        pop = two_type_biased_model(0.1)
-        a = theorem_gap_exact(pop, 4, 1, "1", fn="opt", u=u2(4))
-        b = theorem_gap_exact(pop, 4, 1, "1", fn="opt", u=u2(4), fix_last=True)
-        assert abs(a - b) > 1e-6
-
     def test_bucket_restricted_gap_bounded(self):
         rng = np.random.default_rng(54)
         pop = random_population(rng, 3, 2)
@@ -324,7 +309,7 @@ class ReferenceAudit:
         self.pop, self.fn, self.u, self.phi = pop, fn, u, phi
         self._matrices, self._members = {}, {}
 
-    def value(self, tvec, k, group, delta=None, bucket=None, fix_last=False):
+    def value(self, tvec, k, group, delta=None, bucket=None):
         if tvec not in self._matrices:
             self._matrices[tvec] = [
                 compute_ranking(self.fn, PredictionMatrix(d[list(tvec)]), u=self.u, phi=self.phi).entries
@@ -338,7 +323,7 @@ class ReferenceAudit:
                                                    for t in range(self.pop.T)]
         ind = np.array([self._members[group, delta, bucket][t] for t in tvec], dtype=float)
         terms = ind * (truth[:, k - 1] - pred[:, k - 1])
-        return terms[-1] if fix_last else terms.mean()
+        return terms.mean()
 
     def exact(self, n, k, group, **kw):
         return abs(sum(
@@ -364,9 +349,8 @@ class TestEngineMatchesPerVectorReference:
             ref = ReferenceAudit(pop, fn, u, phi)
             for group in pop.groups:
                 for k in range(1, n + 1):
-                    for fix_last in (False, True):
-                        got = theorem_gap_exact(pop, n, k, group, fn=fn, u=u, phi=phi, fix_last=fix_last)
-                        assert got == pytest.approx(ref.exact(n, k, group, fix_last=fix_last), abs=1e-15)
+                    got = theorem_gap_exact(pop, n, k, group, fn=fn, u=u, phi=phi)
+                    assert got == pytest.approx(ref.exact(n, k, group), abs=1e-15)
                     for bucket in buckets:
                         got = theorem_gap_exact(pop, n, k, group, fn=fn, u=u, phi=phi, delta=0.5, bucket=bucket)
                         assert got == pytest.approx(ref.exact(n, k, group, delta=0.5, bucket=bucket), abs=1e-15)
@@ -380,9 +364,7 @@ class TestEngineMatchesPerVectorReference:
         u = UtilitySpec.dcg(2, L=2)
         ref = ReferenceAudit(pop, "opt", u)
         assert ref.value((0, 1), 1, "a") != ref.value((1, 0), 1, "a")
-        for fix_last in (False, True):
-            assert theorem_gap_exact(pop, 2, 1, "a", fn="opt", u=u, fix_last=fix_last) == pytest.approx(
-                ref.exact(2, 1, "a", fix_last=fix_last), abs=1e-15)
+        assert theorem_gap_exact(pop, 2, 1, "a", fn="opt", u=u) == pytest.approx(ref.exact(2, 1, "a"), abs=1e-15)
 
 
 class TestMultisetEnumeration:
@@ -542,9 +524,8 @@ class TestClosedFormEdges:
             warnings.simplefilter("error")
             for group in pop.groups:
                 for k in range(1, n + 1):
-                    for fix_last in (False, True):
-                        got = theorem_gap_exact(pop, n, k, group, fn=fn, u=u, phi=phi, fix_last=fix_last)
-                        assert got == pytest.approx(ref.exact(n, k, group, fix_last=fix_last), abs=1e-15)
+                    got = theorem_gap_exact(pop, n, k, group, fn=fn, u=u, phi=phi)
+                    assert got == pytest.approx(ref.exact(n, k, group), abs=1e-15)
 
     def test_pmf_off_by_1e6_trips_the_position_check(self, monkeypatch):
         pop = random_population(np.random.default_rng(68), 3, 2)
@@ -553,8 +534,6 @@ class TestClosedFormEdges:
         for fn, phi in (("ua", None), ("opt", None), ("mix", 0.5)):
             with pytest.raises(ValidationError, match=re.escape("position 2 holds [")):
                 theorem_gap_exact(pop, 4, 2, "g0", fn=fn, u=u, phi=phi)
-        # Individual n's opt table is not uniform over the types, so it is not checked.
-        assert theorem_gap_exact(pop, 4, 2, "g0", fn="opt", u=u, fix_last=True) >= 0.0
 
     def test_sampled_within_4_se_beyond_the_enumeration_cap(self):
         # T=5, n=60: 635 376 multisets of types, far more than the 31 754 rankings the budget allows at n=60.
@@ -580,7 +559,7 @@ class TestBlockSize:
             return out
 
         whole = results()
-        monkeypatch.setattr(audit, "_AUDIT_CHUNK_CELLS", rows * n * n)
+        monkeypatch.setattr(rankers, "_CHUNK_CELLS", rows * n * n)
         assert results() == whole
 
 
@@ -601,7 +580,7 @@ class TestBatchedUa:
             return out
 
         whole, sizes = results(), []
-        monkeypatch.setattr(audit, "_AUDIT_CHUNK_CELLS", rows * n * n if rows else 10**9)
+        monkeypatch.setattr(rankers, "_CHUNK_CELLS", rows * n * n if rows else 10**9)
         monkeypatch.setattr(audit, "_ua_marginals", lambda r: sizes.append(r.shape[1]) or _ua_marginals(r))
         assert results() == whole
         # A chunk ranks at most `rows` new sorted draws; unchunked, one call ranks every distinct
@@ -668,8 +647,8 @@ class TestSampledDrawBlocks:
                 draws.append(self.rng.choice(*args, **kwargs))
                 return draws[-1]
 
-        monkeypatch.setattr(audit, "_seeded_rng", lambda s: Recording(rankers._seeded_rng(s)))
-        monkeypatch.setattr(audit, "_AUDIT_CHUNK_CELLS", rows * n * n if rows else 10**9)
+        monkeypatch.setattr(audit, "_seeded_rng", lambda s, m: Recording(rankers._seeded_rng(s, m)))
+        monkeypatch.setattr(rankers, "_CHUNK_CELLS", rows * n * n if rows else 10**9)
         monkeypatch.setattr(audit, "_ua_marginals", lambda r: ranked.append(r.shape[1]) or _ua_marginals(r))
         for kw, want in zip(runs, whole):
             draws.clear()
@@ -773,54 +752,42 @@ U3 = UtilitySpec(np.array([1.0, 2.0, 3.0]), np.ones(2))  # 3 label values, model
 OVER = 288  # the first n the budget refuses for sampling two types: 289 multisets, budget 287
 
 
-def _case(name, path, error, message, **kw):
-    return pytest.param(path, kw, error, message, id=f"{path}-{name}")
+# Both theorem audits check their arguments in this order (the sample count and the seed on the
+# sampled path only).  A case sets its own bad argument over those of every later case, so it
+# fails at its own check only if that check comes before all the later ones.
+ERROR_ORDER = [
+    ("samples", dict(mc_samples=0), ValidationError, "need at least one sample, got 0"),
+    ("seed", dict(seed=-1), ValidationError, "seed must be a nonnegative integer, got -1"),
+    ("n_positive", dict(n=0), ValidationError, "dataset size must be positive, got 0"),
+    ("k_range", dict(k=0), ValidationError, f"position 0 out of range for n={EXACT_OVER}"),
+    ("unknown_group", dict(group="nope"), ValidationError, "unknown group 'nope'; known: ['1', '2', 'all']"),
+    ("unaudited_fn", dict(fn="pl"), ValidationError, "audits support ranking functions ('ua', 'opt', 'mix'); got 'pl'"),
+    ("missing_u", dict(u=None), ValidationError, "ranking function 'mix' requires u"),
+    ("phi_range", dict(phi=2.0), ValidationError, "mixture weight must lie in [0, 1], got 2.0"),
+    ("tau_labels", dict(u=U3), ValidationError, "utility spec has 3 label values, matrix has 2 labels"),
+    ("bucket_width", dict(delta=None, bucket=(0, 1)), ValidationError, "a calibration bucket needs its width delta"),
+    ("bucket_cell", dict(delta=0.5, bucket=(5, 5)), ValidationError,
+     "calibration bucket must be 2 integers in [0, 2), got (5, 5)"),
+    # 10^6 samples: more than the 1902 multisets of two types, so the sampled path is charged every one.
+    ("n_cap", {}, BudgetExceededError, {"exact": EXACT_REFUSAL,
+                                        "sampled": "sampling needs 1902 multisets of types, budget is 0 at n=1901"}),
+]
+VALID = dict(mc_samples=10**6, seed=0, n=EXACT_OVER, k=1, group="1", fn="mix", u=u2(2), phi=0.5)
 
 
-@pytest.mark.parametrize("path, kw, error, message", [
-    # Exact: the ranker and its tau checks come before n, k and the group, and every
-    # validation error before the budget.
-    _case("unaudited_fn", "exact", ValidationError, "audits support ranking functions ('ua', 'opt', 'mix'); got 'pl'",
-          n=EXACT_OVER, k=0, group="nope", fn="pl"),
-    _case("missing_u", "exact", ValidationError, "ranking function 'opt' requires u",
-          n=EXACT_OVER, k=0, group="nope", fn="opt"),
-    _case("phi_range", "exact", ValidationError, "mixture weight must lie in [0, 1], got 2.0",
-          n=EXACT_OVER, k=0, group="nope", fn="mix", u=U3, phi=2.0),
-    _case("tau_labels", "exact", ValidationError, "utility spec has 3 label values, matrix has 2 labels",
-          n=EXACT_OVER, k=0, group="nope", fn="opt", u=U3),
-    _case("n_positive", "exact", ValidationError, "dataset size must be positive, got 0", n=0, k=0, group="nope"),
-    _case("k_range", "exact", ValidationError, "position 0 out of range for n=1901", n=EXACT_OVER, k=0, group="nope"),
-    _case("unknown_group", "exact", ValidationError, "unknown group 'nope'", n=EXACT_OVER, k=1, group="nope"),
-    _case("bucket_width", "exact", ValidationError, "a calibration bucket needs its width delta",
-          n=EXACT_OVER, k=1, group="1", bucket=(0, 1)),
-    _case("n_cap", "exact", BudgetExceededError, EXACT_REFUSAL, n=EXACT_OVER, k=1, group="1"),
-    # Sampled: the sample count, then n, k and the group, then the ranker, then the budget.
-    _case("samples", "sampled", ValidationError, "need at least one sample, got 0",
-          n=OVER, k=0, group="nope", fn="pl", mc_samples=0),
-    _case("n_positive", "sampled", ValidationError, "dataset size must be positive, got 0",
-          n=0, k=0, group="nope", fn="pl"),
-    _case("k_range", "sampled", ValidationError, "position 0 out of range for n=288",
-          n=OVER, k=0, group="nope", fn="pl"),
-    _case("unknown_group", "sampled", ValidationError, "unknown group 'nope'", n=OVER, k=1, group="nope", fn="pl"),
-    _case("unaudited_fn", "sampled", ValidationError, "audits support ranking functions ('ua', 'opt', 'mix'); got 'pl'",
-          n=OVER, k=1, group="1", fn="pl"),
-    _case("phi_range", "sampled", ValidationError, "mixture weight must lie in [0, 1], got 2.0",
-          n=OVER, k=1, group="1", fn="mix", u=U3, phi=2.0),
-    _case("tau_labels", "sampled", ValidationError, "utility spec has 3 label values, matrix has 2 labels",
-          n=OVER, k=1, group="1", fn="opt", u=U3),
-    _case("seed", "sampled", ValidationError, "seed must be a nonnegative integer, got -1",
-          n=OVER, k=1, group="1", seed=-1),
-    _case("n_cap", "sampled", BudgetExceededError, "sampling needs 289 multisets of types, budget is 287 at n=288",
-          n=OVER, k=1, group="1", fn="opt", u=u2(2)),
-])
-def test_audit_error_order(path, kw, error, message):
-    pop = two_type_biased_model(0.1)
+@pytest.mark.parametrize("path, case", [
+    pytest.param(path, i, id=f"{path}-{ERROR_ORDER[i][0]}") for path in ("exact", "sampled")
+    for i in range(len(ERROR_ORDER)) if path == "sampled" or ERROR_ORDER[i][0] not in ("samples", "seed")])
+def test_audit_error_order(path, case):
+    pop, kw = two_type_biased_model(0.1), dict(VALID)
+    for _, bad, _, _ in reversed(ERROR_ORDER[case:]):
+        kw.update(bad)
+    _, _, error, message = ERROR_ORDER[case]
     if path == "exact":
-        call = lambda: theorem_gap_exact(pop, **kw)
-    else:  # 10^6 samples: more than the 289 multisets, so the budget is charged for every one
-        call = lambda: theorem_gap_estimate(pop, **{"mc_samples": 10**6, "seed": 0, **kw})
-    with pytest.raises(error, match=re.escape(message)):
-        call()
+        del kw["mc_samples"], kw["seed"]
+    call = theorem_gap_exact if path == "exact" else theorem_gap_estimate
+    with pytest.raises(error, match="^" + re.escape(message if isinstance(message, str) else message[path]) + "$"):
+        call(pop, **kw)
 
 
 def test_nature_validates_before_the_budget():

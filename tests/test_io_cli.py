@@ -84,8 +84,11 @@ class TestLoadPredictionMatrix:
             load_prediction_matrix(p)
 
     def test_missing_file(self, tmp_path):
-        with pytest.raises(ValidationError, match="no such file"):
-            load_prediction_matrix(tmp_path / "nope.csv")
+        # Each loader's read refuses a missing file: matrix, population model and weights file.
+        p = tmp_path / "nope"
+        for load in (load_prediction_matrix, load_population_model, lambda p: load_utility_spec(2, 2, None, str(p))):
+            with pytest.raises(ValidationError, match=f"^cannot read {re.escape(str(p))}: No such file or directory$"):
+                load(p)
 
     @pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "NaN", "Infinity"])
     def test_non_finite_cell_names_row_and_column(self, tmp_path, cell):
@@ -884,6 +887,23 @@ def test_non_ascii_report_under_an_ascii_locale(to, tmp_path):
         assert proc.stderr.startswith(b"error: validation: stdout's encoding ")
 
 
+# json.dumps writes a lone surrogate as the escape "\ud800", which json.loads accepts but UTF-8 cannot encode.
+SURROGATE_DOCS = {
+    "type": {**TWO_TYPE_DOC, "types": [{**TWO_TYPE_DOC["types"][0], "name": "\ud800"}, TWO_TYPE_DOC["types"][1]],
+             "groups": [{"name": "1", "members": ["\ud800"]}]},
+    "group": {**TWO_TYPE_DOC, "groups": [{"name": "\ud800", "members": ["1"]}]},
+}
+
+
+@pytest.mark.parametrize("entry", ["type", "group"])
+def test_lone_surrogate_name_exit_1(entry, tmp_path, capsys):
+    model, out = tmp_path / "m.json", tmp_path / "o.txt"
+    model.write_text(json.dumps(SURROGATE_DOCS[entry]))
+    assert main(["audit", "multiaccuracy", "--model", str(model), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: validation: {model}: {entry} 1: name '\\ud800' does not encode as UTF-8\n"
+    assert not out.exists()
+
+
 class TestSerializeStructured:
     def test_sorted_and_plain(self):
         text = serialize_structured({"b": np.float64(0.5), "a": np.arange(2)})
@@ -986,13 +1006,18 @@ UNREADABLE = [  # (argv, the path the error names, OS reason); DIR is a director
     (["rank", "--fn", "opt", "--weights", "DIR", "--in", "CSV"], "DIR", "Is a directory"),
     (["rank", "--in", "U16"], "U16", "not UTF-8 text"),
     (["audit", "multiaccuracy", "--model", "U16"], "U16", "not UTF-8 text"),
+    (["rank", "--in", "NONE"], "NONE", "No such file or directory"),
+    (["audit", "multiaccuracy", "--model", "NONE"], "NONE", "No such file or directory"),
+    (["rank", "--fn", "opt", "--weights", "NONE", "--in", "CSV"], "NONE", "No such file or directory"),
 ]
 
 
 @pytest.mark.parametrize("argv,path,reason", UNREADABLE,
-                         ids=["csv-dir", "model-dir", "weights-dir", "csv-utf16", "model-utf16"])
+                         ids=["csv-dir", "model-dir", "weights-dir", "csv-utf16", "model-utf16",
+                              "csv-missing", "model-missing", "weights-missing"])
 def test_unreadable_input_exit_1(argv, path, reason, stab_lb_csv, tmp_path, capsys):
-    files = {"DIR": str(tmp_path), "CSV": stab_lb_csv, "U16": str(tmp_path / "utf16.txt")}
+    files = {"DIR": str(tmp_path), "CSV": stab_lb_csv, "U16": str(tmp_path / "utf16.txt"),
+             "NONE": str(tmp_path / "missing.txt")}
     (tmp_path / "utf16.txt").write_text("0.5,0.5\n", encoding="utf-16")  # starts with bytes ff fe
     assert main([files.get(a, a) for a in argv]) == 1
     assert capsys.readouterr().err.startswith(f"error: validation: cannot read {files[path]}: {reason}")

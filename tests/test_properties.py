@@ -217,12 +217,16 @@ def test_ua_theorem_gap_bounded_and_anonymous(pop, n, data):
     for group in pop.groups:
         for k in range(1, n + 1):
             assert theorem_gap_exact(pop, n, k, group, fn="ua") <= bound + 1e-12
-    # The audits compute UA once per sorted type vector and read it for every
-    # arrangement, which is valid because UA is anonymous: the i = n variant
-    # equals the average.
+    # UA is anonymous, so the gap cannot depend on the order in which the model lists its types.
     group, k = data.draw(st.sampled_from(sorted(pop.groups))), data.draw(st.integers(1, n))
-    uniform = theorem_gap_exact(pop, n, k, group, fn="ua")
-    assert abs(theorem_gap_exact(pop, n, k, group, fn="ua", fix_last=True) - uniform) <= 1e-12
+    perm = data.draw(st.permutations(range(pop.T)))
+    relisted = PopulationModel(
+        type_names=tuple(pop.type_names[t] for t in perm), weights=pop.weights[perm],
+        ground_truth=pop.ground_truth[perm], predicted=pop.predicted[perm],
+        groups={name: tuple(perm.index(t) for t in members) for name, members in pop.groups.items()},
+    )
+    gap = theorem_gap_exact(pop, n, k, group, fn="ua")
+    assert abs(theorem_gap_exact(relisted, n, k, group, fn="ua") - gap) <= 1e-12
 
 
 @settings(max_examples=40, deadline=None)
