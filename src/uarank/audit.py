@@ -18,7 +18,7 @@ import numpy as np
 
 from . import rankers
 from .errors import BudgetExceededError, ValidationError
-from .rankers import AUDITED_FUNCTION_IDS, _legendre_nodes, _seeded_rng, _ua_marginals, checked_ranker
+from .rankers import _legendre_nodes, _seeded_rng, _ua_marginals, checked_ranker
 from .types import DS_TOL, ROW_SUM_TOL, PredictionMatrix, UtilitySpec, _check_distributions, _check_doubly_stochastic
 
 FULL_DOMAIN_GROUP = "all"
@@ -291,10 +291,7 @@ def theorem_bound(pop: PopulationModel, n: int, fn="ua", phi=None, delta=None) -
     """(bound, alpha) of a theorem audit.  alpha is the measured multiaccuracy violation or, given a
     bucket width delta, the larger of the multicalibration and the full domain's multiaccuracy
     violations; the bound is L*n*alpha, or phi*L*n*alpha + 1 - phi for fn="mix"."""
-    if fn not in AUDITED_FUNCTION_IDS or (fn == "mix" and phi is None):
-        raise ValidationError(f"no theorem bound for fn={fn!r} with phi={phi}")
-    if fn == "mix" and not 0.0 <= phi <= 1.0:
-        raise ValidationError(f"mixture weight must lie in [0, 1], got {phi}")
+    checked_ranker(fn, audit=True, phi=phi)
     _check_size(n)
     ma = multiaccuracy_alpha(pop)
     full_domain = next(name for name, m in pop.groups.items() if sorted(m) == list(range(pop.T)))

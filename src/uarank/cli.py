@@ -25,74 +25,60 @@ EXIT_VALIDATION = 1
 EXIT_BUDGET = 2
 
 
+def _flag_parser() -> argparse.ArgumentParser:
+    """Every optional flag, declared once and parsed by every command; each help
+    names the calls that read it.  `_check_flags` refuses a flag the call does not read."""
+    p = argparse.ArgumentParser(add_help=False)
+    fns = {k: ", ".join(fn for fn, r in rankers.RANKERS.items() if k in r.params) for k in ("u", "phi", "samples")}
+    p.add_argument("--delta", type=float, help="bucket width 1/b, b an integer: audit multicalibration, theorem")
+    p.add_argument("--n", type=int, help="dataset size: audit theorem, nature")
+    p.add_argument("--k", type=int, help="rank position (1-based): audit theorem")
+    p.add_argument("--group", help="group name: audit theorem")
+    p.add_argument("--exact", action="store_true", help="audit theorem: exact closed form, not sampling")
+    p.add_argument("--fn", choices=rankers.RANKING_FUNCTION_IDS, default="ua", help="ranking function (default ua): "
+                   f"rank, stability, utility; audit theorem takes {', '.join(rankers.AUDITED_FUNCTION_IDS)}")
+    p.add_argument("--phi", type=float, help="mixture weight in [0, 1]: rank, stability, utility, audit theorem "
+                   f"with --fn {fns['phi']}")
+    p.add_argument("--samples", type=int, help="sample count: sampled audit theorem, audit nature, "
+                   f"and rank, stability, utility with --fn {fns['samples']}")
+    p.add_argument("--seed", type=int, help="RNG seed: the calls that read --samples")
+    p.add_argument("--values", help="label values, comma-separated (default 1..L): utility, and rank, "
+                   f"stability, audit theorem with --fn {fns['u']}")
+    p.add_argument("--weights", default="dcg", help="position weights, 'dcg' or a file of one weight per line: "
+                   "the calls that read --values")
+    p.add_argument("--out", help="write the report to this file instead of stdout: every command")
+    p.add_argument("--format", choices=("table", "structured"), default="table", help="every command")
+    return p
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="uarank",
-        description="Uncertainty-aware ranking distributions, stability metrics, "
-        "and multigroup fairness audits.",
-    )
+    parser = argparse.ArgumentParser(prog="uarank", description="Uncertainty-aware ranking distributions, "
+                                     "stability metrics, and multigroup fairness audits.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p, needs_fn=True):
-        if needs_fn:
-            p.add_argument("--fn", choices=rankers.RANKING_FUNCTION_IDS, default="ua",
-                           help="ranking function (default: ua)")
-        p.add_argument("--phi", type=float, help="mixture weight, required for --fn " +
-                       ", ".join(fn for fn, r in rankers.RANKERS.items() if "phi" in r.params))
-        p.add_argument("--samples", type=int, help="sample count for sampling paths")
-        p.add_argument("--seed", type=int, help="RNG seed for sampling paths")
-        p.add_argument("--values", help="comma-separated label values (default 1..L)")
-        p.add_argument("--weights", default="dcg",
-                       help="position weights: 'dcg' or a file with one weight per line")
-        p.add_argument("--out", help="write the report to this file instead of stdout")
-        p.add_argument("--format", choices=("table", "structured"), default="table")
-
-    p = sub.add_parser("rank", help="compute a ranking distribution for a prediction matrix")
-    p.add_argument("--in", dest="input", required=True, help="prediction matrix CSV")
-    add_common(p)
-
-    p = sub.add_parser("oracle", help="brute-force UA ranking by label-vector enumeration")
-    p.add_argument("--in", dest="input", required=True, help="prediction matrix CSV")
-    p.add_argument("--budget", type=int, default=rankers.ORACLE_BUDGET,
-                   help="max number of label vectors to enumerate (at least 1)")
-    add_common(p, needs_fn=False)
-
-    p = sub.add_parser("stability", help="ranking deviation between two prediction matrices")
-    p.add_argument("--in", dest="input", required=True, help="first prediction matrix CSV")
-    p.add_argument("--in2", dest="input2", required=True, help="second prediction matrix CSV")
-    add_common(p)
-
-    p = sub.add_parser("utility", help="raw and normalized utility of a ranking function")
-    p.add_argument("--in", dest="input", required=True, help="prediction matrix CSV")
-    add_common(p)
-
-    p = sub.add_parser("audit", help="multigroup fairness audits over a population model")
+    flags = [_flag_parser()]
+    for cmd, what in (("rank", "compute a ranking distribution for a prediction matrix"),
+                      ("oracle", "brute-force UA ranking by label-vector enumeration"),
+                      ("stability", "ranking deviation between two prediction matrices"),
+                      ("utility", "raw and normalized utility of a ranking function")):
+        p = sub.add_parser(cmd, parents=flags, help=what)
+        p.add_argument("--in", dest="input", required=True, help="prediction matrix CSV")
+        if cmd == "stability":
+            p.add_argument("--in2", dest="input2", required=True, help="second prediction matrix CSV")
+    p = sub.add_parser("audit", parents=flags, help="multigroup fairness audits over a population model")
     p.add_argument("mode", choices=("multiaccuracy", "multicalibration", "theorem", "nature"))
     p.add_argument("--model", required=True, help="population model JSON")
-    p.add_argument("--delta", type=float, help="calibration bucket width (1/delta integer)")
-    p.add_argument("--n", type=int, help="dataset size")
-    p.add_argument("--k", type=int, help="rank position (1-based)")
-    p.add_argument("--group", help="group name to audit")
-    p.add_argument("--exact", action="store_true",
-                   help="exact closed form instead of Monte-Carlo sampling")
-    add_common(p)
-
     return parser
 
 
 @functools.cache
 def _parser() -> tuple[argparse.ArgumentParser, dict]:
     """The parser `main` reuses for every call in this process, built on first use
-    (not at import), and each command's non-required flags as (dest, default) pairs.
+    (not at import), and each flag's default.
 
     Reuse is safe: parsing does not change the parser, and argparse reads
     `sys.stdout`, `sys.stderr` and the terminal width when it prints, not when
     it is built."""
-    parser = build_parser()
-    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    flags = {cmd: tuple((a.dest, a.default) for a in p._actions if not a.required)
-             for cmd, p in sub.choices.items()}
-    return parser, flags
+    return build_parser(), vars(_flag_parser().parse_args([]))
 
 
 def _rank_params(args, n, L, u=None) -> dict:
@@ -112,7 +98,7 @@ def _rank(args):
 
 
 def _oracle(args):
-    return rankers.ua_rank_oracle(io_mod.load_prediction_matrix(args.input), budget=args.budget)
+    return rankers.ua_rank_oracle(io_mod.load_prediction_matrix(args.input))
 
 
 def _stability(args):
@@ -169,14 +155,15 @@ def _sampled_theorem(args):
 
 
 # The one table of the commands and audit modes: (required, optional, accepted
-# --fn ids, handler).  Required and optional name the flags a mode reads besides
-# its inputs, --fn, --out and --format.  Where several --fn ids are accepted,
-# --fn is read and its ranker adds its `rankers.RANKERS[fn].params`: `u` is read
-# from --values and --weights, and phi, samples and seed are required flags.
+# --fn ids, handler).  Every command parses every flag; required and optional
+# name the flags a mode reads besides its inputs, --fn, --out and --format.
+# Where several --fn ids are accepted, --fn is read and its ranker adds its
+# `rankers.RANKERS[fn].params`: `u` is read from --values and --weights, and
+# phi, samples and seed are required flags.
 _ANY, _AUDITED = rankers.RANKING_FUNCTION_IDS, rankers.AUDITED_FUNCTION_IDS
 _MODES = {
     "rank": ((), (), _ANY, _rank),
-    "oracle": ((), ("budget",), (), _oracle),
+    "oracle": ((), (), ("ua",), _oracle),
     "stability": ((), (), _ANY, _stability),
     "utility": ((), ("values", "weights"), _ANY, _utility),
     "multiaccuracy": ((), (), ("ua",), _multiaccuracy),
@@ -187,34 +174,27 @@ _MODES = {
 }
 
 
-def _reads(args) -> tuple[str, tuple, tuple, set]:
-    """The call's mode, the --fn ids it accepts, the flags it requires, and every
+def _check_flags(args, defaults: dict) -> tuple[str, set]:
+    """Refuse a --fn the mode does not accept, then every given flag it does not
+    read, then require each flag it needs, naming them; return the mode and every
     flag its result depends on: its `_MODES` row, plus --fn and the ranker's
-    `params` when --fn picks one of several rankers."""
+    `params` when --fn picks one of several rankers.  A flag is given when its
+    value differs from its default in `defaults`, `_parser()`'s second item."""
     mode = getattr(args, "mode", args.command)
     if mode == "theorem":  # --exact picks the mode, so both modes read it
         mode = f"{'exact' if args.exact else 'sampled'} theorem"
     required, optional, fns, _ = _MODES[mode]
-    params = rankers.RANKERS[args.fn].params if len(fns) > 1 else ()
-    required += tuple(p for p in params if p != "u")
-    read = {*required, *optional, *(("fn",) if len(fns) > 1 else ()),
-            *(("values", "weights") if "u" in params else ())}
-    return mode, fns, required, read
-
-
-def _check_flags(args, flags: dict) -> tuple[str, set]:
-    """Refuse a --fn the mode does not accept, then every given flag it does not
-    read, then require each flag it needs, naming them; return the mode and the
-    flags it reads.  A flag is given when its value differs from its argparse
-    default; `flags` is `_parser()`'s second item."""
-    mode, fns, required, read = _reads(args)
     scope = f"{mode} audits" if args.command == "audit" else f"{mode} calls"
-    fn = getattr(args, "fn", None)
-    if fn is not None and fn not in fns:
-        raise ValidationError(f"{scope} do not read --fn {fn}; they take --fn {', '.join(fns)}")
+    if args.fn not in fns:
+        raise ValidationError(f"{scope} do not read --fn {args.fn}; they take --fn {', '.join(fns)}")
+    read = set(optional)
     if len(fns) > 1:
-        scope += f" with --fn {fn}"
-    given = [dest for dest, default in flags[args.command] if getattr(args, dest, default) != default]
+        params = rankers.RANKERS[args.fn].params
+        required += tuple(p for p in params if p != "u")
+        read |= {"fn", *(("values", "weights") if "u" in params else ())}
+        scope += f" with --fn {args.fn}"
+    read |= set(required)
+    given = [dest for dest, default in defaults.items() if getattr(args, dest) != default]
     unread = [f"--{name}" for name in given if name not in read | {"out", "format"}]
     if unread:
         raise ValidationError(f"{scope} do not read {', '.join(unread)}")
@@ -255,14 +235,14 @@ def _emit(args, result, read: set) -> None:
 
 
 def main(argv=None) -> int:
-    parser, flags = _parser()
+    parser, defaults = _parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         # argparse exits 2 on usage errors; those are validation failures here.
         return EXIT_OK if not exc.code else EXIT_VALIDATION
     try:
-        mode, read = _check_flags(args, flags)
+        mode, read = _check_flags(args, defaults)
         _emit(args, _MODES[mode][-1](args), read)
     except BudgetExceededError as exc:
         print(f"error: budget: {exc}", file=sys.stderr)

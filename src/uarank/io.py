@@ -129,8 +129,10 @@ def population_model_from_dict(doc: dict, source: str = "population model") -> P
         raise ValidationError(f"{source}: duplicate type names")
 
     by_name = {name: i for i, name in enumerate(names)}
-    groups = {}
-    for idx, g in enumerate(doc.get("groups", []), start=1):
+    groups, listed = {}, doc.get("groups", [])
+    if not isinstance(listed, list):
+        raise ValidationError(f"{source}: 'groups' must be a list, got {listed!r}")
+    for idx, g in enumerate(listed, start=1):
         if not isinstance(g, dict) or "name" not in g or "members" not in g:
             raise ValidationError(f"{source}: each group needs 'name' and 'members'")
         name = _utf8_name(g["name"], f"{source}: group {idx}")

@@ -128,23 +128,21 @@ def ua_rank(P: PredictionMatrix) -> RankingDistribution:
     return RankingDistribution(_ua_marginals(P.rows))
 
 
-def ua_rank_oracle(P: PredictionMatrix, budget: int = ORACLE_BUDGET) -> RankingDistribution:
-    """Brute-force UA marginals by enumerating all L^n label vectors.
+def ua_rank_oracle(P: PredictionMatrix) -> RankingDistribution:
+    """Brute-force UA marginals by enumerating all L^n label vectors, refused
+    beyond `ORACLE_BUDGET` of them.
 
     Each vector is weighted by its product probability; within it, individual
     i gets probability 1/N^eq on each rank in the tie block
     (N^gt, N^gt + N^eq].  Independent of the UA kernel; used to validate it.
     """
-    if budget < 1:
-        raise ValidationError(f"budget must be at least 1, got {budget}")
     n, L = P.n, P.L
     count = L**n
-    if count > budget:
-        raise BudgetExceededError(f"oracle needs {count} label vectors, budget is {budget}")
+    if count > ORACLE_BUDGET:
+        raise BudgetExceededError(f"oracle needs {count} label vectors, budget is {ORACLE_BUDGET}")
 
-    vecs = np.stack(
-        np.meshgrid(*([np.arange(1, L + 1)] * n), indexing="ij"), axis=-1
-    ).reshape(count, n)
+    # Vector v's labels are the n base-L digits of v, most significant first, plus 1.
+    vecs = np.arange(count)[:, None] // L ** np.arange(n - 1, -1, -1) % L + 1
     weights = np.ones(count)
     for i in range(n):
         weights *= P.rows[i, vecs[:, i] - 1]
@@ -291,17 +289,17 @@ AUDITED_FUNCTION_IDS = tuple(fn for fn, r in RANKERS.items() if r.audited)
 
 def checked_ranker(fn: str, audit: bool = False, **given) -> Ranker:
     """Table entry for `fn`, after checking that it exists, that audits support
-    it when `audit` is set, and that every parameter it requires is given (a
-    mixture weight also within [0, 1])."""
+    it when `audit` is set, and that each parameter it requires is not None
+    among those passed in `given` (a mixture weight also within [0, 1])."""
     if fn not in RANKERS:
         raise ValidationError(f"unknown ranking function '{fn}', expected one of {RANKING_FUNCTION_IDS}")
     ranker = RANKERS[fn]
     if audit and not ranker.audited:
         raise ValidationError(f"audits support ranking functions {AUDITED_FUNCTION_IDS}; got '{fn}'")
-    missing = [p for p in ranker.params if given.get(p) is None]
+    missing = [p for p in ranker.params if p in given and given[p] is None]
     if missing:
         raise ValidationError(f"ranking function '{fn}' requires {' and '.join(missing)}")
-    if "phi" in ranker.params and not 0.0 <= given["phi"] <= 1.0:
+    if "phi" in ranker.params and "phi" in given and not 0.0 <= given["phi"] <= 1.0:
         raise ValidationError(f"mixture weight must lie in [0, 1], got {given['phi']}")
     return ranker
 

@@ -809,8 +809,10 @@ def test_theorem_bound():
     assert audit.theorem_bound(pop, 4) == (pop.L * 4 * ma.alpha, ma.alpha)
     assert audit.theorem_bound(pop, 4, "opt", delta=0.5) == (pop.L * 4 * mc, mc)
     assert audit.theorem_bound(pop, 4, "mix", 0.25) == (0.25 * (pop.L * 4 * ma.alpha) + 0.75, ma.alpha)
-    for fn in ("mix", "pl"):
-        with pytest.raises(ValidationError, match=re.escape(f"no theorem bound for fn='{fn}' with phi=None")):
+    for fn, message in (("mix", "ranking function 'mix' requires phi"),
+                        ("pl", "audits support ranking functions ('ua', 'opt', 'mix'); got 'pl'"),
+                        ("nope", "unknown ranking function 'nope'")):
+        with pytest.raises(ValidationError, match=re.escape(message)):
             audit.theorem_bound(pop, 4, fn)
 
 

@@ -237,16 +237,18 @@ class TestCli:
         assert main(["rank"]) == 1
 
     def test_budget_exit_code(self, tmp_path, capsys):
-        rows = np.full((8, 3), 1.0 / 3.0)
+        # 3^13 = 1 594 323 label vectors, over the oracle's budget of 10^6.
         p = tmp_path / "m.csv"
-        p.write_text("\n".join(",".join(map(str, r)) for r in rows) + "\n")
-        assert main(["oracle", "--in", str(p), "--budget", "100"]) == 2
-        assert "error: budget" in capsys.readouterr().err
+        p.write_text("0.2,0.3,0.5\n" * 13)
+        assert main(["oracle", "--in", str(p)]) == 2
+        assert capsys.readouterr().err == "error: budget: oracle needs 1594323 label vectors, budget is 1000000\n"
 
-    @pytest.mark.parametrize("budget", ["0", "-1"])
-    def test_budget_below_one_exit_code(self, stab_lb_csv, capsys, budget):
-        assert main(["oracle", "--in", stab_lb_csv, "--budget", budget]) == 1
-        assert capsys.readouterr().err == f"error: validation: budget must be at least 1, got {budget}\n"
+    def test_oracle_beyond_64_individuals(self, tmp_path, capsys):
+        # One label: one label vector, one tie block, so every rank is equally likely.
+        p = tmp_path / "m.csv"
+        p.write_text("1\n" * 70)
+        assert main(["oracle", "--in", str(p), "--format", "structured"]) == 0
+        assert np.array_equal(json.loads(capsys.readouterr().out)["ranking"], np.full((70, 70), 1 / 70))
 
     def test_phi_required_for_mix(self, stab_lb_csv, capsys):
         assert main(["rank", "--fn", "mix", "--in", stab_lb_csv]) == 1
@@ -292,7 +294,7 @@ class TestCli:
     @pytest.mark.parametrize("argv,config", [
         (["rank", "--fn", "ua"], {"command": "rank", "fn": "ua"}),
         (["rank", "--fn", "opt"], {"command": "rank", "fn": "opt", "weights": "dcg"}),
-        (["oracle"], {"budget": 1000000, "command": "oracle"}),
+        (["oracle"], {"command": "oracle"}),
     ], ids=["rank-ua", "rank-opt", "oracle"])
     def test_ranking_calls_echo_only_read_flags(self, stab_lb_csv, capsys, argv, config):
         assert main([*argv, "--in", stab_lb_csv, "--format", "structured"]) == 0
@@ -340,11 +342,16 @@ class TestCli:
         (lambda d: d["types"][0].update(predicted=["0.5", "0.5"]),
          "type 1: 'predicted' is not numeric: ['0.5', '0.5']"),
         (lambda d: d["types"][0].update(weight="0.5"), "type 1: 'weight' is not numeric: '0.5'"),
+        (lambda d: d.update(groups=5), "'groups' must be a list, got 5"),
+        (lambda d: d.update(groups=None), "'groups' must be a list, got None"),
+        (lambda d: d.update(groups="12"), "'groups' must be a list, got '12'"),
+        (lambda d: d.update(groups={"name": "1", "members": ["1"]}), "'groups' must be a list, got {'name'"),
     ], ids=["weight-string", "weight-null", "ground-truth-scalar", "types-not-objects",
             "weight-nan", "ground-truth-nan", "ragged-undeclared-labels", "group-repeated-member",
             "group-duplicate-name", "group-all-not-full-domain", "group-members-int", "group-members-string",
             "labels-string", "labels-bool", "labels-zero", "weight-bool", "ground-truth-bools",
-            "predicted-numeric-strings", "weight-numeric-string"])
+            "predicted-numeric-strings", "weight-numeric-string", "groups-int", "groups-null", "groups-string",
+            "groups-object"])
     def test_malformed_model_exit_code(self, tmp_path, capsys, mutate, named):
         doc = json.loads(json.dumps(TWO_TYPE_DOC))
         mutate(doc)
@@ -353,6 +360,13 @@ class TestCli:
         assert main(["audit", "multiaccuracy", "--model", str(p)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: validation:") and named in err
+
+    def test_absent_groups_audit_only_the_full_domain(self, tmp_path, capsys):
+        doc = {k: v for k, v in TWO_TYPE_DOC.items() if k != "groups"}
+        p = tmp_path / "m.json"
+        p.write_text(json.dumps(doc))
+        assert main(["audit", "multiaccuracy", "--model", str(p), "--format", "structured"]) == 0
+        assert list(json.loads(capsys.readouterr().out)["multiaccuracy"]["perGroup"]) == ["all"]
 
     @pytest.mark.parametrize("values,named", [("nan,1", "entry 1 is not finite"), ("1,inf", "entry 2 is not finite")])
     def test_non_finite_label_values_exit_code(self, tmp_path, capsys, values, named):
@@ -492,7 +506,7 @@ READ_SPEC = [
     (["utility"], "opt", ("--fn",), UW),
     (["utility"], "mix", ("--fn", "--phi"), UW),
     (["utility"], "pl", ("--fn", "--samples", "--seed"), UW),
-    (["oracle"], None, (), ("--budget",)),
+    (["oracle"], None, (), ()),
     (["audit", "multiaccuracy"], None, (), ()),
     (["audit", "multicalibration"], None, ("--delta",), ()),
     (["audit", "nature"], None, ("--n",), ("--samples", "--seed")),
@@ -520,7 +534,7 @@ def test_every_flag_is_read_or_rejected(head, fn, required, optional, stab_lb_cs
     audit = head[0] == "audit"
     value = {"--fn": fn or "opt", "--phi": "0.5", "--samples": "20", "--seed": "3",
              "--values": "1,2" if audit else "1,2,3", "--weights": str(weights),
-             "--out": str(tmp_path / "out.txt"), "--format": "structured", "--budget": "1000",
+             "--out": str(tmp_path / "out.txt"), "--format": "structured",
              "--delta": "0.5", "--n": "3", "--k": "1", "--group": "1"}
     inputs = {"rank": ["--in", stab_lb_csv], "oracle": ["--in", stab_lb_csv], "utility": ["--in", stab_lb_csv],
               "stability": ["--in", stab_lb_csv, "--in2", stab_lb_csv], "audit": ["--model", two_type_json]}
