@@ -209,19 +209,27 @@ def serialize_structured(payload: dict) -> str:
 
     The text is exactly `json.dumps(payload, sort_keys=True, indent=2)` with
     numpy values as lists.  `indent` forces json's pure-Python encoder, so each
-    nonempty numeric 2-d array at the top level (a ranking matrix) is encoded
-    by the C encoder on one line and its separators are then laid out as
-    `indent=2` would.  That is exact because both encoders print a number with
-    `float.__repr__` or `int.__repr__`, and neither repr contains ", " or "], [".
+    nonempty numeric 2-d array at the top level (a ranking matrix) is written by
+    `_matrix_rows` instead and joined into the text in one pass, laid out as
+    `indent=2` lays it out.  A cell is its `float.__repr__` or `int.__repr__`
+    from json's C encoder, as the pure-Python encoder writes it.  JSON has no
+    NaN or infinity: a payload holding one is a ValidationError.
     """
     bulk = {k: v for k, v in payload.items() if isinstance(k, str) and isinstance(v, np.ndarray)
             and v.ndim == 2 and v.size and v.dtype.kind in "biuf"}
-    text = json.dumps({**payload, **dict.fromkeys(bulk)}, sort_keys=True, indent=2, default=_json_default)
-    for key, M in bulk.items():
-        rows = json.dumps(M.tolist())[2:-2].replace("], [", "\n    ],\n    [\n      ").replace(", ", ",\n      ")
-        head = f"\n  {json.dumps(key)}: "
-        text = text.replace(head + "null", f"{head}[\n    [\n      {rows}\n    ]\n  ]", 1)
-    return text + "\n"
+    cells = json.JSONEncoder(separators=(",\n      ", ":"), allow_nan=False)
+    try:
+        text = json.dumps({**payload, **dict.fromkeys(bulk)}, sort_keys=True, indent=2,
+                          default=_json_default, allow_nan=False) + "\n"
+        for key, M in bulk.items():
+            rows = _matrix_rows(M, ",\n      ", cells.encode, lambda r: cells.encode(r)[1:-1])
+            before, head, after = text.partition(f"\n  {json.dumps(key)}: ")
+            rows[0] = f"{before}{head}[\n    [\n      {rows[0]}"
+            rows[-1] = f"{rows[-1]}\n    ]\n  ]{after.removeprefix('null')}"
+            text = "\n    ],\n    [\n      ".join(rows)  # the one copy of the matrix text
+    except ValueError as exc:
+        raise ValidationError(f"cannot write structured output: {exc}") from None
+    return text
 
 
 def _json_default(obj):
@@ -231,15 +239,37 @@ def _json_default(obj):
     raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
+def _matrix_rows(M: np.ndarray, sep: str, cell, row) -> list:
+    """The text of each row of the nonempty 2-d M: `row(r)` for each row of
+    `M.tolist()`, or, when at most a quarter of the cells are distinct, the cells
+    `cell(v)` of each distinct value `v`, looked up and joined by `sep`.
+
+    A ranking function's matrix often holds few distinct values: two for `opt`,
+    at most s + 1 for `pl` with s samples.  Floats are keyed by their float64
+    bits, so 0.0 and -0.0 stay apart, and found with `np.sort` (`np.unique`'s
+    argsort costs ten times as much at 10^6 cells).
+    """
+    if M.dtype.kind == "f":
+        bits = np.ascontiguousarray(M, dtype=np.float64).view(np.uint64)
+        keys = np.sort(bits, axis=None)
+        keys = keys[np.concatenate(([True], keys[1:] != keys[:-1]))]
+        if 4 * keys.size <= M.size:
+            text = np.array([cell(v) for v in keys.view(np.float64).tolist()], dtype=object)
+            return [sep.join(r) for r in text[np.searchsorted(keys, bits)].tolist()]
+    return [row(r) for r in M.tolist()]
+
+
 def format_matrix(M: np.ndarray) -> str:
     """Aligned human-readable matrix table of finite entries, six decimals per cell.
 
     Every cell is right-aligned to the widest `.6f` cell.  Within one sign that
     length grows with |v|, so the widest cell is the maximum's or the
     minimum's, or "-0.000000" when -0.0 is the only negative-signed entry; one
-    `%{width}.6f` row format then pads exactly as `f"{v:.6f}".rjust(width)`.
+    `%{width}.6f` cell format then pads exactly as `f"{v:.6f}".rjust(width)`,
+    applied by `_matrix_rows` once per distinct value or once per row.
     """
     M = np.asarray(M)
     ends = (M.min(), M.max(), -0.0 if np.signbit(M).any() else 0.0)
-    row = "  ".join([f"%{max(len(f'{v:.6f}') for v in ends)}.6f"] * M.shape[1])
-    return "\n".join(row % tuple(r) for r in M.tolist())
+    cell = f"%{max(len(f'{v:.6f}') for v in ends)}.6f"
+    row = "  ".join([cell] * M.shape[1])
+    return "\n".join(_matrix_rows(M, "  ", cell.__mod__, lambda r: row % tuple(r)))

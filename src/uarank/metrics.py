@@ -88,18 +88,23 @@ def normalized_utility(
     """Utility rescaled to [0, 1] between the worst and best deterministic orderings.
 
     When all tau values coincide the denominator vanishes and every ranking is
-    optimal; the normalized score is 1 by convention.
+    optimal; the normalized score is 1 by convention.  A raw, min or max utility
+    that is not finite (float64 overflow) is a ValidationError.
 
     The bounds are the utilities of `min_rank` and `opt_rank` (tau ascending and
     descending), taken as sorted tau @ w: tau @ M for a permutation matrix M is
     exactly tau in M's order, so the bits are those of the matrix products.
     """
     M = compute_ranking(fn, P, u=u, phi=phi, samples=samples, seed=seed)
-    raw = utility(P, M, u)
     tau = np.sort(u.tau(P))
     w = u.weights_for(P.n)
-    lo = float(tau @ w)
-    hi = float(tau[::-1].copy() @ w)  # contiguous, so the dot takes the same BLAS path
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below, not warned about
+        raw = utility(P, M, u)
+        lo = float(tau @ w)
+        hi = float(tau[::-1].copy() @ w)  # contiguous, so the dot takes the same BLAS path
+    if not np.isfinite([raw, lo, hi]).all():
+        raise ValidationError(f"utility overflows: raw {raw}, min {lo}, max {hi}; "
+                              "scale the label values or position weights down")
     denom = hi - lo
     if denom < _DEGENERATE_DENOM:
         norm = 1.0

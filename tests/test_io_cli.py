@@ -5,6 +5,7 @@ import re
 import shlex
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -13,12 +14,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
-from uarank import (RankingDistribution, ValidationError, load_population_model, load_prediction_matrix,
-                    theorem_gap_exact)
+from uarank import (PredictionMatrix, RankingDistribution, UtilitySpec, ValidationError, load_population_model,
+                    load_prediction_matrix, theorem_gap_exact)
 from uarank import cli
 from uarank.cli import build_parser, main
 from uarank.io import format_matrix, load_utility_spec, serialize_structured
-from uarank.rankers import RANKERS
+from uarank.rankers import RANKERS, compute_ranking
 
 
 TWO_TYPE_DOC = {
@@ -375,6 +376,31 @@ class TestCli:
         assert main(["utility", "--fn", "opt", "--values", values, "--in", str(p)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: validation:") and named in err
+
+    @pytest.mark.parametrize("fmt", ["table", "structured"])
+    def test_utility_overflow_exit_code(self, tmp_path, capsys, fmt):
+        # Finite label values whose utility sums overflow float64: refused, not written as inf/Infinity.
+        p, out = tmp_path / "m.csv", tmp_path / "o.txt"
+        p.write_text("0.2,0.3,0.5\n0.6,0.2,0.2\n0.1,0.8,0.1\n")
+        argv = ["utility", "--fn", "opt", "--in", str(p), "--values", "1e308,1.5e308,1.7e308", "--format", fmt]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main([*argv, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            "error: validation: utility overflows: raw inf, min inf, max inf; "
+            "scale the label values or position weights down\n")
+        assert not out.exists()
+
+    def test_infinite_stability_ratio_is_not_written_as_json(self, tmp_path, capsys):
+        # The inputs differ by one subnormal, which flips opt's tie: 1 / 5e-324 overflows to inf.
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        a.write_text("1,0\n1,0\n")
+        b.write_text("1,0\n1,5e-324\n")
+        argv = ["stability", "--fn", "opt", "--in", str(a), "--in2", str(b), "--values", "0,1", "--format", "structured"]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: validation: cannot write structured output: Out of range float values")
 
     @pytest.mark.parametrize("text", ["0.5,0,0.5\n0,1,0\n0,1,0\n", "label_1,label_2,label_3\n0.5,0,0.5\n0,1,0\n0,1,0\n"],
                              ids=["data", "header"])
@@ -947,6 +973,16 @@ class TestSerializeStructured:
             '  "weight": 0.25\n}\n'
         )
 
+    @pytest.mark.parametrize("payload", [
+        {"x": float("inf")},
+        {"outer": {"nan": np.float64("nan")}},
+        {"ranking": np.diag([1.0, 1.0, -np.inf, 1.0])},  # three distinct in 16 cells: looked up
+        {"ranking": np.array([[0.1, np.nan], [0.3, 0.4]])},  # all distinct: cell by cell
+    ], ids=["float", "nested", "few-distinct", "all-distinct"])
+    def test_non_finite_is_a_validation_error(self, payload):
+        with pytest.raises(ValidationError, match="^cannot write structured output: Out of range float values"):
+            serialize_structured(payload)
+
 
 class TestFormatMatrix:
     def test_negative_zero_cell_widens_every_column(self):
@@ -985,19 +1021,57 @@ MATRICES = st.one_of(
 )
 
 
-@settings(max_examples=200, deadline=None)
-@given(MATRICES)
-def test_writers_equal_the_plain_expressions(M):
-    """Both writers give the bytes of the plain expressions they replace."""
-    payload = {"ranking": M, "config": {"fn": "ua", "n": M.shape[0]}, "diagonal": np.diagonal(M),
-               "peak": M.max(initial=0), "nested": {"matrix": M}}
-    assert serialize_structured(payload) == json.dumps(
-        payload, sort_keys=True, indent=2, default=lambda o: o.tolist()) + "\n"
+# Matrices of at most three distinct values, up to 20x20: when at most a quarter
+# of the cells are distinct the writers format each value once and look it up,
+# otherwise cell by cell, so this strategy reaches both sides of that rule.
+FEW_DISTINCT = st.lists(
+    st.one_of(st.sampled_from([0.0, -0.0, 5e-324, 1.0 / 3.0, 1.0]), st.floats(allow_nan=False, allow_infinity=False)),
+    min_size=1, max_size=3,
+).flatmap(lambda pool: arrays(np.float64, array_shapes(min_dims=2, max_dims=2, min_side=0, max_side=20),
+                              elements=st.sampled_from(pool)))
+
+
+def assert_writers_equal_plain(M, payload):
+    """Both writers give the bytes of the plain expressions they replace, compared
+    line by line: a failure names the first differing line instead of diffing megabytes."""
+    plain = json.dumps(payload, sort_keys=True, indent=2, default=lambda o: o.tolist()) + "\n"
+    assert serialize_structured(payload).split("\n") == plain.split("\n")
     if not M.size:  # a table needs a cell
         return
     cells = [[f"{v:.6f}" for v in row] for row in M]
     width = max(len(c) for row in cells for c in row)
-    assert format_matrix(M) == "\n".join("  ".join(c.rjust(width) for c in row) for row in cells)
+    assert format_matrix(M).split("\n") == ["  ".join(c.rjust(width) for c in row) for row in cells]
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(MATRICES, FEW_DISTINCT))
+def test_writers_equal_the_plain_expressions(M):
+    payload = {"ranking": M, "config": {"fn": "ua", "n": M.shape[0]}, "diagonal": np.diagonal(M),
+               "peak": M.max(initial=0), "nested": {"matrix": M}, "transposed": M.T}
+    assert_writers_equal_plain(M, payload)
+
+
+def test_signed_zeros_keep_their_sign_in_both_writers():
+    M = np.zeros((8, 8))
+    M[2, 5] = M[6, 1] = -0.0
+    M[0, 0] = 0.5  # three distinct bit patterns in 64 cells: each is formatted once
+    assert_writers_equal_plain(M, {"ranking": M})
+    rows = json.loads(serialize_structured({"ranking": M}))["ranking"]
+    assert [(i, j) for i, row in enumerate(rows) for j, v in enumerate(row) if np.signbit(v)] == [(2, 5), (6, 1)]
+    table = [line.split() for line in format_matrix(M).split("\n")]
+    assert [(i, j) for i, row in enumerate(table) for j, c in enumerate(row) if c == "-0.000000"] == [(2, 5), (6, 1)]
+
+
+@pytest.mark.parametrize("fn, params, looked_up", [
+    ("opt", {}, True), ("pl", {"samples": 500, "seed": 1}, True), ("mix", {"phi": 0.5}, False), ("ua", {}, False),
+], ids=["opt", "pl", "mix", "ua"])
+def test_rankings_at_n300_equal_the_plain_expressions(fn, params, looked_up):
+    """opt (2 values) and pl (at most 501) take the lookup of distinct values; mix and ua
+    (nearly every entry distinct) take the cell-by-cell path."""
+    rows = np.random.default_rng(300).dirichlet(np.ones(3), size=300)
+    M = compute_ranking(fn, PredictionMatrix(rows), u=UtilitySpec.dcg(300, L=3), **params).entries
+    assert (4 * np.unique(M.view(np.uint64)).size <= M.size) == looked_up
+    assert_writers_equal_plain(M, {"config": {"fn": fn, **params}, "ranking": M})
 
 
 @pytest.mark.parametrize("fmt", ["table", "structured"])

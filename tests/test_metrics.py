@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -154,6 +156,16 @@ class TestNormalizedUtility:
                 seed=0 if fn == "pl" else None,
             )
             assert 0.0 <= rep.normalized <= 1.0
+
+    @pytest.mark.parametrize("fn", ["opt", "ua"])
+    def test_overflow_is_a_validation_error_without_warnings(self, fn):
+        # Each utility is finite per individual, but the sum over positions overflows float64.
+        P = PredictionMatrix(np.array([[0.2, 0.3, 0.5], [0.6, 0.2, 0.2], [0.1, 0.8, 0.1]]))
+        u = UtilitySpec.dcg(3, label_values=np.array([1e308, 1.5e308, 1.7e308]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match=r"^utility overflows: raw inf, min inf, max inf"):
+                normalized_utility(P, fn, u)
 
 
 def _matrix_utility_report(P, fn, u, **kw):
