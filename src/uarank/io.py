@@ -210,7 +210,7 @@ def serialize_structured(payload: dict) -> str:
     The text is exactly `json.dumps(payload, sort_keys=True, indent=2)` with
     numpy values as lists.  `indent` forces json's pure-Python encoder, so each
     nonempty numeric 2-d array at the top level (a ranking matrix) is written by
-    `_matrix_rows` instead and joined into the text in one pass, laid out as
+    `_matrix_parts` instead and joined into the text in one pass, laid out as
     `indent=2` lays it out.  A cell is its `float.__repr__` or `int.__repr__`
     from json's C encoder, as the pure-Python encoder writes it.  JSON has no
     NaN or infinity: a payload holding one is a ValidationError.
@@ -222,11 +222,12 @@ def serialize_structured(payload: dict) -> str:
         text = json.dumps({**payload, **dict.fromkeys(bulk)}, sort_keys=True, indent=2,
                           default=_json_default, allow_nan=False) + "\n"
         for key, M in bulk.items():
-            rows = _matrix_rows(M, ",\n      ", cells.encode, lambda r: cells.encode(r)[1:-1])
+            parts = _matrix_parts(M, ",\n      ", "\n    ],\n    [\n      ", cells.encode,
+                                  lambda r: cells.encode(r)[1:-1])
             before, head, after = text.partition(f"\n  {json.dumps(key)}: ")
-            rows[0] = f"{before}{head}[\n    [\n      {rows[0]}"
-            rows[-1] = f"{rows[-1]}\n    ]\n  ]{after.removeprefix('null')}"
-            text = "\n    ],\n    [\n      ".join(rows)  # the one copy of the matrix text
+            parts[0] = f"{before}{head}[\n    [\n      {parts[0]}"
+            parts[-1] = f"{parts[-1]}\n    ]\n  ]{after.removeprefix('null')}"
+            text = "".join(parts)  # the one copy of the matrix text
     except ValueError as exc:
         raise ValidationError(f"cannot write structured output: {exc}") from None
     return text
@@ -239,24 +240,32 @@ def _json_default(obj):
     raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
-def _matrix_rows(M: np.ndarray, sep: str, cell, row) -> list:
-    """The text of each row of the nonempty 2-d M: `row(r)` for each row of
-    `M.tolist()`, or, when at most a quarter of the cells are distinct, the cells
-    `cell(v)` of each distinct value `v`, looked up and joined by `sep`.
+def _matrix_parts(M: np.ndarray, sep: str, row_sep: str, cell, row) -> list:
+    """Strings whose concatenation is the text of the nonempty 2-d M: the rows
+    `row(r)` of `M.tolist()` joined by `row_sep`, or, when at most a quarter of
+    the cells are distinct, the cell `cell(v)` of each cell's value `v`
+    followed by `sep`, or by `row_sep` at the end of a row.
 
     A ranking function's matrix often holds few distinct values: two for `opt`,
     at most s + 1 for `pl` with s samples.  Floats are keyed by their float64
     bits, so 0.0 and -0.0 stay apart, and found with `np.sort` (`np.unique`'s
-    argsort costs ten times as much at 10^6 cells).
+    argsort costs ten times as much at 10^6 cells).  The cells are looked up
+    as one list of shared strings, not joined row by row: a thousand 10 kB row
+    strings grow the malloc heap, and how much of it a later call finds still
+    held then varies from run to run.
     """
     if M.dtype.kind == "f":
         bits = np.ascontiguousarray(M, dtype=np.float64).view(np.uint64)
         keys = np.sort(bits, axis=None)
         keys = keys[np.concatenate(([True], keys[1:] != keys[:-1]))]
         if 4 * keys.size <= M.size:
-            text = np.array([cell(v) for v in keys.view(np.float64).tolist()], dtype=object)
-            return [sep.join(r) for r in text[np.searchsorted(keys, bits)].tolist()]
-    return [row(r) for r in M.tolist()]
+            text = [cell(v) for v in keys.view(np.float64).tolist()]
+            ends = np.array([t + sep for t in text] + [t + row_sep for t in text] + text, dtype=object)
+            at = np.searchsorted(keys, bits)
+            at[:, -1] += keys.size  # a row's last cell ends with row_sep,
+            at[-1, -1] += keys.size  # and the matrix's last cell with nothing
+            return ends[at].ravel().tolist()
+    return [row_sep.join([row(r) for r in M.tolist()])]
 
 
 def format_matrix(M: np.ndarray) -> str:
@@ -266,10 +275,10 @@ def format_matrix(M: np.ndarray) -> str:
     length grows with |v|, so the widest cell is the maximum's or the
     minimum's, or "-0.000000" when -0.0 is the only negative-signed entry; one
     `%{width}.6f` cell format then pads exactly as `f"{v:.6f}".rjust(width)`,
-    applied by `_matrix_rows` once per distinct value or once per row.
+    applied by `_matrix_parts` once per distinct value or once per row.
     """
     M = np.asarray(M)
     ends = (M.min(), M.max(), -0.0 if np.signbit(M).any() else 0.0)
     cell = f"%{max(len(f'{v:.6f}') for v in ends)}.6f"
     row = "  ".join([cell] * M.shape[1])
-    return "\n".join(_matrix_rows(M, "  ", cell.__mod__, lambda r: row % tuple(r)))
+    return "".join(_matrix_parts(M, "  ", "\n", cell.__mod__, lambda r: row % tuple(r)))

@@ -1062,6 +1062,14 @@ def test_signed_zeros_keep_their_sign_in_both_writers():
     assert [(i, j) for i, row in enumerate(table) for j, c in enumerate(row) if c == "-0.000000"] == [(2, 5), (6, 1)]
 
 
+@pytest.mark.parametrize("shape", [(1, 8), (8, 1), (2, 4), (4, 2)], ids=["1x8", "8x1", "2x4", "4x2"])
+def test_looked_up_rows_end_where_the_plain_rows_end(shape):
+    """The lookup path marks a row's last cell and the matrix's last cell apart;
+    a single row or column puts both marks on one row or on every row."""
+    M = np.resize([0.5, 0.0, 0.0, 0.5], shape)  # two distinct values in eight cells
+    assert_writers_equal_plain(M, {"ranking": M, "config": {"n": shape[0]}})
+
+
 @pytest.mark.parametrize("fn, params, looked_up", [
     ("opt", {}, True), ("pl", {"samples": 500, "seed": 1}, True), ("mix", {"phi": 0.5}, False), ("ua", {}, False),
 ], ids=["opt", "pl", "mix", "ua"])
