@@ -11,6 +11,7 @@ from .rankers import compute_ranking
 from .types import PredictionMatrix, RankingDistribution, UtilitySpec
 
 _DEGENERATE_DENOM = 1e-12
+_SCALE_DOWN = "scale the label values or position weights down"
 
 
 def _abs_difference(A: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -47,7 +48,11 @@ def stability_gap(
     samples: int | None = None,
     seed: int | None = None,
 ) -> StabilityReport:
-    """Ranking deviation between two prediction matrices under one ranking function."""
+    """Ranking deviation between two prediction matrices under one ranking function.
+
+    A ratio that overflows float64 (inputs that differ by a subnormal flipping a
+    tie) is a ValidationError.
+    """
     if (P.n, P.L) != (P2.n, P2.L):
         raise ValidationError(
             f"prediction matrices have different shapes: {P.n}x{P.L} vs {P2.n}x{P2.L}"
@@ -57,16 +62,25 @@ def stability_gap(
     inf_gap = linf_distance(M.entries, M2.entries)
     l1 = l1_distance(P.rows, P2.rows)
     ratio = inf_gap / l1 if l1 > 0.0 else None
+    if ratio is not None and not np.isfinite(ratio):
+        raise ValidationError(f"stability ratio overflows: inf_gap {inf_gap} over l1_dist {l1}")
     return StabilityReport(inf_gap=inf_gap, l1_dist=l1, ratio=ratio)
 
 
 def utility(P: PredictionMatrix, M: RankingDistribution, u: UtilitySpec) -> float:
-    """Expected ranking utility: sum_i sum_k M[i,k] * w_k * tau(p_i)."""
+    """Expected ranking utility: sum_i sum_k M[i,k] * w_k * tau(p_i).
+
+    A utility that is not finite (float64 overflow) is a ValidationError.
+    """
     if M.n != P.n:
         raise ValidationError(f"ranking is {M.n}x{M.n} but prediction matrix has n={P.n}")
     tau = u.tau(P)
     w = u.weights_for(P.n)
-    return float(tau @ M.entries @ w)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below, not warned about
+        raw = float(tau @ M.entries @ w)
+    if not np.isfinite(raw):
+        raise ValidationError(f"utility overflows: raw {raw}; {_SCALE_DOWN}")
+    return raw
 
 
 @dataclass(frozen=True)
@@ -89,22 +103,20 @@ def normalized_utility(
 
     When all tau values coincide the denominator vanishes and every ranking is
     optimal; the normalized score is 1 by convention.  A raw, min or max utility
-    that is not finite (float64 overflow) is a ValidationError.
+    that is not finite (float64 overflow) is a ValidationError, raw in `utility`.
 
     The bounds are the utilities of `min_rank` and `opt_rank` (tau ascending and
     descending), taken as sorted tau @ w: tau @ M for a permutation matrix M is
     exactly tau in M's order, so the bits are those of the matrix products.
     """
-    M = compute_ranking(fn, P, u=u, phi=phi, samples=samples, seed=seed)
+    raw = utility(P, compute_ranking(fn, P, u=u, phi=phi, samples=samples, seed=seed), u)
     tau = np.sort(u.tau(P))
     w = u.weights_for(P.n)
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below, not warned about
-        raw = utility(P, M, u)
         lo = float(tau @ w)
         hi = float(tau[::-1].copy() @ w)  # contiguous, so the dot takes the same BLAS path
-    if not np.isfinite([raw, lo, hi]).all():
-        raise ValidationError(f"utility overflows: raw {raw}, min {lo}, max {hi}; "
-                              "scale the label values or position weights down")
+    if not np.isfinite([lo, hi]).all():
+        raise ValidationError(f"utility overflows: raw {raw}, min {lo}, max {hi}; {_SCALE_DOWN}")
     denom = hi - lo
     if denom < _DEGENERATE_DENOM:
         norm = 1.0

@@ -15,7 +15,9 @@ from .types import PredictionMatrix, RankingDistribution, UtilitySpec
 
 ORACLE_BUDGET = 10**6
 PL_EXACT_MAX_N = 8
-_PL_BATCH_ELEMENTS = 2**21  # Gumbel draws per pl_rank batch: 16 MB of doubles
+# Gumbel draws per pl_rank batch.  A batch holds 16 MB of float64 keys and 16 MB of
+# int64 `order`; counting it adds an n^2-entry int64 bincount (8 MB at n = 1000).
+_PL_BATCH_ELEMENTS = 2**21
 # Matrix cells per UA kernel call (labels x matrices x n^2, beyond it one label per
 # call) and per distribution in one audit chunk: memory flat in n.
 _CHUNK_CELLS = 2**16
@@ -214,12 +216,16 @@ def _seeded_rng(seed: int, samples: int) -> np.random.Generator:
     return np.random.default_rng(seed)
 
 
-def _gumbel(rng: np.random.Generator, shape) -> np.ndarray:
+def _gumbel(rng: np.random.Generator, out: np.ndarray) -> None:
+    """Fill `out` with standard Gumbel draws, in place."""
     # U on the open interval (0,1): push exact zeros to the smallest positive
     # double so -log(-log(u)) stays finite.
-    u = rng.random(shape)
-    u = np.maximum(u, np.finfo(np.float64).tiny)
-    return -np.log(-np.log(u))
+    rng.random(out=out)
+    np.maximum(out, np.finfo(np.float64).tiny, out=out)
+    np.log(out, out=out)
+    np.negative(out, out=out)
+    np.log(out, out=out)
+    np.negative(out, out=out)
 
 
 def pl_rank(P: PredictionMatrix, u: UtilitySpec, samples: int, seed: int) -> RankingDistribution:
@@ -228,19 +234,37 @@ def pl_rank(P: PredictionMatrix, u: UtilitySpec, samples: int, seed: int) -> Ran
     Each sample sorts individuals by decreasing tau(p_i) + g_i with g_i
     independent standard Gumbel noise; the returned matrix averages the
     resulting permutation matrices.  Deterministic for a fixed seed.
+
+    Ties in tau + g go to the lower index.  Each batch is ordered by numpy's
+    default (SIMD) argsort; only the rows holding a tie are re-sorted stably.
     """
     rng = _seeded_rng(seed, samples)
     tau = u.tau(P)
     n = P.n
     counts = np.zeros(n * n, dtype=np.int64)
+    cells = np.arange(n)
+    buf = np.empty((min(max(1, _PL_BATCH_ELEMENTS // n), samples), n))
     done = 0
     while done < samples:
-        b = min(max(1, _PL_BATCH_ELEMENTS // n), samples - done)
-        scores = tau[None, :] + _gumbel(rng, (b, n))
-        order = np.argsort(-scores, axis=1, kind="stable")
+        keys = buf[: min(buf.shape[0], samples - done)]
+        _gumbel(rng, keys)
+        keys += tau
+        np.negative(keys, out=keys)  # ascending -(tau + g) is decreasing score
+        order = keys.argsort(axis=1)
+        # A row of distinct keys has one sorted order, which every sort finds.  A row
+        # with two equal keys (also 0.0 against -0.0) gets the stable order instead:
+        # its keys, scattered back through `order`, compare equal to the originals.
+        keys.sort(axis=1)
+        tied = np.flatnonzero((keys[:, 1:] == keys[:, :-1]).any(axis=1))
+        if tied.size:
+            unsorted = np.empty((tied.size, n))
+            np.put_along_axis(unsorted, order[tied], keys[tied], axis=1)
+            order[tied] = np.argsort(unsorted, axis=1, kind="stable")
         # order[s, k] is the individual at position k: count it in cell (individual, k).
-        counts += np.bincount((order * n + np.arange(n)).ravel(), minlength=n * n)
-        done += b
+        order *= n
+        order += cells
+        counts += np.bincount(order.ravel(), minlength=n * n)
+        done += keys.shape[0]
     return RankingDistribution(counts.reshape(n, n) / samples)
 
 

@@ -387,8 +387,7 @@ class TestCli:
             warnings.simplefilter("error")
             assert main([*argv, "--out", str(out)]) == 1
         assert capsys.readouterr().err == (
-            "error: validation: utility overflows: raw inf, min inf, max inf; "
-            "scale the label values or position weights down\n")
+            "error: validation: utility overflows: raw inf; scale the label values or position weights down\n")
         assert not out.exists()
 
     def test_infinite_stability_ratio_is_not_written_as_json(self, tmp_path, capsys):
@@ -396,11 +395,12 @@ class TestCli:
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         a.write_text("1,0\n1,0\n")
         b.write_text("1,0\n1,5e-324\n")
-        argv = ["stability", "--fn", "opt", "--in", str(a), "--in2", str(b), "--values", "0,1", "--format", "structured"]
-        assert main(argv) == 1
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.startswith("error: validation: cannot write structured output: Out of range float values")
+        # Refused before either format is written, with one message.
+        for fmt in ("structured", "table"):
+            argv = ["stability", "--fn", "opt", "--in", str(a), "--in2", str(b), "--values", "0,1", "--format", fmt]
+            assert main(argv) == 1
+            assert capsys.readouterr() == (
+                "", "error: validation: stability ratio overflows: inf_gap 1.0 over l1_dist 5e-324\n")
 
     @pytest.mark.parametrize("text", ["0.5,0,0.5\n0,1,0\n0,1,0\n", "label_1,label_2,label_3\n0.5,0,0.5\n0,1,0\n0,1,0\n"],
                              ids=["data", "header"])

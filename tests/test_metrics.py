@@ -46,6 +46,14 @@ class TestStabilityGap:
         assert rep.inf_gap == pytest.approx(1.0)
         assert rep.l1_dist == pytest.approx(0.4, abs=1e-12)
 
+    def test_overflowing_ratio_is_a_validation_error(self):
+        # The inputs differ by one subnormal, which flips opt's tie: 1 / 5e-324 overflows.
+        P = PredictionMatrix(np.array([[1.0, 0.0], [1.0, 0.0]]))
+        P2 = PredictionMatrix(np.array([[1.0, 0.0], [1.0, 5e-324]]))
+        u = UtilitySpec(np.array([0.0, 1.0]), np.ones(2))
+        with pytest.raises(ValidationError, match=r"^stability ratio overflows: inf_gap 1\.0 over l1_dist 5e-324$"):
+            stability_gap("opt", P, P2, u=u)
+
     def test_dimension_mismatch(self, stab_lb):
         P, _ = stab_lb
         Q = PredictionMatrix(np.array([[0.5, 0.5]]))
@@ -164,8 +172,28 @@ class TestNormalizedUtility:
         u = UtilitySpec.dcg(3, label_values=np.array([1e308, 1.5e308, 1.7e308]))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(ValidationError, match=r"^utility overflows: raw inf, min inf, max inf"):
+            with pytest.raises(ValidationError, match=r"^utility overflows: raw inf; scale"):
                 normalized_utility(P, fn, u)
+
+    def test_utility_overflow_is_a_validation_error_without_warnings(self):
+        # One-hot rows: tau is the label values, each finite, but their sum overflows.
+        P = PredictionMatrix(np.eye(3))
+        u = UtilitySpec.dcg(3, label_values=np.array([1e308, 1.5e308, 1.7e308]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match=r"^utility overflows: raw inf; scale"):
+                utility(P, opt_rank(P, u), u)
+
+    def test_bound_overflow_names_raw_min_and_max(self):
+        # UA spreads the two individuals over both positions: its utility and the
+        # worst order's stay finite, the best order's overflows.
+        P = PredictionMatrix(np.array([[0.0, 1.0], [0.5, 0.5]]))
+        u = UtilitySpec(np.array([0.0, 1.75e308]), np.array([1.0, 0.1]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match=r"^utility overflows: raw 1\.6\d*e\+308, min 1\.0\d*e\+308, "
+                                                      r"max inf; scale"):
+                normalized_utility(P, "ua", u)
 
 
 def _matrix_utility_report(P, fn, u, **kw):

@@ -1,5 +1,6 @@
 import itertools
 import math
+import types
 
 import numpy as np
 import pytest
@@ -437,6 +438,34 @@ class TestMixRank:
             mix_rank(P, u_linear(3, 3), 1.5)
 
 
+def gumbel(rng, shape):
+    return -np.log(-np.log(np.maximum(rng.random(shape), np.finfo(np.float64).tiny)))
+
+
+def pl_rank_stable(P, u, samples, seed, draw=gumbel):
+    """Reference Plackett-Luce sampler: each batch of noise `draw(rng, (b, n))` is
+    ordered by one stable argsort of -(tau + g), so ties go to the lower index."""
+    rng = np.random.default_rng(seed)
+    tau, n = u.tau(P), P.n
+    counts = np.zeros(n * n, dtype=np.int64)
+    done = 0
+    while done < samples:
+        b = min(max(1, rankers._PL_BATCH_ELEMENTS // n), samples - done)
+        scores = tau[None, :] + draw(rng, (b, n))
+        order = np.argsort(-scores, axis=1, kind="stable")
+        counts += np.bincount((order * n + np.arange(n)).ravel(), minlength=n * n)
+        done += b
+    return counts.reshape(n, n) / samples
+
+
+def rounded_gumbel(rng, shape):
+    return np.round(gumbel(rng, shape) * 2) / 2
+
+
+def signed_zeros(rng, shape):
+    return rng.choice(np.array([-0.0, 0.0, 1.0]), size=shape)
+
+
 class TestPlackettLuce:
     def test_single_individual(self):
         P = PredictionMatrix(np.array([[0.5, 0.5]]))
@@ -494,6 +523,35 @@ class TestPlackettLuce:
         P = PredictionMatrix(np.array([[0.5, 0.5]]))
         with pytest.raises(ValidationError):
             pl_rank(P, u_linear(1, 2), samples=0, seed=0)
+
+    @pytest.mark.parametrize("batches", ["one", "many"])
+    @pytest.mark.parametrize("n", [1, 2, 40, 300])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_matches_stable_reference(self, monkeypatch, n, seed, batches):
+        P = random_prediction(np.random.default_rng(30 + n), n, 3)
+        u = UtilitySpec.dcg(n, L=3)
+        if batches == "many":  # 7 to 10 rows per batch, so the last batch is short for n > 1
+            monkeypatch.setattr(rankers, "_PL_BATCH_ELEMENTS", 7 * n + 3)
+        got = pl_rank(P, u, samples=50, seed=seed).entries
+        assert np.array_equal(got, pl_rank_stable(P, u, 50, seed))
+
+    @pytest.mark.parametrize("batches", ["one", "many"])
+    @pytest.mark.parametrize("n", [2, 40, 300])
+    @pytest.mark.parametrize("draw", [rounded_gumbel, signed_zeros])
+    def test_forced_ties_match_stable_reference(self, monkeypatch, n, draw, batches):
+        # One-hot rows give integer tau, so tau + g ties on rounded draws.  The signed
+        # draws on a tau of -0.0 and 0.0 make tau + g exactly -0.0, 0.0 or 1.0.
+        rng = np.random.default_rng(40 + n)
+        P = PredictionMatrix(np.eye(3)[rng.integers(0, 3, size=n)])
+        if draw is signed_zeros:
+            u = types.SimpleNamespace(tau=lambda P: np.where(np.arange(n) % 2 == 0, -0.0, 0.0))
+        else:
+            u = UtilitySpec.dcg(n, L=3)
+        if batches == "many":
+            monkeypatch.setattr(rankers, "_PL_BATCH_ELEMENTS", 7 * n + 3)
+        monkeypatch.setattr(rankers, "_gumbel", lambda rng, out: np.copyto(out, draw(rng, out.shape)))
+        got = pl_rank(P, u, samples=50, seed=3).entries
+        assert np.array_equal(got, pl_rank_stable(P, u, 50, 3, draw))
 
 
 class TestDoubleStochasticity:
