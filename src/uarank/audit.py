@@ -268,7 +268,8 @@ def _positions(n: int, k: int, w: np.ndarray, d: np.ndarray) -> np.ndarray:
 def _audit_setup(pop, n, k, group, fn, u, phi, delta, bucket, samples=None) -> tuple:
     """The checked arguments of a theorem audit, (taus, ind, rankings): `_taus`, 1.0 per type in the
     group (and in the calibration bucket, if one is given), and the rankings `_charge` counts for
-    `samples` (None: exact).  Checks n, k and the group, then the ranker, its parameters and tau,
+    `samples` (None: exact).  Sampled opt ranks no UA, only tau per type, so it is charged one ranking
+    as the exact audit is.  Checks n, k and the group, then the ranker, its parameters and tau,
     then delta and the bucket, L integers in [0, 1/delta) as a tuple or a list, then the budget."""
     _check_size(n)
     if not 1 <= k <= n:
@@ -284,7 +285,8 @@ def _audit_setup(pop, n, k, group, fn, u, phi, delta, bucket, samples=None) -> t
                 isinstance(j, (int, np.integer)) and not isinstance(j, bool) and 0 <= j < b for j in bucket)):
             raise ValidationError(f"calibration bucket must be {pop.L} integers in [0, {b}), got {bucket!r}")
         ind *= np.array([1.0 if j == tuple(bucket) else 0.0 for j in type_buckets(pop, delta)])
-    return taus, ind, _charge(pop, n, samples, "exact audit" if samples is None else "sampling")
+    return taus, ind, _charge(pop, n, None if fn == "opt" else samples,
+                              "exact audit" if samples is None else "sampling")
 
 
 def theorem_bound(pop: PopulationModel, n: int, fn="ua", phi=None, delta=None) -> tuple[float, float]:

@@ -104,14 +104,16 @@ def _oracle(args):
 def _stability(args):
     P = io_mod.load_prediction_matrix(args.input)
     P2 = io_mod.load_prediction_matrix(args.input2)
-    rep = asdict(metrics_mod.stability_gap(args.fn, P, P2, **_rank_params(args, P.n, P.L)))
+    r = functools.partial(rankers.compute_ranking, args.fn, **_rank_params(args, P.n, P.L))
+    rep = asdict(metrics_mod.stability_gap(r, P, P2))
     return "stability", rep, [(name, v) for name, v in rep.items() if v is not None]
 
 
 def _utility(args):
     P = io_mod.load_prediction_matrix(args.input)
     u = io_mod.load_utility_spec(P.n, P.L, args.values, args.weights)
-    rep = asdict(metrics_mod.normalized_utility(P, args.fn, **_rank_params(args, P.n, P.L, u=u)))
+    M = rankers.compute_ranking(args.fn, P, **_rank_params(args, P.n, P.L, u=u))
+    rep = asdict(metrics_mod.normalized_utility(P, M, u))
     return "utility", rep, list(rep.items())
 
 

@@ -3,14 +3,14 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
 from .errors import ValidationError
-from .rankers import compute_ranking
 from .types import PredictionMatrix, RankingDistribution, UtilitySpec
 
-_DEGENERATE_DENOM = 1e-12
+_DEGENERATE_REL = 1e-12  # bounds closer than this fraction of the best utility are equal
 _SCALE_DOWN = "scale the label values or position weights down"
 
 
@@ -40,26 +40,20 @@ class StabilityReport:
 
 
 def stability_gap(
-    fn: str,
-    P: PredictionMatrix,
-    P2: PredictionMatrix,
-    u: UtilitySpec | None = None,
-    phi: float | None = None,
-    samples: int | None = None,
-    seed: int | None = None,
+    r: Callable[[PredictionMatrix], RankingDistribution], P: PredictionMatrix, P2: PredictionMatrix
 ) -> StabilityReport:
-    """Ranking deviation between two prediction matrices under one ranking function.
+    """Ranking deviation between two prediction matrices under the ranking function r,
+    e.g. `ua_rank` or `functools.partial(compute_ranking, "opt", u=u)`.
 
-    A ratio that overflows float64 (inputs that differ by a subnormal flipping a
+    Matrices of different shapes are a ValidationError before r is called.  A
+    ratio that overflows float64 (inputs that differ by a subnormal flipping a
     tie) is a ValidationError.
     """
     if (P.n, P.L) != (P2.n, P2.L):
         raise ValidationError(
             f"prediction matrices have different shapes: {P.n}x{P.L} vs {P2.n}x{P2.L}"
         )
-    M = compute_ranking(fn, P, u=u, phi=phi, samples=samples, seed=seed)
-    M2 = compute_ranking(fn, P2, u=u, phi=phi, samples=samples, seed=seed)
-    inf_gap = linf_distance(M.entries, M2.entries)
+    inf_gap = linf_distance(r(P).entries, r(P2).entries)
     l1 = l1_distance(P.rows, P2.rows)
     ratio = inf_gap / l1 if l1 > 0.0 else None
     if ratio is not None and not np.isfinite(ratio):
@@ -91,25 +85,21 @@ class UtilityReport:
     normalized: float
 
 
-def normalized_utility(
-    P: PredictionMatrix,
-    fn: str,
-    u: UtilitySpec,
-    phi: float | None = None,
-    samples: int | None = None,
-    seed: int | None = None,
-) -> UtilityReport:
-    """Utility rescaled to [0, 1] between the worst and best deterministic orderings.
+def normalized_utility(P: PredictionMatrix, M: RankingDistribution, u: UtilitySpec) -> UtilityReport:
+    """Utility of the ranking M, rescaled to [0, 1] between the worst and best
+    deterministic orderings.
 
-    When all tau values coincide the denominator vanishes and every ranking is
-    optimal; the normalized score is 1 by convention.  A raw, min or max utility
-    that is not finite (float64 overflow) is a ValidationError, raw in `utility`.
+    When max - min is at most 1e-12 of max (tau and the weights are nonnegative,
+    so this does not depend on the scale of the label values), every ranking is
+    optimal and the normalized score is 1 by convention; equal tau values give
+    exactly that.  A raw, min or max utility that is not finite (float64
+    overflow) is a ValidationError, raw in `utility`.
 
     The bounds are the utilities of `min_rank` and `opt_rank` (tau ascending and
-    descending), taken as sorted tau @ w: tau @ M for a permutation matrix M is
-    exactly tau in M's order, so the bits are those of the matrix products.
+    descending), taken as sorted tau @ w: tau times a permutation matrix is
+    exactly tau in its order, so the bits are those of the matrix products.
     """
-    raw = utility(P, compute_ranking(fn, P, u=u, phi=phi, samples=samples, seed=seed), u)
+    raw = utility(P, M, u)
     tau = np.sort(u.tau(P))
     w = u.weights_for(P.n)
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below, not warned about
@@ -118,7 +108,7 @@ def normalized_utility(
     if not np.isfinite([lo, hi]).all():
         raise ValidationError(f"utility overflows: raw {raw}, min {lo}, max {hi}; {_SCALE_DOWN}")
     denom = hi - lo
-    if denom < _DEGENERATE_DENOM:
+    if denom <= _DEGENERATE_REL * hi:
         norm = 1.0
     else:
         norm = min(1.0, max(0.0, (raw - lo) / denom))

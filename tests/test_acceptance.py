@@ -5,6 +5,7 @@ Each test covers one numbered criterion and prints a single PASS/FAIL line
 """
 
 import time
+from functools import partial
 
 import numpy as np
 import pytest
@@ -88,7 +89,7 @@ def test_c03_one_stability():
     for _ in range(500):
         n, L = int(rng.integers(2, 21)), int(rng.integers(2, 5))
         P, P2 = random_prediction(rng, n, L), random_prediction(rng, n, L)
-        rep = stability_gap("ua", P, P2)
+        rep = stability_gap(ua_rank, P, P2)
         if rep.inf_gap > rep.l1_dist + 1e-12:
             violations += 1
     elapsed = time.perf_counter() - start
@@ -98,7 +99,7 @@ def test_c03_one_stability():
 def test_c04_stability_lower_bound():
     ok = True
     for n in range(2, 9):
-        rep = stability_gap("ua", *lower_bound_pair(n))
+        rep = stability_gap(ua_rank, *lower_bound_pair(n))
         ok &= abs(rep.inf_gap - 0.5) <= 1e-12
         ok &= abs(rep.l1_dist - 1.0) <= 1e-12
     report(4, "stability lower bound", ok)
@@ -108,7 +109,7 @@ def test_c05_opt_instability():
     u = UtilitySpec(np.array([1.0, 2.0]), np.array([1.0, 1.0]))
     ok = True
     for eps in (0.1, 0.01, 0.001):
-        rep = stability_gap("opt", *eps_pair(eps), u=u)
+        rep = stability_gap(partial(opt_rank, u=u), *eps_pair(eps))
         ok &= rep.inf_gap == 1.0
         ok &= abs(rep.l1_dist - 8 * eps) <= 1e-12
         if eps == 0.001:
@@ -124,7 +125,7 @@ def test_c06_mixture_stability():
         phi = float(rng.random())
         u = UtilitySpec.dcg(n, L=L)
         rep = stability_gap(
-            "mix", random_prediction(rng, n, L), random_prediction(rng, n, L), u=u, phi=phi
+            partial(mix_rank, u=u, phi=phi), random_prediction(rng, n, L), random_prediction(rng, n, L)
         )
         if rep.inf_gap > phi * rep.l1_dist + (1 - phi) + 1e-12:
             violations += 1

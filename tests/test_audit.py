@@ -255,6 +255,17 @@ class TestTheoremGapEstimate:
         with pytest.raises(BudgetExceededError, match=re.escape("needs 289 multisets of types, budget is 287 at n=288")):
             theorem_gap_estimate(pop, 288, 1, "1", mc_samples=10**6, seed=0)
 
+    def test_sampled_opt_is_charged_one_ranking(self):
+        # opt ranks tau per type and makes no UA ranking, so a sampled opt audit is charged one
+        # ranking as the exact audit is: admitted at n=288, where ua and mix sample 289 multisets.
+        pop, refusal = two_type_biased_model(0.1), "sampling needs 289 multisets of types, budget is 287 at n=288"
+        exact = theorem_gap_exact(pop, OVER, 1, "1", fn="opt", u=u2(OVER))
+        rep = theorem_gap_estimate(pop, OVER, 1, "1", fn="opt", u=u2(OVER), mc_samples=1000, seed=0)
+        assert 0.0 < rep.mc_error and abs(rep.estimate - exact) <= 4 * rep.mc_error
+        for fn, phi in (("ua", None), ("mix", 0.5)):
+            with pytest.raises(BudgetExceededError, match="^" + re.escape(refusal) + "$"):
+                theorem_gap_estimate(pop, OVER, 1, "1", fn=fn, u=u2(OVER), phi=phi, mc_samples=1000, seed=0)
+
 
 class TestNatureCloseness:
     def test_perfect_predictor(self):

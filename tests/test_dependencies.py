@@ -23,3 +23,18 @@ def test_imports_only_stdlib_numpy_and_itself(path):
             continue
         for name in names:
             assert name.split(".")[0] in ALLOWED, f"{path.name}:{node.lineno} imports {name}"
+
+
+def test_metrics_import_nothing_from_rankers():
+    # Metrics take a ranking or a ranking function; turning a ranker id into one is the rankers' job.
+    tree = ast.parse((PACKAGE / "metrics.py").read_text(), filename="metrics.py")
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):  # relative to the package: from . import x, from .x import y
+            module = ".".join(filter(None, ("uarank" if node.level else None, node.module)))
+            names = [module, *(f"{module}.{alias.name}" for alias in node.names)]
+        elif isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        else:
+            continue
+        for name in names:
+            assert not (name + ".").startswith("uarank.rankers."), f"metrics.py:{node.lineno} imports {name}"

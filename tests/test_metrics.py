@@ -1,4 +1,5 @@
 import warnings
+from functools import partial
 
 import numpy as np
 import pytest
@@ -30,19 +31,19 @@ def u_linear(n, L):
 class TestStabilityGap:
     def test_ua_lower_bound_pair(self, stab_lb):
         P, P2 = stab_lb
-        rep = stability_gap("ua", P, P2)
+        rep = stability_gap(ua_rank, P, P2)
         assert rep.inf_gap == pytest.approx(0.5, abs=1e-12)
         assert rep.l1_dist == pytest.approx(1.0, abs=1e-12)
         assert rep.ratio == pytest.approx(0.5, abs=1e-12)
 
     def test_identical_inputs(self, stab_lb):
         P, _ = stab_lb
-        rep = stability_gap("ua", P, P)
+        rep = stability_gap(ua_rank, P, P)
         assert rep.inf_gap == 0.0 and rep.l1_dist == 0.0 and rep.ratio is None
 
     def test_opt_eps_pair(self):
         P, P2 = eps_pair(0.05)
-        rep = stability_gap("opt", P, P2, u=u_linear(2, 2))
+        rep = stability_gap(partial(opt_rank, u=u_linear(2, 2)), P, P2)
         assert rep.inf_gap == pytest.approx(1.0)
         assert rep.l1_dist == pytest.approx(0.4, abs=1e-12)
 
@@ -52,19 +53,23 @@ class TestStabilityGap:
         P2 = PredictionMatrix(np.array([[1.0, 0.0], [1.0, 5e-324]]))
         u = UtilitySpec(np.array([0.0, 1.0]), np.ones(2))
         with pytest.raises(ValidationError, match=r"^stability ratio overflows: inf_gap 1\.0 over l1_dist 5e-324$"):
-            stability_gap("opt", P, P2, u=u)
+            stability_gap(partial(opt_rank, u=u), P, P2)
 
     def test_dimension_mismatch(self, stab_lb):
         P, _ = stab_lb
         Q = PredictionMatrix(np.array([[0.5, 0.5]]))
-        with pytest.raises(ValidationError):
-            stability_gap("ua", P, Q)
+
+        def r(_):  # refused before the ranking function is called
+            raise AssertionError("ranking function called on mismatched inputs")
+
+        with pytest.raises(ValidationError, match=r"^prediction matrices have different shapes: 3x3 vs 1x2$"):
+            stability_gap(r, P, Q)
 
     def test_ua_one_stability_sampled(self):
         rng = np.random.default_rng(30)
         for _ in range(25):
             n, L = int(rng.integers(2, 9)), int(rng.integers(2, 5))
-            rep = stability_gap("ua", random_prediction(rng, n, L), random_prediction(rng, n, L))
+            rep = stability_gap(ua_rank, random_prediction(rng, n, L), random_prediction(rng, n, L))
             assert rep.inf_gap <= rep.l1_dist + 1e-12
 
     def test_mixture_approximate_stability(self):
@@ -74,7 +79,7 @@ class TestStabilityGap:
             phi = float(rng.random())
             u = UtilitySpec.dcg(n, L=3)
             rep = stability_gap(
-                "mix", random_prediction(rng, n, 3), random_prediction(rng, n, 3), u=u, phi=phi
+                partial(mix_rank, u=u, phi=phi), random_prediction(rng, n, 3), random_prediction(rng, n, 3)
             )
             assert rep.inf_gap <= phi * rep.l1_dist + (1 - phi) + 1e-12
 
@@ -135,13 +140,13 @@ class TestNormalizedUtility:
         rng = np.random.default_rng(34)
         P = random_prediction(rng, 5, 3)
         u = UtilitySpec.dcg(5, L=3)
-        assert normalized_utility(P, "opt", u).normalized == pytest.approx(1.0)
+        assert normalized_utility(P, opt_rank(P, u), u).normalized == pytest.approx(1.0)
 
     def test_min_ordering_is_zero(self):
         rng = np.random.default_rng(35)
         P = random_prediction(rng, 5, 3)
         u = UtilitySpec.dcg(5, L=3)
-        rep = normalized_utility(P, "opt", u)
+        rep = normalized_utility(P, opt_rank(P, u), u)
         assert utility(P, min_rank(P, u), u) == pytest.approx(rep.min)
         assert rep.min <= rep.raw <= rep.max + 1e-9
 
@@ -149,7 +154,7 @@ class TestNormalizedUtility:
         P = PredictionMatrix(np.full((4, 2), 0.5))
         u = UtilitySpec.dcg(4, L=2)
         for fn in ("ua", "opt", "mix"):
-            rep = normalized_utility(P, fn, u, phi=0.5 if fn == "mix" else None)
+            rep = normalized_utility(P, compute_ranking(fn, P, u=u, phi=0.5 if fn == "mix" else None), u)
             assert rep.normalized == 1.0
 
     def test_in_unit_interval(self):
@@ -157,13 +162,28 @@ class TestNormalizedUtility:
         for fn in ("ua", "opt", "mix", "pl"):
             P = random_prediction(rng, 6, 3)
             u = UtilitySpec.dcg(6, L=3)
-            rep = normalized_utility(
-                P, fn, u,
+            M = compute_ranking(
+                fn, P, u=u,
                 phi=0.5 if fn == "mix" else None,
                 samples=2000 if fn == "pl" else None,
                 seed=0 if fn == "pl" else None,
             )
+            rep = normalized_utility(P, M, u)
             assert 0.0 <= rep.normalized <= 1.0
+
+    @pytest.mark.parametrize("fn", ["ua", "opt", "mix", "pl"])
+    def test_normalized_does_not_depend_on_the_scale_of_the_values(self, fn):
+        # max - min is about a tenth of the label values' scale; at 1e-13 an absolute
+        # threshold of 1e-12 on it called every ranking optimal and gave 1.
+        kw = {"phi": 0.5} if fn == "mix" else {"samples": 2000, "seed": 0} if fn == "pl" else {}
+        rng = np.random.default_rng(41)
+        for P, values in ((PredictionMatrix(np.array([[0.6, 0.4], [0.3, 0.7], [0.5, 0.5]])), np.array([0.0, 1.0])),
+                          (random_prediction(rng, 6, 3), np.array([0.0, 1.0, 2.5]))):
+            M = compute_ranking(fn, P, u=UtilitySpec.dcg(P.n, label_values=values), **kw)
+            got = [normalized_utility(P, M, UtilitySpec.dcg(P.n, label_values=scale * values)).normalized
+                   for scale in (1e-13, 1.0, 1e13)]
+            assert got[0] == pytest.approx(got[1], abs=1e-12)
+            assert got[2] == pytest.approx(got[1], abs=1e-12)
 
     @pytest.mark.parametrize("fn", ["opt", "ua"])
     def test_overflow_is_a_validation_error_without_warnings(self, fn):
@@ -173,7 +193,7 @@ class TestNormalizedUtility:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValidationError, match=r"^utility overflows: raw inf; scale"):
-                normalized_utility(P, fn, u)
+                normalized_utility(P, compute_ranking(fn, P, u=u), u)
 
     def test_utility_overflow_is_a_validation_error_without_warnings(self):
         # One-hot rows: tau is the label values, each finite, but their sum overflows.
@@ -193,15 +213,15 @@ class TestNormalizedUtility:
             warnings.simplefilter("error")
             with pytest.raises(ValidationError, match=r"^utility overflows: raw 1\.6\d*e\+308, min 1\.0\d*e\+308, "
                                                       r"max inf; scale"):
-                normalized_utility(P, "ua", u)
+                normalized_utility(P, ua_rank(P), u)
 
 
-def _matrix_utility_report(P, fn, u, **kw):
-    """normalized_utility as it was computed from the min_rank and opt_rank matrices."""
-    raw = utility(P, compute_ranking(fn, P, u=u, **kw), u)
+def _matrix_utility_report(P, M, u):
+    """normalized_utility of M computed from the min_rank and opt_rank matrices."""
+    raw = utility(P, M, u)
     lo = utility(P, min_rank(P, u), u)
     hi = utility(P, opt_rank(P, u), u)
-    norm = 1.0 if hi - lo < 1e-12 else min(1.0, max(0.0, (raw - lo) / (hi - lo)))
+    norm = 1.0 if hi - lo <= 1e-12 * hi else min(1.0, max(0.0, (raw - lo) / (hi - lo)))
     return raw, lo, hi, norm
 
 
@@ -236,9 +256,10 @@ class TestSortedTauBounds:
         for P, u in _bound_cases():
             if fn == "ua" and P.n > 40:
                 continue
-            rep = normalized_utility(P, fn, u)
+            M = compute_ranking(fn, P, u=u)
+            rep = normalized_utility(P, M, u)
             got = [rep.raw, rep.min, rep.max, rep.normalized]
-            assert [x.hex() for x in got] == [x.hex() for x in _matrix_utility_report(P, fn, u)]
+            assert [x.hex() for x in got] == [x.hex() for x in _matrix_utility_report(P, M, u)]
 
     @pytest.mark.parametrize("fn,kw", [("opt", {}), ("ua", {}), ("pl", {"samples": 50, "seed": 0})])
     def test_matrices_built_per_call(self, monkeypatch, fn, kw):
@@ -253,9 +274,12 @@ class TestSortedTauBounds:
         rng = np.random.default_rng(40)
         P, P2 = random_prediction(rng, 7, 3), random_prediction(rng, 7, 3)
         u = UtilitySpec.dcg(7, L=3)
-        normalized_utility(P, fn, u, **kw)
+        r = partial(compute_ranking, fn, u=u, **kw)
+        M = r(P)
         assert len(built) == 1
-        stability_gap(fn, P, P2, u=u, **kw)
+        normalized_utility(P, M, u)
+        assert len(built) == 1
+        stability_gap(r, P, P2)
         assert len(built) == 3
 
 
