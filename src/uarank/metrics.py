@@ -14,10 +14,14 @@ _DEGENERATE_REL = 1e-12  # bounds closer than this fraction of the best utility 
 _SCALE_DOWN = "scale the label values or position weights down"
 
 
+def _check_shapes(a: tuple, b: tuple) -> None:
+    if a != b:
+        raise ValidationError(f"cannot compare arrays of shapes {a} and {b}")
+
+
 def _abs_difference(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """|A - B| in one temporary, refusing arrays of different shapes (no broadcasting)."""
-    if A.shape != B.shape:
-        raise ValidationError(f"cannot compare arrays of shapes {A.shape} and {B.shape}")
+    _check_shapes(A.shape, B.shape)
     d = np.subtract(A, B)
     return np.abs(d, out=d)
 
@@ -47,13 +51,20 @@ def stability_gap(
 
     Matrices of different shapes are a ValidationError before r is called.  A
     ratio that overflows float64 (inputs that differ by a subnormal flipping a
-    tie) is a ValidationError.
+    tie) is a ValidationError.  When both rankings keep their order (`opt_rank`,
+    `min_rank`), the gap is 0.0 for equal orders and 1.0 otherwise, the max-norm
+    of the difference of their permutation matrices, which are not built.
     """
     if (P.n, P.L) != (P2.n, P2.L):
         raise ValidationError(
             f"prediction matrices have different shapes: {P.n}x{P.L} vs {P2.n}x{P2.L}"
         )
-    inf_gap = linf_distance(r(P).entries, r(P2).entries)
+    A, B = r(P), r(P2)
+    if A.order is not None and B.order is not None:
+        _check_shapes((A.n, A.n), (B.n, B.n))
+        inf_gap = float(not np.array_equal(A.order, B.order))
+    else:
+        inf_gap = linf_distance(A.entries, B.entries)
     l1 = l1_distance(P.rows, P2.rows)
     ratio = inf_gap / l1 if l1 > 0.0 else None
     if ratio is not None and not np.isfinite(ratio):
@@ -64,14 +75,18 @@ def stability_gap(
 def utility(P: PredictionMatrix, M: RankingDistribution, u: UtilitySpec) -> float:
     """Expected ranking utility: sum_i sum_k M[i,k] * w_k * tau(p_i).
 
-    A utility that is not finite (float64 overflow) is a ValidationError.
+    A utility that is not finite (float64 overflow) is a ValidationError.  A
+    ranking that keeps its order takes tau in that order times w, which is
+    tau @ M @ w bit for bit: every entry of tau @ M is one tau plus zeros.  An
+    infinite tau breaks that (inf * 0 is NaN), so it takes the matrix product.
     """
     if M.n != P.n:
         raise ValidationError(f"ranking is {M.n}x{M.n} but prediction matrix has n={P.n}")
     tau = u.tau(P)
     w = u.weights_for(P.n)
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below, not warned about
-        raw = float(tau @ M.entries @ w)
+        ordered = tau[M.order] if M.order is not None and np.isfinite(tau).all() else tau @ M.entries
+        raw = float(ordered @ w)
     if not np.isfinite(raw):
         raise ValidationError(f"utility overflows: raw {raw}; {_SCALE_DOWN}")
     return raw
@@ -96,8 +111,8 @@ def normalized_utility(P: PredictionMatrix, M: RankingDistribution, u: UtilitySp
     overflow) is a ValidationError, raw in `utility`.
 
     The bounds are the utilities of `min_rank` and `opt_rank` (tau ascending and
-    descending), taken as sorted tau @ w: tau times a permutation matrix is
-    exactly tau in its order, so the bits are those of the matrix products.
+    descending), taken as sorted tau @ w, as `utility` takes any ranking that
+    keeps its order: the bits are those of the matrix products.
     """
     raw = utility(P, M, u)
     tau = np.sort(u.tau(P))

@@ -177,25 +177,19 @@ def _sort_permutation(tau: np.ndarray, descending: bool) -> np.ndarray:
     return np.argsort(key, kind="stable")
 
 
-def _permutation_matrix(order: np.ndarray) -> np.ndarray:
-    n = order.size
-    M = np.zeros((n, n))
-    M[order, np.arange(n)] = 1.0
-    return M
-
-
 def opt_rank(P: PredictionMatrix, u: UtilitySpec) -> RankingDistribution:
     """Utility-maximizing deterministic ranking: sort by decreasing tau(p_i).
 
     Ties broken by ascending individual index, which makes the function
-    deterministic and therefore non-anonymous.
+    deterministic and therefore non-anonymous.  The ranking keeps its order and
+    builds its permutation matrix only when `entries` is read.
     """
-    return RankingDistribution(_permutation_matrix(_sort_permutation(u.tau(P), True)))
+    return RankingDistribution.from_order(_sort_permutation(u.tau(P), True))
 
 
 def min_rank(P: PredictionMatrix, u: UtilitySpec) -> RankingDistribution:
     """Utility-minimizing deterministic ranking: sort by increasing tau(p_i)."""
-    return RankingDistribution(_permutation_matrix(_sort_permutation(u.tau(P), False)))
+    return RankingDistribution.from_order(_sort_permutation(u.tau(P), False))
 
 
 def mix_rank(P: PredictionMatrix, u: UtilitySpec, phi: float) -> RankingDistribution:

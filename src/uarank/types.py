@@ -48,6 +48,30 @@ def _check_doubly_stochastic(m: np.ndarray) -> None:
         raise ValidationError(f"column sums deviate from 1 by more than {DS_TOL}")
 
 
+def _checked_permutation(perm, n: int) -> np.ndarray:
+    """A copy of `perm` as an index array, after an O(n) check that it holds each of
+    0..n-1 exactly once."""
+    p = np.asarray(perm)
+    if p.shape != (n,) or p.dtype.kind not in "iu":
+        raise ValidationError(f"a permutation of 0..{n - 1} must be {n} integers, got {p.dtype} of shape {p.shape}")
+    if p.min() < 0 or p.max() >= n:
+        bad = p[(p < 0) | (p >= n)][0]
+        raise ValidationError(f"permutation entry {bad} is outside 0..{n - 1}")
+    p = p.astype(np.intp)
+    counts = np.bincount(p, minlength=n)
+    if counts.max() > 1:
+        raise ValidationError(f"permutation holds {int(np.argmax(counts))} more than once")
+    return p
+
+
+def _permutation_matrix(order: np.ndarray) -> np.ndarray:
+    """The 0/1 matrix with M[order[k], k] = 1: individual order[k] gets rank k+1."""
+    n = order.size
+    M = np.zeros((n, n))
+    M[order, np.arange(n)] = 1.0
+    return M
+
+
 @dataclass(frozen=True)
 class PredictionMatrix:
     """An n x L matrix whose row i is individual i's distribution over labels."""
@@ -75,8 +99,9 @@ class PredictionMatrix:
         return self.rows.shape[1]
 
     def permuted(self, perm) -> "PredictionMatrix":
-        """Row-permuted copy: row k of the result is row perm[k] of self."""
-        return PredictionMatrix(self.rows[np.asarray(perm)])
+        """Row-permuted copy: row k of the result is row perm[k] of self.  `perm` must
+        be a permutation of 0..n-1."""
+        return PredictionMatrix(self.rows[_checked_permutation(perm, self.n)])
 
     def with_zero_label(self) -> "PredictionMatrix":
         """Extend by an unused top label L+1 with zero probability everywhere."""
@@ -89,9 +114,37 @@ class RankingDistribution:
 
     `entries` is a read-only view that shares memory with a float64 input array, not a
     copy (that would add an n x n pass per ranking): the input stays writable to its
-    owner, and writes through it show in `entries`."""
+    owner, and writes through it show in `entries`.
+
+    A deterministic ranking made by `from_order` keeps its `order` (order[k-1] is the
+    individual at rank k; None for every other ranking) and builds its 0/1 `entries`
+    on their first read, so code that needs only the order never builds the matrix."""
 
     entries: np.ndarray
+    order: np.ndarray | None = field(default=None, init=False)
+
+    @classmethod
+    def from_order(cls, order) -> "RankingDistribution":
+        """The deterministic ranking that puts individual order[k-1] at rank k.  The
+        O(n) permutation check stands in for the doubly stochastic check: the 0/1
+        matrix of a permutation has exactly one 1 in every row and column."""
+        n = np.size(order)
+        if n == 0:
+            raise ValidationError("ranking distribution must be nonempty, got shape (0, 0)")
+        order = _checked_permutation(order, n)
+        order.flags.writeable = False
+        self = object.__new__(cls)
+        object.__setattr__(self, "order", order)
+        return self
+
+    def __getattr__(self, name):
+        # Reached only for an attribute not yet set: an order's `entries` before their first read.
+        if name != "entries" or self.order is None:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        m = _permutation_matrix(self.order)
+        m.flags.writeable = False
+        object.__setattr__(self, "entries", m)
+        return m
 
     def __post_init__(self):
         m = np.asarray(self.entries, dtype=np.float64).view()
@@ -105,7 +158,7 @@ class RankingDistribution:
 
     @property
     def n(self) -> int:
-        return self.entries.shape[0]
+        return self.entries.shape[0] if self.order is None else self.order.size
 
 
 @dataclass(frozen=True)

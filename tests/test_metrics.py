@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 from functools import partial
 
@@ -18,6 +19,7 @@ from uarank import (
     ua_rank,
     utility,
 )
+from uarank import types as types_mod
 from uarank.metrics import l1_distance, linf_distance
 from uarank.rankers import compute_ranking
 
@@ -263,24 +265,134 @@ class TestSortedTauBounds:
 
     @pytest.mark.parametrize("fn,kw", [("opt", {}), ("ua", {}), ("pl", {"samples": 50, "seed": 0})])
     def test_matrices_built_per_call(self, monkeypatch, fn, kw):
-        built = []
-        post_init = RankingDistribution.__post_init__
+        # ua and pl build one dense, DS-checked matrix per ranking.  opt keeps its order
+        # and builds no matrix at all: its order-backed rankings are counted instead.
+        built, ordered, matrices = [], [], []
+        post_init, from_order = RankingDistribution.__post_init__, RankingDistribution.from_order
+        permutation_matrix = types_mod._permutation_matrix
 
         def counting(self):
             built.append(self)
             post_init(self)
 
+        def counting_order(order):
+            ordered.append(order)
+            return from_order(order)
+
+        def counting_matrix(order):
+            matrices.append(order)
+            return permutation_matrix(order)
+
         monkeypatch.setattr(RankingDistribution, "__post_init__", counting)
+        monkeypatch.setattr(RankingDistribution, "from_order", counting_order)
+        monkeypatch.setattr(types_mod, "_permutation_matrix", counting_matrix)
+        counted, uncounted = (ordered, built) if fn == "opt" else (built, ordered)
         rng = np.random.default_rng(40)
         P, P2 = random_prediction(rng, 7, 3), random_prediction(rng, 7, 3)
         u = UtilitySpec.dcg(7, L=3)
         r = partial(compute_ranking, fn, u=u, **kw)
         M = r(P)
-        assert len(built) == 1
+        assert len(counted) == 1
         normalized_utility(P, M, u)
-        assert len(built) == 1
+        assert len(counted) == 1
         stability_gap(r, P, P2)
-        assert len(built) == 3
+        assert len(counted) == 3
+        assert uncounted == [] and matrices == []
+
+
+def _dense(M):
+    """The same ranking as a dense, DS-checked matrix: the order is dropped."""
+    return RankingDistribution(types_mod._permutation_matrix(M.order))
+
+
+def _order_cases():
+    """(P, P2, u): random rows, all-tied tau, one flipped tie, and n = 1."""
+    rng = np.random.default_rng(42)
+    for n in (2, 9, 60):
+        yield random_prediction(rng, n, 3), random_prediction(rng, n, 3), UtilitySpec.dcg(n, L=3)
+    tied = PredictionMatrix(np.full((5, 3), 1 / 3))
+    yield tied, tied, UtilitySpec.dcg(5, L=3)
+    yield tied, PredictionMatrix(np.eye(3)[[1, 1, 1, 1, 1]]), UtilitySpec.dcg(5, L=3)
+    # Rows 0 and 1 tie in P; in P2 row 1 is better, which swaps them under opt, not min_rank.
+    P = PredictionMatrix(np.array([[0.5, 0.5], [0.5, 0.5], [0.2, 0.8], [0.9, 0.1]]))
+    P2 = PredictionMatrix(np.array([[0.5, 0.5], [0.5 - 2**-40, 0.5 + 2**-40], [0.2, 0.8], [0.9, 0.1]]))
+    yield P, P2, UtilitySpec([0.0, 1.0], [1.0, 0.5, 0.5, 0.0])
+    yield PredictionMatrix(np.array([[0.3, 0.7]])), PredictionMatrix(np.array([[0.6, 0.4]])), UtilitySpec.dcg(1, L=2)
+
+
+class TestOrderPath:
+    """opt_rank and min_rank keep their order; every metric of them equals the dense
+    permutation matrix's bit for bit."""
+
+    @pytest.mark.parametrize("ranker", [opt_rank, min_rank])
+    def test_equal_to_the_dense_path_bit_for_bit(self, ranker):
+        gaps = set()
+        for P, P2, u in _order_cases():
+            r = partial(ranker, u=u)
+            A, B = r(P), r(P2)
+            assert A.order is not None and B.order is not None
+            rep = stability_gap(r, P, P2)
+            inf_gap = linf_distance(types_mod._permutation_matrix(A.order), types_mod._permutation_matrix(B.order))
+            l1 = l1_distance(P.rows, P2.rows)
+            want = [inf_gap, l1, inf_gap / l1 if l1 > 0.0 else None]
+            hexed = [None if x is None else x.hex() for x in (rep.inf_gap, rep.l1_dist, rep.ratio, *want)]
+            assert hexed[:3] == hexed[3:]
+            assert rep == stability_gap(lambda Q: _dense(r(Q)), P, P2)
+            gaps.add(rep.inf_gap)
+            for Q, M in ((P, A), (P2, B)):
+                raw = utility(Q, M, u)
+                assert raw.hex() == float(u.tau(Q) @ _dense(M).entries @ u.weights_for(Q.n)).hex()
+                assert raw.hex() == utility(Q, _dense(M), u).hex()
+                assert normalized_utility(Q, M, u) == normalized_utility(Q, _dense(M), u)
+        assert gaps == {0.0, 1.0}
+
+    @pytest.mark.parametrize("ranker", [opt_rank, min_rank])
+    def test_entries_are_the_permutation_matrix_read_only(self, ranker):
+        for P, _, u in _order_cases():
+            M = ranker(P, u)
+            old = np.zeros((P.n, P.n))
+            old[M.order, np.arange(P.n)] = 1.0
+            assert M.n == P.n and np.array_equal(M.entries, old)
+            assert M.entries is M.entries  # built once, on the first read
+            for frozen in (M.entries, M.order):
+                with pytest.raises(ValueError, match="read-only"):
+                    frozen[0] = 0
+
+    def test_orders_of_different_lengths_are_refused(self):
+        P, P2 = PredictionMatrix(np.full((3, 2), 0.5)), PredictionMatrix(np.eye(2)[[0, 1, 1]])
+
+        def r(Q):  # a ranking function that drops the last individual of P2
+            return RankingDistribution.from_order(np.arange(3) if Q is P else np.arange(2))
+
+        with pytest.raises(ValidationError, match=r"^cannot compare arrays of shapes \(3, 3\) and \(2, 2\)$"):
+            stability_gap(r, P, P2)
+
+    def test_infinite_tau_takes_the_matrix_product(self):
+        # tau of the first row overflows to inf; tau @ M multiplies it by zeros, giving NaN.
+        big = np.finfo(np.float64).max
+        rows = np.array([[0.12, 0.02, 0.98], [1.0, 0.0, 0.0]])
+        P = PredictionMatrix(rows / rows.sum(axis=1, keepdims=True))
+        u = UtilitySpec.dcg(2, label_values=[big * (1 - 4e-16), big * (1 - 2.3e-16), big])
+        with np.errstate(over="ignore"):
+            assert np.isinf(u.tau(P)[0])
+            M = opt_rank(P, u)
+            for ranking in (M, _dense(M)):
+                with pytest.raises(ValidationError, match=r"^utility overflows: raw nan; scale"):
+                    utility(P, ranking, u)
+
+    def test_stability_of_opt_builds_no_matrix(self):
+        rng = np.random.default_rng(43)
+        P, P2 = random_prediction(rng, 1000, 5), random_prediction(rng, 1000, 5)
+        r = partial(opt_rank, u=UtilitySpec.dcg(1000, L=5))
+        stability_gap(r, P, P2)  # warm up
+        tracemalloc.start()
+        try:
+            rep = stability_gap(r, P, P2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rep.inf_gap == 1.0
+        assert peak < 1_000_000  # one 1000 x 1000 float64 array is 8 MB
 
 
 class TestCompositionCheck:

@@ -35,6 +35,21 @@ class TestPredictionMatrix:
         with pytest.raises(ValueError):
             P.rows[0, 0] = 0.0
 
+    def test_permuted(self):
+        P = PredictionMatrix(np.array([[0.2, 0.8], [1.0, 0.0], [0.5, 0.5]]))
+        assert np.array_equal(P.permuted([2, 0, 1]).rows, P.rows[[2, 0, 1]])
+
+    @pytest.mark.parametrize("perm,message", [
+        ([0, 0, 1], r"^permutation holds 0 more than once$"),  # would duplicate row 0
+        ([2], r"^a permutation of 0\.\.2 must be 3 integers, got int64 of shape \(1,\)$"),  # would drop rows
+        ([-1, 0, 1], r"^permutation entry -1 is outside 0\.\.2$"),  # would wrap around
+        ([0, 1, 3], r"^permutation entry 3 is outside 0\.\.2$"),  # was a raw IndexError
+    ])
+    def test_permuted_refuses_a_non_permutation(self, perm, message):
+        P = PredictionMatrix(np.array([[0.2, 0.8], [1.0, 0.0], [0.5, 0.5]]))
+        with pytest.raises(ValidationError, match=message):
+            P.permuted(np.array(perm, dtype=np.int64))
+
     def test_zero_label_extension(self):
         P = PredictionMatrix(np.array([[0.5, 0.5]]))
         Q = P.with_zero_label()
@@ -58,6 +73,25 @@ class TestRankingDistribution:
     def test_rejects_empty(self):
         with pytest.raises(ValidationError, match=r"^ranking distribution must be nonempty, got shape \(0, 0\)$"):
             RankingDistribution(np.zeros((0, 0)))
+
+    def test_from_order(self):
+        order = np.array([2, 0, 1])
+        M = RankingDistribution.from_order(order)
+        order[0] = 1  # the ranking keeps its own copy
+        assert M.n == 3 and M.order.tolist() == [2, 0, 1]
+        assert np.array_equal(M.entries, np.eye(3)[:, [2, 0, 1]])
+        assert RankingDistribution(np.eye(2)).order is None
+
+    @pytest.mark.parametrize("order,message", [
+        ([], r"^ranking distribution must be nonempty, got shape \(0, 0\)$"),
+        ([1, 1], r"^permutation holds 1 more than once$"),
+        ([0.0, 1.0], r"^a permutation of 0\.\.1 must be 2 integers, got float64 of shape \(2,\)$"),
+        ([True, False], r"must be 2 integers, got bool"),
+        ([[0, 1], [1, 0]], r"must be 4 integers, got int64 of shape \(2, 2\)$"),
+    ])
+    def test_from_order_refuses_a_non_permutation(self, order, message):
+        with pytest.raises(ValidationError, match=message):
+            RankingDistribution.from_order(np.array(order))
 
     def test_accepts_entry_within_slack(self):
         m = np.eye(3)
