@@ -20,10 +20,47 @@ def load_prediction_matrix(path) -> PredictionMatrix:
     An optional header row `label_1,...,label_L` is accepted and skipped; a first
     row counts as a header only when none of its cells parses as a number.
     Errors name the offending row (1-based data row) and column.
+
+    numpy's C reader parses the text; it converts each cell as float() does, bit
+    for bit.  A text it refuses (a ragged row, an unparsable or blank row, a lone
+    CR line end, a cell such as `1_0` that float() takes) and one whose first line
+    is blank or holds a quote or CR take the csv module, which parses or names the cell.
     """
     path = Path(path)
-    text = StringIO(_read_text(path, newline=""), newline="")  # csv parses newlines inside quoted cells itself
-    records = [row for row in csv.reader(text) if "".join(row).strip()]
+    text = _read_text(path, newline="")  # both readers split lines themselves, keeping quoted newlines
+    rows = _loadtxt(text)
+    if rows is None:
+        rows = _parse_csv(path, text)
+    try:
+        return PredictionMatrix(rows)
+    except ValidationError as exc:
+        raise ValidationError(f"{path}: {exc}") from None
+
+
+def _loadtxt(text: str) -> np.ndarray | None:
+    """numpy's parse of the text after the header rule, or None when the csv module must decide."""
+    if any(sep in text for sep in "\x1c\x1d\x1e\x1f"):
+        return None  # numpy strips these ASCII separators around a number; float() refuses them
+    end = text.find("\n")
+    head = text if end < 0 else text[:end].removesuffix("\r")
+    if '"' in head or "\r" in head:  # a quote may span lines or hide a comma; a lone CR ends a csv record
+        return None
+    cells = head.split(",")  # with no quote or CR, the first line is the first csv record
+    if not "".join(cells).strip():
+        return None  # a blank first line: the csv module skips it
+    if not any(_is_number(cell) for cell in cells):
+        text = "" if end < 0 else text[end + 1:]  # a header
+    if not text or text.isspace():
+        return None  # numpy would warn "input contained no data"
+    try:
+        return np.loadtxt(StringIO(text), delimiter=",", comments=None, quotechar='"', ndmin=2, dtype=np.float64)
+    except ValueError:
+        return None
+
+
+def _parse_csv(path: Path, text: str) -> np.ndarray:
+    """The rows of the text as the csv module reads them, raising for an empty file or a bad row."""
+    records = [row for row in csv.reader(StringIO(text, newline="")) if "".join(row).strip()]
     if not records:
         raise ValidationError(f"{path}: empty file")
     if not any(_is_number(cell) for cell in records[0]):
@@ -32,13 +69,9 @@ def load_prediction_matrix(path) -> PredictionMatrix:
             raise ValidationError(f"{path}: header but no data rows")
 
     try:  # numpy parses str cells as float() does; a ragged or unparsable file takes the loop below
-        rows = np.array(records, dtype=np.float64)
+        return np.array(records, dtype=np.float64)
     except ValueError:
-        rows = _parse_cells(path, records)
-    try:
-        return PredictionMatrix(rows)
-    except ValidationError as exc:
-        raise ValidationError(f"{path}: {exc}") from None
+        return _parse_cells(path, records)
 
 
 def _read_text(path: Path, newline: str | None = None) -> str:

@@ -77,15 +77,15 @@ def utility(P: PredictionMatrix, M: RankingDistribution, u: UtilitySpec) -> floa
 
     A utility that is not finite (float64 overflow) is a ValidationError.  A
     ranking that keeps its order takes tau in that order times w, which is
-    tau @ M @ w bit for bit: every entry of tau @ M is one tau plus zeros.  An
-    infinite tau breaks that (inf * 0 is NaN), so it takes the matrix product.
+    tau @ M @ w bit for bit: every entry of tau @ M is one tau plus zeros (tau is
+    finite: `UtilitySpec.tau` refuses an overflow).
     """
     if M.n != P.n:
         raise ValidationError(f"ranking is {M.n}x{M.n} but prediction matrix has n={P.n}")
     tau = u.tau(P)
     w = u.weights_for(P.n)
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below, not warned about
-        ordered = tau[M.order] if M.order is not None and np.isfinite(tau).all() else tau @ M.entries
+        ordered = tau[M.order] if M.order is not None else tau @ M.entries
         raw = float(ordered @ w)
     if not np.isfinite(raw):
         raise ValidationError(f"utility overflows: raw {raw}; {_SCALE_DOWN}")

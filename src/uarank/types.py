@@ -196,12 +196,18 @@ class UtilitySpec:
         return cls(np.asarray(label_values, dtype=np.float64), w)
 
     def tau(self, P: PredictionMatrix) -> np.ndarray:
-        """Expected label value per individual: tau(p_i) = sum_l v_l p_il."""
+        """Expected label value per individual: tau(p_i) = sum_l v_l p_il.  A tau that
+        overflows float64 is a ValidationError naming its row."""
         if P.L != self.label_values.size:
             raise ValidationError(
                 f"utility spec has {self.label_values.size} label values, matrix has {P.L} labels"
             )
-        return P.rows @ self.label_values
+        with np.errstate(over="ignore"):  # an overflow is refused below, not warned about
+            tau = P.rows @ self.label_values
+        finite = np.isfinite(tau)
+        if not finite.all():
+            raise ValidationError(f"tau of row {np.argmin(finite) + 1} overflows; scale the label values down")
+        return tau
 
     def weights_for(self, n: int) -> np.ndarray:
         if self.position_weights.size < n:

@@ -1,4 +1,5 @@
 import argparse
+import csv
 import json
 import os
 import re
@@ -47,6 +48,105 @@ def two_type_json(tmp_path):
     p = tmp_path / "twotype.json"
     p.write_text(json.dumps(TWO_TYPE_DOC))
     return str(p)
+
+
+def _load_with_csv_module(path):
+    """The csv-module loader that `load_prediction_matrix` replaced, kept as its reference:
+    csv.reader, the blank-row filter, the header rule and float() per cell."""
+    with open(path, encoding="utf-8-sig", newline="") as fh:
+        records = [row for row in csv.reader(fh) if "".join(row).strip()]
+    if not records:
+        raise ValidationError(f"{path}: empty file")
+    if not any(_parses(cell) for cell in records[0]):
+        records = records[1:]
+        if not records:
+            raise ValidationError(f"{path}: header but no data rows")
+    width = len(records[0])
+    rows = np.empty((len(records), width))
+    for r, record in enumerate(records, start=1):
+        if len(record) != width:
+            raise ValidationError(f"{path}: row {r} has {len(record)} columns, expected {width}")
+        for c, cell in enumerate(record, start=1):
+            try:
+                rows[r - 1, c - 1] = float(cell)
+            except ValueError:
+                raise ValidationError(f"{path}: row {r}, column {c}: cannot parse '{cell.strip()}'") from None
+    try:
+        return PredictionMatrix(rows)
+    except ValidationError as exc:
+        raise ValidationError(f"{path}: {exc}") from None
+
+
+def _parses(cell):
+    try:
+        float(cell)
+        return True
+    except ValueError:
+        return False
+
+
+def _loaded(load, path):
+    """The rows' bytes (signed zeros included), or the message of the ValidationError."""
+    try:
+        return load(path).rows.tobytes()
+    except ValidationError as exc:
+        return str(exc)
+
+
+def _assert_loads_as_csv_module(path):
+    assert _loaded(load_prediction_matrix, path) == _loaded(_load_with_csv_module, path)
+
+
+LOADER_CORPUS = [
+    "0.25,0.75\n0.5,0.5\n",  # plain
+    "label_1,label_2\n0.25,0.75\n0.5,0.5\n",  # header
+    "\ufeff0.25,0.75\n0.5,0.5\n",  # BOM
+    "\ufefflabel_1,label_2\n0.25,0.75\n",  # BOM and header
+    "label_1,label_2\r\n0.25,0.75\r\n0.5,0.5\r\n",  # CRLF
+    "0.25,0.75\r0.5,0.5\r",  # lone CR
+    "label_1,label_2\r0.25,0.75\r",
+    "0.25,0.75\n0.5,0.5",  # no final newline
+    "0.25,0.75\r\n0.5,0.5",
+    "\n\n0.25,0.75\n\n0.5,0.5\n\n",  # blank rows
+    "0.25,0.75\n \t\n0.5,0.5\n",  # whitespace-only rows
+    "0.25,0.75\n\u3000\n0.5,0.5\n",
+    "\u3000\nlabel_1,label_2\n0.25,0.75\n",
+    "0.25,0.75\n,\n0.5,0.5\n",  # comma-only rows
+    ",,\n0.25,0.75\n",
+    '"0.25","0.75"\n"0.5","0.5"\n',  # quoted cells
+    '0.25,0.75\n"0.5","0.5"\n',
+    '"label_1","label_2"\n0.25,0.75\n',
+    '0.25,0.75\n"0.2""5",0.75\n',  # doubled quotes
+    '0.25,0.75\n"0.2"5,0.75\n',  # text after a closing quote joins the cell
+    '0.25,0.75\n"0.5\n",0.5\n',  # a newline inside quotes
+    '"0.25\n",0.75\n',
+    '0.25,0.75\n"0.5,0.5"\n',
+    "0.25,0.75,\n0.5,0.5,\n",  # a trailing comma
+    "0.25,0.75\n1\n",  # ragged rows
+    "1\n0.5,0.5\n",
+    "0.2_5,0.75\n0.5,0.5\n",  # cells float() takes and numpy does not
+    "1_0,0\n",
+    "0.5,0.5\n\u0660.\u0662\u0665,0.75\n",
+    "\x0c0.25\x0c,\x850.75\x85\n0.5\xa0,\u20000.5\n",  # whitespace around cells
+    "\x1c0.25,0.75\n",  # separators numpy strips and float() refuses
+    "0.5,0.5\n0.25\x1f,0.75\n",
+    "1e-400,1\n-0,1\n0.5,-0\n",  # underflow and signed zeros
+    "0.1000000000000000055511151231257827,0.9\n4.9e-324,1\n2.2250738585072011e-308,1\n",
+    "0.5,0.5\nnan,1\n",
+    "0.5,0.5\ninf,0\n",
+    "0.5,0.25,0.25\n",  # one row
+    "1\n1\n1\n",  # one column
+    "1\n",  # one cell
+    "",  # an empty file
+    "\n \n",
+    "label_1,label_2\n",  # header only
+    "label_1,label_2\n\n \n",
+    "label_1,label_2",
+    "0.5,0.4\n",  # parsed, refused as a distribution
+]
+
+LOADER_ALPHABET = ['"', ",", "\n", "\r", " ", "0", "1", ".", "5", "e", "-", "_", "a",
+                   "\x85", "\x1c", "\u3000", "\u0661"]
 
 
 class TestLoadPredictionMatrix:
@@ -134,6 +234,34 @@ class TestLoadPredictionMatrix:
         rows = load_prediction_matrix(p).rows
         assert rows[:, 0].tolist() == [float(cell) for cell in cells]
         assert np.signbit(rows[6, 0])
+
+    @pytest.mark.parametrize("text", LOADER_CORPUS)
+    def test_numpy_reader_matches_csv_module(self, tmp_path, text):
+        p = tmp_path / "m.csv"
+        p.write_bytes(text.encode("utf-8"))
+        _assert_loads_as_csv_module(p)
+
+    @given(st.text(alphabet=LOADER_ALPHABET, max_size=24))
+    @settings(max_examples=300, deadline=None)
+    def test_numpy_reader_matches_csv_module_on_random_text(self, tmp_path_factory, text):
+        p = tmp_path_factory.mktemp("corpus") / "m.csv"
+        p.write_bytes(text.encode("utf-8"))
+        _assert_loads_as_csv_module(p)
+
+    @pytest.mark.parametrize("form", ["plain", "header", "bom", "crlf"])
+    def test_common_files_skip_the_csv_module(self, tmp_path, monkeypatch, form):
+        rows = np.random.default_rng(5).dirichlet(np.ones(5), size=1000)
+        text = "".join(",".join(repr(float(v)) for v in row) + "\n" for row in rows)
+        text = {"plain": text, "header": "label_1,label_2,label_3,label_4,label_5\n" + text,
+                "bom": "\ufeff" + text, "crlf": text.replace("\n", "\r\n")}[form]
+        p = tmp_path / "m.csv"
+        p.write_bytes(text.encode("utf-8"))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("csv.reader called")
+
+        monkeypatch.setattr("uarank.io.csv.reader", refuse)
+        assert load_prediction_matrix(p).rows.tobytes() == PredictionMatrix(rows).rows.tobytes()
 
 
 class TestLoadPopulationModel:

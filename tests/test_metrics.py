@@ -367,18 +367,18 @@ class TestOrderPath:
         with pytest.raises(ValidationError, match=r"^cannot compare arrays of shapes \(3, 3\) and \(2, 2\)$"):
             stability_gap(r, P, P2)
 
-    def test_infinite_tau_takes_the_matrix_product(self):
-        # tau of the first row overflows to inf; tau @ M multiplies it by zeros, giving NaN.
+    def test_overflowing_tau_is_refused_naming_its_row(self):
+        # tau of the second row overflows to inf: refused, without a RuntimeWarning, before
+        # either ranking path could multiply it by zeros and report a utility of NaN.
         big = np.finfo(np.float64).max
-        rows = np.array([[0.12, 0.02, 0.98], [1.0, 0.0, 0.0]])
+        rows = np.array([[1.0, 0.0, 0.0], [0.12, 0.02, 0.98]])
         P = PredictionMatrix(rows / rows.sum(axis=1, keepdims=True))
         u = UtilitySpec.dcg(2, label_values=[big * (1 - 4e-16), big * (1 - 2.3e-16), big])
-        with np.errstate(over="ignore"):
-            assert np.isinf(u.tau(P)[0])
-            M = opt_rank(P, u)
-            for ranking in (M, _dense(M)):
-                with pytest.raises(ValidationError, match=r"^utility overflows: raw nan; scale"):
-                    utility(P, ranking, u)
+        M = RankingDistribution.from_order([1, 0])
+        calls = [partial(u.tau, P), partial(opt_rank, P, u), partial(utility, P, M, u), partial(utility, P, _dense(M), u)]
+        for call in calls:
+            with pytest.raises(ValidationError, match=r"^tau of row 2 overflows; scale the label values down$"):
+                call()
 
     def test_stability_of_opt_builds_no_matrix(self):
         rng = np.random.default_rng(43)
