@@ -197,10 +197,11 @@ def _charge(pop: PopulationModel, n: int, samples: int | None, what: str) -> int
     return rankings
 
 
-def _draws(rng: np.random.Generator, pop: PopulationModel, n: int, samples: int):
-    """`samples` i.i.d. type vectors of size n, one chunk step at a time; the blocks
+def _draws(rng: np.random.Generator, pop: PopulationModel, n: int, samples: int, cells: int):
+    """`samples` i.i.d. type vectors of size n, one chunk step at a time, `cells` per vector: n^2
+    where each is ranked as an n x n matrix, n where only its types are sorted.  The blocks
     continue the generator's stream exactly as one draw of every vector would."""
-    step = max(1, rankers._CHUNK_CELLS // n**2)  # step * n^2 cells, or one n x n matrix beyond
+    step = max(1, rankers._CHUNK_CELLS // cells)  # step * cells, or one vector beyond
     for s in range(0, samples, step):
         yield rng.choice(pop.T, size=(min(step, samples - s), n), p=pop.weights)
 
@@ -350,7 +351,7 @@ def theorem_gap_estimate(
     taus, ind, distinct = _audit_setup(pop, n, k, group, fn, u, phi, delta, bucket, mc_samples)
     if fn != "opt":  # per distinct sorted draw: the mean over its individuals of ind times UA's k-th column
         per_key = np.empty((2, distinct))  # pages touched as keys arrive
-    for block in _draws(rng, pop, n, mc_samples):
+    for block in _draws(rng, pop, n, mc_samples, n if fn == "opt" else n * n):
         ua = opt = None
         if fn != "opt":  # UA is anonymous: a draw's pair is its sorted draw's, ranked once when new
             seen = len(index)
@@ -393,7 +394,7 @@ def nature_closeness_check(pop: PopulationModel, n: int, seed: int = 0, samples:
     eps = float(np.abs(pop.predicted - pop.ground_truth).sum(axis=1).max())
     # Both matrices of a dataset are the same row permutation of its sorted
     # type vector's pair, so the largest entrywise gap is read off the pairs.
-    for block in _draws(rng, pop, n, samples):
+    for block in _draws(rng, pop, n, samples, n * n):
         new, _ = _distinct_sorted(block, index)
         if len(new):
             M = _ua_pairs(pop, new)

@@ -24,7 +24,7 @@ def load_prediction_matrix(path) -> PredictionMatrix:
     numpy's C reader parses the text; it converts each cell as float() does, bit
     for bit.  A text it refuses (a ragged row, an unparsable or blank row, a lone
     CR line end, a cell such as `1_0` that float() takes) and one whose first line
-    is blank or holds a quote or CR take the csv module, which parses or names the cell.
+    holds a quote or CR take the csv module, which parses or names the cell.
     """
     path = Path(path)
     text = _read_text(path, newline="")  # both readers split lines themselves, keeping quoted newlines
@@ -45,11 +45,10 @@ def _loadtxt(text: str) -> np.ndarray | None:
     head = text if end < 0 else text[:end].removesuffix("\r")
     if '"' in head or "\r" in head:  # a quote may span lines or hide a comma; a lone CR ends a csv record
         return None
-    cells = head.split(",")  # with no quote or CR, the first line is the first csv record
-    if not "".join(cells).strip():
-        return None  # a blank first line: the csv module skips it
-    if not any(_is_number(cell) for cell in cells):
-        text = "" if end < 0 else text[end + 1:]  # a header
+    # With no quote or CR, the first line is the first csv record.  A blank one, which the csv module
+    # skips, is dropped as a header is; numpy refuses a header on the next line, and the csv module decides.
+    if not any(_is_number(cell) for cell in head.split(",")):
+        text = "" if end < 0 else text[end + 1:]
     if not text or text.isspace():
         return None  # numpy would warn "input contained no data"
     try:

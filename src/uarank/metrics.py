@@ -14,28 +14,6 @@ _DEGENERATE_REL = 1e-12  # bounds closer than this fraction of the best utility 
 _SCALE_DOWN = "scale the label values or position weights down"
 
 
-def _check_shapes(a: tuple, b: tuple) -> None:
-    if a != b:
-        raise ValidationError(f"cannot compare arrays of shapes {a} and {b}")
-
-
-def _abs_difference(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """|A - B| in one temporary, refusing arrays of different shapes (no broadcasting)."""
-    _check_shapes(A.shape, B.shape)
-    d = np.subtract(A, B)
-    return np.abs(d, out=d)
-
-
-def l1_distance(A: np.ndarray, B: np.ndarray) -> float:
-    """Entrywise 1-norm of the difference."""
-    return float(_abs_difference(A, B).sum())
-
-
-def linf_distance(A: np.ndarray, B: np.ndarray) -> float:
-    """Entrywise max-norm of the difference."""
-    return float(_abs_difference(A, B).max())
-
-
 @dataclass(frozen=True)
 class StabilityReport:
     inf_gap: float  # ||r(P) - r(P')||_inf
@@ -51,21 +29,14 @@ def stability_gap(
 
     Matrices of different shapes are a ValidationError before r is called.  A
     ratio that overflows float64 (inputs that differ by a subnormal flipping a
-    tie) is a ValidationError.  When both rankings keep their order (`opt_rank`,
-    `min_rank`), the gap is 0.0 for equal orders and 1.0 otherwise, the max-norm
-    of the difference of their permutation matrices, which are not built.
+    tie) is a ValidationError.
     """
     if (P.n, P.L) != (P2.n, P2.L):
         raise ValidationError(
             f"prediction matrices have different shapes: {P.n}x{P.L} vs {P2.n}x{P2.L}"
         )
-    A, B = r(P), r(P2)
-    if A.order is not None and B.order is not None:
-        _check_shapes((A.n, A.n), (B.n, B.n))
-        inf_gap = float(not np.array_equal(A.order, B.order))
-    else:
-        inf_gap = linf_distance(A.entries, B.entries)
-    l1 = l1_distance(P.rows, P2.rows)
+    inf_gap = r(P).linf_gap(r(P2))
+    l1 = float(np.abs(P.rows - P2.rows).sum())
     ratio = inf_gap / l1 if l1 > 0.0 else None
     if ratio is not None and not np.isfinite(ratio):
         raise ValidationError(f"stability ratio overflows: inf_gap {inf_gap} over l1_dist {l1}")
@@ -75,18 +46,14 @@ def stability_gap(
 def utility(P: PredictionMatrix, M: RankingDistribution, u: UtilitySpec) -> float:
     """Expected ranking utility: sum_i sum_k M[i,k] * w_k * tau(p_i).
 
-    A utility that is not finite (float64 overflow) is a ValidationError.  A
-    ranking that keeps its order takes tau in that order times w, which is
-    tau @ M @ w bit for bit: every entry of tau @ M is one tau plus zeros (tau is
-    finite: `UtilitySpec.tau` refuses an overflow).
+    A utility that is not finite (float64 overflow) is a ValidationError.
     """
     if M.n != P.n:
         raise ValidationError(f"ranking is {M.n}x{M.n} but prediction matrix has n={P.n}")
     tau = u.tau(P)
     w = u.weights_for(P.n)
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below, not warned about
-        ordered = tau[M.order] if M.order is not None else tau @ M.entries
-        raw = float(ordered @ w)
+        raw = float(M.position_values(tau) @ w)
     if not np.isfinite(raw):
         raise ValidationError(f"utility overflows: raw {raw}; {_SCALE_DOWN}")
     return raw

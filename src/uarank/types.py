@@ -160,6 +160,21 @@ class RankingDistribution:
     def n(self) -> int:
         return self.entries.shape[0] if self.order is None else self.order.size
 
+    def linf_gap(self, other: "RankingDistribution") -> float:
+        """Entrywise max-norm of self - other.  Two rankings that keep their order
+        compare orders, building neither matrix: 0.0 if equal, 1.0 otherwise."""
+        if self.n != other.n:
+            raise ValidationError(f"cannot compare arrays of shapes {(self.n,) * 2} and {(other.n,) * 2}")
+        if self.order is not None and other.order is not None:
+            return float(not np.array_equal(self.order, other.order))
+        return float(np.abs(self.entries - other.entries).max())
+
+    def position_values(self, values: np.ndarray) -> np.ndarray:
+        """values @ entries: the expected value at each position.  A ranking that keeps
+        its order reads the values in that order, bit for bit the product for finite
+        values (+ 0.0 turns a -0.0 into the product's 0.0)."""
+        return values @ self.entries if self.order is None else values[self.order] + 0.0
+
 
 @dataclass(frozen=True)
 class UtilitySpec:

@@ -26,7 +26,6 @@ from uarank import (
     ua_rank,
     ua_rank_oracle,
 )
-from uarank.metrics import l1_distance, linf_distance
 
 from conftest import eps_pair, random_prediction, random_population
 
@@ -53,7 +52,7 @@ def test_c01_oracle_equivalence():
     for _ in range(200):
         n, L = int(rng.integers(2, 7)), int(rng.integers(2, 5))
         P = random_prediction(rng, n, L)
-        worst = max(worst, linf_distance(ua_rank(P).entries, ua_rank_oracle(P).entries))
+        worst = max(worst, ua_rank(P).linf_gap(ua_rank_oracle(P)))
     elapsed = time.perf_counter() - start
     report(1, "oracle equivalence", worst <= 1e-9 and elapsed < 10)
 
@@ -199,9 +198,9 @@ def test_c11_pl_convergence():
         P = random_prediction(rng, 4, 3)
         u = UtilitySpec.dcg(4, L=3)
         seed = int(rng.integers(1 << 31))
-        sampled = pl_rank(P, u, samples=10**6, seed=seed).entries
-        ok &= linf_distance(sampled, pl_rank_exact(P, u).entries) <= 0.005
-        ok &= np.array_equal(sampled, pl_rank(P, u, samples=10**6, seed=seed).entries)
+        sampled = pl_rank(P, u, samples=10**6, seed=seed)
+        ok &= sampled.linf_gap(pl_rank_exact(P, u)) <= 0.005
+        ok &= np.array_equal(sampled.entries, pl_rank(P, u, samples=10**6, seed=seed).entries)
     report(11, "Plackett-Luce convergence", ok)
 
 
@@ -214,8 +213,8 @@ def test_c12_noise_robustness_gap():
         P = random_prediction(rng, n, L)
         noisy = np.clip(P.rows + rng.uniform(-0.02, 0.02, size=(n, L)), 1e-12, None)
         P2 = PredictionMatrix(noisy / noisy.sum(axis=1, keepdims=True))
-        ua_gaps.append(linf_distance(ua_rank(P).entries, ua_rank(P2).entries))
-        opt_gaps.append(linf_distance(opt_rank(P, u).entries, opt_rank(P2, u).entries))
+        ua_gaps.append(ua_rank(P).linf_gap(ua_rank(P2)))
+        opt_gaps.append(opt_rank(P, u).linf_gap(opt_rank(P2, u)))
     ok = np.mean(ua_gaps) * 10 <= np.mean(opt_gaps)
     report(12, "noise robustness gap", ok)
 

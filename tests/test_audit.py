@@ -554,34 +554,19 @@ class TestClosedFormEdges:
         assert abs(rep.estimate - exact) <= 4 * rep.mc_error
 
 
-class TestBlockSize:
-    """The block size of every audit loop is the one chunk step; it never changes a result."""
-
-    @pytest.mark.parametrize("rows", [1, 7])
-    def test_block_size_does_not_change_output(self, monkeypatch, rows):
-        pop, n = random_population(np.random.default_rng(58), 3, 2), 4
-        u = UtilitySpec.dcg(n, L=2)
-
-        def results():
-            out = []
-            for fn, phi in (("ua", None), ("opt", None), ("mix", 0.5)):
-                out.append(theorem_gap_estimate(pop, n, 1, "g0", fn=fn, u=u, phi=phi, mc_samples=60, seed=4))
-            out.append(nature_closeness_check(pop, n, seed=5, samples=40))
-            return out
-
-        whole = results()
-        monkeypatch.setattr(rankers, "_CHUNK_CELLS", rows * n * n)
-        assert results() == whole
-
-
 class TestBatchedUa:
     """The audits rank a chunk of sorted type vectors per UA kernel call, and one
     chunk step bounds every block of every audit loop."""
 
     @pytest.mark.parametrize("rows", [1, 7, None])
     def test_chunk_size_does_not_change_output(self, monkeypatch, rows):
-        pop, n = random_population(np.random.default_rng(63), 3, 3), 4
-        u = UtilitySpec.dcg(n, L=3)
+        for pop_seed, L in ((63, 3), (58, 2)):
+            with monkeypatch.context() as patch:
+                self._check_chunk_size(patch, rows, random_population(np.random.default_rng(pop_seed), 3, L), L)
+
+    @staticmethod
+    def _check_chunk_size(monkeypatch, rows, pop, L):
+        n, u = 4, UtilitySpec.dcg(4, L=L)
         keys = np.array(list(itertools.combinations_with_replacement(range(3), n)))
 
         def results():
@@ -666,7 +651,8 @@ class TestSampledDrawBlocks:
             ranked.clear()
             got = theorem_gap_estimate(pop, n, 2, "g0", mc_samples=samples, seed=seed, **kw)
             assert (got.estimate, got.mc_error) == (want.estimate, want.mc_error) and got == want
-            assert max(len(d) for d in draws) == (rows or samples)
+            step = (rows * n if kw["fn"] == "opt" else rows) if rows else samples  # opt sorts n cells a draw
+            assert max(len(d) for d in draws) == min(step, samples)
             assert np.array_equal(np.concatenate(draws), stream)
             assert sum(ranked) == (0 if kw["fn"] == "opt" else distinct)  # each distinct sorted draw once
 
@@ -852,3 +838,24 @@ class TestMixtureWeightRange:
     @pytest.mark.parametrize("phi", [0.0, 1.0])
     def test_endpoints_accepted(self, phi):
         assert theorem_gap_exact(two_type_biased_model(0.1), 3, 1, "1", fn="mix", u=u2(3), phi=phi) >= 0.0
+
+
+def _model(weights=(0.5, 0.5), truth=((0.5, 0.5), (0.5, 0.5)), predicted=((0.5, 0.5), (0.5, 0.5))):
+    return PopulationModel(type_names=("a", "b"), weights=np.array(weights), ground_truth=np.array(truth),
+                           predicted=np.array(predicted), groups={})
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda: _model(weights=(1.0,)), "type weights must be one per type"),
+    (lambda: _model(truth=(0.5, 0.5)), "ground truth distributions must be a T x L matrix"),
+    (lambda: _model(predicted=((1.0,),)), "predicted distributions must be a T x L matrix"),
+    (lambda: _model(predicted=((0.5, 0.5, 0.0), (0.5, 0.5, 0.0))), "ground-truth and predicted label counts differ"),
+    (lambda: two_type_biased_model(0.0), "bias must lie in (0, 1/2), got 0.0"),
+    (lambda: two_type_biased_model(0.5), "bias must lie in (0, 1/2), got 0.5"),
+    (lambda: multicalibration_alpha(perfect_model(), 0.0), "bucket width must lie in (0, 1], got 0.0"),
+    (lambda: multicalibration_alpha(perfect_model(), 1.5), "bucket width must lie in (0, 1], got 1.5"),
+    (lambda: multicalibration_alpha(perfect_model(), float("nan")), "bucket width must lie in (0, 1], got nan"),
+])
+def test_audit_validation_messages(call, message):
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        call()

@@ -19,7 +19,7 @@ from uarank import (PredictionMatrix, RankingDistribution, UtilitySpec, Validati
                     load_prediction_matrix, theorem_gap_exact)
 from uarank import cli
 from uarank.cli import build_parser, main
-from uarank.io import format_matrix, load_utility_spec, serialize_structured
+from uarank.io import format_matrix, load_utility_spec, population_model_from_dict, serialize_structured
 from uarank.rankers import RANKERS, compute_ranking
 
 
@@ -248,12 +248,12 @@ class TestLoadPredictionMatrix:
         p.write_bytes(text.encode("utf-8"))
         _assert_loads_as_csv_module(p)
 
-    @pytest.mark.parametrize("form", ["plain", "header", "bom", "crlf"])
+    @pytest.mark.parametrize("form", ["plain", "header", "bom", "crlf", "blank"])
     def test_common_files_skip_the_csv_module(self, tmp_path, monkeypatch, form):
         rows = np.random.default_rng(5).dirichlet(np.ones(5), size=1000)
         text = "".join(",".join(repr(float(v)) for v in row) + "\n" for row in rows)
         text = {"plain": text, "header": "label_1,label_2,label_3,label_4,label_5\n" + text,
-                "bom": "\ufeff" + text, "crlf": text.replace("\n", "\r\n")}[form]
+                "bom": "\ufeff" + text, "crlf": text.replace("\n", "\r\n"), "blank": " ,\n" + text}[form]
         p = tmp_path / "m.csv"
         p.write_bytes(text.encode("utf-8"))
 
@@ -318,6 +318,36 @@ class TestLoadUtilitySpec:
         p = tmp_path / "w.txt"
         p.write_text("\ufeff1.0\n0.5\n", encoding="utf-8")
         assert load_utility_spec(2, 2, None, str(p)).position_weights == pytest.approx([1.0, 0.5])
+
+
+_TYPE = {"name": "a", "weight": 1.0, "groundTruth": [1.0], "predicted": [1.0]}
+
+
+def _weights_file(tmp_path, text):
+    (tmp_path / "w.txt").write_text(text)
+    return str(tmp_path / "w.txt")
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda tmp: population_model_from_dict([]), "population model: 'types' must be a nonempty list"),
+    (lambda tmp: population_model_from_dict({"types": []}), "population model: 'types' must be a nonempty list"),
+    (lambda tmp: population_model_from_dict({"types": [{"name": "a", "weight": 1.0, "groundTruth": [1.0]}]}),
+     "population model: type 1 is missing 'predicted'"),
+    (lambda tmp: population_model_from_dict({"types": [_TYPE, _TYPE]}), "population model: duplicate type names"),
+    (lambda tmp: population_model_from_dict({"types": [_TYPE], "groups": [{"name": "g"}]}),
+     "population model: each group needs 'name' and 'members'"),
+    (lambda tmp: population_model_from_dict({"types": [_TYPE], "groups": ["g"]}),
+     "population model: each group needs 'name' and 'members'"),
+    (lambda tmp: load_utility_spec(2, 2, "1,x", "dcg"), "cannot parse label values '1,x'"),
+    (lambda tmp: load_utility_spec(2, 2, None, _weights_file(tmp, "1\nabc\n")),
+     "{tmp}/w.txt: cannot parse position weights"),
+    (lambda tmp: load_utility_spec(2, 2, None, _weights_file(tmp, "1\n")),
+     "{tmp}/w.txt: 1 position weights for n=2 individuals"),
+])
+def test_io_validation_messages(call, message, tmp_path):
+    with pytest.raises(ValidationError) as err:
+        call(tmp_path)
+    assert str(err.value) == message.format(tmp=tmp_path)
 
 
 class TestCli:
@@ -1053,6 +1083,24 @@ def test_non_ascii_report_under_an_ascii_locale(to, tmp_path):
     else:
         assert proc.returncode == 1 and proc.stdout == b""
         assert proc.stderr.startswith(b"error: validation: stdout's encoding ")
+
+
+@pytest.mark.parametrize("argv,code", [
+    (["--help"], 0),
+    (["rank", "--in", "missing.csv"], 1),
+    (["audit", "theorem", "--exact", "--model", "m.json", "--n", "1901", "--k", "1", "--group", "1"], 2),
+])
+def test_module_entry_point_exit_codes(argv, code, tmp_path):
+    """`python -m uarank.cli` exits with main's code: 0, 1 for validation, 2 for the budget."""
+    (tmp_path / "m.json").write_text(json.dumps(TWO_TYPE_DOC))
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    proc = subprocess.run([sys.executable, "-m", "uarank.cli", *argv], cwd=tmp_path, env=env,
+                          capture_output=True, timeout=60)
+    assert proc.returncode == code
+    if code:
+        assert proc.stdout == b"" and proc.stderr.startswith({1: b"error: validation: ", 2: b"error: budget: "}[code])
+    else:
+        assert proc.stderr == b"" and proc.stdout.startswith(b"usage: ")
 
 
 # json.dumps writes a lone surrogate as the escape "\ud800", which json.loads accepts but UTF-8 cannot encode.

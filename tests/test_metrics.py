@@ -20,7 +20,6 @@ from uarank import (
     utility,
 )
 from uarank import types as types_mod
-from uarank.metrics import l1_distance, linf_distance
 from uarank.rankers import compute_ranking
 
 from conftest import eps_pair, random_prediction
@@ -84,23 +83,6 @@ class TestStabilityGap:
                 partial(mix_rank, u=u, phi=phi), random_prediction(rng, n, 3), random_prediction(rng, n, 3)
             )
             assert rep.inf_gap <= phi * rep.l1_dist + (1 - phi) + 1e-12
-
-
-class TestDistances:
-    def test_l1_refuses_mismatched_shapes(self):
-        with pytest.raises(ValidationError, match=r"shapes \(3, 3\) and \(1, 3\)"):
-            l1_distance(np.eye(3), np.ones((1, 3)) / 3)
-
-    def test_linf_refuses_mismatched_shapes(self):
-        with pytest.raises(ValidationError, match=r"shapes \(3, 3\) and \(3,\)"):
-            linf_distance(np.eye(3), np.ones(3) / 3)
-
-    def test_match_the_two_temporary_reference(self):
-        rng = np.random.default_rng(38)
-        for shape in [(1, 1), (4, 3), (50, 50)]:
-            A, B = rng.random(shape), rng.random(shape)
-            assert l1_distance(A, B) == float(np.abs(A - B).sum())
-            assert linf_distance(A, B) == float(np.abs(A - B).max())
 
 
 class TestUtility:
@@ -332,8 +314,8 @@ class TestOrderPath:
             A, B = r(P), r(P2)
             assert A.order is not None and B.order is not None
             rep = stability_gap(r, P, P2)
-            inf_gap = linf_distance(types_mod._permutation_matrix(A.order), types_mod._permutation_matrix(B.order))
-            l1 = l1_distance(P.rows, P2.rows)
+            inf_gap = float(np.abs(types_mod._permutation_matrix(A.order) - types_mod._permutation_matrix(B.order)).max())
+            l1 = float(np.abs(P.rows - P2.rows).sum())
             want = [inf_gap, l1, inf_gap / l1 if l1 > 0.0 else None]
             hexed = [None if x is None else x.hex() for x in (rep.inf_gap, rep.l1_dist, rep.ratio, *want)]
             assert hexed[:3] == hexed[3:]
@@ -431,3 +413,17 @@ class TestCompositionCheck:
         P, _ = stab_lb
         with pytest.raises(ValidationError, match="d_ij"):
             if_composition_check(P, ua_rank(P), 0, 1, d_ij, beta, gamma)
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda P, u: utility(P, RankingDistribution(np.eye(2)), u), "ranking is 2x2 but prediction matrix has n=3"),
+    (lambda P, u: if_composition_check(P, RankingDistribution(np.eye(2)), 0, 1, 0.0, 1.0, 1.0),
+     "ranking is 2x2 but prediction matrix has n=3"),
+    (lambda P, u: if_composition_check(P, ua_rank(P), 0, 3, 0.0, 1.0, 1.0), "individual index 3 out of range for n=3"),
+    (lambda P, u: if_composition_check(P, ua_rank(P), -1, 2, 0.0, 1.0, 1.0), "individual index -1 out of range for n=3"),
+])
+def test_metrics_validation_messages(call, message, stab_lb):
+    P, _ = stab_lb
+    with pytest.raises(ValidationError) as err:
+        call(P, u_linear(3, 3))
+    assert str(err.value) == message

@@ -99,6 +99,58 @@ class TestRankingDistribution:
         assert RankingDistribution(m).entries[1, 2] == -1e-12
 
 
+def _rankings(rng, n):
+    """Three rankings of size n that keep their order, the first and third equal, and two dense
+    ones: a permutation matrix and a mixture of permutation matrices."""
+    orders = [rng.permutation(n), rng.permutation(n)]
+    mixed = sum(a * np.eye(n)[:, rng.permutation(n)] for a in rng.dirichlet(np.ones(3)))
+    return [*(RankingDistribution.from_order(o) for o in orders), RankingDistribution.from_order(orders[0]),
+            RankingDistribution(np.eye(n)[:, rng.permutation(n)]), RankingDistribution(mixed)]
+
+
+class TestLinfGap:
+    @pytest.mark.parametrize("n", [1, 2, 7, 40])
+    def test_bit_equal_to_the_entrywise_max_norm(self, n):
+        rankings = _rankings(np.random.default_rng(80 + n), n)
+        for A in rankings:
+            for B in rankings:  # (order, order), (order, matrix), (matrix, order), (matrix, matrix)
+                gap = A.linf_gap(B)
+                assert gap.hex() == float(np.abs(A.entries - B.entries).max()).hex()
+                assert gap == B.linf_gap(A)
+
+    def test_orders_build_no_matrix(self):
+        A, B, C = _rankings(np.random.default_rng(85), 9)[:3]
+        assert A.linf_gap(B) == 1.0 and A.linf_gap(C) == 0.0
+        assert all("entries" not in vars(M) for M in (A, B, C))
+
+    @pytest.mark.parametrize("a,b", [("order", "order"), ("order", "matrix"), ("matrix", "order"), ("matrix", "matrix")])
+    def test_refuses_rankings_of_different_sizes(self, a, b):
+        make = {"order": lambda n: RankingDistribution.from_order(np.arange(n)),
+                "matrix": lambda n: RankingDistribution(np.eye(n))}
+        with pytest.raises(ValidationError, match=r"^cannot compare arrays of shapes \(3, 3\) and \(2, 2\)$"):
+            make[a](3).linf_gap(make[b](2))
+
+
+class TestPositionValues:
+    @pytest.mark.parametrize("values", [
+        [2.5], [-0.0], [0.0],
+        [-0.0, 0.0, -0.0, 1.5, -0.0],  # signed zeros
+        [3.0, 3.0, -1.0, 3.0, -1.0],  # ties
+        [1e308, -1e308, 5e-324, -5e-324, 1.0],
+    ])
+    def test_bit_equal_to_the_product(self, values):
+        values = np.array(values)
+        for M in _rankings(np.random.default_rng(90 + values.size), values.size):
+            assert M.position_values(values).tobytes() == (values @ M.entries).tobytes()
+
+    def test_random_values(self):
+        rng = np.random.default_rng(91)
+        for n in (1, 6, 60):
+            values = rng.normal(size=n) * 10.0 ** rng.integers(-300, 300, size=n)
+            for M in _rankings(rng, n):
+                assert M.position_values(values).tobytes() == (values @ M.entries).tobytes()
+
+
 # One bad cell at a row and column other than the first, and the text it prints.
 BAD_CELLS = [
     (np.nan, "nan"), (np.inf, "inf"), (-np.inf, "-inf"), (-0.25, "-0.25"), (1.5, "1.5"),
@@ -166,6 +218,18 @@ class TestUtilitySpec:
         u = UtilitySpec(np.array([1.0, 2.0]), np.array([1.0, 1.0]))
         P = PredictionMatrix(np.array([[0.25, 0.75], [1.0, 0.0]]))
         assert u.tau(P) == pytest.approx([1.75, 1.0])
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda: UtilitySpec([], [1.0]), "label values must be a nonempty vector"),
+    (lambda: UtilitySpec([1.0], [[1.0]]), "position weights must be a nonempty vector"),
+    (lambda: UtilitySpec.dcg(3), "either label values or L must be given"),
+    (lambda: UtilitySpec([1.0], [1.0]).weights_for(2), "utility spec has 1 position weights, need 2"),
+])
+def test_types_validation_messages(call, message):
+    with pytest.raises(ValidationError) as err:
+        call()
+    assert str(err.value) == message
 
 
 def test_values_freeze_their_own_arrays_not_the_callers():
