@@ -128,6 +128,6 @@ def if_composition_check(
             raise ValidationError(f"individual index {idx} out of range for n={M.n}")
     if not (d_ij >= 0 and beta > 0 and gamma > 0):  # NaN fails every comparison
         raise ValidationError("need d_ij >= 0 and beta, gamma > 0")
-    row_gap = float(np.abs(M.entries[i] - M.entries[j]).max())
+    row_gap = M.row_gap(i, j)
     bound = 2.0 * beta * gamma * d_ij
     return CompositionCheck(row_gap=row_gap, bound=bound, passed=row_gap <= bound + 1e-12)

@@ -42,6 +42,32 @@ def _legendre_nodes(m: int) -> tuple[np.ndarray, np.ndarray]:
     return nodes, weights
 
 
+def _sweep_plan(s: np.ndarray, m: int) -> tuple:
+    """Where the two deconvolution passes of `_ua_label_kernel` are live, given the count
+    s[..., i] of column i's forward nodes (its last s of m, in every slab of the stack).
+
+    Returns (order, forward, backward).  `order` sorts each slab's columns by s, or is
+    None where sorting would not pay, and then no column is dropped.  `forward` and
+    `backward` are each pass's (columns, nodes) rectangle, in sorted column order, or
+    None for a pass with no live entry.  Sorted, forward columns (s > 0) come last and
+    backward ones (s < m) first; a rectangle spans the stack's widest slab and longest
+    run, and is at least two columns wide (numpy sums a one-column node axis pairwise,
+    not column by column).  The sort pays once the cells it drops per slab and step
+    exceed 2n: each of the n steps then saves more than putting a slab's n^2 entries
+    back in column order costs."""
+    n = s.shape[-1]
+    live = (np.count_nonzero(s, axis=-1).max(), np.count_nonzero(s < m, axis=-1).max())  # forward, backward
+    cols = [min(n, max(int(c), 2)) if c else 0 for c in live]
+    nodes = (int(s.max()), m - int(s.min()))
+    order = None
+    if sum((n - c) * t for c, t in zip(cols, nodes) if c) > 2 * n:
+        order = np.argsort(s, axis=-1, kind="stable")
+    else:
+        cols = [n if c else 0 for c in cols]
+    return (order, (slice(n - cols[0], n), slice(m - nodes[0], m)) if cols[0] else None,
+            (slice(0, cols[1]), slice(0, nodes[1])) if cols[1] else None)
+
+
 def _ua_label_kernel(rows: np.ndarray, labels: tuple) -> np.ndarray:
     """C[g, ..., i, k-1] = Pr[individual i gets rank k | i's label equals labels[g]],
     for every label g of `labels` and every i of every n x L matrix in the (..., n, L)
@@ -56,9 +82,20 @@ def _ua_label_kernel(rows: np.ndarray, labels: tuple) -> np.ndarray:
     direction in which the recurrence does not amplify rounding error.  Memory
     stays O(n^2) per matrix: the weighted leave-one-out pmfs are summed one
     degree at a time.  The labels are one more leading stack axis, so one pass
-    over the degrees serves them all.  Each matrix and label of a stack gets the
-    same arithmetic as it would alone: G is C-contiguous whatever the layout of
-    `rows`, so `w @ G` takes the same BLAS path for every matrix.
+    over the degrees serves them all.
+
+    Each pass sweeps only its live part.  q rises with u and the nodes descend,
+    so a column's forward entries are its last s nodes: with each slab's columns
+    sorted by s, one rectangle of columns x nodes per pass holds every live entry
+    of the stack (`_sweep_plan`), and the rest is never touched.  Inside it a pass
+    with divisor d (p forwards, q backwards) and other factor o carries X = d G,
+    X_k = F_k - (o / d) X_{k-1}, and adds the node sum of (w / d) X_k, so no step
+    divides; an entry the pass does not own has d = inf, keeps X = F_k and adds
+    exact zeros.  The node sum is numpy's reduction over the leading node axis,
+    which adds one node after the other for every column of a rectangle at least
+    two wide.  So a column's bits depend on nothing outside the column: not its
+    rectangle, its neighbours, the stack or the labels it is called with, and
+    each matrix and label of a stack gets exactly what it would get alone.
     """
     n = rows.shape[-2]
     u, w = _legendre_nodes(n // 2 + 1)
@@ -76,19 +113,39 @@ def _ua_label_kernel(rows: np.ndarray, labels: tuple) -> np.ndarray:
         np.multiply(F[: j + 1], q_j[j], out=carried[: j + 1])
         F[: j + 2] *= p_j[j]
         F[1 : j + 2] += carried[: j + 1]
+    # The passes read the same entries of q with the node axis first, so a rectangle of
+    # columns is contiguous and its node sum a reduction over the leading axis.
+    node = (slice(None),) + (None,) * above.ndim
+    q = above + u[node] * equal  # (nodes, labels, ..., n)
+    order, forward, backward = _sweep_plan(np.count_nonzero(q <= 0.5, axis=0), u.size)
+    if order is not None:  # each slab's columns sorted
+        above, equal = np.take_along_axis(above, order, axis=-1), np.take_along_axis(equal, order, axis=-1)
+        q = above + u[node] * equal
+    p = 1.0 - q
     # F = G (p + q z) for the leave-one-out G: forwards G_k = (F_k - q G_{k-1}) / p,
-    # backwards G_{k-1} = (F_k - p G_k) / q.  Each pass divides by inf where it is
-    # not the stable direction, which keeps those entries of G at exactly 0.
-    fwd = q <= 0.5
-    C, G = np.zeros((n, *q.shape[:-2], n)), np.empty(q.shape)  # C[k-1, ..., i]; G serves both passes
-    for degrees, shift, other, den in ((range(n), 0, q, np.where(fwd, p, np.inf)),
-                                       (range(n, 0, -1), 1, p, np.where(fwd, np.inf, q))):
-        G[...] = 0.0
+    # backwards G_{k-1} = (F_k - p G_k) / q.  The forward pass writes C, the backward adds.
+    C = np.zeros((n, *above.shape))  # C[k-1, ..., i], i in sorted order
+    for degrees, shift, rectangle in ((range(n), 0, forward), (range(n, 0, -1), 1, backward)):
+        if rectangle is None:
+            continue
+        cols, nodes = rectangle
+        q_r, p_r = q[nodes, ..., cols], p[nodes, ..., cols]
+        own, other = (p_r, q_r) if shift == 0 else (q_r, p_r)
+        d = np.where((q_r <= 0.5) == (shift == 0), own, np.inf)
+        ratio, weight = other / d, w[nodes][node] / d
+        F_r = np.moveaxis(F[..., nodes], -1, 1)[..., None]  # (degrees, nodes, labels, ..., 1)
+        X, A = np.zeros(d.shape), C[..., cols] if shift == 0 else np.empty((n, *d.shape[1:]))
         for k in degrees:
-            G *= other
-            np.subtract(F[k, ..., None], G, out=G)
-            G /= den
-            C[k - shift] += w @ G
+            X *= ratio
+            np.subtract(F_r[k], X, out=X)
+            np.einsum("t...,t...->...", weight, X, out=A[k - shift])
+        if shift:
+            C[..., cols] += A
+    if order is not None:  # back to column order: one scatter along the flattened slabs
+        unsorted = np.empty(C.shape)
+        slab = np.arange(0, order.size, n).reshape(*order.shape[:-1], 1)
+        unsorted.reshape(n, -1)[:, (order + slab).ravel()] = C.reshape(n, -1)
+        C = unsorted
     return C.transpose(*range(1, C.ndim), 0)
 
 

@@ -169,6 +169,15 @@ class RankingDistribution:
             return float(not np.array_equal(self.order, other.order))
         return float(np.abs(self.entries - other.entries).max())
 
+    def row_gap(self, i: int, j: int) -> float:
+        """Entrywise max-norm of row i - row j of `entries` (indices as numpy reads
+        them).  A ranking that keeps its order builds no matrix: two distinct rows of a
+        permutation matrix hold their 1 in different columns, so they differ by 1.0."""
+        if self.order is None:
+            return float(np.abs(self.entries[i] - self.entries[j]).max())
+        rows = range(self.n)
+        return float(rows[i] != rows[j])
+
     def position_values(self, values: np.ndarray) -> np.ndarray:
         """values @ entries: the expected value at each position.  A ranking that keeps
         its order reads the values in that order, bit for bit the product for finite

@@ -159,6 +159,14 @@ def integer_rows(rng, n, L, D):
     return c
 
 
+def peaked_integer_rows(rng, n, L, D):
+    """Integer rows summing to D from Dirichlet(0.05) draws: most rows put nearly all of D
+    on one label and exact zeros elsewhere, so q sits near and at 0 and 1."""
+    c = np.floor(rng.dirichlet(np.full(L, 0.05), size=n) * D).astype(np.int64)
+    c[np.arange(n), c.argmax(axis=1)] += D - c.sum(axis=1)
+    return c
+
+
 class TestUaKernelHardInputs:
     def test_matches_oracle_on_peaked_one_hot_and_tie_rows(self):
         rng = np.random.default_rng(30)
@@ -185,6 +193,14 @@ class TestUaKernelHardInputs:
             c = integer_rows(np.random.default_rng([n, seed]), n, 3, 2**20)
             M = ua_rank(PredictionMatrix(c / 2**20)).entries
             assert np.abs(M - ua_rank_integer(c.tolist(), 2**20)).max() <= n * np.finfo(float).eps
+
+    def test_within_n_eps_of_the_integer_reference_on_peaked_rows(self):
+        """n = 120, the largest n at which the integer reference takes about 2 s.  Peaked
+        rows make both passes' rectangles narrow.  The worst seen is 0.48 eps."""
+        n = 120
+        c = peaked_integer_rows(np.random.default_rng([n, 1]), n, 3, 2**20)
+        M = ua_rank(PredictionMatrix(c / 2**20)).entries
+        assert np.abs(M - ua_rank_integer(c.tolist(), 2**20)).max() <= n * np.finfo(float).eps
 
     def test_expected_rank_closed_form_at_n150(self):
         rng = np.random.default_rng(31)
@@ -265,6 +281,132 @@ class TestStackedKernel:
                           (np.asfortranarray(base), Ps)):
             assert not rows.flags.c_contiguous
             self.assert_exact(sub, rows)
+
+
+def ua_kernel_full_sweep(rows, labels):
+    """`_ua_label_kernel`'s arithmetic with no sort and no trim: both passes run over every
+    (node, individual) entry, and each node sum adds one node after the other, in node order."""
+    n = rows.shape[-2]
+    u, w = rankers._legendre_nodes(n // 2 + 1)
+    above = np.stack([rows[..., label:].sum(axis=-1) for label in labels])
+    equal = np.stack([rows[..., label - 1] for label in labels])
+    q = above[..., None, :] + u[:, None] * equal[..., None, :]  # (labels, ..., nodes, n)
+    p = 1.0 - q
+    F = np.zeros((n + 1, *q.shape[:-1]))
+    F[0] = 1.0
+    for j in range(n):
+        carried = F[: j + 1] * q[..., j]
+        F[: j + 2] *= p[..., j]
+        F[1 : j + 2] += carried
+    C = np.zeros((*q.shape[:-2], n, n))  # C[..., i, k-1]
+    fwd = q <= 0.5
+    for degrees, shift, own, other, live in ((range(n), 0, p, q, fwd), (range(n, 0, -1), 1, q, p, ~fwd)):
+        d = np.where(live, own, np.inf)
+        ratio, weight = other / d, w[:, None] / d
+        X = np.zeros(q.shape)
+        for k in degrees:
+            X = F[k][..., None] - X * ratio
+            total = weight[..., 0, :] * X[..., 0, :]
+            for t in range(1, u.size):
+                total = total + weight[..., t, :] * X[..., t, :]
+            C[..., k - shift] += total
+    return C
+
+
+def recording_plan(monkeypatch):
+    """Patch the sweep plan to record, per kernel call, (column count, sorted, forward, backward)."""
+    plans, plan = [], rankers._sweep_plan
+
+    def record(s, m):
+        order, forward, backward = plan(s, m)
+        plans.append((s.shape[-1], order is not None, forward, backward))
+        return order, forward, backward
+
+    monkeypatch.setattr(rankers, "_sweep_plan", record)
+    return plans
+
+
+def width(rectangle):
+    return 0 if rectangle is None else rectangle[0].stop - rectangle[0].start
+
+
+def one_forward_column(rng, n):
+    """n rows of two labels with Pr[label 2] > 0.7 but for one, (0.9, 0.1): given label 1
+    only that row has forward nodes (q = 0.1 + 0.9u <= 1/2 for u <= 4/9), so label 1's
+    forward rectangle holds one live column, of about n/5 nodes."""
+    low = rng.uniform(0.0, 0.3, size=n)
+    rows = np.stack([low, 1.0 - low], axis=1)
+    rows[n // 3] = [0.9, 0.1]
+    return rows
+
+
+class TestLiveSweep:
+    """`_ua_label_kernel` sweeps each pass's live rectangle only, and returns bit for bit
+    what the full sweep returns: neither the trim nor the sort moves a bit."""
+
+    CASES = {
+        "hard_n150": lambda rng: hard_rows(rng, 150, 4),
+        "one_hot_n150": lambda rng: np.eye(4)[rng.integers(0, 4, size=150)],
+        "dirichlet005_n150": lambda rng: rng.dirichlet(np.full(4, 0.05), size=150),
+        "one_forward_column": lambda rng: one_forward_column(rng, 40),
+        "all_top": lambda rng: np.tile([0.0, 0.0, 1.0], (30, 1)),
+        "all_bottom": lambda rng: np.tile([1.0, 0.0, 0.0], (30, 1)),
+        "n1": lambda rng: hard_rows(rng, 1, 3),
+        "n2": lambda rng: hard_rows(rng, 2, 3),
+        "n2_stack": lambda rng: np.array([[hard_rows(rng, 2, 3) for _ in range(3)] for _ in range(2)]),
+        "n9_stack": lambda rng: np.array([hard_rows(rng, 9, 3) for _ in range(40)]),
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_equals_the_full_sweep(self, case):
+        rows = self.CASES[case](np.random.default_rng(list(map(ord, case))))
+        for labels in [(label,) for label in range(1, rows.shape[-1] + 1)] + [tuple(range(1, rows.shape[-1] + 1))]:
+            assert np.array_equal(rankers._ua_label_kernel(rows, labels), ua_kernel_full_sweep(rows, labels)), labels
+
+    @pytest.mark.parametrize("case", ["hard_n150", "one_hot_n150", "dirichlet005_n150"])
+    def test_trimmed_stack_of_two_at_n150_matches_each_matrix_alone(self, monkeypatch, case):
+        # 2 * 150^2 cells fit 2^16: each kernel call ranks one label of both matrices.
+        rng = np.random.default_rng(list(map(ord, case)))
+        Ps, rows = TestStackedKernel.stack(lambda: self.CASES[case](rng), 1)
+        plans = recording_plan(monkeypatch)
+        M = rankers._ua_marginals(rows)
+        assert any(sorted_ and min(width(f), width(b)) < n for n, sorted_, f, b in plans)
+        for idx in np.ndindex(rows.shape[:-2]):
+            assert np.array_equal(M[idx], ua_rank(Ps[idx[0]][idx[1]]).entries)
+
+    def test_single_live_column_is_widened_to_two(self, monkeypatch):
+        rows = one_forward_column(np.random.default_rng(78), 40)
+        plans = recording_plan(monkeypatch)
+        K = rankers._ua_label_kernel(rows, (1,))
+        [(_, sorted_, forward, _)] = plans
+        assert sorted_ and width(forward) == 2 and forward[1].stop - forward[1].start >= 8
+        assert np.array_equal(K, ua_kernel_full_sweep(rows, (1,)))
+        # Stacked with another matrix, it keeps the same bits.
+        other = hard_rows(np.random.default_rng(79), 40, 2)
+        assert np.array_equal(rankers._ua_label_kernel(np.array([rows, other]), (1,))[:, 0], K)
+
+    @pytest.mark.parametrize("rows,label,empty,rank", [
+        (np.tile([0.0, 0.0, 1.0], (30, 1)), 1, "forward", 30),  # every other individual ranks above
+        (np.tile([1.0, 0.0, 0.0], (30, 1)), 3, "backward", 1),  # every other individual ranks below
+    ], ids=["all_top", "all_bottom"])
+    def test_pass_with_no_live_column_is_skipped(self, monkeypatch, rows, label, empty, rank):
+        plans = recording_plan(monkeypatch)
+        K = rankers._ua_label_kernel(rows, (label,))[0]
+        [(_, _, forward, backward)] = plans
+        assert {"forward": forward, "backward": backward}[empty] is None
+        assert np.abs(K - np.tile(np.eye(30)[rank - 1], (30, 1))).max() <= 1e-15
+
+    def test_forward_nodes_are_each_columns_last(self):
+        """The plan's premise: the nodes descend in u and q rises with u, so the nodes where
+        q <= 1/2 are a suffix of every column's nodes."""
+        for m in (1, 2, 8, 76, 501):
+            assert np.all(np.diff(rankers._legendre_nodes(m)[0]) < 0)
+        rows = hard_rows(np.random.default_rng(80), 150, 4)
+        u = rankers._legendre_nodes(76)[0]
+        for label in range(1, 5):
+            q = rows[:, label:].sum(axis=1) + u[:, None] * rows[:, label - 1]
+            fwd = q <= 0.5
+            assert np.all(fwd[1:] >= fwd[:-1])  # once forward, forward at every later node
 
 
 def recording_kernel(monkeypatch):

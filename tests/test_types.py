@@ -131,6 +131,28 @@ class TestLinfGap:
             make[a](3).linf_gap(make[b](2))
 
 
+class TestRowGap:
+    @pytest.mark.parametrize("n", [1, 2, 7, 40])
+    def test_bit_equal_to_the_dense_row_max_norm(self, n):
+        rng = np.random.default_rng(90 + n)
+        pairs = [(i, j) for i in range(-n, n) for j in range(-n, n)] if n < 10 else rng.integers(-n, n, size=(60, 2))
+        for M in _rankings(rng, n):
+            for i, j in pairs:
+                gap = M.row_gap(i, j)
+                assert gap.hex() == float(np.abs(M.entries[i] - M.entries[j]).max()).hex()
+
+    def test_order_builds_no_matrix(self):
+        M = RankingDistribution.from_order(np.random.default_rng(95).permutation(9))
+        assert (M.row_gap(2, 5), M.row_gap(4, 4), M.row_gap(-1, 8)) == (1.0, 0.0, 0.0)
+        assert "entries" not in vars(M)
+
+    @pytest.mark.parametrize("make", [lambda: RankingDistribution.from_order(np.arange(3)),
+                                      lambda: RankingDistribution(np.eye(3))], ids=["order", "matrix"])
+    def test_index_out_of_range(self, make):
+        with pytest.raises(IndexError):
+            make().row_gap(0, 3)
+
+
 class TestPositionValues:
     @pytest.mark.parametrize("values", [
         [2.5], [-0.0], [0.0],
