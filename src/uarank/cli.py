@@ -11,7 +11,6 @@ import argparse
 import functools
 import sys
 from dataclasses import asdict
-from pathlib import Path
 
 from . import audit as audit_mod
 from . import io as io_mod
@@ -224,10 +223,7 @@ def _emit(args, result, read: set) -> None:
         width = 2 + max(len(name) for name, _ in rows)
         text = "".join(f"{name:<{width}}{v if isinstance(v, bool) else format(v, '.12g')}\n" for name, v in rows)
     if args.out:
-        try:
-            Path(args.out).write_text(text, encoding="utf-8")
-        except OSError as exc:
-            raise ValidationError(f"cannot write {args.out}: {exc.strerror or exc}") from None
+        io_mod._write_text(args.out, text)
     else:
         try:
             sys.stdout.write(text)

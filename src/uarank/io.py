@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import csv
 import json
+import os
+import stat
 from io import StringIO
 from pathlib import Path
 
@@ -24,7 +26,9 @@ def load_prediction_matrix(path) -> PredictionMatrix:
     numpy's C reader parses the text; it converts each cell as float() does, bit
     for bit.  A text it refuses (a ragged row, an unparsable or blank row, a lone
     CR line end, a cell such as `1_0` that float() takes) and one whose first line
-    holds a quote or CR take the csv module, which parses or names the cell.
+    holds a lone CR take the csv module, which parses or names the cell.  When the
+    first line holds a quote, the csv module reads only the first record, which may
+    span lines, for the header rule, and numpy parses the text as before.
     """
     path = Path(path)
     text = _read_text(path, newline="")  # both readers split lines themselves, keeping quoted newlines
@@ -43,12 +47,23 @@ def _loadtxt(text: str) -> np.ndarray | None:
         return None  # numpy strips these ASCII separators around a number; float() refuses them
     end = text.find("\n")
     head = text if end < 0 else text[:end].removesuffix("\r")
-    if '"' in head or "\r" in head:  # a quote may span lines or hide a comma; a lone CR ends a csv record
+    if "\r" in head:  # a lone CR ends a csv record
         return None
-    # With no quote or CR, the first line is the first csv record.  A blank one, which the csv module
-    # skips, is dropped as a header is; numpy refuses a header on the next line, and the csv module decides.
-    if not any(_is_number(cell) for cell in head.split(",")):
-        text = "" if end < 0 else text[end + 1:]
+    if '"' in head:  # a quote may span lines or hide a comma: the csv module reads the first record
+        lines = StringIO(text, newline="")
+        try:
+            record = next(csv.reader(lines), [])
+        except csv.Error:
+            return None
+        if not "".join(record).strip():
+            return None  # the csv module skips a blank record and takes the header rule to the next
+        rest = text[lines.tell():]
+    else:
+        # With no quote or CR, the first line is the first csv record.  A blank one, which the csv module
+        # skips, is dropped as a header is; numpy refuses a header on the next line, and the csv module decides.
+        record, rest = head.split(","), "" if end < 0 else text[end + 1:]
+    if not any(_is_number(cell) for cell in record):
+        text = rest
     if not text or text.isspace():
         return None  # numpy would warn "input contained no data"
     try:
@@ -84,6 +99,31 @@ def _read_text(path: Path, newline: str | None = None) -> str:
         raise ValidationError(f"cannot read {path}: {exc.strerror or exc}") from None
     except UnicodeDecodeError as exc:
         raise ValidationError(f"cannot read {path}: not UTF-8 text ({exc})") from None
+
+
+def _write_text(path: str, text: str) -> None:
+    """Write the text to the file as UTF-8, as `Path.write_text` does, but over an
+    existing file in place: open it without O_TRUNC, write, then cut a regular file
+    that is longer at the bytes written.  ext4 flushes a file truncated to zero when
+    it is closed, which costs more than writing a small report; cutting at the end
+    does not.  The inode, mode and links stay, a new file gets 0o666 less the umask,
+    and a FIFO, terminal or /dev/null is not cut.  A write that fails part way is cut
+    at the bytes it wrote, so no tail of the old file follows them, and is a
+    ValidationError naming the path as given and the reason, as is a file that
+    cannot be opened.  The file opened is `Path(path)`'s, which drops a trailing
+    slash."""
+    try:
+        with open(os.open(Path(path), os.O_WRONLY | os.O_CREAT, 0o666), "w", encoding="utf-8") as fh:
+            try:
+                fh.write(text)
+                fh.flush()
+            finally:  # cut past the bytes written; cutting at the same length would cost a setattr
+                fd = fh.fileno()
+                held = os.fstat(fd)
+                if stat.S_ISREG(held.st_mode) and held.st_size > (end := os.lseek(fd, 0, os.SEEK_CUR)):
+                    os.ftruncate(fd, end)
+    except OSError as exc:
+        raise ValidationError(f"cannot write {path}: {exc.strerror or exc}") from None
 
 
 def _parse_cells(path: Path, records: list) -> np.ndarray:

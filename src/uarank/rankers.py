@@ -19,7 +19,8 @@ PL_EXACT_MAX_N = 8
 # int64 `order`; counting it adds an n^2-entry int64 bincount (8 MB at n = 1000).
 _PL_BATCH_ELEMENTS = 2**21
 # Matrix cells per UA kernel call (labels x matrices x n^2, beyond it one label per
-# call) and per distribution in one audit chunk: memory flat in n.
+# call) and per distribution in one audit chunk: memory flat in n.  A kernel call
+# sweeps both deconvolution passes at once only within half of it.
 _CHUNK_CELLS = 2**16
 
 
@@ -123,24 +124,38 @@ def _ua_label_kernel(rows: np.ndarray, labels: tuple) -> np.ndarray:
         q = above + u[node] * equal
     p = 1.0 - q
     # F = G (p + q z) for the leave-one-out G: forwards G_k = (F_k - q G_{k-1}) / p,
-    # backwards G_{k-1} = (F_k - p G_k) / q.  The forward pass writes C, the backward adds.
+    # backwards G_{k-1} = (F_k - p G_k) / q.  Unsorted passes whose node windows are as
+    # long share one sweep, each pass a slab of a direction axis after the node axis, so a
+    # step makes three numpy calls for both, when C holds at most half of _CHUNK_CELLS:
+    # a step of the shared sweep then touches no more cells than one pass of a full chunk.
+    # Otherwise each pass sweeps alone.
+    passes = [(shift, rect) for shift, rect in enumerate((forward, backward)) if rect is not None]
+    windows = {nodes.stop - nodes.start for _, (_, nodes) in passes}
+    shared = order is None and len(windows) == 1 and 2 * n * above.size <= _CHUNK_CELLS
+    sweeps = [passes] if shared else [[one] for one in passes]
     C = np.zeros((n, *above.shape))  # C[k-1, ..., i], i in sorted order
-    for degrees, shift, rectangle in ((range(n), 0, forward), (range(n, 0, -1), 1, backward)):
-        if rectangle is None:
-            continue
-        cols, nodes = rectangle
-        q_r, p_r = q[nodes, ..., cols], p[nodes, ..., cols]
-        own, other = (p_r, q_r) if shift == 0 else (q_r, p_r)
-        d = np.where((q_r <= 0.5) == (shift == 0), own, np.inf)
-        ratio, weight = other / d, w[nodes][node] / d
-        F_r = np.moveaxis(F[..., nodes], -1, 1)[..., None]  # (degrees, nodes, labels, ..., 1)
-        X, A = np.zeros(d.shape), C[..., cols] if shift == 0 else np.empty((n, *d.shape[1:]))
-        for k in degrees:
+    for sweep in sweeps:
+        cols, nodes = sweep[0][1]
+        shape = (nodes.stop - nodes.start, len(sweep), *above.shape[:-1], cols.stop - cols.start)
+        ratio, weight, F_k = np.empty(shape), np.empty(shape), []
+        for j, (shift, (_, nodes)) in enumerate(sweep):
+            q_r, p_r = q[nodes, ..., cols], p[nodes, ..., cols]
+            own, other = (q_r, p_r) if shift else (p_r, q_r)
+            d = np.where((q_r <= 0.5) == (shift == 0), own, np.inf)
+            np.divide(other, d, out=ratio[:, j])
+            np.divide(w[nodes][node], d, out=weight[:, j])
+            F_r = np.moveaxis(F[..., nodes], -1, 1)  # (degrees, nodes, labels, ...)
+            F_k.append(F_r[n:0:-1] if shift else F_r[:n])  # the degree each step reads
+        F_k = (np.stack(F_k, axis=2) if len(sweep) > 1 else F_k[0][:, :, None])[..., None]
+        alone = sweep[0][0] == 0 and len(sweep) == 1  # a forward pass alone writes C itself
+        X, A = np.zeros(shape), C[:, None, ..., cols] if alone else np.empty((n, *shape[1:]))
+        for k in range(n):
             X *= ratio
-            np.subtract(F_r[k], X, out=X)
-            np.einsum("t...,t...->...", weight, X, out=A[k - shift])
-        if shift:
-            C[..., cols] += A
+            np.subtract(F_k[k], X, out=X)
+            np.einsum("t...,t...->...", weight, X, out=A[k])
+        if not alone:
+            for j, (shift, _) in enumerate(sweep):
+                C[..., cols] += A[::-1, j] if shift else A[:, j]
     if order is not None:  # back to column order: one scatter along the flattened slabs
         unsorted = np.empty(C.shape)
         slab = np.arange(0, order.size, n).reshape(*order.shape[:-1], 1)

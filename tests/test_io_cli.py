@@ -6,6 +6,7 @@ import re
 import shlex
 import subprocess
 import sys
+import threading
 import warnings
 from pathlib import Path
 
@@ -262,6 +263,26 @@ class TestLoadPredictionMatrix:
 
         monkeypatch.setattr("uarank.io.csv.reader", refuse)
         assert load_prediction_matrix(p).rows.tobytes() == PredictionMatrix(rows).rows.tobytes()
+
+    @pytest.mark.parametrize("header", ["", '"label_1","label_2","label_3","label_4","label_5"\n'])
+    def test_all_quoted_file_reads_one_record_with_the_csv_module(self, tmp_path, monkeypatch, header):
+        rows = np.random.default_rng(6).dirichlet(np.ones(5), size=1000)
+        p = tmp_path / "m.csv"
+        p.write_text(header + "".join(",".join(f'"{float(v)!r}"' for v in row) + "\n" for row in rows))
+        read, reader = [], csv.reader
+
+        def counting(*args, **kwargs):
+            for record in reader(*args, **kwargs):
+                read.append(record)
+                yield record
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the csv module parsed the file")
+
+        monkeypatch.setattr("uarank.io.csv.reader", counting)
+        monkeypatch.setattr("uarank.io._parse_csv", refuse)
+        assert load_prediction_matrix(p).rows.tobytes() == PredictionMatrix(rows).rows.tobytes()
+        assert len(read) == 1
 
 
 class TestLoadPopulationModel:
@@ -1301,6 +1322,118 @@ def test_unwritable_out_exit_1(stab_lb_csv, tmp_path, capsys):
     out = tmp_path / "nodir" / "x.txt"
     assert main(["rank", "--in", stab_lb_csv, "--out", str(out)]) == 1
     assert capsys.readouterr().err == f"error: validation: cannot write {out}: No such file or directory\n"
+
+
+# --out over an existing file: written in place, then cut at the report's end.
+
+def _report(argv, capsys) -> bytes:
+    """The stdout bytes of a call that must succeed."""
+    assert main(argv) == 0
+    return capsys.readouterr().out.encode()
+
+
+@pytest.fixture
+def ranked(tmp_path):
+    """A rank call's argv, without --out and --format, on a 4 x 3 matrix."""
+    p = tmp_path / "m.csv"
+    p.write_text("0.2,0.3,0.5\n0.6,0.2,0.2\n0.1,0.8,0.1\n0.3,0.3,0.4\n")
+    return ["rank", "--in", str(p)]
+
+
+@pytest.mark.parametrize("fmt", ["table", "structured"])
+@pytest.mark.parametrize("old", ["longer", "shorter"])
+def test_out_over_an_existing_file_holds_exactly_the_report(old, fmt, ranked, tmp_path, capsys):
+    argv = [*ranked, "--format", fmt]
+    report = _report(argv, capsys)
+    dest = tmp_path / "report"
+    dest.write_bytes(b"#" * (3 * len(report)) if old == "longer" else b"#\n")
+    assert main([*argv, "--out", str(dest)]) == 0
+    assert capsys.readouterr() == ("", "")
+    assert dest.read_bytes() == report
+
+
+@pytest.mark.parametrize("fmt", ["table", "structured"])
+def test_out_keeps_an_existing_files_inode_mode_and_links(fmt, ranked, tmp_path, capsys):
+    argv = [*ranked, "--format", fmt]
+    report = _report(argv, capsys)
+    dest, link = tmp_path / "report", tmp_path / "link"
+    dest.write_bytes(b"#" * 5000)
+    dest.chmod(0o604)
+    os.link(dest, link)
+    before = dest.stat()
+    assert main([*argv, "--out", str(dest)]) == 0
+    after = dest.stat()
+    assert (after.st_ino, after.st_mode, after.st_nlink) == (before.st_ino, before.st_mode, 2)
+    assert link.read_bytes() == report
+
+
+@pytest.mark.parametrize("fmt", ["table", "structured"])
+def test_new_out_file_gets_0o666_less_the_umask(fmt, ranked, tmp_path, capsys):
+    dest = tmp_path / "report"
+    umask = os.umask(0o027)
+    try:
+        assert main([*ranked, "--format", fmt, "--out", str(dest)]) == 0
+    finally:
+        os.umask(umask)
+    assert dest.stat().st_mode & 0o777 == 0o666 & ~0o027
+
+
+@pytest.mark.parametrize("fmt", ["table", "structured"])
+def test_out_to_dev_null_and_a_fifo(fmt, ranked, tmp_path, capsys):
+    argv = [*ranked, "--format", fmt]
+    report = _report(argv, capsys)
+    assert main([*argv, "--out", os.devnull]) == 0
+    fifo, read = tmp_path / "fifo", []
+    os.mkfifo(fifo)
+    reader = threading.Thread(target=lambda: read.append(fifo.read_bytes()), daemon=True)
+    reader.start()
+    assert main([*argv, "--out", str(fifo)]) == 0
+    reader.join(timeout=30)
+    assert not reader.is_alive() and read == [report]
+    assert capsys.readouterr() == ("", "")
+
+
+@pytest.mark.parametrize("fmt", ["table", "structured"])
+def test_out_naming_a_directory_exit_1(fmt, ranked, tmp_path, capsys):
+    assert main([*ranked, "--format", fmt, "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err == f"error: validation: cannot write {tmp_path}: Is a directory\n"
+
+
+@pytest.mark.parametrize("fmt", ["table", "structured"])
+def test_out_over_its_own_input(fmt, ranked, capsys):
+    argv = [*ranked, "--format", fmt]
+    report = _report(argv, capsys)
+    assert main([*argv, "--out", ranked[-1]]) == 0
+    assert Path(ranked[-1]).read_bytes() == report
+
+
+WRITE_LIMIT = 4096  # bytes: RLIMIT_FSIZE of the child below, well under its report
+
+
+@pytest.mark.parametrize("fmt", ["table", "structured"])
+def test_write_failing_part_way_leaves_no_old_bytes(fmt, tmp_path, capsys):
+    """A child whose file size limit falls inside its report, with SIGXFSZ ignored so
+    that the write fails with EFBIG, writing over a longer file: exit 1 naming the path,
+    and the file holds a prefix of the report no longer than the limit, nothing after it."""
+    p = tmp_path / "m.csv"
+    p.write_text("".join(f"{i % 7 / 10},{1 - i % 7 / 10}\n" for i in range(40)))
+    argv = ["rank", "--fn", "ua", "--in", str(p), "--format", fmt]
+    report = _report(argv, capsys)
+    assert len(report) > 2 * WRITE_LIMIT
+    dest = tmp_path / "report"
+    dest.write_bytes(b"#" * (2 * len(report)))
+    child = ("import resource, signal, sys\n"
+             "from uarank.cli import main\n"
+             "signal.signal(signal.SIGXFSZ, signal.SIG_IGN)\n"
+             f"resource.setrlimit(resource.RLIMIT_FSIZE, ({WRITE_LIMIT}, {WRITE_LIMIT}))\n"
+             "sys.exit(main(sys.argv[1:]))\n")
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    proc = subprocess.run([sys.executable, "-c", child, *argv, "--out", str(dest)], env=env,
+                          capture_output=True, timeout=60)
+    assert (proc.returncode, proc.stdout) == (1, b"")
+    assert proc.stderr == f"error: validation: cannot write {dest}: File too large\n".encode()
+    written = dest.read_bytes()
+    assert len(written) <= WRITE_LIMIT and written == report[:len(written)]
 
 
 @pytest.fixture

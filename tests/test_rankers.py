@@ -396,6 +396,24 @@ class TestLiveSweep:
         assert {"forward": forward, "backward": backward}[empty] is None
         assert np.abs(K - np.tile(np.eye(30)[rank - 1], (30, 1))).max() <= 1e-15
 
+    @pytest.mark.parametrize("case", ["n30", "n60_L5", "n9_stack"])
+    def test_shared_sweep_equals_the_passes_alone(self, monkeypatch, case):
+        """Unsorted passes with node windows as long share one degree loop, n node sums for
+        both, within half of _CHUNK_CELLS; beyond it each pass sweeps alone, with 2n node
+        sums.  Every label's bits are the same either way."""
+        rng = np.random.default_rng(list(map(ord, case)))
+        rows = {"n30": lambda: rng.dirichlet(np.ones(3), size=30), "n60_L5": lambda: rng.dirichlet(np.ones(5), size=60),
+                "n9_stack": lambda: np.array([hard_rows(rng, 9, 3) for _ in range(40)])}[case]()
+        n, labels = rows.shape[-2], tuple(range(1, rows.shape[-1] + 1))
+        sums, einsum = [], np.einsum
+        monkeypatch.setattr(np, "einsum", lambda *args, **kwargs: sums.append(1) or einsum(*args, **kwargs))
+        shared = rankers._ua_label_kernel(rows, labels)
+        assert len(sums) == n
+        monkeypatch.setattr(rankers, "_CHUNK_CELLS", 1)
+        assert np.array_equal(rankers._ua_label_kernel(rows, labels), shared)
+        assert len(sums) == 3 * n
+        assert np.array_equal(shared, ua_kernel_full_sweep(rows, labels))
+
     def test_forward_nodes_are_each_columns_last(self):
         """The plan's premise: the nodes descend in u and q rises with u, so the nodes where
         q <= 1/2 are a suffix of every column's nodes."""
