@@ -3,6 +3,7 @@ import functools
 import itertools
 import math
 import re
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -555,8 +556,8 @@ class TestClosedFormEdges:
 
 
 class TestBatchedUa:
-    """The audits rank a chunk of sorted type vectors per UA kernel call, and one
-    chunk step bounds every block of every audit loop."""
+    """The audits rank a chunk of sorted type vectors per UA kernel call, and a chunk
+    holds at most ⌊2^16/n^2⌋ of a draw block's new multisets."""
 
     @pytest.mark.parametrize("rows", [1, 7, None])
     def test_chunk_size_does_not_change_output(self, monkeypatch, rows):
@@ -593,8 +594,10 @@ class TestBatchedUa:
                     assert np.array_equal(M[which, r], ua_rank(PredictionMatrix(d[key])).entries)
 
     def test_every_block_fits_one_chunk_step(self, monkeypatch):
-        # T=12, n=5: 3000 draws against a step of 2^16 // 25 = 2621 type vectors.
-        pop, n, step = random_population(np.random.default_rng(66), 12, 2), 5, 2621
+        # T=12, n=5, 3000 draws: at 2^13 cells a block holds 2^13 // 5 = 1638 draws, and a kernel
+        # stack at most 2^13 // 25 = 327 of a block's new multisets, fewer than the first block has.
+        pop, n, cells = random_population(np.random.default_rng(66), 12, 2), 5, 2**13
+        monkeypatch.setattr(rankers, "_CHUNK_CELLS", cells)
         gaps, gap_rows, ua_rows = audit._gaps, [], []
         monkeypatch.setattr(audit, "_gaps", lambda fn, phi, ua, opt:  # one (2, block) pair per draw
                             gap_rows.append(ua.shape[-1]) or gaps(fn, phi, ua, opt))
@@ -602,8 +605,8 @@ class TestBatchedUa:
         u = UtilitySpec.dcg(n, L=2)
         theorem_gap_estimate(pop, n, 2, "g0", fn="mix", u=u, phi=0.5, mc_samples=3000, seed=8)
         nature_closeness_check(pop, n, seed=9, samples=3000)
-        assert max(gap_rows) == step >= max(ua_rows)  # the distinct new draws of a block
-        assert gap_rows[-2:] == [step, 3000 - step]
+        assert gap_rows == [cells // n, 3000 - cells // n]
+        assert max(ua_rows) == cells // n**2  # full stacks, never more
 
     @pytest.mark.parametrize("cell", [(0, 0, 0, 0), (1, -1, -1, -1)])
     def test_ua_chunks_are_ds_checked(self, monkeypatch, cell):
@@ -621,9 +624,9 @@ class TestBatchedUa:
 
 
 class TestSampledDrawBlocks:
-    """The sampled audit draws one chunk step of type vectors at a time from its one
-    generator and ranks UA only for the sorted vectors new to its dedupe dict, so it
-    never holds every draw at once."""
+    """The sampled audit draws ⌊2^16/n⌋ type vectors at a time from its one generator
+    and ranks UA only for the multisets new to its index, so it never holds every draw
+    at once."""
 
     @pytest.mark.parametrize("rows", [1, 7, None])
     def test_blocks_continue_one_stream(self, monkeypatch, rows):
@@ -651,10 +654,94 @@ class TestSampledDrawBlocks:
             ranked.clear()
             got = theorem_gap_estimate(pop, n, 2, "g0", mc_samples=samples, seed=seed, **kw)
             assert (got.estimate, got.mc_error) == (want.estimate, want.mc_error) and got == want
-            step = (rows * n if kw["fn"] == "opt" else rows) if rows else samples  # opt sorts n cells a draw
+            step = rows * n if rows else samples  # a block holds as many type indices as a chunk cells
             assert max(len(d) for d in draws) == min(step, samples)
             assert np.array_equal(np.concatenate(draws), stream)
             assert sum(ranked) == (0 if kw["fn"] == "opt" else distinct)  # each distinct sorted draw once
+
+
+class TestMultisetDedupe:
+    """`_distinct_multisets` keys each draw by its type counts, packed base n + 1 into int64
+    words, and numbers the multisets as `np.unique` of the row-sorted draws finds them."""
+
+    @staticmethod
+    def _check_blocks(blocks, T):
+        index, numbered = {}, []  # numbered[i]: the sorted type vector numbered i
+        for block in blocks:
+            seen = len(index)
+            new, inv = audit._distinct_multisets(block, T, index)
+            rows, ref_inv = np.unique(np.sort(block, axis=1), axis=0, return_inverse=True)
+            # New rows appear exactly once, as sorted vectors, numbered on from the last call.
+            assert new.shape == (len(index) - seen, block.shape[1]) and new.dtype.kind == "i"
+            assert len({r.tobytes() for r in [*numbered, *new]}) == len(numbered) + len(new)
+            numbered.extend(new)
+            # Numbers are consecutive, and each draw's number maps to its own multiset.
+            assert len(numbered) == len(index) and inv.shape == (len(block),)
+            assert 0 <= inv.min() and inv.max() < len(index)
+            assert np.array_equal(np.array(numbered)[inv], np.sort(block, axis=1))
+            assert len(np.unique(inv)) == len(rows) and np.array_equal(rows[ref_inv.ravel()], np.sort(block, axis=1))
+        return index
+
+    @pytest.mark.parametrize("T, n", [(1, 1), (1, 60), (2, 1), (3, 5), (7, 19), (14, 19), (15, 19), (24, 5),
+                                      (25, 5), (30, 19), (40, 1), (40, 60), (12, 60), (5, 60)])
+    def test_matches_unique_of_sorted_draws(self, T, n):
+        rng = np.random.default_rng(1000 * T + n)
+        w = rng.random(T) + 0.05
+        w[rng.random(T) < 0.3] = 0.0  # zero-weight types: their counts stay 0
+        w = w / w.sum() if w.any() else np.eye(T)[0]
+        sizes = [1, 200, 1, 57, 300]
+        blocks = [rng.choice(T, size=(d, n), p=w) for d in sizes]
+        blocks.append(np.concatenate(blocks[:2]))  # every multiset already indexed
+        self._check_blocks(blocks, T)
+
+    def test_both_key_widths_run(self):
+        # A word holds 14 counts in base 20 (n = 19) and 10 in base 61 (n = 60).
+        for T, n, words in ((14, 19, 1), (15, 19, 2), (30, 19, 3), (10, 60, 1), (40, 60, 4)):
+            index = self._check_blocks([np.random.default_rng(T).integers(0, T, size=(50, n))], T)
+            assert {1 if isinstance(key, int) else len(key) for key in index} == {words}
+
+    def test_block_memory_does_not_grow_with_types(self):
+        # T = 500 at n = 2 takes 13 key words, but a (draws x T) count table of a 2^16 // 2-draw
+        # block would take 131 MB.  The draws hold three types, so the dict stays small.
+        T, n = 500, 2
+        draws = np.random.default_rng(9).choice([0, 1, T - 1], size=(rankers._CHUNK_CELLS // n, n))
+        tracemalloc.start()
+        try:
+            new, _ = audit._distinct_multisets(draws, T, {})
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(np.unique(new, axis=0), np.unique(np.sort(draws, axis=1), axis=0)) and len(new) == 6
+        assert peak < 64 * draws.nbytes  # 34 MB; about 12 MB here
+
+    def test_all_indexed_block_ranks_nothing(self, monkeypatch):
+        pop, n = random_population(np.random.default_rng(68), 3, 2), 4
+        # 2^16 // 4 = 16384 draws a block: the second block's 1000 draws hold no new multiset.
+        ranked = []
+        monkeypatch.setattr(audit, "_ua_marginals", lambda r: ranked.append(r.shape[1]) or _ua_marginals(r))
+        nature_closeness_check(pop, n, seed=5, samples=16384 + 1000)
+        assert sum(ranked) == math.comb(n + 2, n) and len(ranked) == 1
+
+
+class TestMultiWordKeys:
+    """T = 30 at n = 19 needs three key words; these reports were recorded before the
+    counts-keyed dedupe, from the dict of sorted rows' bytes."""
+
+    pop = random_population(np.random.default_rng(71), 30, 3)
+
+    @pytest.mark.parametrize("fn, phi, want", [
+        ("ua", None, (0.00012086874624486969, 1.0446002453075967e-05)),
+        ("mix", 0.3, (8.654639367039876e-05, 0.00012259920975794938)),
+    ])
+    def test_sampled_reports(self, fn, phi, want):
+        rep = theorem_gap_estimate(self.pop, 19, 3, "pair", fn=fn, u=UtilitySpec.dcg(19, L=3), phi=phi,
+                                   mc_samples=300, seed=72)
+        assert (rep.estimate, rep.mc_error) == want
+
+    def test_nature_report(self):
+        rep = nature_closeness_check(self.pop, 19, seed=73, samples=100)
+        assert (rep.eps, rep.bound, rep.max_gap, rep.within_bound) == (
+            0.10013164657725696, 1.9025012849678822, 0.019005874820557073, True)
 
 
 def draw_order_estimate(pop, n, k, group, fn, samples, seed, u=None, phi=None, delta=None, bucket=None):
