@@ -218,7 +218,7 @@ def _emit(args, result, read: set) -> None:
     if args.format == "structured":
         text = io_mod.serialize_structured({"config": _echo_config(args, read), key: payload})
     elif rows is None:
-        text = io_mod.format_matrix(payload) + "\n"
+        text = io_mod.table_report(payload)
     else:
         width = 2 + max(len(name) for name, _ in rows)
         text = "".join(f"{name:<{width}}{v if isinstance(v, bool) else format(v, '.12g')}\n" for name, v in rows)

@@ -20,7 +20,8 @@ from uarank import (PredictionMatrix, RankingDistribution, UtilitySpec, Validati
                     load_prediction_matrix, theorem_gap_exact)
 from uarank import cli
 from uarank.cli import build_parser, main
-from uarank.io import format_matrix, load_utility_spec, population_model_from_dict, serialize_structured
+from uarank.io import (_matrix_parts, format_matrix, load_utility_spec, population_model_from_dict,
+                       serialize_structured, table_report)
 from uarank.rankers import RANKERS, compute_ranking
 
 
@@ -1279,6 +1280,97 @@ def test_rankings_at_n300_equal_the_plain_expressions(fn, params, looked_up):
     M = compute_ranking(fn, PredictionMatrix(rows), u=UtilitySpec.dcg(300, L=3), **params).entries
     assert (4 * np.unique(M.view(np.uint64)).size <= M.size) == looked_up
     assert_writers_equal_plain(M, {"config": {"fn": fn, **params}, "ranking": M})
+
+
+# Matrices of long runs of equal cells, up to 40x40: permutation matrices (x on a
+# base), row-constant blocks and banded 0/x/0 rows, with a few cells overwritten.
+# The values put -0.0 beside 0.0 and the smallest subnormal into runs, and a run
+# that fills a row's end carries on into the next row whenever the two rows end
+# and start alike.  Runs fall on both sides of the sixth of the cells at which
+# the writers switch to the runs path.
+RUN_VALUES = st.sampled_from([0.0, -0.0, 5e-324, 1.0, 1.0 / 3.0, 0.5])
+
+
+@st.composite
+def long_runs(draw):
+    base, x = draw(RUN_VALUES), draw(RUN_VALUES)
+    kind = draw(st.sampled_from(["permutation", "blocks", "band"]))
+    if kind == "permutation":
+        n = draw(st.integers(1, 40))
+        M = np.full((n, n), base)
+        M[np.arange(n), draw(st.permutations(range(n)))] = x
+    elif kind == "blocks":
+        rows, cols = draw(st.integers(1, 40)), draw(st.integers(1, 40))
+        M = np.repeat(draw(st.lists(RUN_VALUES, min_size=rows, max_size=rows)), cols).reshape(rows, cols)
+    else:
+        rows, cols, width = draw(st.integers(1, 40)), draw(st.integers(1, 40)), draw(st.integers(0, 5))
+        centre = np.arange(rows)[:, None] * cols // rows
+        M = np.where(np.abs(np.arange(cols) - centre) <= width, x, base)
+    for _ in range(draw(st.integers(0, 3))):
+        M[draw(st.integers(0, M.shape[0] - 1)), draw(st.integers(0, M.shape[1] - 1))] = draw(RUN_VALUES)
+    return M
+
+
+@settings(max_examples=300, deadline=None)
+@given(long_runs())
+def test_long_runs_equal_the_plain_expressions(M):
+    payload = {"ranking": M, "transposed": M.T, "nonzero": (M != 0).astype(np.int64), "config": {"n": M.shape[0]}}
+    assert_writers_equal_plain(M, payload)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+def test_non_finite_run_is_a_validation_error(bad):
+    M = np.zeros((40, 40))
+    M[7, 3:30] = bad  # 42 runs in 1600 cells: the runs path
+    with pytest.raises(ValidationError, match="^cannot write structured output: Out of range float values"):
+        serialize_structured({"ranking": M})
+
+
+def count_paths(M):
+    """The parts `_matrix_parts` gives for M with counting `cell` and `row` callables, checked
+    against the plain text, and how often each was called."""
+    calls = {"cell": 0, "row": 0}
+
+    def cell(v):
+        calls["cell"] += 1
+        return repr(v)
+
+    def row(r):
+        calls["row"] += 1
+        return ",".join(map(repr, r))
+
+    parts = _matrix_parts(M, ",", ";\n", cell, row)
+    assert "".join(parts) == ";\n".join(",".join(map(repr, r)) for r in M.tolist())
+    return len(parts), calls["cell"], calls["row"]
+
+
+@pytest.mark.parametrize("shape", [(1, 48), (48, 1)], ids=["1x48", "48x1"])
+def test_single_row_and_column(shape):
+    """A single row of three runs takes the runs path; a single column, whose every cell ends a
+    row and so starts a run, takes the lookup."""
+    M = np.concatenate([np.zeros(20), np.full(8, 0.5), np.full(20, -0.0)]).reshape(shape)
+    assert_writers_equal_plain(M, {"ranking": M, "config": {"n": shape[0]}})
+    assert table_report(M) == format_matrix(M) + "\n"
+    # 1x48: 20 = 16 + 4 cells, 8 cells, then 19 = 16 + 2 + 1 cells and the last cell
+    assert count_paths(M) == ((7, 3, 0) if shape[0] == 1 else (48, 3, 0))
+
+
+@pytest.mark.parametrize("fn, params", [
+    ("opt", {}), ("pl", {"samples": 500, "seed": 1}), ("mix", {"phi": 0.5}), ("ua", {}),
+], ids=["opt", "pl", "mix", "ua"])
+def test_path_of_each_ranker_at_n300(fn, params):
+    """opt's rows of at most three runs take the runs path (two values formatted once, far fewer
+    parts than cells); pl's short runs of few values the lookup (one part per cell); ua and mix,
+    nearly every entry distinct, the row path (one row string per row)."""
+    rows = np.random.default_rng(300).dirichlet(np.ones(3), size=300)
+    M = compute_ranking(fn, PredictionMatrix(rows), u=UtilitySpec.dcg(300, L=3), **params).entries
+    parts, cells, row_calls = count_paths(M)
+    distinct = np.unique(M.view(np.uint64)).size
+    path = {"opt": "runs", "pl": "lookup"}.get(fn, "rows")
+    assert (parts, cells, row_calls) == {
+        "runs": (parts, 2, 0), "lookup": (M.size, distinct, 0), "rows": (1, 0, 300)}[path]
+    if path == "runs":
+        assert 6 * parts <= M.size
 
 
 @pytest.mark.parametrize("fmt", ["table", "structured"])
