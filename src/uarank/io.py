@@ -15,6 +15,10 @@ from .audit import PopulationModel
 from .errors import ValidationError
 from .types import PredictionMatrix, UtilitySpec
 
+# Characters of a report encoded per write: a few hundred kB of bytes at most, which
+# the heap reuses, where one encoding of a 12 MB report takes fresh pages each time.
+_WRITE_SLICE = 2**16
+
 
 def load_prediction_matrix(path) -> PredictionMatrix:
     """Load a CSV matrix: one row per individual, one probability column per label.
@@ -111,11 +115,13 @@ def _write_text(path: str, text: str) -> None:
     at the bytes it wrote, so no tail of the old file follows them, and is a
     ValidationError naming the path as given and the reason, as is a file that
     cannot be opened.  The file opened is `Path(path)`'s, which drops a trailing
-    slash."""
+    slash.  The text is encoded _WRITE_SLICE characters at a time; a slice ends
+    between code points, so the bytes are `text.encode("utf-8")`'s."""
     try:
-        with open(os.open(Path(path), os.O_WRONLY | os.O_CREAT, 0o666), "w", encoding="utf-8") as fh:
+        with open(os.open(Path(path), os.O_WRONLY | os.O_CREAT, 0o666), "wb") as fh:
             try:
-                fh.write(text)
+                for start in range(0, len(text), _WRITE_SLICE):
+                    fh.write(text[start : start + _WRITE_SLICE].encode("utf-8"))
                 fh.flush()
             finally:  # cut past the bytes written; cutting at the same length would cost a setattr
                 fd = fh.fileno()

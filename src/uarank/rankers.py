@@ -15,12 +15,9 @@ from .types import PredictionMatrix, RankingDistribution, UtilitySpec
 
 ORACLE_BUDGET = 10**6
 PL_EXACT_MAX_N = 8
-# Gumbel draws per pl_rank batch.  A batch holds 16 MB of float64 keys and 16 MB of
-# int64 `order`; counting it adds an n^2-entry int64 bincount (8 MB at n = 1000).
-_PL_BATCH_ELEMENTS = 2**21
 # Matrix cells per UA kernel call (labels x matrices x n^2, beyond it one label per
-# call) and per distribution in one audit chunk: memory flat in n.  A kernel call
-# sweeps both deconvolution passes at once only within half of it.
+# call), per distribution in one audit chunk and keys per pl_rank block: memory flat
+# in n.  A kernel call sweeps both deconvolution passes at once only within half of it.
 _CHUNK_CELLS = 2**16
 
 
@@ -301,37 +298,53 @@ def pl_rank(P: PredictionMatrix, u: UtilitySpec, samples: int, seed: int) -> Ran
     independent standard Gumbel noise; the returned matrix averages the
     resulting permutation matrices.  Deterministic for a fixed seed.
 
-    Ties in tau + g go to the lower index.  Each batch is ordered by numpy's
-    default (SIMD) argsort; only the rows holding a tie are re-sorted stably.
+    Ties in tau + g go to the lower index.  Draws come in blocks of _CHUNK_CELLS
+    keys, and each block is ordered by one sort of int64 words: a key's bits, mapped
+    so that integer order is float order, with the low bits replaced by the
+    individual's index.  Only the rows where two words agree above the index bits
+    (equal keys, or keys that differ only in the replaced bits) are re-sorted
+    stably by their keys.
     """
     rng = _seeded_rng(seed, samples)
     tau = u.tau(P)
     n = P.n
-    counts = np.zeros(n * n, dtype=np.int64)
+    bits = (n - 1).bit_length()
+    counts = np.zeros(n * n)  # float64 counts stay exact integers below 2**53 samples
     cells = np.arange(n)
-    buf = np.empty((min(max(1, _PL_BATCH_ELEMENTS // n), samples), n))
+    rows = min(max(1, _CHUNK_CELLS // n), samples)
+    buf = np.empty((rows, n))
+    wbuf = np.empty((rows, n), dtype=np.int64)
     done = 0
     while done < samples:
-        keys = buf[: min(buf.shape[0], samples - done)]
+        keys = buf[: min(rows, samples - done)]
+        words = wbuf[: keys.shape[0]]
         _gumbel(rng, keys)
         keys += tau
         np.negative(keys, out=keys)  # ascending -(tau + g) is decreasing score
-        order = keys.argsort(axis=1)
-        # A row of distinct keys has one sorted order, which every sort finds.  A row
-        # with two equal keys (also 0.0 against -0.0) gets the stable order instead:
-        # its keys, scattered back through `order`, compare equal to the originals.
-        keys.sort(axis=1)
-        tied = np.flatnonzero((keys[:, 1:] == keys[:, :-1]).any(axis=1))
+        keys += 0.0  # -0.0 becomes 0.0, which ties with it as a float does
+        # Flip the magnitude bits of negative keys: the int64 order is then the float order.
+        raw = keys.view(np.int64)
+        np.right_shift(raw, 63, out=words)
+        words &= 0x7FFF_FFFF_FFFF_FFFF
+        words ^= raw
+        words &= -1 << bits
+        words |= cells
+        words.sort(axis=1)
+        # Equal keys are already in index order, but keys that differ only in the bits
+        # the index replaced may not be: rows with words that agree above the index bits
+        # take the stable order of their keys.  Elsewhere the words order the keys.
+        close = words[:, 1:] ^ words[:, :-1]
+        close >>= bits
+        tied = np.flatnonzero((close == 0).any(axis=1))
+        words &= (1 << bits) - 1  # words[s, k] is the individual at position k
         if tied.size:
-            unsorted = np.empty((tied.size, n))
-            np.put_along_axis(unsorted, order[tied], keys[tied], axis=1)
-            order[tied] = np.argsort(unsorted, axis=1, kind="stable")
-        # order[s, k] is the individual at position k: count it in cell (individual, k).
-        order *= n
-        order += cells
-        counts += np.bincount(order.ravel(), minlength=n * n)
+            words[tied] = np.argsort(keys[tied], axis=1, kind="stable")
+        words *= n
+        words += cells
+        np.add.at(counts, words.ravel(), 1.0)
         done += keys.shape[0]
-    return RankingDistribution(counts.reshape(n, n) / samples)
+    counts /= samples
+    return RankingDistribution(counts.reshape(n, n))
 
 
 def pl_rank_exact(P: PredictionMatrix, u: UtilitySpec) -> RankingDistribution:

@@ -20,8 +20,8 @@ from uarank import (PredictionMatrix, RankingDistribution, UtilitySpec, Validati
                     load_prediction_matrix, theorem_gap_exact)
 from uarank import cli
 from uarank.cli import build_parser, main
-from uarank.io import (_matrix_parts, format_matrix, load_utility_spec, population_model_from_dict,
-                       serialize_structured, table_report)
+from uarank.io import (_WRITE_SLICE, _matrix_parts, _write_text, format_matrix, load_utility_spec,
+                       population_model_from_dict, serialize_structured, table_report)
 from uarank.rankers import RANKERS, compute_ranking
 
 
@@ -1497,6 +1497,23 @@ def test_out_over_its_own_input(fmt, ranked, capsys):
     report = _report(argv, capsys)
     assert main([*argv, "--out", ranked[-1]]) == 0
     assert Path(ranked[-1]).read_bytes() == report
+
+
+@pytest.mark.parametrize("old", [None, "longer", "shorter"])
+def test_report_of_several_slices_is_its_utf8_encoding(old, tmp_path):
+    """A report of three and a half slices, with characters of one to four bytes on
+    either side of each slice boundary, is written as `text.encode("utf-8")`, over
+    no file, a longer one or a shorter one."""
+    chars = np.array(list("aé€😀\n"))
+    picks = chars[np.random.default_rng(8).integers(0, chars.size, size=7 * _WRITE_SLICE // 2)]
+    for k in (1, 2, 3):
+        picks[k * _WRITE_SLICE - 1 : k * _WRITE_SLICE + 1] = chars[k], chars[k % 3 + 1]
+    text = "".join(picks.tolist())
+    dest = tmp_path / "report"
+    if old:
+        dest.write_bytes(b"#" * (len(text.encode()) + 1 if old == "longer" else 1))
+    _write_text(str(dest), text)
+    assert dest.read_bytes() == text.encode("utf-8")
 
 
 WRITE_LIMIT = 4096  # bytes: RLIMIT_FSIZE of the child below, well under its report

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 import types
 
 import numpy as np
@@ -610,7 +611,7 @@ def pl_rank_stable(P, u, samples, seed, draw=gumbel):
     counts = np.zeros(n * n, dtype=np.int64)
     done = 0
     while done < samples:
-        b = min(max(1, rankers._PL_BATCH_ELEMENTS // n), samples - done)
+        b = min(max(1, rankers._CHUNK_CELLS // n), samples - done)
         scores = tau[None, :] + draw(rng, (b, n))
         order = np.argsort(-scores, axis=1, kind="stable")
         counts += np.bincount((order * n + np.arange(n)).ravel(), minlength=n * n)
@@ -624,6 +625,24 @@ def rounded_gumbel(rng, shape):
 
 def signed_zeros(rng, shape):
     return rng.choice(np.array([-0.0, 0.0, 1.0]), size=shape)
+
+
+def ulps_apart(rng, shape):
+    """Each row a shuffle of 1 + k ulps for k < n: distinct keys whose words agree above
+    the index bits, so only the stable re-sort can order them."""
+    return 1.0 + np.spacing(1.0) * rng.permuted(np.broadcast_to(np.arange(shape[1]), shape), axis=1)
+
+
+def shifted_gumbel(rng, shape):
+    return gumbel(rng, shape) + 40.0  # every key -(tau + g) negative
+
+
+def wide_gumbel(rng, shape):
+    return gumbel(rng, shape) * 10.0 ** rng.integers(-300, 300, size=shape)  # both signs, any exponent
+
+
+def zero_tau(n):
+    return types.SimpleNamespace(tau=lambda P: np.zeros(n))
 
 
 class TestPlackettLuce:
@@ -676,7 +695,7 @@ class TestPlackettLuce:
         P = random_prediction(rng, 40, 3)
         u = UtilitySpec.dcg(40, L=3)
         whole = pl_rank(P, u, samples=500, seed=9).entries
-        monkeypatch.setattr(rankers, "_PL_BATCH_ELEMENTS", batch_elements)
+        monkeypatch.setattr(rankers, "_CHUNK_CELLS", batch_elements)
         assert np.array_equal(pl_rank(P, u, samples=500, seed=9).entries, whole)
 
     def test_requires_positive_samples(self):
@@ -685,13 +704,13 @@ class TestPlackettLuce:
             pl_rank(P, u_linear(1, 2), samples=0, seed=0)
 
     @pytest.mark.parametrize("batches", ["one", "many"])
-    @pytest.mark.parametrize("n", [1, 2, 40, 300])
+    @pytest.mark.parametrize("n", [1, 2, 3, 40, 300, 1024, 1025])  # 0 to 11 index bits
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_matches_stable_reference(self, monkeypatch, n, seed, batches):
         P = random_prediction(np.random.default_rng(30 + n), n, 3)
         u = UtilitySpec.dcg(n, L=3)
         if batches == "many":  # 7 to 10 rows per batch, so the last batch is short for n > 1
-            monkeypatch.setattr(rankers, "_PL_BATCH_ELEMENTS", 7 * n + 3)
+            monkeypatch.setattr(rankers, "_CHUNK_CELLS", 7 * n + 3)
         got = pl_rank(P, u, samples=50, seed=seed).entries
         assert np.array_equal(got, pl_rank_stable(P, u, 50, seed))
 
@@ -708,10 +727,36 @@ class TestPlackettLuce:
         else:
             u = UtilitySpec.dcg(n, L=3)
         if batches == "many":
-            monkeypatch.setattr(rankers, "_PL_BATCH_ELEMENTS", 7 * n + 3)
+            monkeypatch.setattr(rankers, "_CHUNK_CELLS", 7 * n + 3)
         monkeypatch.setattr(rankers, "_gumbel", lambda rng, out: np.copyto(out, draw(rng, out.shape)))
         got = pl_rank(P, u, samples=50, seed=3).entries
         assert np.array_equal(got, pl_rank_stable(P, u, 50, 3, draw))
+
+    @pytest.mark.parametrize("blocks", ["one", "many"])
+    @pytest.mark.parametrize("n", [2, 40, 300])
+    @pytest.mark.parametrize("draw", [ulps_apart, shifted_gumbel, wide_gumbel])
+    def test_packed_words_match_stable_reference(self, monkeypatch, n, draw, blocks):
+        # A zero tau keeps each draw's keys as drawn: ulps apart, all negative, or of both
+        # signs across the exponent range.
+        P = PredictionMatrix(np.full((n, 2), 0.5))
+        if blocks == "many":
+            monkeypatch.setattr(rankers, "_CHUNK_CELLS", 7 * n + 3)
+        monkeypatch.setattr(rankers, "_gumbel", lambda rng, out: np.copyto(out, draw(rng, out.shape)))
+        got = pl_rank(P, zero_tau(n), samples=50, seed=5).entries
+        assert np.array_equal(got, pl_rank_stable(P, zero_tau(n), 50, 5, draw))
+
+    def test_memory_peak(self):
+        # The counts and the blocks; the n^2 result is the counts, divided in place.
+        n = 1000
+        P = random_prediction(np.random.default_rng(60), n, 5)
+        u = UtilitySpec.dcg(n, L=5)
+        tracemalloc.start()
+        try:
+            pl_rank(P, u, samples=2000, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * n * n * 8 + 4 * 2**20
 
 
 class TestDoubleStochasticity:
