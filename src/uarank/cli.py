@@ -213,23 +213,17 @@ def _echo_config(args, read: set) -> dict:
 
 def _emit(args, result, read: set) -> None:
     """Write a handler's result: structured JSON, a ranking's matrix, or a report's
-    rows, each name padded to the longest name plus two spaces.  `--out` is UTF-8."""
+    rows, each name padded to the longest name plus two spaces.  `--out` is UTF-8.
+    A matrix is formatted and written in row blocks as `io.write_report` asks for them."""
     key, payload, rows = ("ranking", result.entries, None) if isinstance(result, RankingDistribution) else result
     if args.format == "structured":
-        text = io_mod.serialize_structured({"config": _echo_config(args, read), key: payload})
+        parts = io_mod.structured_parts({"config": _echo_config(args, read), key: payload})
     elif rows is None:
-        text = io_mod.table_report(payload)
+        parts = io_mod.table_parts(payload)
     else:
         width = 2 + max(len(name) for name, _ in rows)
-        text = "".join(f"{name:<{width}}{v if isinstance(v, bool) else format(v, '.12g')}\n" for name, v in rows)
-    if args.out:
-        io_mod._write_text(args.out, text)
-    else:
-        try:
-            sys.stdout.write(text)
-        except UnicodeEncodeError as exc:
-            raise ValidationError(f"stdout's encoding {sys.stdout.encoding} cannot write "
-                                  f"{exc.object[exc.start:exc.end]!r}; --out writes UTF-8") from None
+        parts = ["".join(f"{name:<{width}}{v if isinstance(v, bool) else format(v, '.12g')}\n" for name, v in rows)]
+    io_mod.write_report(args.out, parts)
 
 
 def main(argv=None) -> int:

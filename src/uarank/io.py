@@ -6,11 +6,13 @@ import csv
 import json
 import os
 import stat
+import sys
 from io import StringIO
 from pathlib import Path
 
 import numpy as np
 
+from . import rankers
 from .audit import PopulationModel
 from .errors import ValidationError
 from .types import PredictionMatrix, UtilitySpec
@@ -105,23 +107,25 @@ def _read_text(path: Path, newline: str | None = None) -> str:
         raise ValidationError(f"cannot read {path}: not UTF-8 text ({exc})") from None
 
 
-def _write_text(path: str, text: str) -> None:
-    """Write the text to the file as UTF-8, as `Path.write_text` does, but over an
-    existing file in place: open it without O_TRUNC, write, then cut a regular file
-    that is longer at the bytes written.  ext4 flushes a file truncated to zero when
-    it is closed, which costs more than writing a small report; cutting at the end
-    does not.  The inode, mode and links stay, a new file gets 0o666 less the umask,
-    and a FIFO, terminal or /dev/null is not cut.  A write that fails part way is cut
+def _write_text(path: str, chunks) -> None:
+    """Write the texts `chunks` gives to the file as UTF-8, as `Path.write_text`
+    writes their concatenation, but over an existing file in place: open it
+    without O_TRUNC, write, then cut a regular file that is longer at the bytes
+    written.  ext4 flushes a file truncated to zero when it is closed, which
+    costs more than writing a small report; cutting at the end does not.  The
+    inode, mode and links stay, a new file gets 0o666 less the umask, and a
+    FIFO, terminal or /dev/null is not cut.  A write that fails part way is cut
     at the bytes it wrote, so no tail of the old file follows them, and is a
     ValidationError naming the path as given and the reason, as is a file that
-    cannot be opened.  The file opened is `Path(path)`'s, which drops a trailing
-    slash.  The text is encoded _WRITE_SLICE characters at a time; a slice ends
-    between code points, so the bytes are `text.encode("utf-8")`'s."""
+    cannot be opened.  The file opened is `Path(path)`'s, which drops a
+    trailing slash.  Each text is encoded _WRITE_SLICE characters at a time; a
+    slice ends between code points, so the bytes are `"".join(chunks).encode("utf-8")`'s."""
     try:
         with open(os.open(Path(path), os.O_WRONLY | os.O_CREAT, 0o666), "wb") as fh:
             try:
-                for start in range(0, len(text), _WRITE_SLICE):
-                    fh.write(text[start : start + _WRITE_SLICE].encode("utf-8"))
+                for text in chunks:
+                    for start in range(0, len(text), _WRITE_SLICE):
+                        fh.write(text[start : start + _WRITE_SLICE].encode("utf-8"))
                 fh.flush()
             finally:  # cut past the bytes written; cutting at the same length would cost a setattr
                 fd = fh.fileno()
@@ -286,29 +290,95 @@ def serialize_structured(payload: dict) -> str:
     """Deterministic JSON for audit artifacts: sorted keys, full float precision.
 
     The text is exactly `json.dumps(payload, sort_keys=True, indent=2)` with
-    numpy values as lists.  `indent` forces json's pure-Python encoder, so each
-    nonempty numeric 2-d array at the top level (a ranking matrix) is written by
-    `_matrix_parts` instead and joined into the text in one pass, laid out as
-    `indent=2` lays it out.  A cell is its `float.__repr__` or `int.__repr__`
-    from json's C encoder, as the pure-Python encoder writes it.  JSON has no
-    NaN or infinity: a payload holding one is a ValidationError.
+    numpy values as lists, joined from `structured_parts(payload)`.
+    """
+    return _joined(structured_parts(payload))
+
+
+def structured_parts(payload: dict) -> list:
+    """`serialize_structured(payload)`'s text as `write_report` takes it: texts
+    and, in the place of each nonempty numeric 2-d array at the top level (a
+    ranking matrix), `_matrix_parts`' iterator over its row blocks.
+
+    `indent` forces json's pure-Python encoder, so `json.dumps` writes such a
+    matrix as null and the blocks lay it out as `indent=2` lays it out.  A
+    cell is its `float.__repr__` or `int.__repr__` from json's C encoder, as
+    the pure-Python encoder writes it.  JSON has no NaN or infinity: a payload
+    holding one is a ValidationError, raised here, before any block is made,
+    so a report that cannot be written writes nothing.
     """
     bulk = {k: v for k, v in payload.items() if isinstance(k, str) and isinstance(v, np.ndarray)
             and v.ndim == 2 and v.size and v.dtype.kind in "biuf"}
     cells = json.JSONEncoder(separators=(",\n      ", ":"), allow_nan=False)
     try:
-        text = json.dumps({**payload, **dict.fromkeys(bulk)}, sort_keys=True, indent=2,
+        rest = json.dumps({**payload, **dict.fromkeys(bulk)}, sort_keys=True, indent=2,
                           default=_json_default, allow_nan=False) + "\n"
-        for key, M in bulk.items():
-            parts = _matrix_parts(M, ",\n      ", "\n    ],\n    [\n      ", cells.encode,
-                                  lambda r: cells.encode(r)[1:-1])
-            before, head, after = text.partition(f"\n  {json.dumps(key)}: ")
-            parts[0] = f"{before}{head}[\n    [\n      {parts[0]}"
-            parts[-1] = f"{parts[-1]}\n    ]\n  ]{after.removeprefix('null')}"
-            text = "".join(parts)  # the one copy of the matrix text
+        for M in bulk.values():
+            if M.dtype.kind == "f" and not np.isfinite(M).all():
+                cells.encode(M[~np.isfinite(M)].tolist())  # json's own error for the value
     except ValueError as exc:
         raise ValidationError(f"cannot write structured output: {exc}") from None
-    return text
+
+    def formats(values):
+        return cells.encode, lambda r: cells.encode(r)[1:-1]
+
+    parts = []
+    for key in sorted(bulk):  # in the order sort_keys writes them
+        head = f"\n  {json.dumps(key)}: "
+        before, _, rest = rest.partition(head + "null")
+        parts += [f"{before}{head}[\n    [\n      ",
+                  _matrix_parts(bulk[key], ",\n      ", "\n    ],\n    [\n      ", formats)]
+        rest = "\n    ]\n  ]" + rest
+    parts.append(rest)
+    return parts
+
+
+def write_report(out: str | None, parts: list) -> None:
+    """Write a report given as texts and iterators over a matrix's row blocks
+    (`structured_parts`, `table_parts`), block by block as the iterators make
+    them: to the file `out` through `_write_text`, or to stdout when `out` is
+    None or "".  The report is never held whole.  A report that stdout's
+    encoding cannot hold is a ValidationError before anything is written: the
+    texts are tried first, and a matrix's blocks hold only ASCII."""
+    if out:
+        _write_text(out, _chunks(parts))
+        return
+    encoding = sys.stdout.encoding  # None for a StringIO, which takes any text
+    try:
+        if encoding:
+            for part in parts:
+                if isinstance(part, str):
+                    part.encode(encoding, sys.stdout.errors or "strict")
+        for chunk in _chunks(parts):
+            sys.stdout.write(chunk)
+    except UnicodeEncodeError as exc:
+        raise ValidationError(f"stdout's encoding {encoding} cannot write "
+                              f"{exc.object[exc.start:exc.end]!r}; --out writes UTF-8") from None
+
+
+def _chunks(parts: list):
+    """A report's texts in order, as `write_report` writes them: each text, and each
+    block's strings joined."""
+    for part in parts:
+        if isinstance(part, str):
+            yield part
+        else:
+            for block in part:
+                yield "".join(block)
+
+
+def _joined(parts: list) -> str:
+    """A report's whole text, in one join of every string its parts hold.  Joined
+    again from its blocks' texts, an n = 1000 `opt` report took 25 ms and 5 000
+    minor page faults per call, against 7 ms and none (in-process, 2-vCPU VM)."""
+    strings = []
+    for part in parts:
+        if isinstance(part, str):
+            strings.append(part)
+        else:
+            for block in part:
+                strings += block
+    return "".join(strings)
 
 
 def _json_default(obj):
@@ -318,77 +388,127 @@ def _json_default(obj):
     raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
-def _matrix_parts(M: np.ndarray, sep: str, row_sep: str, cell, row) -> list:
-    """Strings whose concatenation is the text of the nonempty 2-d M: the cell
-    `cell(v)` of each cell's value `v` followed by `sep`, or by `row_sep` at the
-    end of a row, or, as one string, the rows `row(r)` of `M.tolist()` joined by
-    `row_sep`.  Cells are equal when their bits are (a float's float64 bits, so
-    0.0 and -0.0 stay apart), and the text takes one of three paths:
+def _matrix_parts(M: np.ndarray, sep: str, row_sep: str, formats):
+    """Yield the text of the nonempty 2-d M in blocks of max(1, _CHUNK_CELLS // n)
+    whole rows, n the columns: 2^16 cells, the kernel's and the audits' chunk.
+    A block comes as a list of strings that `write_report` joins, and that the
+    whole-text functions join with every other block's in one pass.  The text
+    is the cells `cell(v)` of each cell's value `v`, each followed by
+    `sep`, or by `row_sep` at the end of a row but the last; a block ends at a
+    row end, so its text ends with `row_sep` unless it is the last.  Cells are
+    equal when their bits are (a float's float64 bits, so 0.0 and -0.0 stay
+    apart), and before its first block the text takes one of three paths,
+    `formats(values)` giving `(cell, row)` for the values the path holds:
 
     - runs: when the rows' runs of equal adjacent cells number at most a sixth
       of the cells, as with `opt`'s rows of at most three runs, a run of k
       cells is a few references to shared strings of its value: its cell and
       `sep` repeated 1, 2, 4, ... times for the bits of k, or of k - 1 and
-      then its cell and `row_sep` when it ends a row.  Each string is built
-      once per value and size.  At 10^6 cells it ties the other paths where
-      runs are a quarter of the cells and is 16-36% faster where they are a
-      sixth (2-vCPU VM);
+      then its cell and `row_sep` when it ends a row.  `values` are the runs'
+      distinct values, and each string is built once per value and size.  At
+      10^6 cells it ties the other paths where runs are a quarter of the cells
+      and is 16-36% faster where they are a sixth (2-vCPU VM);
     - lookup: else, when at most a quarter of the floats are distinct (`pl`
-      with s samples holds at most s + 1 values), each distinct value is found
-      with `np.sort` (`np.unique`'s argsort costs ten times as much at 10^6
-      cells) and formatted once, and every cell is a reference to its string;
-    - rows: else (`ua`, `mix`), one row string per row.
+      with s samples holds at most s + 1 values), `values` are the distinct
+      floats, gathered block by block, which stops past a quarter of the
+      cells.  Each is formatted once, and every cell is a reference to its
+      string, found with `np.searchsorted`;
+    - rows: else (`ua`, `mix`), `values` is M, and each row is `row(r)` of the
+      block's `tolist()`.
 
-    The runs are found with one `!=` over adjacent columns and counted before
-    anything is allocated per run.  Runs and cells reference shared strings
-    rather than join their own: a thousand fresh 10 kB strings grow the malloc
-    heap, and how much of it a later call finds still held then varies from
-    run to run.
+    The runs are found with one `!=` over adjacent columns per block and
+    counted before anything is allocated per run.  Runs and cells reference
+    shared strings rather than join their own: a thousand fresh 10 kB strings
+    grow the malloc heap, and how much of it a later call finds still held
+    then varies from run to run.  Beside M, a call holds its runs' starts (at
+    most a sixth of the cells), the distinct values (at most a quarter) and
+    one block's arrays and text.
     """
     if M.dtype.kind == "f":
         M = np.ascontiguousarray(M, dtype=np.float64)
     keys = M.view(np.uint64) if M.dtype.kind == "f" else M
-    starts = np.ones(M.shape, dtype=bool)  # a run starts each row and wherever a cell differs from its left
-    np.not_equal(keys[:, 1:], keys[:, :-1], out=starts[:, 1:])
-    if 6 * np.count_nonzero(starts) <= M.size:
-        return _run_parts(M, keys, starts, sep, row_sep, cell)
-    if M.dtype.kind == "f":
-        distinct = np.sort(keys, axis=None)
-        distinct = distinct[np.concatenate(([True], distinct[1:] != distinct[:-1]))]
-        if 4 * distinct.size <= M.size:
-            text = [cell(v) for v in distinct.view(np.float64).tolist()]
-            ends = np.array([t + sep for t in text] + [t + row_sep for t in text] + text, dtype=object)
-            at = np.searchsorted(distinct, keys)
+    step = max(1, rankers._CHUNK_CELLS // M.shape[1])
+    blocks = [(lo, min(lo + step, M.shape[0])) for lo in range(0, M.shape[0], step)]
+    first = _run_starts(keys, blocks)
+    if first is not None:
+        yield from _run_parts(M, keys, first, blocks, sep, row_sep, formats)
+        return
+    distinct = _distinct_floats(keys, blocks) if M.dtype.kind == "f" else None
+    if distinct is not None:
+        values = distinct.view(np.float64)
+        cell, _ = formats(values)
+        text = [cell(v) for v in values.tolist()]
+        ends = np.array([t + sep for t in text] + [t + row_sep for t in text] + text, dtype=object)
+        for lo, hi in blocks:
+            at = np.searchsorted(distinct, keys[lo:hi])
             at[:, -1] += distinct.size  # a row's last cell ends with row_sep,
-            at[-1, -1] += distinct.size  # and the matrix's last cell with nothing
-            return ends[at].ravel().tolist()
-    return [row_sep.join([row(r) for r in M.tolist()])]
+            if hi == M.shape[0]:
+                at[-1, -1] += distinct.size  # and the matrix's last cell with nothing
+            yield ends[at].ravel().tolist()
+        return
+    _, row = formats(M)
+    for lo, hi in blocks:
+        rows = [row(r) for r in M[lo:hi].tolist()]
+        if hi < M.shape[0]:
+            rows.append("")  # the block ends with row_sep
+        yield [row_sep.join(rows)]
 
 
-def _run_parts(M: np.ndarray, keys: np.ndarray, starts: np.ndarray, sep: str, row_sep: str, cell) -> list:
-    """`_matrix_parts`'s runs path, where `starts` marks each run's first cell."""
-    first = np.flatnonzero(starts)  # np.nonzero's row and column arrays cost seven times as much
-    distinct, value = np.unique(keys[np.divmod(first, M.shape[1])], return_inverse=True)
-    text = [cell(v) for v in (distinct.view(np.float64) if M.dtype.kind == "f" else distinct).tolist()]
+def _run_starts(keys: np.ndarray, blocks: list) -> np.ndarray | None:
+    """The flat index of each run's first cell, or None once runs outnumber a sixth of the cells."""
+    # A run starts each row and wherever a cell differs from its left; column 0 stays True.
+    starts = np.ones((blocks[0][1], keys.shape[1]), dtype=bool)
+    first, count = [], 0
+    for lo, hi in blocks:
+        block = starts[: hi - lo]
+        np.not_equal(keys[lo:hi, 1:], keys[lo:hi, :-1], out=block[:, 1:])
+        count += np.count_nonzero(block)
+        if 6 * count > keys.size:
+            return None
+        first.append(np.flatnonzero(block) + lo * keys.shape[1])  # np.nonzero's two arrays cost 7x
+    return np.concatenate(first)
+
+
+def _distinct_floats(keys: np.ndarray, blocks: list) -> np.ndarray | None:
+    """The sorted distinct float64 bits of the cells, or None once they outnumber a quarter of the cells."""
+    distinct = np.empty(0, dtype=np.uint64)
+    for lo, hi in blocks:  # np.unique costs seven times this sort on 2^16 cells (numpy 2.4)
+        distinct = np.sort(np.concatenate((distinct, keys[lo:hi]), axis=None))
+        distinct = distinct[np.concatenate(([True], distinct[1:] != distinct[:-1]))]
+        if 4 * distinct.size > keys.size:
+            return None
+    return distinct
+
+
+def _run_parts(M: np.ndarray, keys: np.ndarray, first: np.ndarray, blocks: list, sep: str, row_sep: str, formats):
+    """`_matrix_parts`' runs path, block by block, where `first` is each run's first flat index."""
+    n = M.shape[1]
+    distinct, value = np.unique(keys[np.divmod(first, n)], return_inverse=True)
+    values = distinct.view(np.float64) if M.dtype.kind == "f" else distinct
+    cell, _ = formats(values)
+    text = [cell(v) for v in values.tolist()]
     length = np.diff(first, append=M.size)
-    ends_row = (first + length) % M.shape[1] == 0  # runs stop at row ends
+    ends_row = (first + length) % n == 0  # runs stop at row ends
     reps = length - ends_row
     # Piece j < B of a value is its cell and sep repeated 2^j times, piece B its cell and row_sep.
     B = int(reps.max()).bit_length()
-    piece = np.empty((value.size, B + 1), dtype=bool)
-    piece[:, :B] = (reps[:, None] >> np.arange(B)) & 1
-    piece[:, B] = ends_row
-    run, j = np.nonzero(piece)
-    ids = value[run] * (B + 1) + j  # run by run, the row end last
     shared = np.empty(len(text) * (B + 1), dtype=object)
-    used = np.zeros(shared.size, dtype=bool)
-    used[ids] = True
-    for i in np.flatnonzero(used).tolist():
-        v, j = divmod(i, B + 1)
-        shared[i] = (text[v] + sep) * (1 << j) if j < B else text[v] + row_sep
-    parts = shared[ids].tolist()
-    parts[-1] = text[value[-1]]  # the matrix's last cell ends with nothing
-    return parts
+    made = np.zeros(shared.size, dtype=bool)
+    for a, b in np.searchsorted(first, [(lo * n, hi * n) for lo, hi in blocks]).tolist():
+        piece = np.empty((b - a, B + 1), dtype=bool)
+        piece[:, :B] = (reps[a:b, None] >> np.arange(B)) & 1
+        piece[:, B] = ends_row[a:b]
+        run, j = np.nonzero(piece)
+        ids = value[a + run] * (B + 1) + j  # run by run, the row end last
+        fresh = np.unique(ids[~made[ids]])
+        made[fresh] = True
+        for i in fresh.tolist():
+            v, j = divmod(i, B + 1)
+            shared[i] = (text[v] + sep) * (1 << j) if j < B else text[v] + row_sep
+        parts = shared[ids].tolist()
+        if b == first.size:
+            parts[-1] = text[value[-1]]  # the matrix's last cell ends with nothing
+        yield parts
 
 
 def format_matrix(M: np.ndarray) -> str:
@@ -398,22 +518,33 @@ def format_matrix(M: np.ndarray) -> str:
     length grows with |v|, so the widest cell is the maximum's or the
     minimum's, or "-0.000000" when -0.0 is the only negative-signed entry; one
     `%{width}.6f` cell format then pads exactly as `f"{v:.6f}".rjust(width)`,
-    applied by `_matrix_parts` once per distinct value or once per row.
+    applied by `_matrix_parts` once per distinct value or once per row.  The
+    width comes from the distinct values on the runs and lookup paths, and
+    from M's minimum and maximum on the rows path, with M's signs read only
+    when the minimum is zero.
     """
-    return _table(M, "")
+    return _joined([_table_blocks(M)])
 
 
 def table_report(M: np.ndarray) -> str:
     """The table report `rank` writes: `format_matrix(M)` and a newline, joined
     in one pass, so a 10 MB table is not copied a second time to end it."""
-    return _table(M, "\n")
+    return _joined(table_parts(M))
 
 
-def _table(M: np.ndarray, end: str) -> str:
+def table_parts(M: np.ndarray) -> list:
+    """`table_report(M)` as `write_report` takes it: the table's row blocks, then a newline."""
+    return [_table_blocks(M), "\n"]
+
+
+def _table_blocks(M: np.ndarray):
     M = np.asarray(M)
-    ends = (M.min(), M.max(), -0.0 if np.signbit(M).any() else 0.0)
-    cell = f"%{max(len(f'{v:.6f}') for v in ends)}.6f"
-    row = "  ".join([cell] * M.shape[1])
-    parts = _matrix_parts(M, "  ", "\n", cell.__mod__, lambda r: row % tuple(r))
-    parts.append(end)
-    return "".join(parts)
+
+    def formats(values):
+        lo, hi = values.min(), values.max()
+        ends = (lo, hi, -0.0 if lo == 0 and np.signbit(values).any() else 0.0)
+        cell = f"%{max(len(f'{v:.6f}') for v in ends)}.6f"
+        row = "  ".join([cell] * M.shape[1])
+        return cell.__mod__, lambda r: row % tuple(r)
+
+    return _matrix_parts(M, "  ", "\n", formats)

@@ -1,5 +1,7 @@
 import argparse
+import contextlib
 import csv
+import io
 import json
 import os
 import re
@@ -7,6 +9,7 @@ import shlex
 import subprocess
 import sys
 import threading
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -18,10 +21,10 @@ from hypothesis.extra.numpy import array_shapes, arrays
 
 from uarank import (PredictionMatrix, RankingDistribution, UtilitySpec, ValidationError, load_population_model,
                     load_prediction_matrix, theorem_gap_exact)
-from uarank import cli
+from uarank import cli, rankers
 from uarank.cli import build_parser, main
 from uarank.io import (_WRITE_SLICE, _matrix_parts, _write_text, format_matrix, load_utility_spec,
-                       population_model_from_dict, serialize_structured, table_report)
+                       population_model_from_dict, serialize_structured, table_report, write_report)
 from uarank.rankers import RANKERS, compute_ranking
 
 
@@ -1327,8 +1330,8 @@ def test_non_finite_run_is_a_validation_error(bad):
 
 
 def count_paths(M):
-    """The parts `_matrix_parts` gives for M with counting `cell` and `row` callables, checked
-    against the plain text, and how often each was called."""
+    """The row blocks `_matrix_parts` gives for M with counting `cell` and `row` callables, checked
+    against the plain text and to end at row ends, and how often each callable was called."""
     calls = {"cell": 0, "row": 0}
 
     def cell(v):
@@ -1339,38 +1342,129 @@ def count_paths(M):
         calls["row"] += 1
         return ",".join(map(repr, r))
 
-    parts = _matrix_parts(M, ",", ";\n", cell, row)
-    assert "".join(parts) == ";\n".join(",".join(map(repr, r)) for r in M.tolist())
-    return len(parts), calls["cell"], calls["row"]
+    blocks = ["".join(block) for block in _matrix_parts(M, ",", ";\n", lambda values: (cell, row))]
+    assert "".join(blocks) == ";\n".join(",".join(map(repr, r)) for r in M.tolist())
+    step = max(1, rankers._CHUNK_CELLS // M.shape[1])
+    sizes = [min(step, M.shape[0] - lo) for lo in range(0, M.shape[0], step)]
+    assert [b.count(";\n") for b in blocks] == [*sizes[:-1], sizes[-1] - 1]
+    return len(blocks), calls["cell"], calls["row"]
 
 
 @pytest.mark.parametrize("shape", [(1, 48), (48, 1)], ids=["1x48", "48x1"])
 def test_single_row_and_column(shape):
     """A single row of three runs takes the runs path; a single column, whose every cell ends a
-    row and so starts a run, takes the lookup."""
+    row and so starts a run, takes the lookup.  Each formats its three values once, in one block."""
     M = np.concatenate([np.zeros(20), np.full(8, 0.5), np.full(20, -0.0)]).reshape(shape)
     assert_writers_equal_plain(M, {"ranking": M, "config": {"n": shape[0]}})
     assert table_report(M) == format_matrix(M) + "\n"
-    # 1x48: 20 = 16 + 4 cells, 8 cells, then 19 = 16 + 2 + 1 cells and the last cell
-    assert count_paths(M) == ((7, 3, 0) if shape[0] == 1 else (48, 3, 0))
+    assert count_paths(M) == (1, 3, 0)
 
 
 @pytest.mark.parametrize("fn, params", [
     ("opt", {}), ("pl", {"samples": 500, "seed": 1}), ("mix", {"phi": 0.5}), ("ua", {}),
 ], ids=["opt", "pl", "mix", "ua"])
 def test_path_of_each_ranker_at_n300(fn, params):
-    """opt's rows of at most three runs take the runs path (two values formatted once, far fewer
-    parts than cells); pl's short runs of few values the lookup (one part per cell); ua and mix,
-    nearly every entry distinct, the row path (one row string per row)."""
+    """opt's rows of at most three runs take the runs path (two values formatted once); pl's short
+    runs of few values the lookup (each distinct value formatted once); ua and mix, nearly every
+    entry distinct, the row path (one row string per row).  The 9 * 10^4 cells come in two blocks
+    of 218 and 82 rows."""
     rows = np.random.default_rng(300).dirichlet(np.ones(3), size=300)
     M = compute_ranking(fn, PredictionMatrix(rows), u=UtilitySpec.dcg(300, L=3), **params).entries
-    parts, cells, row_calls = count_paths(M)
-    distinct = np.unique(M.view(np.uint64)).size
+    keys = M.view(np.uint64)
+    starts, distinct = M.shape[0] + np.count_nonzero(keys[:, 1:] != keys[:, :-1]), np.unique(keys).size
     path = {"opt": "runs", "pl": "lookup"}.get(fn, "rows")
-    assert (parts, cells, row_calls) == {
-        "runs": (parts, 2, 0), "lookup": (M.size, distinct, 0), "rows": (1, 0, 300)}[path]
-    if path == "runs":
-        assert 6 * parts <= M.size
+    assert (6 * starts <= M.size, 4 * distinct <= M.size) == {
+        "runs": (True, True), "lookup": (False, True), "rows": (False, False)}[path]
+    assert count_paths(M) == {"runs": (2, 2, 0), "lookup": (2, distinct, 0), "rows": (2, 0, 300)}[path]
+
+
+def _emitted(M, fmt: str, out) -> bytes:
+    """The bytes `cli._emit` writes for a `rank` result holding M, to the file `out` or, if None, to stdout."""
+    args = argparse.Namespace(command="rank", format=fmt, out=None if out is None else str(out))
+    stdout = io.TextIOWrapper(io.BytesIO(), encoding="utf-8", newline="")
+    with contextlib.redirect_stdout(stdout):
+        cli._emit(args, ("ranking", M, None), set())
+    stdout.flush()
+    return stdout.buffer.getvalue() if out is None else out.read_bytes()
+
+
+@pytest.mark.parametrize("rows", [1, 2, 3])
+@settings(max_examples=60, deadline=None)
+@given(M=st.one_of(long_runs(), FEW_DISTINCT, MATRICES))
+def test_row_blocks_of_one_to_three_rows_join_to_the_whole_text(rows, M, tmp_path_factory):
+    """With blocks of one, two or three rows, long runs (the runs path), few distinct values (the
+    lookup) and arbitrary cells (the rows path) give the plain texts, returned whole and as
+    `_emit` writes them to --out and to stdout block by block."""
+    out = tmp_path_factory.mktemp("blocks") / "report"
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(rankers, "_CHUNK_CELLS", rows * max(1, M.shape[1]))
+        payload = {"config": {"command": "rank"}, "ranking": M}
+        assert_writers_equal_plain(M, payload)
+        structured = serialize_structured(payload).encode()
+        assert _emitted(M, "structured", out) == _emitted(M, "structured", None) == structured
+        if M.size:
+            assert table_report(M) == format_matrix(M) + "\n"
+            assert _emitted(M, "table", out) == _emitted(M, "table", None) == table_report(M).encode()
+
+
+@pytest.mark.parametrize("M", [
+    np.where(np.arange(300)[:, None] == np.arange(300), 1.0, 0.0),  # runs
+    np.resize(np.arange(1, 301) / 300, (300, 300)),  # 300 values, each row all of them: lookup
+    np.random.default_rng(4).random((300, 300)),  # rows
+], ids=["runs", "lookup", "rows"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+def test_non_finite_last_cell_writes_nothing(M, bad, tmp_path, capsys, monkeypatch):
+    """A non-finite cell in the last row block is refused before the first byte: an existing --out
+    file keeps its bytes, and stdout receives nothing."""
+    M = M.copy()
+    M[-1, -1] = bad
+    monkeypatch.setitem(cli._MODES, "rank", ((), (), rankers.RANKING_FUNCTION_IDS, lambda args: ("ranking", M, None)))
+    dest = tmp_path / "report"
+    dest.write_bytes(b"old report\n" * 1000)
+    argv = ["rank", "--in", "unread.csv", "--format", "structured"]
+    for to in ([], ["--out", str(dest)]):
+        assert main([*argv, *to]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: validation: cannot write structured output: Out of range float")
+    assert dest.read_bytes() == b"old report\n" * 1000
+
+
+def test_text_stdout_cannot_encode_writes_nothing(monkeypatch):
+    """A report whose head or tail text stdout's encoding cannot hold is refused before its first
+    block is made or anything is written."""
+    made = []
+
+    def blocks():
+        made.append(True)
+        yield "0.5,0.5\n"
+
+    stdout = io.TextIOWrapper(io.BytesIO(), encoding="ascii")
+    monkeypatch.setattr(sys, "stdout", stdout)
+    for parts in (["head\n", blocks(), "grüppe\n"], ["grüppe\n", blocks(), "tail\n"]):
+        with pytest.raises(ValidationError, match="^stdout's encoding ascii cannot write 'ü'; --out writes UTF-8$"):
+            write_report(None, parts)
+    stdout.flush()
+    assert made == [] and stdout.buffer.getvalue() == b""
+
+
+def test_pl_report_at_n1000_holds_one_block_beside_the_matrix(tmp_path, capsys):
+    """A 2000-sample pl ranking at n = 1000 written through --out: beside its 8 MB matrix the call
+    holds about one block, where the whole 12 MB text, its cell list and lookup arrays took 24 MB."""
+    rows = np.random.default_rng(0).dirichlet(np.ones(5), size=1000)
+    p, dest = tmp_path / "p1000.csv", tmp_path / "report.json"
+    np.savetxt(p, rows, delimiter=",")
+    argv = ["rank", "--fn", "pl", "--samples", "2000", "--seed", "1", "--in", str(p), "--format", "structured",
+            "--out", str(dest)]
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    matrix = 1000 * 1000 * 8
+    assert peak - matrix < 1.5 * matrix  # 24 MB when the report was built whole; about 2.8 MB here
+    R = np.array(json.loads(dest.read_bytes())["ranking"])
+    assert R.shape == (1000, 1000) and np.allclose(R.sum(axis=0), 1) and np.allclose(R.sum(axis=1), 1)
 
 
 @pytest.mark.parametrize("fmt", ["table", "structured"])
@@ -1512,7 +1606,8 @@ def test_report_of_several_slices_is_its_utf8_encoding(old, tmp_path):
     dest = tmp_path / "report"
     if old:
         dest.write_bytes(b"#" * (len(text.encode()) + 1 if old == "longer" else 1))
-    _write_text(str(dest), text)
+    cuts = [0, 1000, _WRITE_SLICE + 1, 3 * _WRITE_SLICE - 7, len(text)]  # chunks end inside and at slices
+    _write_text(str(dest), [text[a:b] for a, b in zip(cuts, cuts[1:])])
     assert dest.read_bytes() == text.encode("utf-8")
 
 
