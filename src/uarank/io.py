@@ -314,8 +314,14 @@ def structured_parts(payload: dict) -> list:
         rest = json.dumps({**payload, **dict.fromkeys(bulk)}, sort_keys=True, indent=2,
                           default=_json_default, allow_nan=False) + "\n"
         for M in bulk.values():
-            if M.dtype.kind == "f" and not np.isfinite(M).all():
-                cells.encode(M[~np.isfinite(M)].tolist())  # json's own error for the value
+            # A NaN or infinite cell makes the sum non-finite, so one reduction that allocates
+            # nothing finds it; only then are the cells gathered (a sum that merely overflows
+            # gathers none and passes).
+            if M.dtype.kind == "f":
+                with np.errstate(over="ignore", invalid="ignore"):
+                    finite = np.isfinite(M.sum())
+                if not finite:
+                    cells.encode(M[~np.isfinite(M)].tolist())  # json's own error for the value
     except ValueError as exc:
         raise ValidationError(f"cannot write structured output: {exc}") from None
 

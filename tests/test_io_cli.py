@@ -1329,9 +1329,15 @@ def test_non_finite_run_is_a_validation_error(bad):
         serialize_structured({"ranking": M})
 
 
+def test_finite_cells_whose_sum_overflows_are_written():
+    M = np.full((3, 3), 1e308)  # each cell finite, their sum inf
+    assert serialize_structured({"ranking": M}) == json.dumps({"ranking": M.tolist()}, sort_keys=True, indent=2) + "\n"
+
+
 def count_paths(M):
     """The row blocks `_matrix_parts` gives for M with counting `cell` and `row` callables, checked
-    against the plain text and to end at row ends, and how often each callable was called."""
+    against the plain text and to end at row ends: how many blocks, how many parts they hold, and
+    how often each callable was called."""
     calls = {"cell": 0, "row": 0}
 
     def cell(v):
@@ -1342,12 +1348,14 @@ def count_paths(M):
         calls["row"] += 1
         return ",".join(map(repr, r))
 
-    blocks = ["".join(block) for block in _matrix_parts(M, ",", ";\n", lambda values: (cell, row))]
+    blocks = [list(block) for block in _matrix_parts(M, ",", ";\n", lambda values: (cell, row))]
+    parts = sum(len(block) for block in blocks)
+    blocks = ["".join(block) for block in blocks]
     assert "".join(blocks) == ";\n".join(",".join(map(repr, r)) for r in M.tolist())
     step = max(1, rankers._CHUNK_CELLS // M.shape[1])
     sizes = [min(step, M.shape[0] - lo) for lo in range(0, M.shape[0], step)]
     assert [b.count(";\n") for b in blocks] == [*sizes[:-1], sizes[-1] - 1]
-    return len(blocks), calls["cell"], calls["row"]
+    return len(blocks), parts, calls["cell"], calls["row"]
 
 
 @pytest.mark.parametrize("shape", [(1, 48), (48, 1)], ids=["1x48", "48x1"])
@@ -1357,17 +1365,18 @@ def test_single_row_and_column(shape):
     M = np.concatenate([np.zeros(20), np.full(8, 0.5), np.full(20, -0.0)]).reshape(shape)
     assert_writers_equal_plain(M, {"ranking": M, "config": {"n": shape[0]}})
     assert table_report(M) == format_matrix(M) + "\n"
-    assert count_paths(M) == (1, 3, 0)
+    # 1x48: 20 = 16 + 4 cells, 8 cells, then 19 = 16 + 2 + 1 cells and the last cell
+    assert count_paths(M) == ((1, 7, 3, 0) if shape[0] == 1 else (1, 48, 3, 0))
 
 
 @pytest.mark.parametrize("fn, params", [
     ("opt", {}), ("pl", {"samples": 500, "seed": 1}), ("mix", {"phi": 0.5}), ("ua", {}),
 ], ids=["opt", "pl", "mix", "ua"])
 def test_path_of_each_ranker_at_n300(fn, params):
-    """opt's rows of at most three runs take the runs path (two values formatted once); pl's short
-    runs of few values the lookup (each distinct value formatted once); ua and mix, nearly every
-    entry distinct, the row path (one row string per row).  The 9 * 10^4 cells come in two blocks
-    of 218 and 82 rows."""
+    """opt's rows of at most three runs take the runs path (two values formatted once, far fewer
+    parts than cells); pl's short runs of few values the lookup (one part per cell, each distinct
+    value formatted once); ua and mix, nearly every entry distinct, the row path (one row string
+    per row, one part per block).  The 9 * 10^4 cells come in two blocks of 218 and 82 rows."""
     rows = np.random.default_rng(300).dirichlet(np.ones(3), size=300)
     M = compute_ranking(fn, PredictionMatrix(rows), u=UtilitySpec.dcg(300, L=3), **params).entries
     keys = M.view(np.uint64)
@@ -1375,7 +1384,11 @@ def test_path_of_each_ranker_at_n300(fn, params):
     path = {"opt": "runs", "pl": "lookup"}.get(fn, "rows")
     assert (6 * starts <= M.size, 4 * distinct <= M.size) == {
         "runs": (True, True), "lookup": (False, True), "rows": (False, False)}[path]
-    assert count_paths(M) == {"runs": (2, 2, 0), "lookup": (2, distinct, 0), "rows": (2, 0, 300)}[path]
+    blocks, parts, cells, row_calls = count_paths(M)
+    assert (blocks, parts, cells, row_calls) == {
+        "runs": (2, parts, 2, 0), "lookup": (2, M.size, distinct, 0), "rows": (2, 2, 0, 300)}[path]
+    if path == "runs":
+        assert 6 * parts <= M.size
 
 
 def _emitted(M, fmt: str, out) -> bytes:
