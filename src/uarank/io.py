@@ -32,9 +32,7 @@ def load_prediction_matrix(path) -> PredictionMatrix:
     numpy's C reader parses the text; it converts each cell as float() does, bit
     for bit.  A text it refuses (a ragged row, an unparsable or blank row, a lone
     CR line end, a cell such as `1_0` that float() takes) and one whose first line
-    holds a lone CR take the csv module, which parses or names the cell.  When the
-    first line holds a quote, the csv module reads only the first record, which may
-    span lines, for the header rule, and numpy parses the text as before.
+    holds a lone CR or a quote take the csv module, which parses or names the cell.
     """
     path = Path(path)
     text = _read_text(path, newline="")  # both readers split lines themselves, keeping quoted newlines
@@ -53,23 +51,12 @@ def _loadtxt(text: str) -> np.ndarray | None:
         return None  # numpy strips these ASCII separators around a number; float() refuses them
     end = text.find("\n")
     head = text if end < 0 else text[:end].removesuffix("\r")
-    if "\r" in head:  # a lone CR ends a csv record
+    if '"' in head or "\r" in head:  # a quote may span lines or hide a comma; a lone CR ends a csv record
         return None
-    if '"' in head:  # a quote may span lines or hide a comma: the csv module reads the first record
-        lines = StringIO(text, newline="")
-        try:
-            record = next(csv.reader(lines), [])
-        except csv.Error:
-            return None
-        if not "".join(record).strip():
-            return None  # the csv module skips a blank record and takes the header rule to the next
-        rest = text[lines.tell():]
-    else:
-        # With no quote or CR, the first line is the first csv record.  A blank one, which the csv module
-        # skips, is dropped as a header is; numpy refuses a header on the next line, and the csv module decides.
-        record, rest = head.split(","), "" if end < 0 else text[end + 1:]
-    if not any(_is_number(cell) for cell in record):
-        text = rest
+    # With no quote or CR, the first line is the first csv record.  A blank one, which the csv module
+    # skips, is dropped as a header is; numpy refuses a header on the next line, and the csv module decides.
+    if not any(_is_number(cell) for cell in head.split(",")):
+        text = "" if end < 0 else text[end + 1:]
     if not text or text.isspace():
         return None  # numpy would warn "input contained no data"
     try:
@@ -286,29 +273,23 @@ def load_utility_spec(n: int, L: int, values: str | None, weights: str | None) -
     return UtilitySpec(v, w[:n])
 
 
-def serialize_structured(payload: dict) -> str:
-    """Deterministic JSON for audit artifacts: sorted keys, full float precision.
-
-    The text is exactly `json.dumps(payload, sort_keys=True, indent=2)` with
-    numpy values as lists, joined from `structured_parts(payload)`.
-    """
-    return _joined(structured_parts(payload))
-
-
 def structured_parts(payload: dict) -> list:
-    """`serialize_structured(payload)`'s text as `write_report` takes it: texts
-    and, in the place of each nonempty numeric 2-d array at the top level (a
-    ranking matrix), `_matrix_parts`' iterator over its row blocks.
+    """Deterministic JSON for audit artifacts, as `write_report` takes it: the
+    text of `json.dumps(payload, sort_keys=True, indent=2)` with numpy values
+    as lists, and a newline, given as texts and, in the place of each nonempty
+    float64 2-d array at the top level (a ranking matrix), `_matrix_parts`'
+    iterator over its row blocks.
 
     `indent` forces json's pure-Python encoder, so `json.dumps` writes such a
     matrix as null and the blocks lay it out as `indent=2` lays it out.  A
-    cell is its `float.__repr__` or `int.__repr__` from json's C encoder, as
-    the pure-Python encoder writes it.  JSON has no NaN or infinity: a payload
-    holding one is a ValidationError, raised here, before any block is made,
-    so a report that cannot be written writes nothing.
+    cell is its `float.__repr__` from json's C encoder, as the pure-Python
+    encoder writes it.  Every other array, integer and bool ones too, takes
+    json's own path through `_json_default`.  JSON has no NaN or infinity: a
+    payload holding one is a ValidationError, raised here, before any block is
+    made, so a report that cannot be written writes nothing.
     """
     bulk = {k: v for k, v in payload.items() if isinstance(k, str) and isinstance(v, np.ndarray)
-            and v.ndim == 2 and v.size and v.dtype.kind in "biuf"}
+            and v.ndim == 2 and v.size and v.dtype == np.float64}
     cells = json.JSONEncoder(separators=(",\n      ", ":"), allow_nan=False)
     try:
         rest = json.dumps({**payload, **dict.fromkeys(bulk)}, sort_keys=True, indent=2,
@@ -317,11 +298,10 @@ def structured_parts(payload: dict) -> list:
             # A NaN or infinite cell makes the sum non-finite, so one reduction that allocates
             # nothing finds it; only then are the cells gathered (a sum that merely overflows
             # gathers none and passes).
-            if M.dtype.kind == "f":
-                with np.errstate(over="ignore", invalid="ignore"):
-                    finite = np.isfinite(M.sum())
-                if not finite:
-                    cells.encode(M[~np.isfinite(M)].tolist())  # json's own error for the value
+            with np.errstate(over="ignore", invalid="ignore"):
+                finite = np.isfinite(M.sum())
+            if not finite:
+                cells.encode(M[~np.isfinite(M)].tolist())  # json's own error for the value
     except ValueError as exc:
         raise ValidationError(f"cannot write structured output: {exc}") from None
 
@@ -373,20 +353,6 @@ def _chunks(parts: list):
                 yield "".join(block)
 
 
-def _joined(parts: list) -> str:
-    """A report's whole text, in one join of every string its parts hold.  Joined
-    again from its blocks' texts, an n = 1000 `opt` report took 25 ms and 5 000
-    minor page faults per call, against 7 ms and none (in-process, 2-vCPU VM)."""
-    strings = []
-    for part in parts:
-        if isinstance(part, str):
-            strings.append(part)
-        else:
-            for block in part:
-                strings += block
-    return "".join(strings)
-
-
 def _json_default(obj):
     """Plain Python values for numpy arrays and scalars; json handles the rest."""
     if isinstance(obj, (np.ndarray, np.generic)):
@@ -395,15 +361,14 @@ def _json_default(obj):
 
 
 def _matrix_parts(M: np.ndarray, sep: str, row_sep: str, formats):
-    """Yield the text of the nonempty 2-d M in blocks of max(1, _CHUNK_CELLS // n)
-    whole rows, n the columns: 2^16 cells, the kernel's and the audits' chunk.
-    A block comes as a list of strings that `write_report` joins, and that the
-    whole-text functions join with every other block's in one pass.  The text
-    is the cells `cell(v)` of each cell's value `v`, each followed by
-    `sep`, or by `row_sep` at the end of a row but the last; a block ends at a
-    row end, so its text ends with `row_sep` unless it is the last.  Cells are
-    equal when their bits are (a float's float64 bits, so 0.0 and -0.0 stay
-    apart), and before its first block the text takes one of three paths,
+    """Yield the text of the nonempty float64 2-d M in blocks of max(1,
+    _CHUNK_CELLS // n) whole rows, n the columns: 2^16 cells, the kernel's and
+    the audits' chunk.  A block comes as a list of strings that `write_report`
+    joins.  The text is the cells `cell(v)` of each cell's value `v`, each
+    followed by `sep`, or by `row_sep` at the end of a row but the last; a
+    block ends at a row end, so its text ends with `row_sep` unless it is the
+    last.  Cells are equal when their float64 bits are, so 0.0 and -0.0 stay
+    apart, and before its first block the text takes one of three paths,
     `formats(values)` giving `(cell, row)` for the values the path holds:
 
     - runs: when the rows' runs of equal adjacent cells number at most a sixth
@@ -430,16 +395,15 @@ def _matrix_parts(M: np.ndarray, sep: str, row_sep: str, formats):
     most a sixth of the cells), the distinct values (at most a quarter) and
     one block's arrays and text.
     """
-    if M.dtype.kind == "f":
-        M = np.ascontiguousarray(M, dtype=np.float64)
-    keys = M.view(np.uint64) if M.dtype.kind == "f" else M
+    M = np.ascontiguousarray(M)
+    keys = M.view(np.uint64)
     step = max(1, rankers._CHUNK_CELLS // M.shape[1])
     blocks = [(lo, min(lo + step, M.shape[0])) for lo in range(0, M.shape[0], step)]
     first = _run_starts(keys, blocks)
     if first is not None:
         yield from _run_parts(M, keys, first, blocks, sep, row_sep, formats)
         return
-    distinct = _distinct_floats(keys, blocks) if M.dtype.kind == "f" else None
+    distinct = _distinct_floats(keys, blocks)
     if distinct is not None:
         values = distinct.view(np.float64)
         cell, _ = formats(values)
@@ -490,7 +454,7 @@ def _run_parts(M: np.ndarray, keys: np.ndarray, first: np.ndarray, blocks: list,
     """`_matrix_parts`' runs path, block by block, where `first` is each run's first flat index."""
     n = M.shape[1]
     distinct, value = np.unique(keys[np.divmod(first, n)], return_inverse=True)
-    values = distinct.view(np.float64) if M.dtype.kind == "f" else distinct
+    values = distinct.view(np.float64)
     cell, _ = formats(values)
     text = [cell(v) for v in values.tolist()]
     length = np.diff(first, append=M.size)
@@ -517,8 +481,11 @@ def _run_parts(M: np.ndarray, keys: np.ndarray, first: np.ndarray, blocks: list,
         yield parts
 
 
-def format_matrix(M: np.ndarray) -> str:
-    """Aligned human-readable matrix table of finite entries, six decimals per cell.
+def table_parts(M: np.ndarray) -> list:
+    """The table report `rank` writes, as `write_report` takes it: M as an
+    aligned human-readable table of finite float64 entries, six decimals per
+    cell, in row blocks, then a newline.  An empty or non-2-d M is a
+    ValidationError naming its shape.
 
     Every cell is right-aligned to the widest `.6f` cell.  Within one sign that
     length grows with |v|, so the widest cell is the maximum's or the
@@ -529,22 +496,9 @@ def format_matrix(M: np.ndarray) -> str:
     from M's minimum and maximum on the rows path, with M's signs read only
     when the minimum is zero.
     """
-    return _joined([_table_blocks(M)])
-
-
-def table_report(M: np.ndarray) -> str:
-    """The table report `rank` writes: `format_matrix(M)` and a newline, joined
-    in one pass, so a 10 MB table is not copied a second time to end it."""
-    return _joined(table_parts(M))
-
-
-def table_parts(M: np.ndarray) -> list:
-    """`table_report(M)` as `write_report` takes it: the table's row blocks, then a newline."""
-    return [_table_blocks(M), "\n"]
-
-
-def _table_blocks(M: np.ndarray):
-    M = np.asarray(M)
+    M = np.asarray(M, dtype=np.float64)
+    if M.ndim != 2 or not M.size:
+        raise ValidationError(f"cannot write a table of shape {M.shape}: it needs rows and columns")
 
     def formats(values):
         lo, hi = values.min(), values.max()
@@ -553,4 +507,4 @@ def _table_blocks(M: np.ndarray):
         row = "  ".join([cell] * M.shape[1])
         return cell.__mod__, lambda r: row % tuple(r)
 
-    return _matrix_parts(M, "  ", "\n", formats)
+    return [_matrix_parts(M, "  ", "\n", formats), "\n"]

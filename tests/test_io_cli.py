@@ -23,8 +23,8 @@ from uarank import (PredictionMatrix, RankingDistribution, UtilitySpec, Validati
                     load_prediction_matrix, theorem_gap_exact)
 from uarank import cli, rankers
 from uarank.cli import build_parser, main
-from uarank.io import (_WRITE_SLICE, _matrix_parts, _write_text, format_matrix, load_utility_spec,
-                       population_model_from_dict, serialize_structured, table_report, write_report)
+from uarank.io import (_WRITE_SLICE, _chunks, _matrix_parts, _write_text, load_utility_spec,
+                       population_model_from_dict, structured_parts, table_parts, write_report)
 from uarank.rankers import RANKERS, compute_ranking
 
 
@@ -270,6 +270,7 @@ class TestLoadPredictionMatrix:
 
     @pytest.mark.parametrize("header", ["", '"label_1","label_2","label_3","label_4","label_5"\n'])
     def test_all_quoted_file_reads_one_record_with_the_csv_module(self, tmp_path, monkeypatch, header):
+        """A quote on the first line sends the file to the csv module, which reads every record."""
         rows = np.random.default_rng(6).dirichlet(np.ones(5), size=1000)
         p = tmp_path / "m.csv"
         p.write_text(header + "".join(",".join(f'"{float(v)!r}"' for v in row) + "\n" for row in rows))
@@ -280,13 +281,9 @@ class TestLoadPredictionMatrix:
                 read.append(record)
                 yield record
 
-        def refuse(*args, **kwargs):
-            raise AssertionError("the csv module parsed the file")
-
         monkeypatch.setattr("uarank.io.csv.reader", counting)
-        monkeypatch.setattr("uarank.io._parse_csv", refuse)
         assert load_prediction_matrix(p).rows.tobytes() == PredictionMatrix(rows).rows.tobytes()
-        assert len(read) == 1
+        assert len(read) == len(rows) + bool(header)
 
 
 class TestLoadPopulationModel:
@@ -1147,15 +1144,25 @@ def test_lone_surrogate_name_exit_1(entry, tmp_path, capsys):
     assert not out.exists()
 
 
+def structured_text(payload: dict) -> str:
+    """The structured report's whole text, joined from the parts `write_report` writes."""
+    return "".join(_chunks(structured_parts(payload)))
+
+
+def table_text(M) -> str:
+    """The table report's whole text, joined from the parts `write_report` writes."""
+    return "".join(_chunks(table_parts(M)))
+
+
 class TestSerializeStructured:
     def test_sorted_and_plain(self):
-        text = serialize_structured({"b": np.float64(0.5), "a": np.arange(2)})
+        text = structured_text({"b": np.float64(0.5), "a": np.arange(2)})
         assert text.index('"a"') < text.index('"b"')
         assert json.loads(text) == {"a": [0, 1], "b": 0.5}
 
     def test_full_precision(self):
         x = 1.0 / 3.0
-        assert json.loads(serialize_structured({"x": x}))["x"] == x
+        assert json.loads(structured_text({"x": x}))["x"] == x
 
     def test_golden_mixed_payload(self):
         payload = {
@@ -1167,7 +1174,7 @@ class TestSerializeStructured:
             "flag": False,
             "outer": {"inner": {"ids": np.arange(3), "ok": True}, "label": "g1"},
         }
-        assert serialize_structured(payload) == (
+        assert structured_text(payload) == (
             '{\n  "bucket": [\n    1,\n    null,\n    true\n  ],\n  "count": 7,\n'
             '  "flag": false,\n  "matrix": [\n    [\n      0.1,\n      0.3333333333333333\n'
             '    ],\n    [\n      1.0,\n      0.0\n    ]\n  ],\n  "missing": null,\n'
@@ -1184,32 +1191,37 @@ class TestSerializeStructured:
     ], ids=["float", "nested", "few-distinct", "all-distinct"])
     def test_non_finite_is_a_validation_error(self, payload):
         with pytest.raises(ValidationError, match="^cannot write structured output: Out of range float values"):
-            serialize_structured(payload)
+            structured_text(payload)
 
 
 class TestFormatMatrix:
     def test_negative_zero_cell_widens_every_column(self):
         # -1e-13 lies inside the ranking distribution's 1e-12 entry slack.
         R = RankingDistribution(np.array([[1.0, -1e-13, 1e-13], [0.0, 0.5, 0.5], [0.0, 0.5, 0.5]]))
-        assert format_matrix(R.entries) == (
+        assert table_text(R.entries) == (
             " 1.000000  -0.000000   0.000000\n"
             " 0.000000   0.500000   0.500000\n"
-            " 0.000000   0.500000   0.500000"
+            " 0.000000   0.500000   0.500000\n"
         )
 
     def test_signed_zero_alone(self):
-        assert format_matrix(np.array([[0.0, -0.0]])) == " 0.000000  -0.000000"
+        assert table_text(np.array([[0.0, -0.0]])) == " 0.000000  -0.000000\n"
 
     def test_one_by_one(self, tmp_path, capsys):
-        assert format_matrix(np.array([[1.0]])) == "1.000000"
+        assert table_text(np.array([[1.0]])) == "1.000000\n"
         p = tmp_path / "one.csv"
         p.write_text("0.3,0.7\n")
         assert main(["rank", "--in", str(p)]) == 0
         assert capsys.readouterr().out == "1.000000\n"
 
     def test_cell_of_ten_or_more_widens_the_columns(self):
-        assert format_matrix(np.array([[12.5, 0.25], [3.0, 1.0]])) == "12.500000   0.250000\n 3.000000   1.000000"
-        assert format_matrix(np.array([[-123.0, 0.0]])) == "-123.000000     0.000000"
+        assert table_text(np.array([[12.5, 0.25], [3.0, 1.0]])) == "12.500000   0.250000\n 3.000000   1.000000\n"
+        assert table_text(np.array([[-123.0, 0.0]])) == "-123.000000     0.000000\n"
+
+    @pytest.mark.parametrize("shape", [(0, 3), (3, 0), (3,)], ids=["0x3", "3x0", "1-d"])
+    def test_empty_or_one_dimensional_matrix_is_a_validation_error(self, shape):
+        with pytest.raises(ValidationError, match=re.escape(f"cannot write a table of shape {shape}")):
+            table_parts(np.zeros(shape))
 
 
 # Matrices for the output-layer properties: the float cases the writers must
@@ -1238,12 +1250,12 @@ def assert_writers_equal_plain(M, payload):
     """Both writers give the bytes of the plain expressions they replace, compared
     line by line: a failure names the first differing line instead of diffing megabytes."""
     plain = json.dumps(payload, sort_keys=True, indent=2, default=lambda o: o.tolist()) + "\n"
-    assert serialize_structured(payload).split("\n") == plain.split("\n")
+    assert structured_text(payload).split("\n") == plain.split("\n")
     if not M.size:  # a table needs a cell
         return
     cells = [[f"{v:.6f}" for v in row] for row in M]
     width = max(len(c) for row in cells for c in row)
-    assert format_matrix(M).split("\n") == ["  ".join(c.rjust(width) for c in row) for row in cells]
+    assert table_text(M).split("\n") == ["  ".join(c.rjust(width) for c in row) for row in cells] + [""]
 
 
 @settings(max_examples=400, deadline=None)
@@ -1259,9 +1271,9 @@ def test_signed_zeros_keep_their_sign_in_both_writers():
     M[2, 5] = M[6, 1] = -0.0
     M[0, 0] = 0.5  # three distinct bit patterns in 64 cells: each is formatted once
     assert_writers_equal_plain(M, {"ranking": M})
-    rows = json.loads(serialize_structured({"ranking": M}))["ranking"]
+    rows = json.loads(structured_text({"ranking": M}))["ranking"]
     assert [(i, j) for i, row in enumerate(rows) for j, v in enumerate(row) if np.signbit(v)] == [(2, 5), (6, 1)]
-    table = [line.split() for line in format_matrix(M).split("\n")]
+    table = [line.split() for line in table_text(M).splitlines()]
     assert [(i, j) for i, row in enumerate(table) for j, c in enumerate(row) if c == "-0.000000"] == [(2, 5), (6, 1)]
 
 
@@ -1317,7 +1329,8 @@ def long_runs(draw):
 @settings(max_examples=300, deadline=None)
 @given(long_runs())
 def test_long_runs_equal_the_plain_expressions(M):
-    payload = {"ranking": M, "transposed": M.T, "nonzero": (M != 0).astype(np.int64), "config": {"n": M.shape[0]}}
+    payload = {"ranking": M, "transposed": M.T, "nonzero": (M != 0).astype(np.int64), "nonzero_mask": M != 0,
+               "config": {"n": M.shape[0]}}
     assert_writers_equal_plain(M, payload)
 
 
@@ -1326,12 +1339,12 @@ def test_non_finite_run_is_a_validation_error(bad):
     M = np.zeros((40, 40))
     M[7, 3:30] = bad  # 42 runs in 1600 cells: the runs path
     with pytest.raises(ValidationError, match="^cannot write structured output: Out of range float values"):
-        serialize_structured({"ranking": M})
+        structured_text({"ranking": M})
 
 
 def test_finite_cells_whose_sum_overflows_are_written():
     M = np.full((3, 3), 1e308)  # each cell finite, their sum inf
-    assert serialize_structured({"ranking": M}) == json.dumps({"ranking": M.tolist()}, sort_keys=True, indent=2) + "\n"
+    assert structured_text({"ranking": M}) == json.dumps({"ranking": M.tolist()}, sort_keys=True, indent=2) + "\n"
 
 
 def count_paths(M):
@@ -1364,7 +1377,6 @@ def test_single_row_and_column(shape):
     row and so starts a run, takes the lookup.  Each formats its three values once, in one block."""
     M = np.concatenate([np.zeros(20), np.full(8, 0.5), np.full(20, -0.0)]).reshape(shape)
     assert_writers_equal_plain(M, {"ranking": M, "config": {"n": shape[0]}})
-    assert table_report(M) == format_matrix(M) + "\n"
     # 1x48: 20 = 16 + 4 cells, 8 cells, then 19 = 16 + 2 + 1 cells and the last cell
     assert count_paths(M) == ((1, 7, 3, 0) if shape[0] == 1 else (1, 48, 3, 0))
 
@@ -1406,18 +1418,17 @@ def _emitted(M, fmt: str, out) -> bytes:
 @given(M=st.one_of(long_runs(), FEW_DISTINCT, MATRICES))
 def test_row_blocks_of_one_to_three_rows_join_to_the_whole_text(rows, M, tmp_path_factory):
     """With blocks of one, two or three rows, long runs (the runs path), few distinct values (the
-    lookup) and arbitrary cells (the rows path) give the plain texts, returned whole and as
+    lookup) and arbitrary cells (the rows path) give the plain texts, joined whole and as
     `_emit` writes them to --out and to stdout block by block."""
     out = tmp_path_factory.mktemp("blocks") / "report"
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(rankers, "_CHUNK_CELLS", rows * max(1, M.shape[1]))
         payload = {"config": {"command": "rank"}, "ranking": M}
         assert_writers_equal_plain(M, payload)
-        structured = serialize_structured(payload).encode()
+        structured = structured_text(payload).encode()
         assert _emitted(M, "structured", out) == _emitted(M, "structured", None) == structured
         if M.size:
-            assert table_report(M) == format_matrix(M) + "\n"
-            assert _emitted(M, "table", out) == _emitted(M, "table", None) == table_report(M).encode()
+            assert _emitted(M, "table", out) == _emitted(M, "table", None) == table_text(M).encode()
 
 
 @pytest.mark.parametrize("M", [
