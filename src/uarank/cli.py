@@ -214,8 +214,9 @@ def _echo_config(args, read: set) -> dict:
 def _emit(args, result, read: set) -> None:
     """Write a handler's result: structured JSON, a ranking's matrix, or a report's
     rows, each name padded to the longest name plus two spaces.  `--out` is UTF-8.
-    A matrix is formatted and written in row blocks as `io.write_report` asks for them."""
-    key, payload, rows = ("ranking", result.entries, None) if isinstance(result, RankingDistribution) else result
+    A ranking is formatted and written in row blocks as `io.write_report` asks for them,
+    from its order when it keeps one."""
+    key, payload, rows = ("ranking", result, None) if isinstance(result, RankingDistribution) else result
     if args.format == "structured":
         parts = io_mod.structured_parts({"config": _echo_config(args, read), key: payload})
     elif rows is None:

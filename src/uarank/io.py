@@ -15,7 +15,7 @@ import numpy as np
 from . import rankers
 from .audit import PopulationModel
 from .errors import ValidationError
-from .types import PredictionMatrix, UtilitySpec
+from .types import PredictionMatrix, RankingDistribution, UtilitySpec
 
 # Characters of a report encoded per write: a few hundred kB of bytes at most, which
 # the heap reuses, where one encoding of a 12 MB report takes fresh pages each time.
@@ -276,9 +276,9 @@ def load_utility_spec(n: int, L: int, values: str | None, weights: str | None) -
 def structured_parts(payload: dict) -> list:
     """Deterministic JSON for audit artifacts, as `write_report` takes it: the
     text of `json.dumps(payload, sort_keys=True, indent=2)` with numpy values
-    as lists, and a newline, given as texts and, in the place of each nonempty
-    float64 2-d array at the top level (a ranking matrix), `_matrix_parts`'
-    iterator over its row blocks.
+    as lists, and a newline, given as texts and, in the place of each
+    `RankingDistribution` (as its `entries`) and each nonempty float64 2-d
+    array at the top level, `_matrix_parts`' iterator over its row blocks.
 
     `indent` forces json's pure-Python encoder, so `json.dumps` writes such a
     matrix as null and the blocks lay it out as `indent=2` lays it out.  A
@@ -286,15 +286,20 @@ def structured_parts(payload: dict) -> list:
     encoder writes it.  Every other array, integer and bool ones too, takes
     json's own path through `_json_default`.  JSON has no NaN or infinity: a
     payload holding one is a ValidationError, raised here, before any block is
-    made, so a report that cannot be written writes nothing.
+    made, so a report that cannot be written writes nothing.  A ranking's
+    cells are finite (its doubly stochastic check, or its order, makes them
+    so), and a ranking that keeps its order is written from it, its `entries`
+    never built.
     """
-    bulk = {k: v for k, v in payload.items() if isinstance(k, str) and isinstance(v, np.ndarray)
-            and v.ndim == 2 and v.size and v.dtype == np.float64}
+    bulk = {k: v for k, v in payload.items() if isinstance(k, str) and (isinstance(v, RankingDistribution) or (
+            isinstance(v, np.ndarray) and v.ndim == 2 and v.size and v.dtype == np.float64))}
     cells = json.JSONEncoder(separators=(",\n      ", ":"), allow_nan=False)
     try:
         rest = json.dumps({**payload, **dict.fromkeys(bulk)}, sort_keys=True, indent=2,
                           default=_json_default, allow_nan=False) + "\n"
         for M in bulk.values():
+            if isinstance(M, RankingDistribution):
+                continue
             # A NaN or infinite cell makes the sum non-finite, so one reduction that allocates
             # nothing finds it; only then are the cells gathered (a sum that merely overflows
             # gathers none and passes).
@@ -360,25 +365,28 @@ def _json_default(obj):
     raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
-def _matrix_parts(M: np.ndarray, sep: str, row_sep: str, formats):
-    """Yield the text of the nonempty float64 2-d M in blocks of max(1,
-    _CHUNK_CELLS // n) whole rows, n the columns: 2^16 cells, the kernel's and
-    the audits' chunk.  A block comes as a list of strings that `write_report`
-    joins.  The text is the cells `cell(v)` of each cell's value `v`, each
-    followed by `sep`, or by `row_sep` at the end of a row but the last; a
-    block ends at a row end, so its text ends with `row_sep` unless it is the
-    last.  Cells are equal when their float64 bits are, so 0.0 and -0.0 stay
-    apart, and before its first block the text takes one of three paths,
-    `formats(values)` giving `(cell, row)` for the values the path holds:
+def _matrix_parts(M, sep: str, row_sep: str, formats):
+    """Yield the text of M, a nonempty float64 2-d array or a
+    `RankingDistribution`'s `entries`, in blocks of max(1, _CHUNK_CELLS // n)
+    whole rows, n the columns: 2^16 cells, the kernel's and the audits' chunk.
+    A block comes as a list of strings that `write_report` joins.  The text is
+    the cells `cell(v)` of each cell's value `v`, each followed by `sep`, or
+    by `row_sep` at the end of a row but the last; a block ends at a row end,
+    so its text ends with `row_sep` unless it is the last.  Cells are equal
+    when their float64 bits are, so 0.0 and -0.0 stay apart, and before its
+    first block the text takes one of three paths, `formats(values)` giving
+    `(cell, row)` for the values the path holds:
 
-    - runs: when the rows' runs of equal adjacent cells number at most a sixth
-      of the cells, as with `opt`'s rows of at most three runs, a run of k
-      cells is a few references to shared strings of its value: its cell and
-      `sep` repeated 1, 2, 4, ... times for the bits of k, or of k - 1 and
-      then its cell and `row_sep` when it ends a row.  `values` are the runs'
-      distinct values, and each string is built once per value and size.  At
-      10^6 cells it ties the other paths where runs are a quarter of the cells
-      and is 16-36% faster where they are a sixth (2-vCPU VM);
+    - runs: for a ranking that keeps its order, whose rows hold a 1.0 between
+      runs of 0.0, from that order in O(n) without building `entries`; else
+      when the rows' runs of equal adjacent cells number at most a sixth of
+      the cells.  A run of k cells is a few references to shared strings of
+      its value: its cell and `sep` repeated 1, 2, 4, ... times for the bits
+      of k, or of k - 1 and then its cell and `row_sep` when it ends a row.
+      `values` are the runs' distinct values, and each string is built once
+      per value and size.  At 10^6 cells it ties the other paths where runs
+      are a quarter of the cells and is 16-36% faster where they are a sixth
+      (2-vCPU VM);
     - lookup: else, when at most a quarter of the floats are distinct (`pl`
       with s samples holds at most s + 1 values), `values` are the distinct
       floats, gathered block by block, which stops past a quarter of the
@@ -387,21 +395,26 @@ def _matrix_parts(M: np.ndarray, sep: str, row_sep: str, formats):
     - rows: else (`ua`, `mix`), `values` is M, and each row is `row(r)` of the
       block's `tolist()`.
 
-    The runs are found with one `!=` over adjacent columns per block and
-    counted before anything is allocated per run.  Runs and cells reference
-    shared strings rather than join their own: a thousand fresh 10 kB strings
-    grow the malloc heap, and how much of it a later call finds still held
-    then varies from run to run.  Beside M, a call holds its runs' starts (at
-    most a sixth of the cells), the distinct values (at most a quarter) and
-    one block's arrays and text.
+    The runs of a dense M are found with one `!=` over adjacent columns per
+    block and counted before anything is allocated per run.  Runs and cells
+    reference shared strings rather than join their own: a thousand fresh
+    10 kB strings grow the malloc heap, and how much of it a later call finds
+    still held then varies from run to run.  Beside M, a call holds its runs'
+    starts (at most a sixth of the cells), the distinct values (at most a
+    quarter) and one block's arrays and text.
     """
-    M = np.ascontiguousarray(M)
+    order = M.order if isinstance(M, RankingDistribution) else None
+    shape = (M.n, M.n) if isinstance(M, RankingDistribution) else M.shape
+    step = max(1, rankers._CHUNK_CELLS // shape[1])
+    blocks = [(lo, min(lo + step, shape[0])) for lo in range(0, shape[0], step)]
+    if order is not None:
+        yield from _run_parts(shape, *_order_runs(order), blocks, sep, row_sep, formats)
+        return
+    M = np.ascontiguousarray(M.entries if isinstance(M, RankingDistribution) else M)
     keys = M.view(np.uint64)
-    step = max(1, rankers._CHUNK_CELLS // M.shape[1])
-    blocks = [(lo, min(lo + step, M.shape[0])) for lo in range(0, M.shape[0], step)]
     first = _run_starts(keys, blocks)
     if first is not None:
-        yield from _run_parts(M, keys, first, blocks, sep, row_sep, formats)
+        yield from _run_parts(shape, first, keys.ravel()[first], blocks, sep, row_sep, formats)
         return
     distinct = _distinct_floats(keys, blocks)
     if distinct is not None:
@@ -422,6 +435,20 @@ def _matrix_parts(M: np.ndarray, sep: str, row_sep: str, formats):
         if hi < M.shape[0]:
             rows.append("")  # the block ends with row_sep
         yield [row_sep.join(rows)]
+
+
+def _order_runs(order: np.ndarray) -> tuple:
+    """The flat index of each run's first cell and the run's float64 bits, in
+    cell order, of the 0/1 matrix with a 1.0 at [order[k], k]: row i is 0.0
+    before column pos[i], 1.0 there and 0.0 after it, pos the inverse of order."""
+    n = order.size
+    pos = np.empty(n, dtype=np.intp)
+    pos[order] = np.arange(n)
+    row = np.arange(0, n * n, n)
+    first = np.stack([row, row + pos, row + pos + 1], axis=1)
+    kept = np.stack([pos > 0, np.ones(n, dtype=bool), pos < n - 1], axis=1)
+    bits = np.array([0.0, 1.0, 0.0]).view(np.uint64)
+    return first[kept], np.broadcast_to(bits, kept.shape)[kept]
 
 
 def _run_starts(keys: np.ndarray, blocks: list) -> np.ndarray | None:
@@ -450,14 +477,16 @@ def _distinct_floats(keys: np.ndarray, blocks: list) -> np.ndarray | None:
     return distinct
 
 
-def _run_parts(M: np.ndarray, keys: np.ndarray, first: np.ndarray, blocks: list, sep: str, row_sep: str, formats):
-    """`_matrix_parts`' runs path, block by block, where `first` is each run's first flat index."""
-    n = M.shape[1]
-    distinct, value = np.unique(keys[np.divmod(first, n)], return_inverse=True)
+def _run_parts(shape: tuple, first: np.ndarray, run_keys: np.ndarray, blocks: list, sep: str, row_sep: str,
+               formats):
+    """`_matrix_parts`' runs path, block by block, for a matrix of `shape` whose runs start at the
+    flat indices `first` and hold the float64 bits `run_keys`."""
+    n = shape[1]
+    distinct, value = np.unique(run_keys, return_inverse=True)
     values = distinct.view(np.float64)
     cell, _ = formats(values)
     text = [cell(v) for v in values.tolist()]
-    length = np.diff(first, append=M.size)
+    length = np.diff(first, append=shape[0] * n)
     ends_row = (first + length) % n == 0  # runs stop at row ends
     reps = length - ends_row
     # Piece j < B of a value is its cell and sep repeated 2^j times, piece B its cell and row_sep.
@@ -481,11 +510,13 @@ def _run_parts(M: np.ndarray, keys: np.ndarray, first: np.ndarray, blocks: list,
         yield parts
 
 
-def table_parts(M: np.ndarray) -> list:
-    """The table report `rank` writes, as `write_report` takes it: M as an
-    aligned human-readable table of finite float64 entries, six decimals per
-    cell, in row blocks, then a newline.  An empty or non-2-d M is a
-    ValidationError naming its shape.
+def table_parts(M) -> list:
+    """The table report `rank` writes, as `write_report` takes it: M, a
+    `RankingDistribution` (as its `entries`) or an array, as an aligned
+    human-readable table of finite float64 entries, six decimals per cell, in
+    row blocks, then a newline.  An empty or non-2-d array is a
+    ValidationError naming its shape.  A ranking that keeps its order is
+    written from it, its `entries` never built.
 
     Every cell is right-aligned to the widest `.6f` cell.  Within one sign that
     length grows with |v|, so the widest cell is the maximum's or the
@@ -496,15 +527,19 @@ def table_parts(M: np.ndarray) -> list:
     from M's minimum and maximum on the rows path, with M's signs read only
     when the minimum is zero.
     """
-    M = np.asarray(M, dtype=np.float64)
-    if M.ndim != 2 or not M.size:
-        raise ValidationError(f"cannot write a table of shape {M.shape}: it needs rows and columns")
+    if isinstance(M, RankingDistribution):
+        columns = M.n
+    else:
+        M = np.asarray(M, dtype=np.float64)
+        if M.ndim != 2 or not M.size:
+            raise ValidationError(f"cannot write a table of shape {M.shape}: it needs rows and columns")
+        columns = M.shape[1]
 
     def formats(values):
         lo, hi = values.min(), values.max()
         ends = (lo, hi, -0.0 if lo == 0 and np.signbit(values).any() else 0.0)
         cell = f"%{max(len(f'{v:.6f}') for v in ends)}.6f"
-        row = "  ".join([cell] * M.shape[1])
+        row = "  ".join([cell] * columns)
         return cell.__mod__, lambda r: row % tuple(r)
 
     return [_matrix_parts(M, "  ", "\n", formats), "\n"]

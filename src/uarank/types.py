@@ -108,7 +108,7 @@ class PredictionMatrix:
         return PredictionMatrix(np.hstack([self.rows, np.zeros((self.n, 1))]))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, repr=False)
 class RankingDistribution:
     """Doubly stochastic n x n matrix; entries[i, k-1] = Pr[individual i gets rank k].
 
@@ -118,7 +118,9 @@ class RankingDistribution:
 
     A deterministic ranking made by `from_order` keeps its `order` (order[k-1] is the
     individual at rank k; None for every other ranking) and builds its 0/1 `entries`
-    on their first read, so code that needs only the order never builds the matrix."""
+    on their first read, so code that needs only the order never builds the matrix:
+    the report writers (`io.structured_parts`, `io.table_parts`) write the matrix
+    from the order, and the repr shows the order."""
 
     entries: np.ndarray
     order: np.ndarray | None = field(default=None, init=False)
@@ -155,6 +157,10 @@ class RankingDistribution:
         _check_doubly_stochastic(m)
         m.flags.writeable = False
         object.__setattr__(self, "entries", m)
+
+    def __repr__(self) -> str:
+        shown = "entries" if self.order is None else "order"
+        return f"{type(self).__name__}({shown}={getattr(self, shown)!r})"
 
     @property
     def n(self) -> int:

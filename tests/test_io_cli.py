@@ -21,11 +21,12 @@ from hypothesis.extra.numpy import array_shapes, arrays
 
 from uarank import (PredictionMatrix, RankingDistribution, UtilitySpec, ValidationError, load_population_model,
                     load_prediction_matrix, theorem_gap_exact)
-from uarank import cli, rankers
+from uarank import cli, rankers, types
 from uarank.cli import build_parser, main
 from uarank.io import (_WRITE_SLICE, _chunks, _matrix_parts, _write_text, load_utility_spec,
                        population_model_from_dict, structured_parts, table_parts, write_report)
 from uarank.rankers import RANKERS, compute_ranking
+from uarank.types import _permutation_matrix
 
 
 TWO_TYPE_DOC = {
@@ -1289,8 +1290,10 @@ def test_looked_up_rows_end_where_the_plain_rows_end(shape):
     ("opt", {}, True), ("pl", {"samples": 500, "seed": 1}, True), ("mix", {"phi": 0.5}, False), ("ua", {}, False),
 ], ids=["opt", "pl", "mix", "ua"])
 def test_rankings_at_n300_equal_the_plain_expressions(fn, params, looked_up):
-    """opt (2 values) and pl (at most 501) take the lookup of distinct values; mix and ua
-    (nearly every entry distinct) take the cell-by-cell path."""
+    """opt's matrix (2 values in rows of at most three runs) takes the runs path, as
+    `test_path_of_each_ranker_at_n300` checks; pl (at most 501 values) takes the lookup of
+    distinct values; mix and ua (nearly every entry distinct) take the row path.  `looked_up`
+    says whether at most a quarter of the cells are distinct."""
     rows = np.random.default_rng(300).dirichlet(np.ones(3), size=300)
     M = compute_ranking(fn, PredictionMatrix(rows), u=UtilitySpec.dcg(300, L=3), **params).entries
     assert (4 * np.unique(M.view(np.uint64)).size <= M.size) == looked_up
@@ -1401,6 +1404,83 @@ def test_path_of_each_ranker_at_n300(fn, params):
         "runs": (2, parts, 2, 0), "lookup": (2, M.size, distinct, 0), "rows": (2, 2, 0, 300)}[path]
     if path == "runs":
         assert 6 * parts <= M.size
+
+
+def assert_same_lines(got: str, want: str):
+    """got == want, failing with the first differing line instead of a diff of megabytes."""
+    got, want = got.split("\n"), want.split("\n")
+    if got != want:
+        at = next((i for i, (g, w) in enumerate(zip(got, want)) if g != w), min(len(got), len(want)))
+        g, w = (lines[at] if at < len(lines) else "" for lines in (got, want))
+        c = len(os.path.commonprefix([g, w]))
+        pytest.fail(f"line {at + 1} of {len(got)} (want {len(want)}), character {c + 1}: "
+                    f"{g[max(0, c - 20):c + 20]!r} != {w[max(0, c - 20):c + 20]!r}")
+
+
+def assert_order_writes_its_matrix(order):
+    """A ranking that keeps `order` writes the texts of its dense permutation matrix, block by
+    block, and never builds its `entries`; returns the rows of each block."""
+    R = RankingDistribution.from_order(order)
+    M = _permutation_matrix(R.order)
+    config = {"fn": "opt", "n": M.shape[0]}
+    assert_same_lines(structured_text({"config": config, "ranking": R}), structured_text({"config": config, "ranking": M}))
+    assert_same_lines(table_text(R), table_text(M))
+
+    def blocks(M):
+        formats = (repr, lambda r: ",".join(map(repr, r)))
+        return ["".join(block) for block in _matrix_parts(M, ",", ";\n", lambda values: formats)]
+
+    texts, dense = blocks(R), blocks(M)
+    assert len(texts) == len(dense)
+    for text, want in zip(texts, dense):
+        assert_same_lines(text, want)
+    assert "entries" not in vars(R)
+    return [text.count(";\n") for text in texts[:-1]] + [texts[-1].count(";\n") + 1]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 40).flatmap(lambda n: st.permutations(range(n))))
+def test_order_writes_the_text_of_its_permutation_matrix(order):
+    assert_order_writes_its_matrix(np.array(order))
+
+
+@pytest.mark.parametrize("n, rows", [(1, [1]), (2, [2]), (300, [218, 82]), (1000, [65] * 15 + [25])],
+                         ids=["n1", "n2", "n300", "n1000"])
+@pytest.mark.parametrize("last", ["first", "last"])
+def test_order_at_fixed_sizes_writes_its_permutation_matrix(n, rows, last):
+    """The last row holds its 1.0 in column 0 or column n - 1, so the matrix ends with a run of
+    zeros or with the 1.0; n = 300 comes in blocks of 218 and 82 rows, n = 1000 in 16 blocks."""
+    order = np.random.default_rng(n).permutation(n)
+    k, column = int(np.flatnonzero(order == n - 1)[0]), 0 if last == "first" else n - 1
+    order[[k, column]] = order[[column, k]]
+    assert assert_order_writes_its_matrix(order) == rows
+
+
+@pytest.mark.parametrize("fmt", ["structured", "table"])
+def test_rank_opt_writes_the_dense_bytes_without_building_the_matrix(fmt, tmp_path, capsys, monkeypatch):
+    """`rank --fn opt` at n = 1000 writes, to stdout and to --out, the bytes of the 0/1 matrix of a
+    stable argsort of -tau written as a dense array, with `_permutation_matrix` refusing to run."""
+    p = tmp_path / "p1000.csv"
+    np.savetxt(p, np.random.default_rng(0).dirichlet(np.ones(5), size=1000), delimiter=",")
+    P = load_prediction_matrix(p)
+    order = np.argsort(-UtilitySpec.dcg(P.n, L=P.L).tau(P), kind="stable")
+    dense = np.zeros((P.n, P.n))
+    dense[order, np.arange(P.n)] = 1.0
+    argv = ["rank", "--fn", "opt", "--in", str(p), "--format", fmt]
+    spec = cli._MODES["rank"]
+    monkeypatch.setitem(cli._MODES, "rank", (*spec[:-1], lambda args: ("ranking", dense, None)))
+    expected = _report(argv, capsys)
+    monkeypatch.setitem(cli._MODES, "rank", spec)
+
+    def refuse(order):
+        raise AssertionError("rank --fn opt built its permutation matrix")
+
+    monkeypatch.setattr(types, "_permutation_matrix", refuse)
+    assert_same_lines(_report(argv, capsys).decode(), expected.decode())
+    dest = tmp_path / "report"
+    assert main([*argv, "--out", str(dest)]) == 0
+    assert capsys.readouterr().out == ""
+    assert_same_lines(dest.read_bytes().decode(), expected.decode())
 
 
 def _emitted(M, fmt: str, out) -> bytes:

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from uarank import PopulationModel, PredictionMatrix, RankingDistribution, UtilitySpec, ValidationError
+from uarank import types
 
 
 class TestPredictionMatrix:
@@ -92,6 +93,17 @@ class TestRankingDistribution:
     def test_from_order_refuses_a_non_permutation(self, order, message):
         with pytest.raises(ValidationError, match=message):
             RankingDistribution.from_order(np.array(order))
+
+    def test_repr_of_an_order_shows_the_order_and_builds_no_matrix(self, monkeypatch):
+        def refuse(order):
+            raise AssertionError("repr built the permutation matrix")
+
+        monkeypatch.setattr(types, "_permutation_matrix", refuse)
+        M = RankingDistribution.from_order(np.array([2, 0, 1]))
+        assert repr(M) == "RankingDistribution(order=array([2, 0, 1]))"
+        assert "entries" not in vars(M)
+        assert repr(RankingDistribution(np.eye(2))) == (
+            "RankingDistribution(entries=array([[1., 0.],\n       [0., 1.]]))")
 
     def test_accepts_entry_within_slack(self):
         m = np.eye(3)
