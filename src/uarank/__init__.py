@@ -34,7 +34,6 @@ from .rankers import (
     mix_rank,
     opt_rank,
     pl_rank,
-    pl_rank_exact,
     ua_rank,
     ua_rank_conditional,
     ua_rank_oracle,
@@ -68,7 +67,6 @@ __all__ = [
     "normalized_utility",
     "opt_rank",
     "pl_rank",
-    "pl_rank_exact",
     "stability_gap",
     "theorem_gap_estimate",
     "theorem_gap_exact",

@@ -289,7 +289,7 @@ def structured_parts(payload: dict) -> list:
     made, so a report that cannot be written writes nothing.  A ranking's
     cells are finite (its doubly stochastic check, or its order, makes them
     so), and a ranking that keeps its order is written from it, its `entries`
-    never built.
+    never built; a matrix takes `_matrix_parts`' lookup or rows path.
     """
     bulk = {k: v for k, v in payload.items() if isinstance(k, str) and (isinstance(v, RankingDistribution) or (
             isinstance(v, np.ndarray) and v.ndim == 2 and v.size and v.dtype == np.float64))}
@@ -378,30 +378,24 @@ def _matrix_parts(M, sep: str, row_sep: str, formats):
     `(cell, row)` for the values the path holds:
 
     - runs: for a ranking that keeps its order, whose rows hold a 1.0 between
-      runs of 0.0, from that order in O(n) without building `entries`; else
-      when the rows' runs of equal adjacent cells number at most a sixth of
-      the cells.  A run of k cells is a few references to shared strings of
-      its value: its cell and `sep` repeated 1, 2, 4, ... times for the bits
-      of k, or of k - 1 and then its cell and `row_sep` when it ends a row.
-      `values` are the runs' distinct values, and each string is built once
-      per value and size.  At 10^6 cells it ties the other paths where runs
-      are a quarter of the cells and is 16-36% faster where they are a sixth
-      (2-vCPU VM);
+      runs of 0.0, from that order in O(n) without building `entries`.  A run
+      of k cells is a few references to shared strings of its value: its cell
+      and `sep` repeated 1, 2, 4, ... times for the bits of k, or of k - 1 and
+      then its cell and `row_sep` when it ends a row.  `values` are the runs'
+      distinct values, and each string is built once per value and size;
     - lookup: else, when at most a quarter of the floats are distinct (`pl`
-      with s samples holds at most s + 1 values), `values` are the distinct
-      floats, gathered block by block, which stops past a quarter of the
-      cells.  Each is formatted once, and every cell is a reference to its
-      string, found with `np.searchsorted`;
+      with s samples holds at most s + 1 values, a 0/1 matrix two), `values`
+      are the distinct floats, gathered block by block, which stops past a
+      quarter of the cells.  Each is formatted once, and every cell is a
+      reference to its string, found with `np.searchsorted`;
     - rows: else (`ua`, `mix`), `values` is M, and each row is `row(r)` of the
       block's `tolist()`.
 
-    The runs of a dense M are found with one `!=` over adjacent columns per
-    block and counted before anything is allocated per run.  Runs and cells
-    reference shared strings rather than join their own: a thousand fresh
-    10 kB strings grow the malloc heap, and how much of it a later call finds
-    still held then varies from run to run.  Beside M, a call holds its runs'
-    starts (at most a sixth of the cells), the distinct values (at most a
-    quarter) and one block's arrays and text.
+    Runs and cells reference shared strings rather than join their own: a
+    thousand fresh 10 kB strings grow the malloc heap, and how much of it a
+    later call finds still held then varies from run to run.  Beside M, a
+    call holds the order's runs (at most 3n), or the distinct values (at most
+    a quarter of the cells), and one block's arrays and text.
     """
     order = M.order if isinstance(M, RankingDistribution) else None
     shape = (M.n, M.n) if isinstance(M, RankingDistribution) else M.shape
@@ -412,10 +406,6 @@ def _matrix_parts(M, sep: str, row_sep: str, formats):
         return
     M = np.ascontiguousarray(M.entries if isinstance(M, RankingDistribution) else M)
     keys = M.view(np.uint64)
-    first = _run_starts(keys, blocks)
-    if first is not None:
-        yield from _run_parts(shape, first, keys.ravel()[first], blocks, sep, row_sep, formats)
-        return
     distinct = _distinct_floats(keys, blocks)
     if distinct is not None:
         values = distinct.view(np.float64)
@@ -449,21 +439,6 @@ def _order_runs(order: np.ndarray) -> tuple:
     kept = np.stack([pos > 0, np.ones(n, dtype=bool), pos < n - 1], axis=1)
     bits = np.array([0.0, 1.0, 0.0]).view(np.uint64)
     return first[kept], np.broadcast_to(bits, kept.shape)[kept]
-
-
-def _run_starts(keys: np.ndarray, blocks: list) -> np.ndarray | None:
-    """The flat index of each run's first cell, or None once runs outnumber a sixth of the cells."""
-    # A run starts each row and wherever a cell differs from its left; column 0 stays True.
-    starts = np.ones((blocks[0][1], keys.shape[1]), dtype=bool)
-    first, count = [], 0
-    for lo, hi in blocks:
-        block = starts[: hi - lo]
-        np.not_equal(keys[lo:hi, 1:], keys[lo:hi, :-1], out=block[:, 1:])
-        count += np.count_nonzero(block)
-        if 6 * count > keys.size:
-            return None
-        first.append(np.flatnonzero(block) + lo * keys.shape[1])  # np.nonzero's two arrays cost 7x
-    return np.concatenate(first)
 
 
 def _distinct_floats(keys: np.ndarray, blocks: list) -> np.ndarray | None:
@@ -523,9 +498,9 @@ def table_parts(M) -> list:
     minimum's, or "-0.000000" when -0.0 is the only negative-signed entry; one
     `%{width}.6f` cell format then pads exactly as `f"{v:.6f}".rjust(width)`,
     applied by `_matrix_parts` once per distinct value or once per row.  The
-    width comes from the distinct values on the runs and lookup paths, and
-    from M's minimum and maximum on the rows path, with M's signs read only
-    when the minimum is zero.
+    width comes from the distinct values of an order's runs or of a matrix
+    with few of them, and else from M's minimum and maximum, with M's signs
+    read only when the minimum is zero.
     """
     if isinstance(M, RankingDistribution):
         columns = M.n

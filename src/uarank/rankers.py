@@ -1,11 +1,10 @@
 """Ranking functions: exact uncertainty-aware marginals (one leave-one-out
 Poisson-binomial kernel over a stack of labels), brute-force oracle,
-utility-optimal sort, mixtures, and Plackett-Luce (sampled and exact)."""
+utility-optimal sort, mixtures, and sampled Plackett-Luce."""
 
 from __future__ import annotations
 
 import functools
-import itertools
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -14,7 +13,6 @@ from .errors import BudgetExceededError, ValidationError
 from .types import PredictionMatrix, RankingDistribution, UtilitySpec
 
 ORACLE_BUDGET = 10**6
-PL_EXACT_MAX_N = 8
 # Matrix cells per UA kernel call (labels x matrices x n^2, beyond it one label per
 # call), per distribution in one audit chunk and keys per pl_rank block: memory flat
 # in n.  A kernel call sweeps both deconvolution passes at once only within half of it.
@@ -345,28 +343,6 @@ def pl_rank(P: PredictionMatrix, u: UtilitySpec, samples: int, seed: int) -> Ran
         done += keys.shape[0]
     counts /= samples
     return RankingDistribution(counts.reshape(n, n))
-
-
-def pl_rank_exact(P: PredictionMatrix, u: UtilitySpec) -> RankingDistribution:
-    """Exact Plackett-Luce marginals by summing over all n! permutations.
-
-    Sequential softmax model: position t is filled by remaining individual i
-    with probability exp(tau_i) / sum over remaining exp(tau_j).
-    """
-    n = P.n
-    if n > PL_EXACT_MAX_N:
-        raise BudgetExceededError(f"exact PL enumeration limited to n <= {PL_EXACT_MAX_N}, got {n}")
-    w = np.exp(u.tau(P))
-    M = np.zeros((n, n))
-    for perm in itertools.permutations(range(n)):
-        rem = w.sum()
-        prob = 1.0
-        for t, i in enumerate(perm):
-            prob *= w[i] / rem
-            rem -= w[i]
-        for t, i in enumerate(perm):
-            M[i, t] += prob
-    return RankingDistribution(M)
 
 
 class Ranker(NamedTuple):

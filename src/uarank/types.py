@@ -108,7 +108,7 @@ class PredictionMatrix:
         return PredictionMatrix(np.hstack([self.rows, np.zeros((self.n, 1))]))
 
 
-@dataclass(frozen=True, repr=False)
+@dataclass(frozen=True, repr=False, eq=False)
 class RankingDistribution:
     """Doubly stochastic n x n matrix; entries[i, k-1] = Pr[individual i gets rank k].
 
@@ -120,7 +120,10 @@ class RankingDistribution:
     individual at rank k; None for every other ranking) and builds its 0/1 `entries`
     on their first read, so code that needs only the order never builds the matrix:
     the report writers (`io.structured_parts`, `io.table_parts`) write the matrix
-    from the order, and the repr shows the order."""
+    from the order, and the repr shows the order.
+
+    Rankings compare and hash by identity, so `==` never reads a matrix;
+    `linf_gap` compares their values."""
 
     entries: np.ndarray
     order: np.ndarray | None = field(default=None, init=False)

@@ -18,7 +18,6 @@ from uarank import (
     multicalibration_alpha,
     opt_rank,
     pl_rank,
-    pl_rank_exact,
     stability_gap,
     theorem_gap_estimate,
     theorem_gap_exact,
@@ -28,6 +27,7 @@ from uarank import (
 )
 
 from conftest import eps_pair, random_prediction, random_population
+from reference import pl_rank_exact
 
 
 def report(num, name, ok):

@@ -1290,10 +1290,10 @@ def test_looked_up_rows_end_where_the_plain_rows_end(shape):
     ("opt", {}, True), ("pl", {"samples": 500, "seed": 1}, True), ("mix", {"phi": 0.5}, False), ("ua", {}, False),
 ], ids=["opt", "pl", "mix", "ua"])
 def test_rankings_at_n300_equal_the_plain_expressions(fn, params, looked_up):
-    """opt's matrix (2 values in rows of at most three runs) takes the runs path, as
-    `test_path_of_each_ranker_at_n300` checks; pl (at most 501 values) takes the lookup of
-    distinct values; mix and ua (nearly every entry distinct) take the row path.  `looked_up`
-    says whether at most a quarter of the cells are distinct."""
+    """opt's dense matrix (2 values) and pl (at most 501 values) take the lookup of distinct
+    values; mix and ua (nearly every entry distinct) take the row path.  `looked_up` says
+    whether at most a quarter of the cells are distinct.  opt's ranking itself, which keeps its
+    order, takes the runs path, as `test_path_of_each_ranker_at_n300` checks."""
     rows = np.random.default_rng(300).dirichlet(np.ones(3), size=300)
     M = compute_ranking(fn, PredictionMatrix(rows), u=UtilitySpec.dcg(300, L=3), **params).entries
     assert (4 * np.unique(M.view(np.uint64)).size <= M.size) == looked_up
@@ -1304,8 +1304,8 @@ def test_rankings_at_n300_equal_the_plain_expressions(fn, params, looked_up):
 # base), row-constant blocks and banded 0/x/0 rows, with a few cells overwritten.
 # The values put -0.0 beside 0.0 and the smallest subnormal into runs, and a run
 # that fills a row's end carries on into the next row whenever the two rows end
-# and start alike.  Runs fall on both sides of the sixth of the cells at which
-# the writers switch to the runs path.
+# and start alike.  At most six values fill them, so every matrix of 24 cells or
+# more takes the lookup.
 RUN_VALUES = st.sampled_from([0.0, -0.0, 5e-324, 1.0, 1.0 / 3.0, 0.5])
 
 
@@ -1340,7 +1340,7 @@ def test_long_runs_equal_the_plain_expressions(M):
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
 def test_non_finite_run_is_a_validation_error(bad):
     M = np.zeros((40, 40))
-    M[7, 3:30] = bad  # 42 runs in 1600 cells: the runs path
+    M[7, 3:30] = bad  # a run of 27 bad cells in 1600, refused before any path is taken
     with pytest.raises(ValidationError, match="^cannot write structured output: Out of range float values"):
         structured_text({"ranking": M})
 
@@ -1351,9 +1351,9 @@ def test_finite_cells_whose_sum_overflows_are_written():
 
 
 def count_paths(M):
-    """The row blocks `_matrix_parts` gives for M with counting `cell` and `row` callables, checked
-    against the plain text and to end at row ends: how many blocks, how many parts they hold, and
-    how often each callable was called."""
+    """The row blocks `_matrix_parts` gives for M, an array or a ranking, with counting `cell` and
+    `row` callables, checked against the plain text and to end at row ends: how many blocks, how
+    many parts they hold, and how often each callable was called."""
     calls = {"cell": 0, "row": 0}
 
     def cell(v):
@@ -1365,6 +1365,8 @@ def count_paths(M):
         return ",".join(map(repr, r))
 
     blocks = [list(block) for block in _matrix_parts(M, ",", ";\n", lambda values: (cell, row))]
+    if isinstance(M, RankingDistribution):
+        M = M.entries if M.order is None else _permutation_matrix(M.order)
     parts = sum(len(block) for block in blocks)
     blocks = ["".join(block) for block in blocks]
     assert "".join(blocks) == ";\n".join(",".join(map(repr, r)) for r in M.tolist())
@@ -1376,34 +1378,34 @@ def count_paths(M):
 
 @pytest.mark.parametrize("shape", [(1, 48), (48, 1)], ids=["1x48", "48x1"])
 def test_single_row_and_column(shape):
-    """A single row of three runs takes the runs path; a single column, whose every cell ends a
-    row and so starts a run, takes the lookup.  Each formats its three values once, in one block."""
+    """A single row of three runs and a single column, whose every cell ends a row, take the
+    lookup.  Each formats its three values once, in one block of one part per cell."""
     M = np.concatenate([np.zeros(20), np.full(8, 0.5), np.full(20, -0.0)]).reshape(shape)
     assert_writers_equal_plain(M, {"ranking": M, "config": {"n": shape[0]}})
-    # 1x48: 20 = 16 + 4 cells, 8 cells, then 19 = 16 + 2 + 1 cells and the last cell
-    assert count_paths(M) == ((1, 7, 3, 0) if shape[0] == 1 else (1, 48, 3, 0))
+    assert count_paths(M) == (1, 48, 3, 0)
 
 
 @pytest.mark.parametrize("fn, params", [
     ("opt", {}), ("pl", {"samples": 500, "seed": 1}), ("mix", {"phi": 0.5}), ("ua", {}),
 ], ids=["opt", "pl", "mix", "ua"])
 def test_path_of_each_ranker_at_n300(fn, params):
-    """opt's rows of at most three runs take the runs path (two values formatted once, far fewer
-    parts than cells); pl's short runs of few values the lookup (one part per cell, each distinct
-    value formatted once); ua and mix, nearly every entry distinct, the row path (one row string
-    per row, one part per block).  The 9 * 10^4 cells come in two blocks of 218 and 82 rows."""
+    """Each ranking written as `cli._emit` hands it over.  opt, which keeps its order, takes the
+    runs path from it (two values formatted once, far fewer parts than cells, no matrix built);
+    pl's few values the lookup (one part per cell, each distinct value formatted once); ua and
+    mix, nearly every entry distinct, the row path (one row string per row, one part per block).
+    The 9 * 10^4 cells come in two blocks of 218 and 82 rows."""
     rows = np.random.default_rng(300).dirichlet(np.ones(3), size=300)
-    M = compute_ranking(fn, PredictionMatrix(rows), u=UtilitySpec.dcg(300, L=3), **params).entries
-    keys = M.view(np.uint64)
-    starts, distinct = M.shape[0] + np.count_nonzero(keys[:, 1:] != keys[:, :-1]), np.unique(keys).size
+    R = compute_ranking(fn, PredictionMatrix(rows), u=UtilitySpec.dcg(300, L=3), **params)
+    M = R.entries if R.order is None else _permutation_matrix(R.order)
+    distinct = np.unique(M.view(np.uint64)).size
     path = {"opt": "runs", "pl": "lookup"}.get(fn, "rows")
-    assert (6 * starts <= M.size, 4 * distinct <= M.size) == {
+    assert (R.order is not None, 4 * distinct <= M.size) == {
         "runs": (True, True), "lookup": (False, True), "rows": (False, False)}[path]
-    blocks, parts, cells, row_calls = count_paths(M)
+    blocks, parts, cells, row_calls = count_paths(R)
     assert (blocks, parts, cells, row_calls) == {
         "runs": (2, parts, 2, 0), "lookup": (2, M.size, distinct, 0), "rows": (2, 2, 0, 300)}[path]
     if path == "runs":
-        assert 6 * parts <= M.size
+        assert 6 * parts <= M.size and "entries" not in vars(R)
 
 
 def assert_same_lines(got: str, want: str):
@@ -1483,6 +1485,20 @@ def test_rank_opt_writes_the_dense_bytes_without_building_the_matrix(fmt, tmp_pa
     assert_same_lines(dest.read_bytes().decode(), expected.decode())
 
 
+@pytest.mark.parametrize("n", [37, 300])
+def test_rank_mix_phi_0_writes_the_bytes_of_rank_opt(n, tmp_path, capsys):
+    """`rank --fn mix --phi 0` holds opt's 0/1 matrix as a dense array, which takes the lookup,
+    and `rank --fn opt` writes it from its order on the runs path: the tables are the same bytes,
+    and the structured reports hold the same "ranking" beside their own config blocks."""
+    p = tmp_path / "p.csv"
+    np.savetxt(p, np.random.default_rng(n).dirichlet(np.ones(3), size=n), delimiter=",")
+    mix, opt = (["rank", "--fn", *fn, "--in", str(p)] for fn in (["mix", "--phi", "0"], ["opt"]))
+    assert_same_lines(_report(mix, capsys).decode(), _report(opt, capsys).decode())
+    mixed, ordered = (json.loads(_report([*argv, "--format", "structured"], capsys)) for argv in (mix, opt))
+    assert mixed["ranking"] == ordered["ranking"] and len(ordered["ranking"]) == n
+    assert mixed["config"] != ordered["config"]
+
+
 def _emitted(M, fmt: str, out) -> bytes:
     """The bytes `cli._emit` writes for a `rank` result holding M, to the file `out` or, if None, to stdout."""
     args = argparse.Namespace(command="rank", format=fmt, out=None if out is None else str(out))
@@ -1497,9 +1513,9 @@ def _emitted(M, fmt: str, out) -> bytes:
 @settings(max_examples=60, deadline=None)
 @given(M=st.one_of(long_runs(), FEW_DISTINCT, MATRICES))
 def test_row_blocks_of_one_to_three_rows_join_to_the_whole_text(rows, M, tmp_path_factory):
-    """With blocks of one, two or three rows, long runs (the runs path), few distinct values (the
-    lookup) and arbitrary cells (the rows path) give the plain texts, joined whole and as
-    `_emit` writes them to --out and to stdout block by block."""
+    """With blocks of one, two or three rows, long runs and few distinct values (the lookup) and
+    arbitrary cells (the rows path) give the plain texts, joined whole and as `_emit` writes
+    them to --out and to stdout block by block."""
     out = tmp_path_factory.mktemp("blocks") / "report"
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(rankers, "_CHUNK_CELLS", rows * max(1, M.shape[1]))
@@ -1512,10 +1528,10 @@ def test_row_blocks_of_one_to_three_rows_join_to_the_whole_text(rows, M, tmp_pat
 
 
 @pytest.mark.parametrize("M", [
-    np.where(np.arange(300)[:, None] == np.arange(300), 1.0, 0.0),  # runs
+    np.where(np.arange(300)[:, None] == np.arange(300), 1.0, 0.0),  # a dense opt ranking's two values: lookup
     np.resize(np.arange(1, 301) / 300, (300, 300)),  # 300 values, each row all of them: lookup
     np.random.default_rng(4).random((300, 300)),  # rows
-], ids=["runs", "lookup", "rows"])
+], ids=["identity", "lookup", "rows"])
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
 def test_non_finite_last_cell_writes_nothing(M, bad, tmp_path, capsys, monkeypatch):
     """A non-finite cell in the last row block is refused before the first byte: an existing --out

@@ -16,7 +16,6 @@ from uarank import (
     mix_rank,
     opt_rank,
     pl_rank,
-    pl_rank_exact,
     ua_rank,
     ua_rank_conditional,
     ua_rank_oracle,
@@ -27,6 +26,7 @@ from uarank import rankers
 from uarank.rankers import RANKERS, checked_ranker
 
 from conftest import random_prediction
+from reference import pl_rank_exact
 
 
 def u_linear(n, L):

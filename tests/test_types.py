@@ -105,6 +105,20 @@ class TestRankingDistribution:
         assert repr(RankingDistribution(np.eye(2))) == (
             "RankingDistribution(entries=array([[1., 0.],\n       [0., 1.]]))")
 
+    def test_rankings_compare_and_hash_by_identity(self, monkeypatch):
+        """`==` of two equal orders is False and builds no matrix; `linf_gap` compares their values."""
+        def refuse(order):
+            raise AssertionError("== built the permutation matrix")
+
+        monkeypatch.setattr(types, "_permutation_matrix", refuse)
+        R, S = (RankingDistribution.from_order(np.array([2, 0, 1])) for _ in range(2))
+        assert R == R and R != S
+        assert R.linf_gap(S) == 0.0
+        assert "entries" not in vars(R) and "entries" not in vars(S)
+        D = RankingDistribution(np.eye(3))
+        assert D == D and D != RankingDistribution(np.eye(3))
+        assert len({R, S, D, R}) == 3 and hash(R) == hash(R)
+
     def test_accepts_entry_within_slack(self):
         m = np.eye(3)
         m[1, 2] = -1e-12  # -3e-12 is refused: TestCheckMessages
