@@ -32,7 +32,8 @@ def load_prediction_matrix(path) -> PredictionMatrix:
     numpy's C reader parses the text; it converts each cell as float() does, bit
     for bit.  A text it refuses (a ragged row, an unparsable or blank row, a lone
     CR line end, a cell such as `1_0` that float() takes) and one whose first line
-    holds a lone CR or a quote take the csv module, which parses or names the cell.
+    holds a lone CR or a quote take the csv module, whose records float() parses
+    cell by cell, naming the first ragged row or bad cell.
     """
     path = Path(path)
     text = _read_text(path, newline="")  # both readers split lines themselves, keeping quoted newlines
@@ -74,11 +75,7 @@ def _parse_csv(path: Path, text: str) -> np.ndarray:
         records = records[1:]
         if not records:
             raise ValidationError(f"{path}: header but no data rows")
-
-    try:  # numpy parses str cells as float() does; a ragged or unparsable file takes the loop below
-        return np.array(records, dtype=np.float64)
-    except ValueError:
-        return _parse_cells(path, records)
+    return _parse_cells(path, records)
 
 
 def _read_text(path: Path, newline: str | None = None) -> str:
@@ -277,36 +274,24 @@ def structured_parts(payload: dict) -> list:
     """Deterministic JSON for audit artifacts, as `write_report` takes it: the
     text of `json.dumps(payload, sort_keys=True, indent=2)` with numpy values
     as lists, and a newline, given as texts and, in the place of each
-    `RankingDistribution` (as its `entries`) and each nonempty float64 2-d
-    array at the top level, `_matrix_parts`' iterator over its row blocks.
+    `RankingDistribution` at the top level (as its `entries`),
+    `_matrix_parts`' iterator over its row blocks.
 
     `indent` forces json's pure-Python encoder, so `json.dumps` writes such a
-    matrix as null and the blocks lay it out as `indent=2` lays it out.  A
+    ranking as null and the blocks lay it out as `indent=2` lays it out.  A
     cell is its `float.__repr__` from json's C encoder, as the pure-Python
-    encoder writes it.  Every other array, integer and bool ones too, takes
-    json's own path through `_json_default`.  JSON has no NaN or infinity: a
-    payload holding one is a ValidationError, raised here, before any block is
-    made, so a report that cannot be written writes nothing.  A ranking's
-    cells are finite (its doubly stochastic check, or its order, makes them
-    so), and a ranking that keeps its order is written from it, its `entries`
-    never built; a matrix takes `_matrix_parts`' lookup or rows path.
+    encoder writes it.  Every other value, arrays too, takes json's own path
+    through `_json_default`.  JSON has no NaN or infinity: a payload holding
+    one is a ValidationError, raised here, before any block is made, so a
+    report that cannot be written writes nothing.  A ranking's cells are
+    finite by construction (its doubly stochastic check, or its order, makes
+    them so).
     """
-    bulk = {k: v for k, v in payload.items() if isinstance(k, str) and (isinstance(v, RankingDistribution) or (
-            isinstance(v, np.ndarray) and v.ndim == 2 and v.size and v.dtype == np.float64))}
+    bulk = {k: v for k, v in payload.items() if isinstance(k, str) and isinstance(v, RankingDistribution)}
     cells = json.JSONEncoder(separators=(",\n      ", ":"), allow_nan=False)
     try:
         rest = json.dumps({**payload, **dict.fromkeys(bulk)}, sort_keys=True, indent=2,
                           default=_json_default, allow_nan=False) + "\n"
-        for M in bulk.values():
-            if isinstance(M, RankingDistribution):
-                continue
-            # A NaN or infinite cell makes the sum non-finite, so one reduction that allocates
-            # nothing finds it; only then are the cells gathered (a sum that merely overflows
-            # gathers none and passes).
-            with np.errstate(over="ignore", invalid="ignore"):
-                finite = np.isfinite(M.sum())
-            if not finite:
-                cells.encode(M[~np.isfinite(M)].tolist())  # json's own error for the value
     except ValueError as exc:
         raise ValidationError(f"cannot write structured output: {exc}") from None
 
@@ -365,46 +350,41 @@ def _json_default(obj):
     raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
-def _matrix_parts(M, sep: str, row_sep: str, formats):
-    """Yield the text of M, a nonempty float64 2-d array or a
-    `RankingDistribution`'s `entries`, in blocks of max(1, _CHUNK_CELLS // n)
-    whole rows, n the columns: 2^16 cells, the kernel's and the audits' chunk.
-    A block comes as a list of strings that `write_report` joins.  The text is
-    the cells `cell(v)` of each cell's value `v`, each followed by `sep`, or
-    by `row_sep` at the end of a row but the last; a block ends at a row end,
-    so its text ends with `row_sep` unless it is the last.  Cells are equal
-    when their float64 bits are, so 0.0 and -0.0 stay apart, and before its
-    first block the text takes one of three paths, `formats(values)` giving
-    `(cell, row)` for the values the path holds:
+def _matrix_parts(R: RankingDistribution, sep: str, row_sep: str, formats):
+    """Yield the text of the ranking R's `entries` in blocks of
+    max(1, _CHUNK_CELLS // n) whole rows: 2^16 cells, the kernel's and the
+    audits' chunk.  A block comes as a list of strings that `write_report`
+    joins.  The text is the cells `cell(v)` of each cell's value `v`, each
+    followed by `sep`, or by `row_sep` at the end of a row but the last; a
+    block ends at a row end, so its text ends with `row_sep` unless it is the
+    last.  Cells are equal when their float64 bits are, so 0.0 and -0.0 stay
+    apart, and before its first block the text takes one of three paths,
+    `formats(values)` giving `(cell, row)` for the values the path holds:
 
-    - runs: for a ranking that keeps its order, whose rows hold a 1.0 between
-      runs of 0.0, from that order in O(n) without building `entries`.  A run
-      of k cells is a few references to shared strings of its value: its cell
-      and `sep` repeated 1, 2, 4, ... times for the bits of k, or of k - 1 and
-      then its cell and `row_sep` when it ends a row.  `values` are the runs'
-      distinct values, and each string is built once per value and size;
+    - order: for a ranking that keeps its order (`opt`, `min`), whose rows
+      hold a 1.0 among 0.0s, from that order in O(n) without building
+      `entries` (`_order_parts`); `values` are 0.0 and 1.0;
     - lookup: else, when at most a quarter of the floats are distinct (`pl`
-      with s samples holds at most s + 1 values, a 0/1 matrix two), `values`
+      with s samples holds at most s + 1 values, `mix --phi 0` two), `values`
       are the distinct floats, gathered block by block, which stops past a
       quarter of the cells.  Each is formatted once, and every cell is a
       reference to its string, found with `np.searchsorted`;
-    - rows: else (`ua`, `mix`), `values` is M, and each row is `row(r)` of the
-      block's `tolist()`.
+    - rows: else (`ua`, `mix`, `oracle`), `values` is `entries`, and each
+      row is `row(r)` of the block's `tolist()`.
 
-    Runs and cells reference shared strings rather than join their own: a
-    thousand fresh 10 kB strings grow the malloc heap, and how much of it a
-    later call finds still held then varies from run to run.  Beside M, a
-    call holds the order's runs (at most 3n), or the distinct values (at most
-    a quarter of the cells), and one block's arrays and text.
+    Cells reference shared strings rather than join their own: a thousand
+    fresh 10 kB strings grow the malloc heap, and how much of it a later call
+    finds still held then varies from run to run.  Beside `entries` or the
+    order, a call holds the distinct values (at most a quarter of the cells)
+    or the order's inverse, and one block's arrays and text.
     """
-    order = M.order if isinstance(M, RankingDistribution) else None
-    shape = (M.n, M.n) if isinstance(M, RankingDistribution) else M.shape
-    step = max(1, rankers._CHUNK_CELLS // shape[1])
-    blocks = [(lo, min(lo + step, shape[0])) for lo in range(0, shape[0], step)]
-    if order is not None:
-        yield from _run_parts(shape, *_order_runs(order), blocks, sep, row_sep, formats)
+    n = R.n
+    step = max(1, rankers._CHUNK_CELLS // n)
+    blocks = [(lo, min(lo + step, n)) for lo in range(0, n, step)]
+    if R.order is not None:
+        yield from _order_parts(R.order, blocks, sep, row_sep, formats)
         return
-    M = np.ascontiguousarray(M.entries if isinstance(M, RankingDistribution) else M)
+    M = np.ascontiguousarray(R.entries)
     keys = M.view(np.uint64)
     distinct = _distinct_floats(keys, blocks)
     if distinct is not None:
@@ -415,30 +395,41 @@ def _matrix_parts(M, sep: str, row_sep: str, formats):
         for lo, hi in blocks:
             at = np.searchsorted(distinct, keys[lo:hi])
             at[:, -1] += distinct.size  # a row's last cell ends with row_sep,
-            if hi == M.shape[0]:
+            if hi == n:
                 at[-1, -1] += distinct.size  # and the matrix's last cell with nothing
             yield ends[at].ravel().tolist()
         return
     _, row = formats(M)
     for lo, hi in blocks:
         rows = [row(r) for r in M[lo:hi].tolist()]
-        if hi < M.shape[0]:
+        if hi < n:
             rows.append("")  # the block ends with row_sep
         yield [row_sep.join(rows)]
 
 
-def _order_runs(order: np.ndarray) -> tuple:
-    """The flat index of each run's first cell and the run's float64 bits, in
-    cell order, of the 0/1 matrix with a 1.0 at [order[k], k]: row i is 0.0
-    before column pos[i], 1.0 there and 0.0 after it, pos the inverse of order."""
+def _order_parts(order: np.ndarray, blocks: list, sep: str, row_sep: str, formats):
+    """`_matrix_parts`' order path: the 0/1 matrix with a 1.0 at [order[k], k], whose row i is
+    pos[i] zero cells, the 1.0, then n - 1 - pos[i] zero cells, pos the inverse of order.  A row
+    is references to B + 3 strings that every block shares, B = (n - 1).bit_length(): its zeros
+    before the 1.0 and those after it but the last as (zero + sep) * 2^j for the bits j of their
+    count, the 1.0 with `sep`, or with `row_sep` when it ends the row, and else zero + row_sep."""
     n = order.size
     pos = np.empty(n, dtype=np.intp)
     pos[order] = np.arange(n)
-    row = np.arange(0, n * n, n)
-    first = np.stack([row, row + pos, row + pos + 1], axis=1)
-    kept = np.stack([pos > 0, np.ones(n, dtype=bool), pos < n - 1], axis=1)
-    bits = np.array([0.0, 1.0, 0.0]).view(np.uint64)
-    return first[kept], np.broadcast_to(bits, kept.shape)[kept]
+    zero, one = map(formats(np.array([0.0, 1.0]))[0], (0.0, 1.0))
+    B = (n - 1).bit_length()
+    shared = np.array([(zero + sep) * (1 << j) for j in range(B)] + [one + sep, one + row_sep, zero + row_sep],
+                      dtype=object)
+    bits = 1 << np.arange(B)
+    piece = np.r_[:B, B, B + 1, :B, B + 2]  # the shared string of each column of a block's mask
+    for lo, hi in blocks:
+        p = pos[lo:hi, None]
+        ends = p == n - 1
+        mask = np.hstack([(p & bits) > 0, ~ends, ends, (np.maximum(n - 2 - p, 0) & bits) > 0, ~ends])
+        parts = shared[piece[np.nonzero(mask)[1]]].tolist()
+        if hi == n:
+            parts[-1] = one if ends[-1, 0] else zero  # the matrix's last cell ends with nothing
+        yield parts
 
 
 def _distinct_floats(keys: np.ndarray, blocks: list) -> np.ndarray | None:
@@ -452,69 +443,26 @@ def _distinct_floats(keys: np.ndarray, blocks: list) -> np.ndarray | None:
     return distinct
 
 
-def _run_parts(shape: tuple, first: np.ndarray, run_keys: np.ndarray, blocks: list, sep: str, row_sep: str,
-               formats):
-    """`_matrix_parts`' runs path, block by block, for a matrix of `shape` whose runs start at the
-    flat indices `first` and hold the float64 bits `run_keys`."""
-    n = shape[1]
-    distinct, value = np.unique(run_keys, return_inverse=True)
-    values = distinct.view(np.float64)
-    cell, _ = formats(values)
-    text = [cell(v) for v in values.tolist()]
-    length = np.diff(first, append=shape[0] * n)
-    ends_row = (first + length) % n == 0  # runs stop at row ends
-    reps = length - ends_row
-    # Piece j < B of a value is its cell and sep repeated 2^j times, piece B its cell and row_sep.
-    B = int(reps.max()).bit_length()
-    shared = np.empty(len(text) * (B + 1), dtype=object)
-    made = np.zeros(shared.size, dtype=bool)
-    for a, b in np.searchsorted(first, [(lo * n, hi * n) for lo, hi in blocks]).tolist():
-        piece = np.empty((b - a, B + 1), dtype=bool)
-        piece[:, :B] = (reps[a:b, None] >> np.arange(B)) & 1
-        piece[:, B] = ends_row[a:b]
-        run, j = np.nonzero(piece)
-        ids = value[a + run] * (B + 1) + j  # run by run, the row end last
-        fresh = np.unique(ids[~made[ids]])
-        made[fresh] = True
-        for i in fresh.tolist():
-            v, j = divmod(i, B + 1)
-            shared[i] = (text[v] + sep) * (1 << j) if j < B else text[v] + row_sep
-        parts = shared[ids].tolist()
-        if b == first.size:
-            parts[-1] = text[value[-1]]  # the matrix's last cell ends with nothing
-        yield parts
-
-
-def table_parts(M) -> list:
-    """The table report `rank` writes, as `write_report` takes it: M, a
-    `RankingDistribution` (as its `entries`) or an array, as an aligned
-    human-readable table of finite float64 entries, six decimals per cell, in
-    row blocks, then a newline.  An empty or non-2-d array is a
-    ValidationError naming its shape.  A ranking that keeps its order is
-    written from it, its `entries` never built.
+def table_parts(R: RankingDistribution) -> list:
+    """The table report `rank` writes, as `write_report` takes it: the ranking
+    R's `entries` as an aligned human-readable table, six decimals per cell,
+    in row blocks, then a newline.  A ranking that keeps its order is written
+    from it, its `entries` never built.
 
     Every cell is right-aligned to the widest `.6f` cell.  Within one sign that
     length grows with |v|, so the widest cell is the maximum's or the
     minimum's, or "-0.000000" when -0.0 is the only negative-signed entry; one
     `%{width}.6f` cell format then pads exactly as `f"{v:.6f}".rjust(width)`,
     applied by `_matrix_parts` once per distinct value or once per row.  The
-    width comes from the distinct values of an order's runs or of a matrix
-    with few of them, and else from M's minimum and maximum, with M's signs
-    read only when the minimum is zero.
+    width comes from 0.0 and 1.0 for an order, from the distinct values of a
+    matrix with few of them, and else from its minimum and maximum, with its
+    signs read only when the minimum is zero.
     """
-    if isinstance(M, RankingDistribution):
-        columns = M.n
-    else:
-        M = np.asarray(M, dtype=np.float64)
-        if M.ndim != 2 or not M.size:
-            raise ValidationError(f"cannot write a table of shape {M.shape}: it needs rows and columns")
-        columns = M.shape[1]
-
     def formats(values):
         lo, hi = values.min(), values.max()
         ends = (lo, hi, -0.0 if lo == 0 and np.signbit(values).any() else 0.0)
         cell = f"%{max(len(f'{v:.6f}') for v in ends)}.6f"
-        row = "  ".join([cell] * columns)
+        row = "  ".join([cell] * R.n)
         return cell.__mod__, lambda r: row % tuple(r)
 
-    return [_matrix_parts(M, "  ", "\n", formats), "\n"]
+    return [_matrix_parts(R, "  ", "\n", formats), "\n"]

@@ -119,8 +119,9 @@ class RankingDistribution:
     A deterministic ranking made by `from_order` keeps its `order` (order[k-1] is the
     individual at rank k; None for every other ranking) and builds its 0/1 `entries`
     on their first read, so code that needs only the order never builds the matrix:
-    the report writers (`io.structured_parts`, `io.table_parts`) write the matrix
-    from the order, and the repr shows the order.
+    the repr shows the order, and the report writers (`io.structured_parts`,
+    `io.table_parts`), which take rankings, not arrays, write the matrix from
+    the order.  Every other ranking they write from its `entries`.
 
     Rankings compare and hash by identity, so `==` never reads a matrix;
     `linf_gap` compares their values."""

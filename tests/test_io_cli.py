@@ -1187,8 +1187,8 @@ class TestSerializeStructured:
     @pytest.mark.parametrize("payload", [
         {"x": float("inf")},
         {"outer": {"nan": np.float64("nan")}},
-        {"ranking": np.diag([1.0, 1.0, -np.inf, 1.0])},  # three distinct in 16 cells: looked up
-        {"ranking": np.array([[0.1, np.nan], [0.3, 0.4]])},  # all distinct: cell by cell
+        {"ranking": np.diag([1.0, 1.0, -np.inf, 1.0])},  # arrays, not rankings: json writes them itself
+        {"ranking": np.array([[0.1, np.nan], [0.3, 0.4]])},
     ], ids=["float", "nested", "few-distinct", "all-distinct"])
     def test_non_finite_is_a_validation_error(self, payload):
         with pytest.raises(ValidationError, match="^cannot write structured output: Out of range float values"):
@@ -1199,35 +1199,28 @@ class TestFormatMatrix:
     def test_negative_zero_cell_widens_every_column(self):
         # -1e-13 lies inside the ranking distribution's 1e-12 entry slack.
         R = RankingDistribution(np.array([[1.0, -1e-13, 1e-13], [0.0, 0.5, 0.5], [0.0, 0.5, 0.5]]))
-        assert table_text(R.entries) == (
+        assert table_text(R) == (
             " 1.000000  -0.000000   0.000000\n"
             " 0.000000   0.500000   0.500000\n"
             " 0.000000   0.500000   0.500000\n"
         )
 
     def test_signed_zero_alone(self):
-        assert table_text(np.array([[0.0, -0.0]])) == " 0.000000  -0.000000\n"
+        R = RankingDistribution(np.array([[1.0, -0.0], [0.0, 1.0]]))
+        assert table_text(R) == " 1.000000  -0.000000\n 0.000000   1.000000\n"
 
     def test_one_by_one(self, tmp_path, capsys):
-        assert table_text(np.array([[1.0]])) == "1.000000\n"
+        assert table_text(RankingDistribution(np.array([[1.0]]))) == "1.000000\n"
+        assert table_text(RankingDistribution.from_order([0])) == "1.000000\n"
         p = tmp_path / "one.csv"
         p.write_text("0.3,0.7\n")
         assert main(["rank", "--in", str(p)]) == 0
         assert capsys.readouterr().out == "1.000000\n"
 
-    def test_cell_of_ten_or_more_widens_the_columns(self):
-        assert table_text(np.array([[12.5, 0.25], [3.0, 1.0]])) == "12.500000   0.250000\n 3.000000   1.000000\n"
-        assert table_text(np.array([[-123.0, 0.0]])) == "-123.000000     0.000000\n"
 
-    @pytest.mark.parametrize("shape", [(0, 3), (3, 0), (3,)], ids=["0x3", "3x0", "1-d"])
-    def test_empty_or_one_dimensional_matrix_is_a_validation_error(self, shape):
-        with pytest.raises(ValidationError, match=re.escape(f"cannot write a table of shape {shape}")):
-            table_parts(np.zeros(shape))
-
-
-# Matrices for the output-layer properties: the float cases the writers must
-# reproduce (signed zero, the smallest subnormal, non-terminating binaries)
-# beside integers and arbitrary finite floats.
+# Matrices for structured_parts' arrays, which json writes itself: the float cases
+# (signed zero, the smallest subnormal, non-terminating binaries) beside integers
+# and arbitrary finite floats.
 MATRICES = st.one_of(
     arrays(np.float64, array_shapes(min_dims=2, max_dims=2, min_side=0, max_side=6),
            elements=st.one_of(st.sampled_from([-0.0, 5e-324, 0.1, 1.0 / 3.0, 1.0]),
@@ -1237,9 +1230,7 @@ MATRICES = st.one_of(
 )
 
 
-# Matrices of at most three distinct values, up to 20x20: when at most a quarter
-# of the cells are distinct the writers format each value once and look it up,
-# otherwise cell by cell, so this strategy reaches both sides of that rule.
+# Matrices of at most three distinct values, up to 20x20.
 FEW_DISTINCT = st.lists(
     st.one_of(st.sampled_from([0.0, -0.0, 5e-324, 1.0 / 3.0, 1.0]), st.floats(allow_nan=False, allow_infinity=False)),
     min_size=1, max_size=3,
@@ -1247,100 +1238,139 @@ FEW_DISTINCT = st.lists(
                               elements=st.sampled_from(pool)))
 
 
-def assert_writers_equal_plain(M, payload):
-    """Both writers give the bytes of the plain expressions they replace, compared
-    line by line: a failure names the first differing line instead of diffing megabytes."""
-    plain = json.dumps(payload, sort_keys=True, indent=2, default=lambda o: o.tolist()) + "\n"
-    assert structured_text(payload).split("\n") == plain.split("\n")
-    if not M.size:  # a table needs a cell
-        return
-    cells = [[f"{v:.6f}" for v in row] for row in M]
+def with_signed_zeros(draw, M):
+    """M with a few of its 0.0 cells drawn to -0.0 or the smallest subnormal, which the
+    doubly stochastic check admits."""
+    zeros = np.argwhere(M == 0)
+    for _ in range(draw(st.integers(0, 3)) if zeros.size else 0):
+        M[tuple(zeros[draw(st.integers(0, len(zeros) - 1))])] = draw(st.sampled_from([-0.0, 5e-324]))
+    return M
+
+
+@st.composite
+def rankings(draw):
+    """A ranking that keeps its order, or a mixture of one to n + 2 permutation matrices up to
+    20x20: weights from a pool of a few values give few distinct cells (the lookup), arbitrary
+    weights on small n nearly all distinct (the rows path)."""
+    n = draw(st.integers(1, 20))
+    if draw(st.booleans()):
+        return RankingDistribution.from_order(draw(st.permutations(range(n))))
+    weight = st.one_of(st.sampled_from([1.0, 0.5, 1.0 / 3.0]), st.floats(1e-3, 1.0))
+    weights = np.array(draw(st.lists(weight, min_size=1, max_size=n + 2)))
+    M = np.zeros((n, n))
+    for w in weights / weights.sum():
+        M[np.arange(n), draw(st.permutations(range(n)))] += w
+    return RankingDistribution(with_signed_zeros(draw, M))
+
+
+def plain_structured(payload) -> str:
+    """`json.dumps` of the payload, arrays and rankings (as their `entries`) as lists."""
+    return json.dumps(payload, sort_keys=True, indent=2, default=lambda o: getattr(o, "entries", o).tolist()) + "\n"
+
+
+def assert_writers_equal_plain(R, payload):
+    """Both writers give the bytes of the plain expressions they replace for the ranking R,
+    compared line by line: a failure names the first differing line instead of diffing megabytes."""
+    structured, table = structured_text(payload), table_text(R)
+    assert structured.split("\n") == plain_structured(payload).split("\n")
+    cells = [[f"{v:.6f}" for v in row] for row in R.entries]
     width = max(len(c) for row in cells for c in row)
-    assert table_text(M).split("\n") == ["  ".join(c.rjust(width) for c in row) for row in cells] + [""]
+    assert table.split("\n") == ["  ".join(c.rjust(width) for c in row) for row in cells] + [""]
+
+
+@settings(max_examples=400, deadline=None)
+@given(rankings())
+def test_writers_equal_the_plain_expressions(R):
+    M = _permutation_matrix(R.order) if R.order is not None else R.entries
+    payload = {"ranking": R, "config": {"fn": "ua", "n": R.n}, "diagonal": np.diagonal(M),
+               "peak": M.max(), "nested": {"matrix": M}, "transposed": M.T}
+    assert_writers_equal_plain(R, payload)
 
 
 @settings(max_examples=400, deadline=None)
 @given(st.one_of(MATRICES, FEW_DISTINCT))
-def test_writers_equal_the_plain_expressions(M):
-    payload = {"ranking": M, "config": {"fn": "ua", "n": M.shape[0]}, "diagonal": np.diagonal(M),
+def test_structured_arrays_equal_json_dumps(M):
+    """An array, which is not a ranking, takes json's own path wherever it sits."""
+    payload = {"matrix": M, "config": {"n": M.shape[0]}, "diagonal": np.diagonal(M),
                "peak": M.max(initial=0), "nested": {"matrix": M}, "transposed": M.T}
-    assert_writers_equal_plain(M, payload)
+    assert structured_text(payload).split("\n") == plain_structured(payload).split("\n")
 
 
 def test_signed_zeros_keep_their_sign_in_both_writers():
-    M = np.zeros((8, 8))
+    M = 0.5 * np.eye(8) + 0.5 * np.roll(np.eye(8), 1, axis=1)
     M[2, 5] = M[6, 1] = -0.0
-    M[0, 0] = 0.5  # three distinct bit patterns in 64 cells: each is formatted once
-    assert_writers_equal_plain(M, {"ranking": M})
-    rows = json.loads(structured_text({"ranking": M}))["ranking"]
+    R = RankingDistribution(M)  # three distinct bit patterns in 64 cells: each is formatted once
+    assert_writers_equal_plain(R, {"ranking": R})
+    rows = json.loads(structured_text({"ranking": R}))["ranking"]
     assert [(i, j) for i, row in enumerate(rows) for j, v in enumerate(row) if np.signbit(v)] == [(2, 5), (6, 1)]
-    table = [line.split() for line in table_text(M).splitlines()]
+    table = [line.split() for line in table_text(R).splitlines()]
     assert [(i, j) for i, row in enumerate(table) for j, c in enumerate(row) if c == "-0.000000"] == [(2, 5), (6, 1)]
 
 
-@pytest.mark.parametrize("shape", [(1, 8), (8, 1), (2, 4), (4, 2)], ids=["1x8", "8x1", "2x4", "4x2"])
-def test_looked_up_rows_end_where_the_plain_rows_end(shape):
-    """The lookup path marks a row's last cell and the matrix's last cell apart;
-    a single row or column puts both marks on one row or on every row."""
-    M = np.resize([0.5, 0.0, 0.0, 0.5], shape)  # two distinct values in eight cells
-    assert_writers_equal_plain(M, {"ranking": M, "config": {"n": shape[0]}})
+@pytest.mark.parametrize("rows, n", [(1, 8), (2, 4), (3, 4), (2, 2)], ids=["1x8", "2x4", "3x4", "2x2"])
+def test_looked_up_rows_end_where_the_plain_rows_end(rows, n, monkeypatch):
+    """The lookup path marks a row's last cell and the matrix's last cell apart in each block's
+    `rows` x n array of cells; a block of one row puts both marks on one row, a last block
+    shorter than the others ends the matrix mid-step, and n = 2 holds one value."""
+    monkeypatch.setattr(rankers, "_CHUNK_CELLS", rows * n)
+    R = RankingDistribution(0.5 * np.eye(n) + 0.5 * np.roll(np.eye(n), 1, axis=1))  # 0.5 and 0.0
+    assert 4 * np.unique(R.entries).size <= n * n
+    assert_writers_equal_plain(R, {"ranking": R, "config": {"n": n}})
 
 
 @pytest.mark.parametrize("fn, params, looked_up", [
     ("opt", {}, True), ("pl", {"samples": 500, "seed": 1}, True), ("mix", {"phi": 0.5}, False), ("ua", {}, False),
 ], ids=["opt", "pl", "mix", "ua"])
 def test_rankings_at_n300_equal_the_plain_expressions(fn, params, looked_up):
-    """opt's dense matrix (2 values) and pl (at most 501 values) take the lookup of distinct
-    values; mix and ua (nearly every entry distinct) take the row path.  `looked_up` says
-    whether at most a quarter of the cells are distinct.  opt's ranking itself, which keeps its
-    order, takes the runs path, as `test_path_of_each_ranker_at_n300` checks."""
+    """Each ranking held dense: opt's 0/1 matrix (2 values) and pl (at most 501 values) take the
+    lookup of distinct values; mix and ua (nearly every entry distinct) take the row path.
+    `looked_up` says whether at most a quarter of the cells are distinct.  opt's ranking itself,
+    which keeps its order, takes the order path, as `test_path_of_each_ranker_at_n300` checks."""
     rows = np.random.default_rng(300).dirichlet(np.ones(3), size=300)
     M = compute_ranking(fn, PredictionMatrix(rows), u=UtilitySpec.dcg(300, L=3), **params).entries
     assert (4 * np.unique(M.view(np.uint64)).size <= M.size) == looked_up
-    assert_writers_equal_plain(M, {"config": {"fn": fn, **params}, "ranking": M})
+    R = RankingDistribution(M)
+    assert_writers_equal_plain(R, {"config": {"fn": fn, **params}, "ranking": R})
 
 
-# Matrices of long runs of equal cells, up to 40x40: permutation matrices (x on a
-# base), row-constant blocks and banded 0/x/0 rows, with a few cells overwritten.
-# The values put -0.0 beside 0.0 and the smallest subnormal into runs, and a run
-# that fills a row's end carries on into the next row whenever the two rows end
-# and start alike.  At most six values fill them, so every matrix of 24 cells or
-# more takes the lookup.
-RUN_VALUES = st.sampled_from([0.0, -0.0, 5e-324, 1.0, 1.0 / 3.0, 0.5])
-
-
+# Rankings of long runs of equal cells, up to 40x40: dense permutation matrices,
+# block-diagonal ones of k x k blocks of 1/k, and banded ones (a mixture of
+# 2w + 1 cyclic shifts), with a few 0.0 cells drawn to -0.0 or the smallest
+# subnormal.  A run that fills a row's end carries on into the next row whenever
+# the two rows end and start alike, and few values fill them, so the larger ones
+# take the lookup.
 @st.composite
 def long_runs(draw):
-    base, x = draw(RUN_VALUES), draw(RUN_VALUES)
     kind = draw(st.sampled_from(["permutation", "blocks", "band"]))
     if kind == "permutation":
         n = draw(st.integers(1, 40))
-        M = np.full((n, n), base)
-        M[np.arange(n), draw(st.permutations(range(n)))] = x
+        M = np.zeros((n, n))
+        M[np.arange(n), draw(st.permutations(range(n)))] = 1.0
     elif kind == "blocks":
-        rows, cols = draw(st.integers(1, 40)), draw(st.integers(1, 40))
-        M = np.repeat(draw(st.lists(RUN_VALUES, min_size=rows, max_size=rows)), cols).reshape(rows, cols)
+        sizes = draw(st.lists(st.integers(1, 6), min_size=1, max_size=10))
+        M = np.zeros((sum(sizes), sum(sizes)))
+        for lo, k in zip(np.cumsum([0, *sizes]), sizes):
+            M[lo:lo + k, lo:lo + k] = 1.0 / k
     else:
-        rows, cols, width = draw(st.integers(1, 40)), draw(st.integers(1, 40)), draw(st.integers(0, 5))
-        centre = np.arange(rows)[:, None] * cols // rows
-        M = np.where(np.abs(np.arange(cols) - centre) <= width, x, base)
-    for _ in range(draw(st.integers(0, 3))):
-        M[draw(st.integers(0, M.shape[0] - 1)), draw(st.integers(0, M.shape[1] - 1))] = draw(RUN_VALUES)
-    return M
+        width = draw(st.integers(0, 3))
+        n = draw(st.integers(2 * width + 1, 40))
+        M = sum(np.roll(np.eye(n), s, axis=1) for s in range(-width, width + 1)) / (2 * width + 1)
+    return RankingDistribution(with_signed_zeros(draw, M))
 
 
 @settings(max_examples=300, deadline=None)
 @given(long_runs())
-def test_long_runs_equal_the_plain_expressions(M):
-    payload = {"ranking": M, "transposed": M.T, "nonzero": (M != 0).astype(np.int64), "nonzero_mask": M != 0,
-               "config": {"n": M.shape[0]}}
-    assert_writers_equal_plain(M, payload)
+def test_long_runs_equal_the_plain_expressions(R):
+    M = R.entries
+    payload = {"ranking": R, "transposed": M.T, "nonzero": (M != 0).astype(np.int64), "nonzero_mask": M != 0,
+               "config": {"n": R.n}}
+    assert_writers_equal_plain(R, payload)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
 def test_non_finite_run_is_a_validation_error(bad):
     M = np.zeros((40, 40))
-    M[7, 3:30] = bad  # a run of 27 bad cells in 1600, refused before any path is taken
+    M[7, 3:30] = bad  # a run of 27 bad cells in 1600: not a ranking, so json's own path refuses it
     with pytest.raises(ValidationError, match="^cannot write structured output: Out of range float values"):
         structured_text({"ranking": M})
 
@@ -1350,10 +1380,10 @@ def test_finite_cells_whose_sum_overflows_are_written():
     assert structured_text({"ranking": M}) == json.dumps({"ranking": M.tolist()}, sort_keys=True, indent=2) + "\n"
 
 
-def count_paths(M):
-    """The row blocks `_matrix_parts` gives for M, an array or a ranking, with counting `cell` and
-    `row` callables, checked against the plain text and to end at row ends: how many blocks, how
-    many parts they hold, and how often each callable was called."""
+def count_paths(R):
+    """The row blocks `_matrix_parts` gives for the ranking R, with counting `cell` and `row`
+    callables, checked against the plain text and to end at row ends: how many blocks, how many
+    parts they hold, and how often each callable was called."""
     calls = {"cell": 0, "row": 0}
 
     def cell(v):
@@ -1364,9 +1394,8 @@ def count_paths(M):
         calls["row"] += 1
         return ",".join(map(repr, r))
 
-    blocks = [list(block) for block in _matrix_parts(M, ",", ";\n", lambda values: (cell, row))]
-    if isinstance(M, RankingDistribution):
-        M = M.entries if M.order is None else _permutation_matrix(M.order)
+    blocks = [list(block) for block in _matrix_parts(R, ",", ";\n", lambda values: (cell, row))]
+    M = R.entries if R.order is None else _permutation_matrix(R.order)
     parts = sum(len(block) for block in blocks)
     blocks = ["".join(block) for block in blocks]
     assert "".join(blocks) == ";\n".join(",".join(map(repr, r)) for r in M.tolist())
@@ -1376,36 +1405,52 @@ def count_paths(M):
     return len(blocks), parts, calls["cell"], calls["row"]
 
 
-@pytest.mark.parametrize("shape", [(1, 48), (48, 1)], ids=["1x48", "48x1"])
-def test_single_row_and_column(shape):
-    """A single row of three runs and a single column, whose every cell ends a row, take the
-    lookup.  Each formats its three values once, in one block of one part per cell."""
-    M = np.concatenate([np.zeros(20), np.full(8, 0.5), np.full(20, -0.0)]).reshape(shape)
-    assert_writers_equal_plain(M, {"ranking": M, "config": {"n": shape[0]}})
-    assert count_paths(M) == (1, 48, 3, 0)
-
-
 @pytest.mark.parametrize("fn, params", [
     ("opt", {}), ("pl", {"samples": 500, "seed": 1}), ("mix", {"phi": 0.5}), ("ua", {}),
 ], ids=["opt", "pl", "mix", "ua"])
 def test_path_of_each_ranker_at_n300(fn, params):
     """Each ranking written as `cli._emit` hands it over.  opt, which keeps its order, takes the
-    runs path from it (two values formatted once, far fewer parts than cells, no matrix built);
-    pl's few values the lookup (one part per cell, each distinct value formatted once); ua and
-    mix, nearly every entry distinct, the row path (one row string per row, one part per block).
-    The 9 * 10^4 cells come in two blocks of 218 and 82 rows."""
+    order path (two values formatted once, far fewer parts than cells, no matrix built); pl's few
+    values the lookup (one part per cell, each distinct value formatted once); ua and mix, nearly
+    every entry distinct, the row path (one row string per row, one part per block).  The 9 * 10^4
+    cells come in two blocks of 218 and 82 rows."""
     rows = np.random.default_rng(300).dirichlet(np.ones(3), size=300)
     R = compute_ranking(fn, PredictionMatrix(rows), u=UtilitySpec.dcg(300, L=3), **params)
     M = R.entries if R.order is None else _permutation_matrix(R.order)
     distinct = np.unique(M.view(np.uint64)).size
-    path = {"opt": "runs", "pl": "lookup"}.get(fn, "rows")
+    path = {"opt": "order", "pl": "lookup"}.get(fn, "rows")
     assert (R.order is not None, 4 * distinct <= M.size) == {
-        "runs": (True, True), "lookup": (False, True), "rows": (False, False)}[path]
+        "order": (True, True), "lookup": (False, True), "rows": (False, False)}[path]
     blocks, parts, cells, row_calls = count_paths(R)
     assert (blocks, parts, cells, row_calls) == {
-        "runs": (2, parts, 2, 0), "lookup": (2, M.size, distinct, 0), "rows": (2, 2, 0, 300)}[path]
-    if path == "runs":
+        "order": (2, parts, 2, 0), "lookup": (2, M.size, distinct, 0), "rows": (2, 2, 0, 300)}[path]
+    if path == "order":
         assert 6 * parts <= M.size and "entries" not in vars(R)
+
+
+@pytest.mark.parametrize("n", [1, 1000])
+def test_order_blocks_share_their_strings(n, monkeypatch):
+    """Every block of an order's text, in both formats, references the same B + 3 strings,
+    B = (n - 1).bit_length(), and the matrix's bare last cell, all from one call of `formats`
+    on 0.0 and 1.0.  At n = 1 the table's one cell keeps the width of 1.000000."""
+    R = RankingDistribution.from_order(np.random.default_rng(n).permutation(n))
+    formatted = []
+
+    def counted(R, sep, row_sep, formats):
+        def once(values):
+            formatted.append(values.tolist())
+            return formats(values)
+        return _matrix_parts(R, sep, row_sep, once)
+
+    monkeypatch.setattr("uarank.io._matrix_parts", counted)
+    for parts in (structured_parts({"ranking": R}), table_parts(R)):
+        formatted.clear()
+        blocks = [list(block) for part in parts if not isinstance(part, str) for block in part]
+        assert len({id(s) for block in blocks for s in block}) <= (n - 1).bit_length() + 5
+        assert formatted == [[0.0, 1.0]]
+    assert "entries" not in vars(R)
+    if n == 1:
+        assert table_text(R) == "1.000000\n"
 
 
 def assert_same_lines(got: str, want: str):
@@ -1420,11 +1465,11 @@ def assert_same_lines(got: str, want: str):
 
 
 def assert_order_writes_its_matrix(order):
-    """A ranking that keeps `order` writes the texts of its dense permutation matrix, block by
-    block, and never builds its `entries`; returns the rows of each block."""
+    """A ranking that keeps `order` writes the texts of its permutation matrix held dense, block
+    by block, and never builds its `entries`; returns the rows of each block."""
     R = RankingDistribution.from_order(order)
-    M = _permutation_matrix(R.order)
-    config = {"fn": "opt", "n": M.shape[0]}
+    M = RankingDistribution(_permutation_matrix(R.order))
+    config = {"fn": "opt", "n": M.n}
     assert_same_lines(structured_text({"config": config, "ranking": R}), structured_text({"config": config, "ranking": M}))
     assert_same_lines(table_text(R), table_text(M))
 
@@ -1461,7 +1506,7 @@ def test_order_at_fixed_sizes_writes_its_permutation_matrix(n, rows, last):
 @pytest.mark.parametrize("fmt", ["structured", "table"])
 def test_rank_opt_writes_the_dense_bytes_without_building_the_matrix(fmt, tmp_path, capsys, monkeypatch):
     """`rank --fn opt` at n = 1000 writes, to stdout and to --out, the bytes of the 0/1 matrix of a
-    stable argsort of -tau written as a dense array, with `_permutation_matrix` refusing to run."""
+    stable argsort of -tau written as a dense ranking, with `_permutation_matrix` refusing to run."""
     p = tmp_path / "p1000.csv"
     np.savetxt(p, np.random.default_rng(0).dirichlet(np.ones(5), size=1000), delimiter=",")
     P = load_prediction_matrix(p)
@@ -1470,7 +1515,7 @@ def test_rank_opt_writes_the_dense_bytes_without_building_the_matrix(fmt, tmp_pa
     dense[order, np.arange(P.n)] = 1.0
     argv = ["rank", "--fn", "opt", "--in", str(p), "--format", fmt]
     spec = cli._MODES["rank"]
-    monkeypatch.setitem(cli._MODES, "rank", (*spec[:-1], lambda args: ("ranking", dense, None)))
+    monkeypatch.setitem(cli._MODES, "rank", (*spec[:-1], lambda args: RankingDistribution(dense)))
     expected = _report(argv, capsys)
     monkeypatch.setitem(cli._MODES, "rank", spec)
 
@@ -1488,7 +1533,7 @@ def test_rank_opt_writes_the_dense_bytes_without_building_the_matrix(fmt, tmp_pa
 @pytest.mark.parametrize("n", [37, 300])
 def test_rank_mix_phi_0_writes_the_bytes_of_rank_opt(n, tmp_path, capsys):
     """`rank --fn mix --phi 0` holds opt's 0/1 matrix as a dense array, which takes the lookup,
-    and `rank --fn opt` writes it from its order on the runs path: the tables are the same bytes,
+    and `rank --fn opt` writes it from its order on the order path: the tables are the same bytes,
     and the structured reports hold the same "ranking" beside their own config blocks."""
     p = tmp_path / "p.csv"
     np.savetxt(p, np.random.default_rng(n).dirichlet(np.ones(3), size=n), delimiter=",")
@@ -1499,43 +1544,43 @@ def test_rank_mix_phi_0_writes_the_bytes_of_rank_opt(n, tmp_path, capsys):
     assert mixed["config"] != ordered["config"]
 
 
-def _emitted(M, fmt: str, out) -> bytes:
-    """The bytes `cli._emit` writes for a `rank` result holding M, to the file `out` or, if None, to stdout."""
+def _emitted(R, fmt: str, out) -> bytes:
+    """The bytes `cli._emit` writes for the ranking R, to the file `out` or, if None, to stdout."""
     args = argparse.Namespace(command="rank", format=fmt, out=None if out is None else str(out))
     stdout = io.TextIOWrapper(io.BytesIO(), encoding="utf-8", newline="")
     with contextlib.redirect_stdout(stdout):
-        cli._emit(args, ("ranking", M, None), set())
+        cli._emit(args, R, set())
     stdout.flush()
     return stdout.buffer.getvalue() if out is None else out.read_bytes()
 
 
 @pytest.mark.parametrize("rows", [1, 2, 3])
 @settings(max_examples=60, deadline=None)
-@given(M=st.one_of(long_runs(), FEW_DISTINCT, MATRICES))
-def test_row_blocks_of_one_to_three_rows_join_to_the_whole_text(rows, M, tmp_path_factory):
-    """With blocks of one, two or three rows, long runs and few distinct values (the lookup) and
-    arbitrary cells (the rows path) give the plain texts, joined whole and as `_emit` writes
-    them to --out and to stdout block by block."""
+@given(R=st.one_of(long_runs(), rankings()))
+def test_row_blocks_of_one_to_three_rows_join_to_the_whole_text(rows, R, tmp_path_factory):
+    """With blocks of one, two or three rows, orders (the order path), long runs and few distinct
+    values (the lookup) and arbitrary mixtures (the rows path) give the plain texts, joined whole
+    and as `_emit` writes them to --out and to stdout block by block."""
     out = tmp_path_factory.mktemp("blocks") / "report"
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(rankers, "_CHUNK_CELLS", rows * max(1, M.shape[1]))
-        payload = {"config": {"command": "rank"}, "ranking": M}
-        assert_writers_equal_plain(M, payload)
+        mp.setattr(rankers, "_CHUNK_CELLS", rows * R.n)
+        payload = {"config": {"command": "rank"}, "ranking": R}
+        assert_writers_equal_plain(R, payload)
         structured = structured_text(payload).encode()
-        assert _emitted(M, "structured", out) == _emitted(M, "structured", None) == structured
-        if M.size:
-            assert _emitted(M, "table", out) == _emitted(M, "table", None) == table_text(M).encode()
+        assert _emitted(R, "structured", out) == _emitted(R, "structured", None) == structured
+        assert _emitted(R, "table", out) == _emitted(R, "table", None) == table_text(R).encode()
 
 
 @pytest.mark.parametrize("M", [
-    np.where(np.arange(300)[:, None] == np.arange(300), 1.0, 0.0),  # a dense opt ranking's two values: lookup
-    np.resize(np.arange(1, 301) / 300, (300, 300)),  # 300 values, each row all of them: lookup
-    np.random.default_rng(4).random((300, 300)),  # rows
+    np.where(np.arange(300)[:, None] == np.arange(300), 1.0, 0.0),  # two values
+    np.resize(np.arange(1, 301) / 300, (300, 300)),  # 300 values, each row all of them
+    np.random.default_rng(4).random((300, 300)),  # nearly all distinct
 ], ids=["identity", "lookup", "rows"])
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
 def test_non_finite_last_cell_writes_nothing(M, bad, tmp_path, capsys, monkeypatch):
-    """A non-finite cell in the last row block is refused before the first byte: an existing --out
-    file keeps its bytes, and stdout receives nothing."""
+    """A non-finite cell in the last row of a result array, which json writes itself (a ranking's
+    cells are finite), is refused before the first byte: an existing --out file keeps its bytes,
+    and stdout receives nothing."""
     M = M.copy()
     M[-1, -1] = bad
     monkeypatch.setitem(cli._MODES, "rank", ((), (), rankers.RANKING_FUNCTION_IDS, lambda args: ("ranking", M, None)))
