@@ -77,53 +77,50 @@ def _ua_label_kernel(rows: np.ndarray, labels: tuple) -> np.ndarray:
     divided back out, forwards where its q <= 1/2 and backwards otherwise, the
     direction in which the recurrence does not amplify rounding error.  Memory
     stays O(n^2) per matrix: the weighted leave-one-out pmfs are summed one
-    degree at a time.  The labels are one more leading stack axis, so one pass
-    over the degrees serves them all.
+    degree at a time.  q and p = 1 - q are built once with the node axis first,
+    (nodes, labels, ..., n), and so is the product, F[k, t, labels, ...]: one pass
+    over the degrees serves every label and matrix of the stack.
 
     Each pass sweeps only its live part.  q rises with u and the nodes descend,
     so a column's forward entries are its last s nodes: with each slab's columns
     sorted by s, one rectangle of columns x nodes per pass holds every live entry
     of the stack (`_sweep_plan`), and the rest is never touched.  Inside it a pass
     with divisor d (p forwards, q backwards) and other factor o carries X = d G,
-    X_k = F_k - (o / d) X_{k-1}, and adds the node sum of (w / d) X_k, so no step
-    divides; an entry the pass does not own has d = inf, keeps X = F_k and adds
-    exact zeros.  The node sum is numpy's reduction over the leading node axis,
-    which adds one node after the other for every column of a rectangle at least
-    two wide.  So a column's bits depend on nothing outside the column: not its
-    rectangle, its neighbours, the stack or the labels it is called with, and
+    X_k = F_k - (o / d) X_{k-1}, and adds the node sum of (w / d) X_k to C, so no
+    step divides; an entry the pass does not own has d = inf, keeps X = F_k and
+    adds exact zeros.  The node sum is numpy's reduction over the leading node
+    axis, which adds one node after the other for every column of a rectangle at
+    least two wide.  So a column's bits depend on nothing outside the column: not
+    its rectangle, its neighbours, the stack or the labels it is called with, and
     each matrix and label of a stack gets exactly what it would get alone.
     """
     n = rows.shape[-2]
     u, w = _legendre_nodes(n // 2 + 1)
     above = np.stack([rows[..., label:].sum(axis=-1) for label in labels])  # (labels, ..., n)
     equal = np.stack([rows[..., label - 1] for label in labels])
-    q = above[..., None, :] + u[:, None] * equal[..., None, :]  # (labels, ..., nodes, n)
+    node = (slice(None),) + (None,) * above.ndim
+    q = above + u[node] * equal  # (nodes, labels, ..., n)
     p = 1.0 - q
-    # Leading axes index individual, degree or rank, so the loops index like 2-d code.
-    stack = tuple(range(q.ndim - 1))
-    q_j, p_j = q.transpose(-1, *stack), p.transpose(-1, *stack)  # (n, ..., nodes) views
-    F = np.zeros((n + 1, *q_j.shape[1:]))  # F[k, ..., t]: coefficient of z^k at node t
+    # The individual's axis leads in the product's loop, so it indexes like 2-d code.
+    q_j, p_j = np.moveaxis(q, -1, 0), np.moveaxis(p, -1, 0)  # (n, nodes, labels, ...) views
+    F = np.zeros((n + 1, *q_j.shape[1:]))  # F[k, t, labels, ...]: coefficient of z^k at node t
     F[0] = 1.0
     carried = np.empty(F.shape)  # one buffer for every step: fresh temporaries cost page faults
     for j in range(n):
         np.multiply(F[: j + 1], q_j[j], out=carried[: j + 1])
         F[: j + 2] *= p_j[j]
         F[1 : j + 2] += carried[: j + 1]
-    # The passes read the same entries of q with the node axis first, so a rectangle of
-    # columns is contiguous and its node sum a reduction over the leading axis.
-    node = (slice(None),) + (None,) * above.ndim
-    q = above + u[node] * equal  # (nodes, labels, ..., n)
     order, forward, backward = _sweep_plan(np.count_nonzero(q <= 0.5, axis=0), u.size)
-    if order is not None:  # each slab's columns sorted
-        above, equal = np.take_along_axis(above, order, axis=-1), np.take_along_axis(equal, order, axis=-1)
-        q = above + u[node] * equal
-    p = 1.0 - q
+    if order is not None:  # each slab's columns sorted, one gather along the flattened slabs
+        flat = (order + np.arange(0, order.size, n).reshape(*order.shape[:-1], 1)).ravel()
+        q = q.reshape(u.size, -1).take(flat, axis=1).reshape(q.shape)
+        p = 1.0 - q
     # F = G (p + q z) for the leave-one-out G: forwards G_k = (F_k - q G_{k-1}) / p,
     # backwards G_{k-1} = (F_k - p G_k) / q.  Unsorted passes whose node windows are as
     # long share one sweep, each pass a slab of a direction axis after the node axis, so a
     # step makes three numpy calls for both, when C holds at most half of _CHUNK_CELLS:
     # a step of the shared sweep then touches no more cells than one pass of a full chunk.
-    # Otherwise each pass sweeps alone.
+    # Otherwise each pass sweeps alone.  Either way each pass adds its node sums A to C.
     passes = [(shift, rect) for shift, rect in enumerate((forward, backward)) if rect is not None]
     windows = {nodes.stop - nodes.start for _, (_, nodes) in passes}
     shared = order is None and len(windows) == 1 and 2 * n * above.size <= _CHUNK_CELLS
@@ -139,22 +136,18 @@ def _ua_label_kernel(rows: np.ndarray, labels: tuple) -> np.ndarray:
             d = np.where((q_r <= 0.5) == (shift == 0), own, np.inf)
             np.divide(other, d, out=ratio[:, j])
             np.divide(w[nodes][node], d, out=weight[:, j])
-            F_r = np.moveaxis(F[..., nodes], -1, 1)  # (degrees, nodes, labels, ...)
-            F_k.append(F_r[n:0:-1] if shift else F_r[:n])  # the degree each step reads
+            F_k.append(F[n:0:-1, nodes] if shift else F[:n, nodes])  # the degree each step reads
         F_k = (np.stack(F_k, axis=2) if len(sweep) > 1 else F_k[0][:, :, None])[..., None]
-        alone = sweep[0][0] == 0 and len(sweep) == 1  # a forward pass alone writes C itself
-        X, A = np.zeros(shape), C[:, None, ..., cols] if alone else np.empty((n, *shape[1:]))
+        X, A = np.zeros(shape), np.empty((n, *shape[1:]))
         for k in range(n):
             X *= ratio
             np.subtract(F_k[k], X, out=X)
             np.einsum("t...,t...->...", weight, X, out=A[k])
-        if not alone:
-            for j, (shift, _) in enumerate(sweep):
-                C[..., cols] += A[::-1, j] if shift else A[:, j]
-    if order is not None:  # back to column order: one scatter along the flattened slabs
+        for j, (shift, _) in enumerate(sweep):
+            C[..., cols] += A[::-1, j] if shift else A[:, j]
+    if order is not None:  # back to column order: the same index, scattered
         unsorted = np.empty(C.shape)
-        slab = np.arange(0, order.size, n).reshape(*order.shape[:-1], 1)
-        unsorted.reshape(n, -1)[:, (order + slab).ravel()] = C.reshape(n, -1)
+        unsorted.reshape(n, -1)[:, flat] = C.reshape(n, -1)
         C = unsorted
     return C.transpose(*range(1, C.ndim), 0)
 

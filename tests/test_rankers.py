@@ -356,6 +356,7 @@ class TestLiveSweep:
         "n2": lambda rng: hard_rows(rng, 2, 3),
         "n2_stack": lambda rng: np.array([[hard_rows(rng, 2, 3) for _ in range(3)] for _ in range(2)]),
         "n9_stack": lambda rng: np.array([hard_rows(rng, 9, 3) for _ in range(40)]),
+        "n150_stack": lambda rng: np.array([hard_rows(rng, 150, 4) for _ in range(2)]),
     }
 
     @pytest.mark.parametrize("case", CASES)
