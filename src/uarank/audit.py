@@ -18,7 +18,8 @@ import numpy as np
 from . import rankers
 from .errors import BudgetExceededError, ValidationError
 from .rankers import _legendre_nodes, _seeded_rng, _ua_marginals, checked_ranker
-from .types import DS_TOL, ROW_SUM_TOL, PredictionMatrix, UtilitySpec, _check_distributions, _check_doubly_stochastic
+from .types import (DS_TOL, ROW_SUM_TOL, PredictionMatrix, UtilitySpec, _check_distributions, _check_doubly_stochastic,
+                    _restore_read_only)
 
 FULL_DOMAIN_GROUP = "all"
 # (rankings, n): an audit may make 10^6 rankings of n <= 19 types, or as many of n > 19 types
@@ -36,6 +37,7 @@ class PopulationModel:
     ground_truth: np.ndarray  # (T, L) label distributions
     predicted: np.ndarray  # (T, L) label distributions
     groups: dict  # name -> tuple of type indices; always contains the full domain
+    __setstate__ = _restore_read_only
 
     def __post_init__(self):
         # Copies, frozen below: the caller's arrays stay writable.

@@ -17,10 +17,6 @@ from .audit import PopulationModel
 from .errors import ValidationError
 from .types import PredictionMatrix, RankingDistribution, UtilitySpec
 
-# Characters of a report encoded per write: a few hundred kB of bytes at most, which
-# the heap reuses, where one encoding of a 12 MB report takes fresh pages each time.
-_WRITE_SLICE = 2**16
-
 
 def load_prediction_matrix(path) -> PredictionMatrix:
     """Load a CSV matrix: one row per individual, one probability column per label.
@@ -102,14 +98,13 @@ def _write_text(path: str, chunks) -> None:
     at the bytes it wrote, so no tail of the old file follows them, and is a
     ValidationError naming the path as given and the reason, as is a file that
     cannot be opened.  The file opened is `Path(path)`'s, which drops a
-    trailing slash.  Each text is encoded _WRITE_SLICE characters at a time; a
-    slice ends between code points, so the bytes are `"".join(chunks).encode("utf-8")`'s."""
+    trailing slash.  Each text is encoded whole, so the bytes are
+    `"".join(chunks).encode("utf-8")`'s; `write_report` gives one row block at a time."""
     try:
         with open(os.open(Path(path), os.O_WRONLY | os.O_CREAT, 0o666), "wb") as fh:
             try:
                 for text in chunks:
-                    for start in range(0, len(text), _WRITE_SLICE):
-                        fh.write(text[start : start + _WRITE_SLICE].encode("utf-8"))
+                    fh.write(text.encode("utf-8"))
                 fh.flush()
             finally:  # cut past the bytes written; cutting at the same length would cost a setattr
                 fd = fh.fileno()
@@ -280,8 +275,9 @@ def structured_parts(payload: dict) -> list:
     `indent` forces json's pure-Python encoder, so `json.dumps` writes such a
     ranking as null and the blocks lay it out as `indent=2` lays it out.  A
     cell is its `float.__repr__` from json's C encoder, as the pure-Python
-    encoder writes it.  Every other value, arrays too, takes json's own path
-    through `_json_default`.  JSON has no NaN or infinity: a payload holding
+    encoder writes it, and a row that encoder's text of the list without its
+    brackets.  Every other value, arrays too, takes json's own path through
+    `_json_default`.  JSON has no NaN or infinity: a payload holding
     one is a ValidationError, raised here, before any block is made, so a
     report that cannot be written writes nothing.  A ranking's cells are
     finite by construction (its doubly stochastic check, or its order, makes
@@ -295,15 +291,15 @@ def structured_parts(payload: dict) -> list:
     except ValueError as exc:
         raise ValidationError(f"cannot write structured output: {exc}") from None
 
-    def formats(values):
-        return cells.encode, lambda r: cells.encode(r)[1:-1]
+    def row(values):
+        return cells.encode(values)[1:-1]
 
     parts = []
     for key in sorted(bulk):  # in the order sort_keys writes them
         head = f"\n  {json.dumps(key)}: "
         before, _, rest = rest.partition(head + "null")
         parts += [f"{before}{head}[\n    [\n      ",
-                  _matrix_parts(bulk[key], ",\n      ", "\n    ],\n    [\n      ", formats)]
+                  _matrix_parts(bulk[key], ",\n      ", "\n    ],\n    [\n      ", cells.encode, row)]
         rest = "\n    ]\n  ]" + rest
     parts.append(rest)
     return parts
@@ -350,27 +346,28 @@ def _json_default(obj):
     raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
-def _matrix_parts(R: RankingDistribution, sep: str, row_sep: str, formats):
+def _matrix_parts(R: RankingDistribution, sep: str, row_sep: str, cell, row):
     """Yield the text of the ranking R's `entries` in blocks of
     max(1, _CHUNK_CELLS // n) whole rows: 2^16 cells, the kernel's and the
     audits' chunk.  A block comes as a list of strings that `write_report`
     joins.  The text is the cells `cell(v)` of each cell's value `v`, each
     followed by `sep`, or by `row_sep` at the end of a row but the last; a
     block ends at a row end, so its text ends with `row_sep` unless it is the
-    last.  Cells are equal when their float64 bits are, so 0.0 and -0.0 stay
-    apart, and before its first block the text takes one of three paths,
-    `formats(values)` giving `(cell, row)` for the values the path holds:
+    last.  `row(r)` is the text of the cells of the row `r`, a list of
+    floats, each followed by `sep` but the last.  Cells are equal when their
+    float64 bits are, so 0.0 and -0.0 stay apart, and before its first block
+    the text takes one of three paths:
 
     - order: for a ranking that keeps its order (`opt`, `min`), whose rows
       hold a 1.0 among 0.0s, from that order in O(n) without building
-      `entries` (`_order_parts`); `values` are 0.0 and 1.0;
+      `entries` (`_order_parts`), formatting 0.0 and 1.0 once each;
     - lookup: else, when at most a quarter of the floats are distinct (`pl`
-      with s samples holds at most s + 1 values, `mix --phi 0` two), `values`
-      are the distinct floats, gathered block by block, which stops past a
+      with s samples holds at most s + 1 values, `mix --phi 0` two), from
+      the distinct floats, gathered block by block, which stops past a
       quarter of the cells.  Each is formatted once, and every cell is a
       reference to its string, found with `np.searchsorted`;
-    - rows: else (`ua`, `mix`, `oracle`), `values` is `entries`, and each
-      row is `row(r)` of the block's `tolist()`.
+    - rows: else (`ua`, `mix`, `oracle`), each row is `row(r)` of the
+      block's `tolist()`.
 
     Cells reference shared strings rather than join their own: a thousand
     fresh 10 kB strings grow the malloc heap, and how much of it a later call
@@ -382,15 +379,13 @@ def _matrix_parts(R: RankingDistribution, sep: str, row_sep: str, formats):
     step = max(1, rankers._CHUNK_CELLS // n)
     blocks = [(lo, min(lo + step, n)) for lo in range(0, n, step)]
     if R.order is not None:
-        yield from _order_parts(R.order, blocks, sep, row_sep, formats)
+        yield from _order_parts(R.order, blocks, sep, row_sep, cell)
         return
     M = np.ascontiguousarray(R.entries)
     keys = M.view(np.uint64)
     distinct = _distinct_floats(keys, blocks)
     if distinct is not None:
-        values = distinct.view(np.float64)
-        cell, _ = formats(values)
-        text = [cell(v) for v in values.tolist()]
+        text = [cell(v) for v in distinct.view(np.float64).tolist()]
         ends = np.array([t + sep for t in text] + [t + row_sep for t in text] + text, dtype=object)
         for lo, hi in blocks:
             at = np.searchsorted(distinct, keys[lo:hi])
@@ -399,7 +394,6 @@ def _matrix_parts(R: RankingDistribution, sep: str, row_sep: str, formats):
                 at[-1, -1] += distinct.size  # and the matrix's last cell with nothing
             yield ends[at].ravel().tolist()
         return
-    _, row = formats(M)
     for lo, hi in blocks:
         rows = [row(r) for r in M[lo:hi].tolist()]
         if hi < n:
@@ -407,7 +401,7 @@ def _matrix_parts(R: RankingDistribution, sep: str, row_sep: str, formats):
         yield [row_sep.join(rows)]
 
 
-def _order_parts(order: np.ndarray, blocks: list, sep: str, row_sep: str, formats):
+def _order_parts(order: np.ndarray, blocks: list, sep: str, row_sep: str, cell):
     """`_matrix_parts`' order path: the 0/1 matrix with a 1.0 at [order[k], k], whose row i is
     pos[i] zero cells, the 1.0, then n - 1 - pos[i] zero cells, pos the inverse of order.  A row
     is references to B + 3 strings that every block shares, B = (n - 1).bit_length(): its zeros
@@ -416,7 +410,7 @@ def _order_parts(order: np.ndarray, blocks: list, sep: str, row_sep: str, format
     n = order.size
     pos = np.empty(n, dtype=np.intp)
     pos[order] = np.arange(n)
-    zero, one = map(formats(np.array([0.0, 1.0]))[0], (0.0, 1.0))
+    zero, one = cell(0.0), cell(1.0)
     B = (n - 1).bit_length()
     shared = np.array([(zero + sep) * (1 << j) for j in range(B)] + [one + sep, one + row_sep, zero + row_sep],
                       dtype=object)
@@ -454,15 +448,15 @@ def table_parts(R: RankingDistribution) -> list:
     minimum's, or "-0.000000" when -0.0 is the only negative-signed entry; one
     `%{width}.6f` cell format then pads exactly as `f"{v:.6f}".rjust(width)`,
     applied by `_matrix_parts` once per distinct value or once per row.  The
-    width comes from 0.0 and 1.0 for an order, from the distinct values of a
-    matrix with few of them, and else from its minimum and maximum, with its
-    signs read only when the minimum is zero.
+    width is fixed before the first block: from 0.0 and 1.0 for an order, and
+    else from the matrix's minimum and maximum, with its signs read only when
+    the minimum is zero.
     """
-    def formats(values):
-        lo, hi = values.min(), values.max()
-        ends = (lo, hi, -0.0 if lo == 0 and np.signbit(values).any() else 0.0)
-        cell = f"%{max(len(f'{v:.6f}') for v in ends)}.6f"
-        row = "  ".join([cell] * R.n)
-        return cell.__mod__, lambda r: row % tuple(r)
-
-    return [_matrix_parts(R, "  ", "\n", formats), "\n"]
+    if R.order is not None:
+        ends = (0.0, 1.0)
+    else:
+        lo, hi = R.entries.min(), R.entries.max()
+        ends = (lo, hi, -0.0 if lo == 0 and np.signbit(R.entries).any() else 0.0)
+    cell = f"%{max(len(f'{v:.6f}') for v in ends)}.6f"
+    row = "  ".join([cell] * R.n)
+    return [_matrix_parts(R, "  ", "\n", cell.__mod__, lambda r: row % tuple(r)), "\n"]

@@ -64,6 +64,16 @@ def _checked_permutation(perm, n: int) -> np.ndarray:
     return p
 
 
+def _restore_read_only(self, state: dict) -> None:
+    """`__setstate__` of the value types: a pickled or deep-copied value takes its fields as
+    they were, its arrays read-only again, without re-running (and re-normalizing in) the
+    constructor; a ranking made by `from_order` stays an order, its `entries` unbuilt."""
+    for value in state.values():
+        if isinstance(value, np.ndarray):
+            value.flags.writeable = False
+    self.__dict__.update(state)
+
+
 def _permutation_matrix(order: np.ndarray) -> np.ndarray:
     """The 0/1 matrix with M[order[k], k] = 1: individual order[k] gets rank k+1."""
     n = order.size
@@ -77,6 +87,7 @@ class PredictionMatrix:
     """An n x L matrix whose row i is individual i's distribution over labels."""
 
     rows: np.ndarray
+    __setstate__ = _restore_read_only
 
     def __post_init__(self):
         rows = np.asarray(self.rows, dtype=np.float64)
@@ -128,6 +139,7 @@ class RankingDistribution:
 
     entries: np.ndarray
     order: np.ndarray | None = field(default=None, init=False)
+    __setstate__ = _restore_read_only
 
     @classmethod
     def from_order(cls, order) -> "RankingDistribution":
@@ -201,6 +213,7 @@ class UtilitySpec:
 
     label_values: np.ndarray
     position_weights: np.ndarray
+    __setstate__ = _restore_read_only
 
     def __post_init__(self):
         v = np.array(self.label_values, dtype=np.float64)  # copies, frozen below

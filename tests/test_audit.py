@@ -555,6 +555,7 @@ class TestClosedFormEdges:
         assert abs(rep.estimate - exact) <= 4 * rep.mc_error
 
 
+@pytest.mark.baseline_kernels
 class TestBatchedUa:
     """The audits rank a chunk of sorted type vectors per UA kernel call, and a chunk
     holds at most ⌊2^16/n^2⌋ of a draw block's new multisets."""
@@ -623,6 +624,7 @@ class TestBatchedUa:
                 call()
 
 
+@pytest.mark.baseline_kernels
 class TestSampledDrawBlocks:
     """The sampled audit draws ⌊2^16/n⌋ type vectors at a time from its one generator
     and ranks UA only for the multisets new to its index, so it never holds every draw
@@ -660,6 +662,7 @@ class TestSampledDrawBlocks:
             assert sum(ranked) == (0 if kw["fn"] == "opt" else distinct)  # each distinct sorted draw once
 
 
+@pytest.mark.baseline_kernels
 class TestMultisetDedupe:
     """`_distinct_multisets` keys each draw by its type counts, packed base n + 1 into int64
     words, and numbers the multisets as `np.unique` of the row-sorted draws finds them."""
@@ -723,6 +726,7 @@ class TestMultisetDedupe:
         assert sum(ranked) == math.comb(n + 2, n) and len(ranked) == 1
 
 
+@pytest.mark.baseline_kernels
 class TestMultiWordKeys:
     """T = 30 at n = 19 needs three key words; these reports were recorded before the
     counts-keyed dedupe, from the dict of sorted rows' bytes."""

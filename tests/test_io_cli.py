@@ -23,7 +23,7 @@ from uarank import (PredictionMatrix, RankingDistribution, UtilitySpec, Validati
                     load_prediction_matrix, theorem_gap_exact)
 from uarank import cli, rankers, types
 from uarank.cli import build_parser, main
-from uarank.io import (_WRITE_SLICE, _chunks, _matrix_parts, _write_text, load_utility_spec,
+from uarank.io import (_chunks, _matrix_parts, _write_text, load_utility_spec,
                        population_model_from_dict, structured_parts, table_parts, write_report)
 from uarank.rankers import RANKERS, compute_ranking
 from uarank.types import _permutation_matrix
@@ -1278,6 +1278,7 @@ def assert_writers_equal_plain(R, payload):
     assert table.split("\n") == ["  ".join(c.rjust(width) for c in row) for row in cells] + [""]
 
 
+@pytest.mark.baseline_kernels
 @settings(max_examples=400, deadline=None)
 @given(rankings())
 def test_writers_equal_the_plain_expressions(R):
@@ -1296,6 +1297,7 @@ def test_structured_arrays_equal_json_dumps(M):
     assert structured_text(payload).split("\n") == plain_structured(payload).split("\n")
 
 
+@pytest.mark.baseline_kernels
 def test_signed_zeros_keep_their_sign_in_both_writers():
     M = 0.5 * np.eye(8) + 0.5 * np.roll(np.eye(8), 1, axis=1)
     M[2, 5] = M[6, 1] = -0.0
@@ -1307,6 +1309,7 @@ def test_signed_zeros_keep_their_sign_in_both_writers():
     assert [(i, j) for i, row in enumerate(table) for j, c in enumerate(row) if c == "-0.000000"] == [(2, 5), (6, 1)]
 
 
+@pytest.mark.baseline_kernels
 @pytest.mark.parametrize("rows, n", [(1, 8), (2, 4), (3, 4), (2, 2)], ids=["1x8", "2x4", "3x4", "2x2"])
 def test_looked_up_rows_end_where_the_plain_rows_end(rows, n, monkeypatch):
     """The lookup path marks a row's last cell and the matrix's last cell apart in each block's
@@ -1318,6 +1321,7 @@ def test_looked_up_rows_end_where_the_plain_rows_end(rows, n, monkeypatch):
     assert_writers_equal_plain(R, {"ranking": R, "config": {"n": n}})
 
 
+@pytest.mark.baseline_kernels
 @pytest.mark.parametrize("fn, params, looked_up", [
     ("opt", {}, True), ("pl", {"samples": 500, "seed": 1}, True), ("mix", {"phi": 0.5}, False), ("ua", {}, False),
 ], ids=["opt", "pl", "mix", "ua"])
@@ -1358,6 +1362,7 @@ def long_runs(draw):
     return RankingDistribution(with_signed_zeros(draw, M))
 
 
+@pytest.mark.baseline_kernels
 @settings(max_examples=300, deadline=None)
 @given(long_runs())
 def test_long_runs_equal_the_plain_expressions(R):
@@ -1380,6 +1385,11 @@ def test_finite_cells_whose_sum_overflows_are_written():
     assert structured_text({"ranking": M}) == json.dumps({"ranking": M.tolist()}, sort_keys=True, indent=2) + "\n"
 
 
+def test_value_json_cannot_hold_is_a_type_error():
+    with pytest.raises(TypeError, match="^set is not JSON serializable$"):
+        structured_parts({"x": {1, 2}})
+
+
 def count_paths(R):
     """The row blocks `_matrix_parts` gives for the ranking R, with counting `cell` and `row`
     callables, checked against the plain text and to end at row ends: how many blocks, how many
@@ -1394,7 +1404,7 @@ def count_paths(R):
         calls["row"] += 1
         return ",".join(map(repr, r))
 
-    blocks = [list(block) for block in _matrix_parts(R, ",", ";\n", lambda values: (cell, row))]
+    blocks = [list(block) for block in _matrix_parts(R, ",", ";\n", cell, row)]
     M = R.entries if R.order is None else _permutation_matrix(R.order)
     parts = sum(len(block) for block in blocks)
     blocks = ["".join(block) for block in blocks]
@@ -1405,6 +1415,7 @@ def count_paths(R):
     return len(blocks), parts, calls["cell"], calls["row"]
 
 
+@pytest.mark.baseline_kernels
 @pytest.mark.parametrize("fn, params", [
     ("opt", {}), ("pl", {"samples": 500, "seed": 1}), ("mix", {"phi": 0.5}), ("ua", {}),
 ], ids=["opt", "pl", "mix", "ua"])
@@ -1431,23 +1442,23 @@ def test_path_of_each_ranker_at_n300(fn, params):
 @pytest.mark.parametrize("n", [1, 1000])
 def test_order_blocks_share_their_strings(n, monkeypatch):
     """Every block of an order's text, in both formats, references the same B + 3 strings,
-    B = (n - 1).bit_length(), and the matrix's bare last cell, all from one call of `formats`
-    on 0.0 and 1.0.  At n = 1 the table's one cell keeps the width of 1.000000."""
+    B = (n - 1).bit_length(), and the matrix's bare last cell, all from `cell` called on 0.0
+    and 1.0 only.  At n = 1 the table's one cell keeps the width of 1.000000."""
     R = RankingDistribution.from_order(np.random.default_rng(n).permutation(n))
     formatted = []
 
-    def counted(R, sep, row_sep, formats):
-        def once(values):
-            formatted.append(values.tolist())
-            return formats(values)
-        return _matrix_parts(R, sep, row_sep, once)
+    def counted(R, sep, row_sep, cell, row):
+        def once(v):
+            formatted.append(v)
+            return cell(v)
+        return _matrix_parts(R, sep, row_sep, once, row)
 
     monkeypatch.setattr("uarank.io._matrix_parts", counted)
     for parts in (structured_parts({"ranking": R}), table_parts(R)):
         formatted.clear()
         blocks = [list(block) for part in parts if not isinstance(part, str) for block in part]
         assert len({id(s) for block in blocks for s in block}) <= (n - 1).bit_length() + 5
-        assert formatted == [[0.0, 1.0]]
+        assert formatted == [0.0, 1.0]
     assert "entries" not in vars(R)
     if n == 1:
         assert table_text(R) == "1.000000\n"
@@ -1474,8 +1485,7 @@ def assert_order_writes_its_matrix(order):
     assert_same_lines(table_text(R), table_text(M))
 
     def blocks(M):
-        formats = (repr, lambda r: ",".join(map(repr, r)))
-        return ["".join(block) for block in _matrix_parts(M, ",", ";\n", lambda values: formats)]
+        return ["".join(block) for block in _matrix_parts(M, ",", ";\n", repr, lambda r: ",".join(map(repr, r)))]
 
     texts, dense = blocks(R), blocks(M)
     assert len(texts) == len(dense)
@@ -1485,12 +1495,14 @@ def assert_order_writes_its_matrix(order):
     return [text.count(";\n") for text in texts[:-1]] + [texts[-1].count(";\n") + 1]
 
 
+@pytest.mark.baseline_kernels
 @settings(max_examples=200, deadline=None)
 @given(st.integers(1, 40).flatmap(lambda n: st.permutations(range(n))))
 def test_order_writes_the_text_of_its_permutation_matrix(order):
     assert_order_writes_its_matrix(np.array(order))
 
 
+@pytest.mark.baseline_kernels
 @pytest.mark.parametrize("n, rows", [(1, [1]), (2, [2]), (300, [218, 82]), (1000, [65] * 15 + [25])],
                          ids=["n1", "n2", "n300", "n1000"])
 @pytest.mark.parametrize("last", ["first", "last"])
@@ -1503,6 +1515,7 @@ def test_order_at_fixed_sizes_writes_its_permutation_matrix(n, rows, last):
     assert assert_order_writes_its_matrix(order) == rows
 
 
+@pytest.mark.baseline_kernels
 @pytest.mark.parametrize("fmt", ["structured", "table"])
 def test_rank_opt_writes_the_dense_bytes_without_building_the_matrix(fmt, tmp_path, capsys, monkeypatch):
     """`rank --fn opt` at n = 1000 writes, to stdout and to --out, the bytes of the 0/1 matrix of a
@@ -1530,6 +1543,7 @@ def test_rank_opt_writes_the_dense_bytes_without_building_the_matrix(fmt, tmp_pa
     assert_same_lines(dest.read_bytes().decode(), expected.decode())
 
 
+@pytest.mark.baseline_kernels
 @pytest.mark.parametrize("n", [37, 300])
 def test_rank_mix_phi_0_writes_the_bytes_of_rank_opt(n, tmp_path, capsys):
     """`rank --fn mix --phi 0` holds opt's 0/1 matrix as a dense array, which takes the lookup,
@@ -1554,6 +1568,7 @@ def _emitted(R, fmt: str, out) -> bytes:
     return stdout.buffer.getvalue() if out is None else out.read_bytes()
 
 
+@pytest.mark.baseline_kernels
 @pytest.mark.parametrize("rows", [1, 2, 3])
 @settings(max_examples=60, deadline=None)
 @given(R=st.one_of(long_runs(), rankings()))
@@ -1759,19 +1774,21 @@ def test_out_over_its_own_input(fmt, ranked, capsys):
 
 
 @pytest.mark.parametrize("old", [None, "longer", "shorter"])
-def test_report_of_several_slices_is_its_utf8_encoding(old, tmp_path):
-    """A report of three and a half slices, with characters of one to four bytes on
-    either side of each slice boundary, is written as `text.encode("utf-8")`, over
-    no file, a longer one or a shorter one."""
+def test_report_of_several_chunks_is_its_utf8_encoding(old, tmp_path):
+    """A report of three and a half 2^16-character spans, with characters of two to four bytes
+    on either side of each span boundary, written as six chunks that each end between two
+    multi-byte characters, is `text.encode("utf-8")`, over no file, a longer one or a shorter one."""
+    span = 2**16
     chars = np.array(list("aé€😀\n"))
-    picks = chars[np.random.default_rng(8).integers(0, chars.size, size=7 * _WRITE_SLICE // 2)]
+    picks = chars[np.random.default_rng(8).integers(0, chars.size, size=7 * span // 2)]
     for k in (1, 2, 3):
-        picks[k * _WRITE_SLICE - 1 : k * _WRITE_SLICE + 1] = chars[k], chars[k % 3 + 1]
+        picks[k * span - 1 : k * span + 1] = chars[k], chars[k % 3 + 1]
     text = "".join(picks.tolist())
     dest = tmp_path / "report"
     if old:
         dest.write_bytes(b"#" * (len(text.encode()) + 1 if old == "longer" else 1))
-    cuts = [0, 1000, _WRITE_SLICE + 1, 3 * _WRITE_SLICE - 7, len(text)]  # chunks end inside and at slices
+    cuts = [0, span, span + 1, 2 * span, 3 * span - 7, 3 * span, len(text)]
+    assert all(len(text[c - 1].encode()) > 1 < len(text[c].encode()) for c in cuts[1:-1])
     _write_text(str(dest), [text[a:b] for a, b in zip(cuts, cuts[1:])])
     assert dest.read_bytes() == text.encode("utf-8")
 

@@ -168,6 +168,7 @@ def peaked_integer_rows(rng, n, L, D):
     return c
 
 
+@pytest.mark.baseline_kernels
 class TestUaKernelHardInputs:
     def test_matches_oracle_on_peaked_one_hot_and_tie_rows(self):
         rng = np.random.default_rng(30)
@@ -233,6 +234,7 @@ class TestUaKernelHardInputs:
             assert -M.min() <= bound
 
 
+@pytest.mark.baseline_kernels
 class TestStackedKernel:
     """`_ua_marginals` on a (2, m, n, L) stack returns, matrix by matrix, exactly the
     entries `ua_rank` returns for that matrix alone."""
@@ -341,6 +343,7 @@ def one_forward_column(rng, n):
     return rows
 
 
+@pytest.mark.baseline_kernels
 class TestLiveSweep:
     """`_ua_label_kernel` sweeps each pass's live rectangle only, and returns bit for bit
     what the full sweep returns: neither the trim nor the sort moves a bit."""
@@ -437,6 +440,7 @@ def recording_kernel(monkeypatch):
     return calls
 
 
+@pytest.mark.baseline_kernels
 class TestLabelGroups:
     """`_ua_marginals` hands the kernel as many labels per call as keep labels x
     matrices x n^2 within the chunk bound, at least one, and the grouping never
@@ -646,6 +650,7 @@ def zero_tau(n):
     return types.SimpleNamespace(tau=lambda P: np.zeros(n))
 
 
+@pytest.mark.baseline_kernels
 class TestPlackettLuce:
     def test_single_individual(self):
         P = PredictionMatrix(np.array([[0.5, 0.5]]))

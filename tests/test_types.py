@@ -1,3 +1,6 @@
+import copy
+import pickle
+
 import numpy as np
 import pytest
 
@@ -93,6 +96,11 @@ class TestRankingDistribution:
     def test_from_order_refuses_a_non_permutation(self, order, message):
         with pytest.raises(ValidationError, match=message):
             RankingDistribution.from_order(np.array(order))
+
+    def test_order_has_no_other_missing_attribute(self):
+        R = RankingDistribution.from_order([1, 0])
+        assert not hasattr(R, "nope")
+        assert "entries" not in vars(R)
 
     def test_repr_of_an_order_shows_the_order_and_builds_no_matrix(self, monkeypatch):
         def refuse(order):
@@ -295,3 +303,26 @@ def test_values_freeze_their_own_arrays_not_the_callers():
     v[0], w[1], weights[0], rows[0, 0], eye[1, 2] = 0.5, 0.25, 0.75, 0.125, -3e-12
     assert (u.label_values[0], u.position_weights[1], pop.weights[0], pop.ground_truth[0, 0]) == (1.0, 0.5, 0.5, 0.5)
     assert np.shares_memory(M.entries, eye) and M.entries[1, 2] == -3e-12
+
+
+ROWS = np.array([[0.5, 0.5 + 5e-7], [0.25, 0.75]])  # row 0 is renormalized, so a second pass could move its bits
+
+
+@pytest.mark.parametrize("copied", [lambda x: pickle.loads(pickle.dumps(x)), copy.deepcopy], ids=["pickle", "deepcopy"])
+@pytest.mark.parametrize("make, names", [
+    (lambda: PredictionMatrix(ROWS), ["rows"]),
+    (lambda: RankingDistribution(np.eye(3)[[2, 0, 1]]), ["entries"]),
+    (lambda: RankingDistribution.from_order([2, 0, 1]), ["order"]),
+    (lambda: UtilitySpec.dcg(3, L=2), ["label_values", "position_weights"]),
+    (lambda: PopulationModel(type_names=("a", "b"), weights=[0.5, 0.5], ground_truth=ROWS, predicted=ROWS[::-1],
+                             groups={}), ["weights", "ground_truth", "predicted"]),
+], ids=["prediction_matrix", "ranking", "ranking_from_order", "utility_spec", "population_model"])
+def test_copies_keep_their_bits_read_only(make, names, copied):
+    x = make()
+    y = copied(x)
+    assert type(y) is type(x) and sorted(vars(y)) == sorted(vars(x))  # an order builds no entries
+    for name in names:
+        a, b = getattr(x, name), getattr(y, name)
+        assert b is not a and (b.dtype, b.shape, b.tobytes()) == (a.dtype, a.shape, a.tobytes())
+        with pytest.raises(ValueError, match="read-only"):
+            b[0] = 7.0
