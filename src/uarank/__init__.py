@@ -5,7 +5,6 @@ from .audit import (
     MultiaccuracyResult,
     MulticalibrationResult,
     NatureClosenessReport,
-    PopulationModel,
     multiaccuracy_alpha,
     multicalibration_alpha,
     nature_closeness_check,
@@ -38,7 +37,7 @@ from .rankers import (
     ua_rank_conditional,
     ua_rank_oracle,
 )
-from .types import PredictionMatrix, RankingDistribution, UtilitySpec
+from .types import PopulationModel, PredictionMatrix, RankingDistribution, UtilitySpec
 
 __all__ = [
     "AuditReport",

@@ -1,11 +1,11 @@
 """Multigroup fairness audits over a finite typed population.
 
-A population model declares a finite set of types with sampling weights, a
-ground-truth label distribution and a predicted one per type, and named
-protected groups of types.  The audits measure how multiaccurate or
-multicalibrated the predictor is, and how far ranking outcomes under the
-predictor drift from ranking outcomes under the ground truth, both exactly, in
-closed form over the i.i.d. types, and by sampling.
+A population model (`types.PopulationModel`) declares a finite set of types
+with sampling weights, a ground-truth label distribution and a predicted one
+per type, and named protected groups of types.  The audits measure how
+multiaccurate or multicalibrated the predictor is, and how far ranking outcomes
+under the predictor drift from ranking outcomes under the ground truth, both
+exactly, in closed form over the i.i.d. types, and by sampling.
 """
 
 from __future__ import annotations
@@ -18,76 +18,11 @@ import numpy as np
 from . import rankers
 from .errors import BudgetExceededError, ValidationError
 from .rankers import _legendre_nodes, _seeded_rng, _ua_marginals, checked_ranker
-from .types import (DS_TOL, ROW_SUM_TOL, PredictionMatrix, UtilitySpec, _check_distributions, _check_doubly_stochastic,
-                    _restore_read_only)
+from .types import DS_TOL, PopulationModel, PredictionMatrix, UtilitySpec, _check_doubly_stochastic
 
-FULL_DOMAIN_GROUP = "all"
 # (rankings, n): an audit may make 10^6 rankings of n <= 19 types, or as many of n > 19 types
 # as cost the same total under the UA kernel's n^3 work per ranking.
 AUDIT_BUDGET = (10**6, 19)
-_WEIGHT_TOL = 1e-9
-
-
-@dataclass(frozen=True)
-class PopulationModel:
-    """Finite typed domain with sampling weights, ground truth, predictor, groups."""
-
-    type_names: tuple
-    weights: np.ndarray  # (T,), nonnegative, sums to 1
-    ground_truth: np.ndarray  # (T, L) label distributions
-    predicted: np.ndarray  # (T, L) label distributions
-    groups: dict  # name -> tuple of type indices; always contains the full domain
-    __setstate__ = _restore_read_only
-
-    def __post_init__(self):
-        # Copies, frozen below: the caller's arrays stay writable.
-        w = np.array(self.weights, dtype=np.float64)
-        gt = np.array(self.ground_truth, dtype=np.float64)
-        pred = np.array(self.predicted, dtype=np.float64)
-        T = len(self.type_names)
-        if w.shape != (T,):
-            raise ValidationError("type weights must be one per type")
-        # Checked, not renormalized: the audits read these arrays bit for bit.
-        _check_distributions(w[None], "type weights: ", _WEIGHT_TOL)
-        for name, arr in (("ground truth", gt), ("predicted", pred)):
-            if arr.ndim != 2 or arr.shape[0] != T:
-                raise ValidationError(f"{name} distributions must be a T x L matrix")
-            _check_distributions(arr, f"{name}: ", ROW_SUM_TOL)
-        if gt.shape != pred.shape:
-            raise ValidationError("ground-truth and predicted label counts differ")
-        groups = dict(self.groups)
-        for name, members in groups.items():
-            members = tuple(members)
-            if not members or any(not 0 <= t < T for t in members):
-                raise ValidationError(f"group '{name}' must be a nonempty subset of types")
-            if len(set(members)) < len(members):
-                t = next(t for i, t in enumerate(members) if t in members[:i])
-                raise ValidationError(f"group '{name}' lists type '{self.type_names[t]}' more than once")
-            groups[name] = members
-        full = tuple(range(T))
-        if FULL_DOMAIN_GROUP in groups and sorted(groups[FULL_DOMAIN_GROUP]) != list(full):
-            raise ValidationError(f"group '{FULL_DOMAIN_GROUP}' must hold every type: it names the full domain")
-        if full not in [tuple(sorted(m)) for m in groups.values()]:
-            groups[FULL_DOMAIN_GROUP] = full
-        for name, arr in (("weights", w), ("ground_truth", gt), ("predicted", pred)):
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
-        object.__setattr__(self, "groups", groups)
-
-    @property
-    def T(self) -> int:
-        return len(self.type_names)
-
-    @property
-    def L(self) -> int:
-        return self.ground_truth.shape[1]
-
-    def group_mask(self, group: str) -> np.ndarray:
-        if group not in self.groups:
-            raise ValidationError(f"unknown group '{group}'; known: {sorted(self.groups)}")
-        mask = np.zeros(self.T, dtype=bool)
-        mask[list(self.groups[group])] = True
-        return mask
 
 
 def two_type_biased_model(alpha: float) -> PopulationModel:

@@ -13,9 +13,8 @@ from pathlib import Path
 import numpy as np
 
 from . import rankers
-from .audit import PopulationModel
 from .errors import ValidationError
-from .types import PredictionMatrix, RankingDistribution, UtilitySpec
+from .types import PopulationModel, PredictionMatrix, RankingDistribution, UtilitySpec
 
 
 def load_prediction_matrix(path) -> PredictionMatrix:
@@ -63,7 +62,8 @@ def _loadtxt(text: str) -> np.ndarray | None:
 
 
 def _parse_csv(path: Path, text: str) -> np.ndarray:
-    """The rows of the text as the csv module reads them, raising for an empty file or a bad row."""
+    """The rows of the text as the csv module reads them, floats cell by cell, raising for
+    an empty file, the first ragged row or the first bad cell."""
     records = [row for row in csv.reader(StringIO(text, newline="")) if "".join(row).strip()]
     if not records:
         raise ValidationError(f"{path}: empty file")
@@ -71,7 +71,17 @@ def _parse_csv(path: Path, text: str) -> np.ndarray:
         records = records[1:]
         if not records:
             raise ValidationError(f"{path}: header but no data rows")
-    return _parse_cells(path, records)
+    width = len(records[0])
+    rows = np.empty((len(records), width))
+    for r, record in enumerate(records, start=1):
+        if len(record) != width:
+            raise ValidationError(f"{path}: row {r} has {len(record)} columns, expected {width}")
+        for c, cell in enumerate(record, start=1):
+            try:
+                rows[r - 1, c - 1] = float(cell)
+            except ValueError:
+                raise ValidationError(f"{path}: row {r}, column {c}: cannot parse '{cell.strip()}'") from None
+    return rows
 
 
 def _read_text(path: Path, newline: str | None = None) -> str:
@@ -113,25 +123,6 @@ def _write_text(path: str, chunks) -> None:
                     os.ftruncate(fd, end)
     except OSError as exc:
         raise ValidationError(f"cannot write {path}: {exc.strerror or exc}") from None
-
-
-def _parse_cells(path: Path, records: list) -> np.ndarray:
-    """The records as floats, cell by cell, raising for the first ragged row or bad cell."""
-    width = len(records[0])
-    rows = np.empty((len(records), width))
-    for r, record in enumerate(records, start=1):
-        if len(record) != width:
-            raise ValidationError(
-                f"{path}: row {r} has {len(record)} columns, expected {width}"
-            )
-        for c, cell in enumerate(record, start=1):
-            try:
-                rows[r - 1, c - 1] = float(cell)
-            except ValueError:
-                raise ValidationError(
-                    f"{path}: row {r}, column {c}: cannot parse '{cell.strip()}'"
-                ) from None
-    return rows
 
 
 def _is_number(cell: str) -> bool:

@@ -1,4 +1,7 @@
-"""Core value types: prediction matrices, ranking distributions, utility specs.
+"""The four validated value types: the prediction matrix (`PredictionMatrix`), the
+ranking distribution (`RankingDistribution`), the utility spec (`UtilitySpec`) and the
+typed population the fairness audits measure (`PopulationModel`).  Each is frozen, holds
+read-only arrays, and compares and hashes by identity.
 
 Conventions used throughout the package:
   - individuals are indexed 0..n-1,
@@ -17,6 +20,8 @@ from .errors import ValidationError
 
 ROW_SUM_TOL = 1e-6
 DS_TOL = 1e-9
+FULL_DOMAIN_GROUP = "all"
+_WEIGHT_TOL = 1e-9
 
 
 def _check_distributions(rows: np.ndarray, what: str, tol: float, slack: float = 0.0) -> np.ndarray:
@@ -64,14 +69,30 @@ def _checked_permutation(perm, n: int) -> np.ndarray:
     return p
 
 
-def _restore_read_only(self, state: dict) -> None:
-    """`__setstate__` of the value types: a pickled or deep-copied value takes its fields as
-    they were, its arrays read-only again, without re-running (and re-normalizing in) the
-    constructor; a ranking made by `from_order` stays an order, its `entries` unbuilt."""
-    for value in state.values():
+def _freeze(self, fields: dict) -> None:
+    """Set a frozen value's fields, each array read-only.  It is also every value type's
+    `__setstate__`: a pickled or deep-copied value takes its fields as they were, without
+    re-running (and re-normalizing in) the constructor; a ranking made by `from_order`
+    stays an order, its `entries` unbuilt."""
+    for value in fields.values():
         if isinstance(value, np.ndarray):
             value.flags.writeable = False
-    self.__dict__.update(state)
+    self.__dict__.update(fields)
+
+
+def _real_field(self, name: str, copy: bool = False) -> np.ndarray:
+    """Field `name` of a value being built, as a float64 array: a copy if `copy`, else the
+    input itself when it is a float64 array.  Ragged, string, object and complex input is a
+    ValidationError naming the value type and the field, where numpy would raise its own
+    ValueError, parse the strings or keep only the real parts."""
+    what = f"{type(self).__name__}.{name}"
+    try:
+        x = np.asarray(getattr(self, name))
+    except ValueError:
+        raise ValidationError(f"{what} is ragged: its rows differ in length") from None
+    if x.dtype.kind not in "biuf":
+        raise ValidationError(f"{what} must hold real numbers, got {x.dtype}")
+    return x.astype(np.float64, copy=copy)
 
 
 def _permutation_matrix(order: np.ndarray) -> np.ndarray:
@@ -82,24 +103,22 @@ def _permutation_matrix(order: np.ndarray) -> np.ndarray:
     return M
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PredictionMatrix:
     """An n x L matrix whose row i is individual i's distribution over labels."""
 
     rows: np.ndarray
-    __setstate__ = _restore_read_only
+    __setstate__ = _freeze
 
     def __post_init__(self):
-        rows = np.asarray(self.rows, dtype=np.float64)
+        rows = _real_field(self, "rows")
         if rows.ndim != 2 or rows.shape[0] < 1 or rows.shape[1] < 1:
             raise ValidationError(
                 f"prediction matrix must be 2-dimensional and nonempty, got shape {rows.shape}"
             )
         sums = _check_distributions(rows, "", ROW_SUM_TOL)
         # Exact renormalization so downstream arithmetic sees true distributions.
-        rows = rows / sums[:, None]
-        rows.flags.writeable = False
-        object.__setattr__(self, "rows", rows)
+        _freeze(self, {"rows": rows / sums[:, None]})
 
     @property
     def n(self) -> int:
@@ -134,12 +153,12 @@ class RankingDistribution:
     `io.table_parts`), which take rankings, not arrays, write the matrix from
     the order.  Every other ranking they write from its `entries`.
 
-    Rankings compare and hash by identity, so `==` never reads a matrix;
-    `linf_gap` compares their values."""
+    Like every value type, rankings compare and hash by identity, so `==` never
+    reads a matrix; `linf_gap` compares their values."""
 
     entries: np.ndarray
     order: np.ndarray | None = field(default=None, init=False)
-    __setstate__ = _restore_read_only
+    __setstate__ = _freeze
 
     @classmethod
     def from_order(cls, order) -> "RankingDistribution":
@@ -149,30 +168,25 @@ class RankingDistribution:
         n = np.size(order)
         if n == 0:
             raise ValidationError("ranking distribution must be nonempty, got shape (0, 0)")
-        order = _checked_permutation(order, n)
-        order.flags.writeable = False
         self = object.__new__(cls)
-        object.__setattr__(self, "order", order)
+        _freeze(self, {"order": _checked_permutation(order, n)})
         return self
 
     def __getattr__(self, name):
         # Reached only for an attribute not yet set: an order's `entries` before their first read.
         if name != "entries" or self.order is None:
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        m = _permutation_matrix(self.order)
-        m.flags.writeable = False
-        object.__setattr__(self, "entries", m)
-        return m
+        _freeze(self, {"entries": _permutation_matrix(self.order)})
+        return self.entries
 
     def __post_init__(self):
-        m = np.asarray(self.entries, dtype=np.float64).view()
+        m = _real_field(self, "entries").view()
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValidationError(f"ranking distribution must be square, got shape {m.shape}")
         if m.size == 0:
             raise ValidationError(f"ranking distribution must be nonempty, got shape {m.shape}")
         _check_doubly_stochastic(m)
-        m.flags.writeable = False
-        object.__setattr__(self, "entries", m)
+        _freeze(self, {"entries": m})
 
     def __repr__(self) -> str:
         shown = "entries" if self.order is None else "order"
@@ -192,13 +206,8 @@ class RankingDistribution:
         return float(np.abs(self.entries - other.entries).max())
 
     def row_gap(self, i: int, j: int) -> float:
-        """Entrywise max-norm of row i - row j of `entries` (indices as numpy reads
-        them).  A ranking that keeps its order builds no matrix: two distinct rows of a
-        permutation matrix hold their 1 in different columns, so they differ by 1.0."""
-        if self.order is None:
-            return float(np.abs(self.entries[i] - self.entries[j]).max())
-        rows = range(self.n)
-        return float(rows[i] != rows[j])
+        """Entrywise max-norm of row i - row j of `entries` (indices as numpy reads them)."""
+        return float(np.abs(self.entries[i] - self.entries[j]).max())
 
     def position_values(self, values: np.ndarray) -> np.ndarray:
         """values @ entries: the expected value at each position.  A ranking that keeps
@@ -207,17 +216,17 @@ class RankingDistribution:
         return values @ self.entries if self.order is None else values[self.order] + 0.0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class UtilitySpec:
     """Label values v_1 < ... < v_L and nonincreasing position weights w_1 >= ... >= w_n."""
 
     label_values: np.ndarray
     position_weights: np.ndarray
-    __setstate__ = _restore_read_only
+    __setstate__ = _freeze
 
     def __post_init__(self):
-        v = np.array(self.label_values, dtype=np.float64)  # copies, frozen below
-        w = np.array(self.position_weights, dtype=np.float64)
+        v = _real_field(self, "label_values", copy=True)  # copies, frozen below
+        w = _real_field(self, "position_weights", copy=True)
         for what, x in (("label values", v), ("position weights", w)):
             if x.ndim != 1 or x.size < 1:
                 raise ValidationError(f"{what} must be a nonempty vector")
@@ -227,10 +236,7 @@ class UtilitySpec:
             raise ValidationError("label values must be nonnegative and strictly increasing")
         if np.any(w < 0) or np.any(np.diff(w) > 0):
             raise ValidationError("position weights must be nonnegative and nonincreasing")
-        v.flags.writeable = False
-        w.flags.writeable = False
-        object.__setattr__(self, "label_values", v)
-        object.__setattr__(self, "position_weights", w)
+        _freeze(self, {"label_values": v, "position_weights": w})
 
     @classmethod
     def dcg(cls, n: int, label_values=None, L: int | None = None) -> "UtilitySpec":
@@ -262,3 +268,60 @@ class UtilitySpec:
                 f"utility spec has {self.position_weights.size} position weights, need {n}"
             )
         return self.position_weights[:n]
+
+
+@dataclass(frozen=True, eq=False)
+class PopulationModel:
+    """Finite typed domain with sampling weights, ground truth, predictor, groups."""
+
+    type_names: tuple
+    weights: np.ndarray  # (T,), nonnegative, sums to 1
+    ground_truth: np.ndarray  # (T, L) label distributions
+    predicted: np.ndarray  # (T, L) label distributions
+    groups: dict  # name -> tuple of type indices; always contains the full domain
+    __setstate__ = _freeze
+
+    def __post_init__(self):
+        # Copies, frozen below: the caller's arrays stay writable.
+        w, gt, pred = (_real_field(self, name, copy=True) for name in ("weights", "ground_truth", "predicted"))
+        T = len(self.type_names)
+        if w.shape != (T,):
+            raise ValidationError("type weights must be one per type")
+        # Checked, not renormalized: the audits read these arrays bit for bit.
+        _check_distributions(w[None], "type weights: ", _WEIGHT_TOL)
+        for name, arr in (("ground truth", gt), ("predicted", pred)):
+            if arr.ndim != 2 or arr.shape[0] != T:
+                raise ValidationError(f"{name} distributions must be a T x L matrix")
+            _check_distributions(arr, f"{name}: ", ROW_SUM_TOL)
+        if gt.shape != pred.shape:
+            raise ValidationError("ground-truth and predicted label counts differ")
+        groups = dict(self.groups)
+        for name, members in groups.items():
+            members = tuple(members)
+            if not members or any(not 0 <= t < T for t in members):
+                raise ValidationError(f"group '{name}' must be a nonempty subset of types")
+            if len(set(members)) < len(members):
+                t = next(t for i, t in enumerate(members) if t in members[:i])
+                raise ValidationError(f"group '{name}' lists type '{self.type_names[t]}' more than once")
+            groups[name] = members
+        full = tuple(range(T))
+        if FULL_DOMAIN_GROUP in groups and sorted(groups[FULL_DOMAIN_GROUP]) != list(full):
+            raise ValidationError(f"group '{FULL_DOMAIN_GROUP}' must hold every type: it names the full domain")
+        if full not in [tuple(sorted(m)) for m in groups.values()]:
+            groups[FULL_DOMAIN_GROUP] = full
+        _freeze(self, {"weights": w, "ground_truth": gt, "predicted": pred, "groups": groups})
+
+    @property
+    def T(self) -> int:
+        return len(self.type_names)
+
+    @property
+    def L(self) -> int:
+        return self.ground_truth.shape[1]
+
+    def group_mask(self, group: str) -> np.ndarray:
+        if group not in self.groups:
+            raise ValidationError(f"unknown group '{group}'; known: {sorted(self.groups)}")
+        mask = np.zeros(self.T, dtype=bool)
+        mask[list(self.groups[group])] = True
+        return mask

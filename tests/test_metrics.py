@@ -401,21 +401,6 @@ class TestCompositionCheck:
             assert chk.row_gap <= 2 * delta + 1e-12
             assert chk.passed
 
-    def test_opt_ranking_builds_no_matrix(self):
-        rng = np.random.default_rng(44)
-        P = random_prediction(rng, 1000, 5)
-        M = opt_rank(P, UtilitySpec.dcg(1000, L=5))
-        if_composition_check(P, M, 0, 1, d_ij=0.5, beta=1.0, gamma=1.0)  # warm up
-        tracemalloc.start()
-        try:
-            chk = if_composition_check(P, M, 3, 999, d_ij=0.5, beta=1.0, gamma=1.0)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert chk.row_gap == 1.0 and chk.passed
-        assert "entries" not in vars(M)
-        assert peak < 1_000_000  # one 1000 x 1000 float64 array is 8 MB
-
     def test_rejects_same_individual(self, stab_lb):
         P, _ = stab_lb
         with pytest.raises(ValidationError):

@@ -1,5 +1,6 @@
 import copy
 import pickle
+import re
 
 import numpy as np
 import pytest
@@ -175,11 +176,6 @@ class TestRowGap:
                 gap = M.row_gap(i, j)
                 assert gap.hex() == float(np.abs(M.entries[i] - M.entries[j]).max()).hex()
 
-    def test_order_builds_no_matrix(self):
-        M = RankingDistribution.from_order(np.random.default_rng(95).permutation(9))
-        assert (M.row_gap(2, 5), M.row_gap(4, 4), M.row_gap(-1, 8)) == (1.0, 0.0, 0.0)
-        assert "entries" not in vars(M)
-
     @pytest.mark.parametrize("make", [lambda: RankingDistribution.from_order(np.arange(3)),
                                       lambda: RankingDistribution(np.eye(3))], ids=["order", "matrix"])
     def test_index_out_of_range(self, make):
@@ -326,3 +322,49 @@ def test_copies_keep_their_bits_read_only(make, names, copied):
         assert b is not a and (b.dtype, b.shape, b.tobytes()) == (a.dtype, a.shape, a.tobytes())
         with pytest.raises(ValueError, match="read-only"):
             b[0] = 7.0
+
+
+# One value of each type, from a function that builds a new one on every call.
+VALUES = {
+    "prediction_matrix": lambda: PredictionMatrix(ROWS),
+    "ranking": lambda: RankingDistribution(np.eye(3)[[2, 0, 1]]),
+    "ranking_from_order": lambda: RankingDistribution.from_order([2, 0, 1]),
+    "utility_spec": lambda: UtilitySpec.dcg(3, L=2),
+    "population_model": lambda: PopulationModel(type_names=("a", "b"), weights=[0.5, 0.5], ground_truth=ROWS,
+                                                predicted=ROWS[::-1], groups={}),
+}
+
+
+@pytest.mark.parametrize("make", VALUES.values(), ids=VALUES.keys())
+def test_values_compare_and_hash_by_identity(make):
+    """`==` and `hash` never read an array: a value equals itself and no copy of it."""
+    v = make()
+    twin = copy.deepcopy(v)
+    assert v == v and v != twin and not v == twin
+    assert len({v, twin}) == 2 and hash(v) == hash(v)
+
+
+# For each constructor, the field that gets the malformed input, and the call with that input.
+MALFORMED_INPUT = {
+    "PredictionMatrix.rows": lambda x: PredictionMatrix(x),
+    "RankingDistribution.entries": lambda x: RankingDistribution(x),
+    "UtilitySpec.label_values": lambda x: UtilitySpec(x, [1.0]),
+    "UtilitySpec.position_weights": lambda x: UtilitySpec([1.0, 2.0], x),
+    "PopulationModel.weights": lambda x: PopulationModel(type_names=("a", "b"), weights=x, ground_truth=ROWS,
+                                                         predicted=ROWS, groups={}),
+    "PopulationModel.ground_truth": lambda x: PopulationModel(type_names=("a", "b"), weights=[0.5, 0.5],
+                                                              ground_truth=x, predicted=ROWS, groups={}),
+    "PopulationModel.predicted": lambda x: PopulationModel(type_names=("a", "b"), weights=[0.5, 0.5],
+                                                           ground_truth=ROWS, predicted=x, groups={}),
+}
+
+
+@pytest.mark.parametrize("field", MALFORMED_INPUT)
+@pytest.mark.parametrize("x, message", [
+    ([[0.5, 0.5], [1.0]], r"is ragged: its rows differ in length"),
+    ([["1", "0"], ["0", "1"]], r"must hold real numbers, got <U1"),  # numpy would parse the strings
+    (np.array([[0.5 + 0.3j, 0.5], [0.5, 0.5]]), r"must hold real numbers, got complex128"),  # and drop 0.3j
+], ids=["ragged", "string", "complex"])
+def test_malformed_arrays_are_validation_errors(field, x, message):
+    with pytest.raises(ValidationError, match=rf"^{re.escape(field)} {message}$"):
+        MALFORMED_INPUT[field](x)
