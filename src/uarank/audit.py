@@ -18,7 +18,7 @@ import numpy as np
 from . import rankers
 from .errors import BudgetExceededError, ValidationError
 from .rankers import _legendre_nodes, _seeded_rng, _ua_marginals, checked_ranker
-from .types import DS_TOL, PopulationModel, PredictionMatrix, UtilitySpec, _check_doubly_stochastic
+from .types import DS_TOL, PopulationModel, PredictionMatrix, UtilitySpec, _check_doubly_stochastic, _check_scalar
 
 # (rankings, n): an audit may make 10^6 rankings of n <= 19 types, or as many of n > 19 types
 # as cost the same total under the UA kernel's n^3 work per ranking.
@@ -32,8 +32,7 @@ def two_type_biased_model(alpha: float) -> PopulationModel:
     by alpha and underrates type 1 by alpha.  The canonical hard instance for
     deterministic utility-optimal ranking.
     """
-    if not 0.0 < alpha < 0.5:
-        raise ValidationError(f"bias must lie in (0, 1/2), got {alpha}")
+    _check_scalar(alpha, "bias alpha", "(0, 0.5)")
     return PopulationModel(
         type_names=("1", "2"),
         weights=np.array([0.5, 0.5]),
@@ -60,8 +59,7 @@ def multiaccuracy_alpha(pop: PopulationModel) -> MultiaccuracyResult:
 
 
 def _bucket_count(delta: float) -> int:
-    if not 0.0 < delta <= 1.0:
-        raise ValidationError(f"bucket width must lie in (0, 1], got {delta}")
+    _check_scalar(delta, "bucket width delta", "(0, 1]")
     if not 1.0 / delta <= 2.0**53:  # beyond, every double passes the integer test below
         raise ValidationError(f"1/delta must be at most 2^53, got delta={delta}")
     b = round(1.0 / delta)
@@ -234,9 +232,8 @@ def _audit_setup(pop, n, k, group, fn, u, phi, delta, bucket, samples=None) -> t
     `samples` (None: exact).  Sampled opt ranks no UA, only tau per type, so it is charged one ranking
     as the exact audit is.  Checks n, k and the group, then the ranker, its parameters and tau,
     then delta and the bucket, L integers in [0, 1/delta) as a tuple or a list, then the budget."""
-    _check_size(n)
-    if not 1 <= k <= n:
-        raise ValidationError(f"position {k} out of range for n={n}")
+    _check_scalar(n, "dataset size n", "[1, inf)", integer=True)
+    _check_scalar(k, "position k", f"[1, {n}]", integer=True)
     ind = pop.group_mask(group).astype(np.float64)
     checked_ranker(fn, audit=True, u=u, phi=phi)
     taus = _taus(pop, fn, u)
@@ -244,9 +241,10 @@ def _audit_setup(pop, n, k, group, fn, u, phi, delta, bucket, samples=None) -> t
     if bucket is not None:
         if b is None:
             raise ValidationError("a calibration bucket needs its width delta")
-        if not (isinstance(bucket, (tuple, list)) and len(bucket) == pop.L and all(
-                isinstance(j, (int, np.integer)) and not isinstance(j, bool) and 0 <= j < b for j in bucket)):
+        if not (isinstance(bucket, (tuple, list)) and len(bucket) == pop.L):
             raise ValidationError(f"calibration bucket must be {pop.L} integers in [0, {b}), got {bucket!r}")
+        for e, j in enumerate(bucket, start=1):
+            _check_scalar(j, f"entry {e} of calibration bucket {bucket!r}", f"[0, {b})", integer=True)
         ind *= np.array([1.0 if j == tuple(bucket) else 0.0 for j in type_buckets(pop, delta)])
     return taus, ind, _charge(pop, n, None if fn == "opt" else samples,
                               "exact audit" if samples is None else "sampling")
@@ -257,7 +255,7 @@ def theorem_bound(pop: PopulationModel, n: int, fn="ua", phi=None, delta=None) -
     bucket width delta, the larger of the multicalibration and the full domain's multiaccuracy
     violations; the bound is L*n*alpha, or phi*L*n*alpha + 1 - phi for fn="mix"."""
     checked_ranker(fn, audit=True, phi=phi)
-    _check_size(n)
+    _check_scalar(n, "dataset size n", "[1, inf)", integer=True)
     ma = multiaccuracy_alpha(pop)
     full_domain = next(name for name, m in pop.groups.items() if sorted(m) == list(range(pop.T)))
     alpha = ma.alpha if delta is None else max(multicalibration_alpha(pop, delta).alpha, ma.per_group[full_domain])
@@ -351,7 +349,7 @@ def nature_closeness_check(pop: PopulationModel, n: int, seed: int = 0, samples:
     must satisfy ||ua(predicted) - ua(ground truth)||_inf <= n * eps.  A call
     over `AUDIT_BUDGET` raises BudgetExceededError, after every validation error.
     """
-    _check_size(n)
+    _check_scalar(n, "dataset size n", "[1, inf)", integer=True)
     rng, index, max_gap = _seeded_rng(seed, samples), {}, 0.0
     _charge(pop, n, samples, "nature check")
     eps = float(np.abs(pop.predicted - pop.ground_truth).sum(axis=1).max())
@@ -364,8 +362,3 @@ def nature_closeness_check(pop: PopulationModel, n: int, seed: int = 0, samples:
     bound = n * eps
     return NatureClosenessReport(eps=eps, bound=bound, max_gap=max_gap,
                                  within_bound=max_gap <= bound + 1e-12, samples=samples, seed=seed)
-
-
-def _check_size(n: int) -> None:
-    if n < 1:
-        raise ValidationError(f"dataset size must be positive, got {n}")

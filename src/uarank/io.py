@@ -14,7 +14,7 @@ import numpy as np
 
 from . import rankers
 from .errors import ValidationError
-from .types import PopulationModel, PredictionMatrix, RankingDistribution, UtilitySpec
+from .types import PopulationModel, PredictionMatrix, RankingDistribution, UtilitySpec, _check_scalar
 
 
 def load_prediction_matrix(path) -> PredictionMatrix:
@@ -146,9 +146,10 @@ def load_population_model(path) -> PopulationModel:
     be the full domain, which is added under that name when no group covers it.
     """
     path = Path(path)
+    text = _read_text(path)
     try:
-        doc = json.loads(_read_text(path))
-    except json.JSONDecodeError as exc:
+        doc = json.loads(text)
+    except (RecursionError, ValueError) as exc:  # ValueError: a JSONDecodeError, or an integer too long to parse
         raise ValidationError(f"{path}: invalid JSON: {exc}") from None
     return population_model_from_dict(doc, source=str(path))
 
@@ -159,8 +160,8 @@ def population_model_from_dict(doc: dict, source: str = "population model") -> P
     if not isinstance(types, list) or not types:
         raise ValidationError(f"{source}: 'types' must be a nonempty list")
     L = doc.get("labels")
-    if L is not None and (type(L) is not int or L < 1):  # bool is an int subclass, not a count
-        raise ValidationError(f"{source}: 'labels' must be a positive integer, got {L!r}")
+    if L is not None:
+        _check_scalar(L, f"{source}: 'labels'", "[1, inf)", integer=True)
     names, weights, gt, pred = [], [], [], []
     for idx, t in enumerate(types, start=1):
         if not isinstance(t, dict):
@@ -172,7 +173,7 @@ def population_model_from_dict(doc: dict, source: str = "population model") -> P
         for key, out in (("weight", weights), ("groundTruth", gt), ("predicted", pred)):
             try:
                 out.append(_json_float(t[key]) if key == "weight" else [_json_float(v) for v in t[key]])
-            except (TypeError, ValueError):
+            except (TypeError, ValueError, OverflowError):  # OverflowError: an integer beyond float64
                 raise ValidationError(f"{source}: type {idx}: '{key}' is not numeric: {t[key]!r}") from None
         L = len(gt[-1]) if L is None else L
         if len(gt[-1]) != L or len(pred[-1]) != L:

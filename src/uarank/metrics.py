@@ -8,7 +8,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ValidationError
-from .types import PredictionMatrix, RankingDistribution, UtilitySpec
+from .types import PredictionMatrix, RankingDistribution, UtilitySpec, _check_scalar
 
 _DEGENERATE_REL = 1e-12  # bounds closer than this fraction of the best utility are equal
 _SCALE_DOWN = "scale the label values or position weights down"
@@ -119,15 +119,15 @@ def if_composition_check(
     (beta, d)-individually-fair predictor, rows i and j of the output can
     differ by at most 2*beta*gamma*d(x_i, x_j) in any entry.
     """
-    if i == j:
-        raise ValidationError("composition check needs two distinct individuals")
     if M.n != P.n:
         raise ValidationError(f"ranking is {M.n}x{M.n} but prediction matrix has n={P.n}")
-    for idx in (i, j):
-        if not 0 <= idx < M.n:
-            raise ValidationError(f"individual index {idx} out of range for n={M.n}")
-    if not (d_ij >= 0 and beta > 0 and gamma > 0):  # NaN fails every comparison
-        raise ValidationError("need d_ij >= 0 and beta, gamma > 0")
+    _check_scalar(i, "individual i", f"[0, {M.n})", integer=True)
+    _check_scalar(j, "individual j", f"[0, {M.n})", integer=True)
+    if i == j:
+        raise ValidationError("composition check needs two distinct individuals")
+    _check_scalar(d_ij, "distance d_ij", "[0, inf)")
+    _check_scalar(beta, "beta", "(0, inf)")
+    _check_scalar(gamma, "gamma", "(0, inf)")
     row_gap = M.row_gap(i, j)
     bound = 2.0 * beta * gamma * d_ij
     return CompositionCheck(row_gap=row_gap, bound=bound, passed=row_gap <= bound + 1e-12)

@@ -10,7 +10,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .errors import BudgetExceededError, ValidationError
-from .types import PredictionMatrix, RankingDistribution, UtilitySpec
+from .types import PredictionMatrix, RankingDistribution, UtilitySpec, _check_scalar
 
 ORACLE_BUDGET = 10**6
 # Matrix cells per UA kernel call (labels x matrices x n^2, beyond it one label per
@@ -172,10 +172,8 @@ def _ua_marginals(rows: np.ndarray) -> np.ndarray:
 
 def ua_rank_conditional(P: PredictionMatrix, i: int, label: int) -> np.ndarray:
     """Pr[individual i gets rank k | its label equals `label`], for all k."""
-    if not 0 <= i < P.n:
-        raise ValidationError(f"individual index {i} out of range for n={P.n}")
-    if not 1 <= label <= P.L:
-        raise ValidationError(f"label {label} out of range for L={P.L}")
+    _check_scalar(i, "individual i", f"[0, {P.n})", integer=True)
+    _check_scalar(label, "label", f"[1, {P.L}]", integer=True)
     return _ua_label_kernel(P.rows, (label,))[0, i]
 
 
@@ -261,12 +259,9 @@ def mix_rank(P: PredictionMatrix, u: UtilitySpec, phi: float) -> RankingDistribu
 
 
 def _seeded_rng(seed: int, samples: int) -> np.random.Generator:
-    """The generator of every sampling path, after refusing a sample count below one and
-    then a seed numpy would reject."""
-    if samples < 1:
-        raise ValidationError(f"need at least one sample, got {samples}")
-    if seed < 0:
-        raise ValidationError(f"seed must be a nonnegative integer, got {seed}")
+    """The generator of every sampling path, after checking the sample count, then the seed."""
+    _check_scalar(samples, "samples", "[1, inf)", integer=True)
+    _check_scalar(seed, "seed", "[0, inf)", integer=True)
     return np.random.default_rng(seed)
 
 
@@ -371,8 +366,8 @@ def checked_ranker(fn: str, audit: bool = False, **given) -> Ranker:
     missing = [p for p in ranker.params if p in given and given[p] is None]
     if missing:
         raise ValidationError(f"ranking function '{fn}' requires {' and '.join(missing)}")
-    if "phi" in ranker.params and "phi" in given and not 0.0 <= given["phi"] <= 1.0:
-        raise ValidationError(f"mixture weight must lie in [0, 1], got {given['phi']}")
+    if "phi" in ranker.params and "phi" in given:
+        _check_scalar(given["phi"], "mixture weight phi", "[0, 1]")
     return ranker
 
 

@@ -53,10 +53,28 @@ def _check_doubly_stochastic(m: np.ndarray) -> None:
         raise ValidationError(f"column sums deviate from 1 by more than {DS_TOL}")
 
 
-def _checked_permutation(perm, n: int) -> np.ndarray:
+def _check_scalar(value, name: str, interval: str, integer: bool = False) -> None:
+    """Check a scalar argument: an integer (int or numpy integer) or, unless `integer`, a real number
+    (also a float or numpy float), never a bool, in `interval`, such as "[1, inf)"; NaN lies in none.
+    Otherwise a ValidationError names the parameter, the interval and the value's repr."""
+    kinds = (int, np.integer) if integer else (int, float, np.integer, np.floating)
+    if isinstance(value, kinds) and not isinstance(value, bool):
+        lo, hi = (int(end) if end.isdigit() else float(end) for end in interval[1:-1].split(", "))
+        if (lo < value if interval[0] == "(" else lo <= value) and (value < hi if interval[-1] == ")" else value <= hi):
+            return
+    raise ValidationError(f"{name} must be {'an integer' if integer else 'a real number'} in {interval}, got {value!r}")
+
+
+def _checked_permutation(perm, n: int | None = None) -> np.ndarray:
     """A copy of `perm` as an index array, after an O(n) check that it holds each of
-    0..n-1 exactly once."""
-    p = np.asarray(perm)
+    0..n-1 exactly once; n defaults to its size, which must not be 0."""
+    try:
+        p = np.asarray(perm)
+    except ValueError:
+        raise ValidationError("a permutation must be a flat list of integers, got a ragged one") from None
+    n = p.size if n is None else n
+    if n == 0:
+        raise ValidationError("ranking distribution must be nonempty, got shape (0, 0)")
     if p.shape != (n,) or p.dtype.kind not in "iu":
         raise ValidationError(f"a permutation of 0..{n - 1} must be {n} integers, got {p.dtype} of shape {p.shape}")
     if p.min() < 0 or p.max() >= n:
@@ -165,11 +183,8 @@ class RankingDistribution:
         """The deterministic ranking that puts individual order[k-1] at rank k.  The
         O(n) permutation check stands in for the doubly stochastic check: the 0/1
         matrix of a permutation has exactly one 1 in every row and column."""
-        n = np.size(order)
-        if n == 0:
-            raise ValidationError("ranking distribution must be nonempty, got shape (0, 0)")
         self = object.__new__(cls)
-        _freeze(self, {"order": _checked_permutation(order, n)})
+        _freeze(self, {"order": _checked_permutation(order)})
         return self
 
     def __getattr__(self, name):
@@ -241,9 +256,9 @@ class UtilitySpec:
     @classmethod
     def dcg(cls, n: int, label_values=None, L: int | None = None) -> "UtilitySpec":
         """DCG position weights w_k = 1/log2(1+k); default label values 1..L."""
+        _check_scalar(n, "dataset size n", "[1, inf)", integer=True)
         if label_values is None:
-            if L is None:
-                raise ValidationError("either label values or L must be given")
+            _check_scalar(L, "label count L, given no label values,", "[1, inf)", integer=True)
             label_values = np.arange(1, L + 1, dtype=np.float64)
         w = 1.0 / np.log2(1.0 + np.arange(1, n + 1))
         return cls(np.asarray(label_values, dtype=np.float64), w)
@@ -321,7 +336,7 @@ class PopulationModel:
 
     def group_mask(self, group: str) -> np.ndarray:
         if group not in self.groups:
-            raise ValidationError(f"unknown group '{group}'; known: {sorted(self.groups)}")
+            raise ValidationError(f"unknown group {group!r}; known: {sorted(self.groups)}")
         mask = np.zeros(self.T, dtype=bool)
         mask[list(self.groups[group])] = True
         return mask

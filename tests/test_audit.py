@@ -290,7 +290,7 @@ class TestNatureCloseness:
         assert rep.within_bound
 
     def test_rejects_zero_samples(self):
-        with pytest.raises(ValidationError, match="at least one sample"):
+        with pytest.raises(ValidationError, match=re.escape("samples must be an integer in [1, inf), got 0")):
             nature_closeness_check(perfect_model(), 3, samples=0)
 
 
@@ -808,12 +808,24 @@ class TestMalformedBucket:
     """A bucket that names no cell of the width-delta grid is refused: no type could be in it, so
     every indicator would be 0 and the gap a silent 0.0."""
 
-    @pytest.mark.parametrize("bucket", [(5, 5), (0,), ("x",), [5, 5], [0], ["x"], (0, 1.0), (True, 0), (-1, 1), 0])
+    # Ids as pytest gave them when the cases were buckets alone: bucket0..bucket8, and "0" for the int 0.
+    @pytest.mark.parametrize("bucket, message", [pytest.param(bucket, message, id=f"bucket{i}" if i < 9 else "0")
+                                                 for i, (bucket, message) in enumerate([
+        ((5, 5), "entry 1 of calibration bucket (5, 5) must be an integer in [0, 2), got 5"),
+        ((0,), "calibration bucket must be 2 integers in [0, 2), got (0,)"),
+        (("x",), "calibration bucket must be 2 integers in [0, 2), got ('x',)"),
+        ([5, 5], "entry 1 of calibration bucket [5, 5] must be an integer in [0, 2), got 5"),
+        ([0], "calibration bucket must be 2 integers in [0, 2), got [0]"),
+        (["x"], "calibration bucket must be 2 integers in [0, 2), got ['x']"),
+        ((0, 1.0), "entry 2 of calibration bucket (0, 1.0) must be an integer in [0, 2), got 1.0"),
+        ((True, 0), "entry 1 of calibration bucket (True, 0) must be an integer in [0, 2), got True"),
+        ((-1, 1), "entry 1 of calibration bucket (-1, 1) must be an integer in [0, 2), got -1"),
+        (0, "calibration bucket must be 2 integers in [0, 2), got 0"),
+    ])])
     @pytest.mark.parametrize("path", ["exact", "sampled"])
-    def test_refused_by_both_paths(self, path, bucket):
+    def test_refused_by_both_paths(self, path, bucket, message):
         pop = two_type_biased_model(0.2)
         call = theorem_gap_exact if path == "exact" else functools.partial(theorem_gap_estimate, mc_samples=10)
-        message = f"calibration bucket must be 2 integers in [0, 2), got {bucket!r}"
         with pytest.raises(ValidationError, match="^" + re.escape(message) + "$"):
             call(pop, 3, 1, "1", delta=0.5, bucket=bucket)
 
@@ -832,7 +844,7 @@ def test_negative_seed_refused_before_any_draw():
     for call in (lambda: pl_rank(P, u2(2), samples=10, seed=-1),
                  lambda: theorem_gap_estimate(pop, 3, 1, "1", mc_samples=10, seed=-1),
                  lambda: nature_closeness_check(pop, 3, seed=-1, samples=10)):
-        with pytest.raises(ValidationError, match="seed must be a nonnegative integer, got -1"):
+        with pytest.raises(ValidationError, match=re.escape("seed must be an integer in [0, inf), got -1")):
             call()
 
 
@@ -844,18 +856,18 @@ OVER = 288  # the first n the budget refuses for sampling two types: 289 multise
 # sampled path only).  A case sets its own bad argument over those of every later case, so it
 # fails at its own check only if that check comes before all the later ones.
 ERROR_ORDER = [
-    ("samples", dict(mc_samples=0), ValidationError, "need at least one sample, got 0"),
-    ("seed", dict(seed=-1), ValidationError, "seed must be a nonnegative integer, got -1"),
-    ("n_positive", dict(n=0), ValidationError, "dataset size must be positive, got 0"),
-    ("k_range", dict(k=0), ValidationError, f"position 0 out of range for n={EXACT_OVER}"),
+    ("samples", dict(mc_samples=0), ValidationError, "samples must be an integer in [1, inf), got 0"),
+    ("seed", dict(seed=-1), ValidationError, "seed must be an integer in [0, inf), got -1"),
+    ("n_positive", dict(n=0), ValidationError, "dataset size n must be an integer in [1, inf), got 0"),
+    ("k_range", dict(k=0), ValidationError, f"position k must be an integer in [1, {EXACT_OVER}], got 0"),
     ("unknown_group", dict(group="nope"), ValidationError, "unknown group 'nope'; known: ['1', '2', 'all']"),
     ("unaudited_fn", dict(fn="pl"), ValidationError, "audits support ranking functions ('ua', 'opt', 'mix'); got 'pl'"),
     ("missing_u", dict(u=None), ValidationError, "ranking function 'mix' requires u"),
-    ("phi_range", dict(phi=2.0), ValidationError, "mixture weight must lie in [0, 1], got 2.0"),
+    ("phi_range", dict(phi=2.0), ValidationError, "mixture weight phi must be a real number in [0, 1], got 2.0"),
     ("tau_labels", dict(u=U3), ValidationError, "utility spec has 3 label values, matrix has 2 labels"),
     ("bucket_width", dict(delta=None, bucket=(0, 1)), ValidationError, "a calibration bucket needs its width delta"),
     ("bucket_cell", dict(delta=0.5, bucket=(5, 5)), ValidationError,
-     "calibration bucket must be 2 integers in [0, 2), got (5, 5)"),
+     "entry 1 of calibration bucket (5, 5) must be an integer in [0, 2), got 5"),
     # 10^6 samples: more than the 1902 multisets of two types, so the sampled path is charged every one.
     ("n_cap", {}, BudgetExceededError, {"exact": EXACT_REFUSAL,
                                         "sampled": "sampling needs 1902 multisets of types, budget is 0 at n=1901"}),
@@ -880,9 +892,9 @@ def test_audit_error_order(path, case):
 
 def test_nature_validates_before_the_budget():
     pop = two_type_biased_model(0.1)
-    for kw, message in ((dict(n=0), "dataset size must be positive, got 0"),
-                        (dict(n=OVER, samples=0), "need at least one sample, got 0"),
-                        (dict(n=OVER, seed=-1), "seed must be a nonnegative integer, got -1")):
+    for kw, message in ((dict(n=0), "dataset size n must be an integer in [1, inf), got 0"),
+                        (dict(n=OVER, samples=0), "samples must be an integer in [1, inf), got 0"),
+                        (dict(n=OVER, seed=-1), "seed must be an integer in [0, inf), got -1")):
         with pytest.raises(ValidationError, match=re.escape(message)):
             nature_closeness_check(pop, **{"samples": 10**6, **kw})
     with pytest.raises(BudgetExceededError, match=re.escape("nature check needs 289 multisets of types, "
@@ -905,11 +917,17 @@ def test_theorem_bound():
 
 
 @pytest.mark.parametrize("n, fn, phi, message", [
-    (-3, "ua", None, "dataset size must be positive, got -3"),
-    (0, "opt", None, "dataset size must be positive, got 0"),
-    (4, "mix", 5.0, "mixture weight must lie in [0, 1], got 5.0"),
-    (4, "mix", -0.5, "mixture weight must lie in [0, 1], got -0.5"),
-    (4, "mix", float("nan"), "mixture weight must lie in [0, 1], got nan"),
+    # Each case keeps the id its earlier message gave it.
+    pytest.param(-3, "ua", None, "dataset size n must be an integer in [1, inf), got -3",
+                 id="-3-ua-None-dataset size must be positive, got -3"),
+    pytest.param(0, "opt", None, "dataset size n must be an integer in [1, inf), got 0",
+                 id="0-opt-None-dataset size must be positive, got 0"),
+    pytest.param(4, "mix", 5.0, "mixture weight phi must be a real number in [0, 1], got 5.0",
+                 id="4-mix-5.0-mixture weight must lie in [0, 1], got 5.0"),
+    pytest.param(4, "mix", -0.5, "mixture weight phi must be a real number in [0, 1], got -0.5",
+                 id="4-mix--0.5-mixture weight must lie in [0, 1], got -0.5"),
+    pytest.param(4, "mix", float("nan"), "mixture weight phi must be a real number in [0, 1], got nan",
+                 id="4-mix-nan-mixture weight must lie in [0, 1], got nan"),
 ])
 def test_theorem_bound_refuses_impossible_arguments(n, fn, phi, message):
     # Unchecked, these gave a bound of -0.3 (n=-3), -2.0 (phi=5) and nan on the two-type model.
@@ -941,11 +959,20 @@ def _model(weights=(0.5, 0.5), truth=((0.5, 0.5), (0.5, 0.5)), predicted=((0.5, 
     (lambda: _model(truth=(0.5, 0.5)), "ground truth distributions must be a T x L matrix"),
     (lambda: _model(predicted=((1.0,),)), "predicted distributions must be a T x L matrix"),
     (lambda: _model(predicted=((0.5, 0.5, 0.0), (0.5, 0.5, 0.0))), "ground-truth and predicted label counts differ"),
-    (lambda: two_type_biased_model(0.0), "bias must lie in (0, 1/2), got 0.0"),
-    (lambda: two_type_biased_model(0.5), "bias must lie in (0, 1/2), got 0.5"),
-    (lambda: multicalibration_alpha(perfect_model(), 0.0), "bucket width must lie in (0, 1], got 0.0"),
-    (lambda: multicalibration_alpha(perfect_model(), 1.5), "bucket width must lie in (0, 1], got 1.5"),
-    (lambda: multicalibration_alpha(perfect_model(), float("nan")), "bucket width must lie in (0, 1], got nan"),
+    # The scalar cases keep the ids their earlier messages gave them.
+    pytest.param(lambda: two_type_biased_model(0.0), "bias alpha must be a real number in (0, 0.5), got 0.0",
+                 id="<lambda>-bias must lie in (0, 1/2), got 0.0"),
+    pytest.param(lambda: two_type_biased_model(0.5), "bias alpha must be a real number in (0, 0.5), got 0.5",
+                 id="<lambda>-bias must lie in (0, 1/2), got 0.5"),
+    pytest.param(lambda: multicalibration_alpha(perfect_model(), 0.0),
+                 "bucket width delta must be a real number in (0, 1], got 0.0",
+                 id="<lambda>-bucket width must lie in (0, 1], got 0.0"),
+    pytest.param(lambda: multicalibration_alpha(perfect_model(), 1.5),
+                 "bucket width delta must be a real number in (0, 1], got 1.5",
+                 id="<lambda>-bucket width must lie in (0, 1], got 1.5"),
+    pytest.param(lambda: multicalibration_alpha(perfect_model(), float("nan")),
+                 "bucket width delta must be a real number in (0, 1], got nan",
+                 id="<lambda>-bucket width must lie in (0, 1], got nan"),
 ])
 def test_audit_validation_messages(call, message):
     with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):

@@ -446,7 +446,7 @@ class TestCli:
         argv = ["audit", "theorem", "--model", two_type_json, "--fn", "mix", f"--phi={phi}",
                 "--n", "3", "--k", "1", "--group", "1", *path]
         assert main(argv) == 1
-        assert "mixture weight must lie in [0, 1]" in capsys.readouterr().err
+        assert "mixture weight phi must be a real number in [0, 1]" in capsys.readouterr().err
 
     @pytest.mark.parametrize("mode", ["multiaccuracy", "multicalibration"])
     @pytest.mark.parametrize("flags,named", [
@@ -515,15 +515,16 @@ class TestCli:
         (lambda d: d["groups"].append({"name": "g", "members": 5}), "group 'g': 'members' must be a list, got 5"),
         (lambda d: d["groups"].append({"name": "g", "members": "12"}),
          "group 'g': 'members' must be a list, got '12'"),
-        (lambda d: d.update(labels="2"), "'labels' must be a positive integer, got '2'"),
-        (lambda d: d.update(labels=True), "'labels' must be a positive integer, got True"),
-        (lambda d: d.update(labels=0), "'labels' must be a positive integer, got 0"),
+        (lambda d: d.update(labels="2"), "'labels' must be an integer in [1, inf), got '2'"),
+        (lambda d: d.update(labels=True), "'labels' must be an integer in [1, inf), got True"),
+        (lambda d: d.update(labels=0), "'labels' must be an integer in [1, inf), got 0"),
         (lambda d: d["types"][0].update(weight=True), "type 1: 'weight' is not numeric: True"),
         (lambda d: d["types"][1].update(groundTruth=[True, False]),
          "type 2: 'groundTruth' is not numeric: [True, False]"),
         (lambda d: d["types"][0].update(predicted=["0.5", "0.5"]),
          "type 1: 'predicted' is not numeric: ['0.5', '0.5']"),
         (lambda d: d["types"][0].update(weight="0.5"), "type 1: 'weight' is not numeric: '0.5'"),
+        (lambda d: d["types"][0].update(weight=10**400), "type 1: 'weight' is not numeric: 1000"),  # beyond float64
         (lambda d: d.update(groups=5), "'groups' must be a list, got 5"),
         (lambda d: d.update(groups=None), "'groups' must be a list, got None"),
         (lambda d: d.update(groups="12"), "'groups' must be a list, got '12'"),
@@ -532,7 +533,7 @@ class TestCli:
             "weight-nan", "ground-truth-nan", "ragged-undeclared-labels", "group-repeated-member",
             "group-duplicate-name", "group-all-not-full-domain", "group-members-int", "group-members-string",
             "labels-string", "labels-bool", "labels-zero", "weight-bool", "ground-truth-bools",
-            "predicted-numeric-strings", "weight-numeric-string", "groups-int", "groups-null", "groups-string",
+            "predicted-numeric-strings", "weight-numeric-string", "weight-beyond-float64", "groups-int", "groups-null", "groups-string",
             "groups-object"])
     def test_malformed_model_exit_code(self, tmp_path, capsys, mutate, named):
         doc = json.loads(json.dumps(TWO_TYPE_DOC))
@@ -542,6 +543,21 @@ class TestCli:
         assert main(["audit", "multiaccuracy", "--model", str(p)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: validation:") and named in err
+
+    def test_model_nested_too_deep_is_invalid_json(self, tmp_path, capsys):
+        p = tmp_path / "deep.json"
+        p.write_text("[" * 100_000 + "]" * 100_000)  # json.loads raises RecursionError
+        assert main(["audit", "multiaccuracy", "--model", str(p)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: validation: {p}: invalid JSON: ")
+
+    @pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+                        reason="no limit on the digits of an integer string")
+    def test_weight_over_the_digit_limit_is_invalid_json(self, tmp_path, capsys):
+        p = tmp_path / "digits.json"
+        digits = "1" * (sys.get_int_max_str_digits() + 1)  # json.loads raises ValueError
+        p.write_text(json.dumps(TWO_TYPE_DOC).replace('"weight": 0.5', f'"weight": {digits}', 1))
+        assert main(["audit", "multiaccuracy", "--model", str(p)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: validation: {p}: invalid JSON: ")
 
     def test_absent_groups_audit_only_the_full_domain(self, tmp_path, capsys):
         doc = {k: v for k, v in TWO_TYPE_DOC.items() if k != "groups"}
@@ -621,7 +637,7 @@ class TestCli:
     def test_nature_zero_samples_exit_code(self, two_type_json, capsys):
         argv = ["audit", "nature", "--model", two_type_json, "--n", "3", "--samples", "0"]
         assert main(argv) == 1
-        assert "error: validation: need at least one sample" in capsys.readouterr().err
+        assert "error: validation: samples must be an integer in [1, inf)" in capsys.readouterr().err
 
     def test_structured_output_deterministic(self, stab_lb_csv, capsys):
         argv = ["rank", "--fn", "ua", "--in", stab_lb_csv, "--format", "structured"]
@@ -818,7 +834,7 @@ NEGATIVE_SEED = [
 def test_negative_seed_exit_1(argv, stab_lb_csv, two_type_json, capsys):
     argv = [{"CSV": stab_lb_csv, "MODEL": two_type_json}.get(a, a) for a in argv]
     assert main(argv) == 1
-    assert capsys.readouterr().err == "error: validation: seed must be a nonnegative integer, got -1\n"
+    assert capsys.readouterr().err == "error: validation: seed must be an integer in [0, inf), got -1\n"
 
 
 TINY_DELTA = [

@@ -406,12 +406,15 @@ class TestCompositionCheck:
         with pytest.raises(ValidationError):
             if_composition_check(P, ua_rank(P), 1, 1, 0.1, 1.0, 1.0)
 
-    @pytest.mark.parametrize("d_ij,beta,gamma", [
-        (np.nan, 1.0, 1.0), (0.1, np.nan, 1.0), (0.1, 1.0, np.nan), (-0.1, 1.0, 1.0),
+    @pytest.mark.parametrize("d_ij,beta,gamma,named", [
+        pytest.param(np.nan, 1.0, 1.0, "distance d_ij", id="nan-1.0-1.0"),
+        pytest.param(0.1, np.nan, 1.0, "beta", id="0.1-nan-1.0"),
+        pytest.param(0.1, 1.0, np.nan, "gamma", id="0.1-1.0-nan"),
+        pytest.param(-0.1, 1.0, 1.0, "distance d_ij", id="-0.1-1.0-1.0"),
     ])
-    def test_rejects_nan_or_negative_parameters(self, stab_lb, d_ij, beta, gamma):
+    def test_rejects_nan_or_negative_parameters(self, stab_lb, d_ij, beta, gamma, named):
         P, _ = stab_lb
-        with pytest.raises(ValidationError, match="d_ij"):
+        with pytest.raises(ValidationError, match=f"^{named} must be a real number in "):
             if_composition_check(P, ua_rank(P), 0, 1, d_ij, beta, gamma)
 
 
@@ -419,8 +422,11 @@ class TestCompositionCheck:
     (lambda P, u: utility(P, RankingDistribution(np.eye(2)), u), "ranking is 2x2 but prediction matrix has n=3"),
     (lambda P, u: if_composition_check(P, RankingDistribution(np.eye(2)), 0, 1, 0.0, 1.0, 1.0),
      "ranking is 2x2 but prediction matrix has n=3"),
-    (lambda P, u: if_composition_check(P, ua_rank(P), 0, 3, 0.0, 1.0, 1.0), "individual index 3 out of range for n=3"),
-    (lambda P, u: if_composition_check(P, ua_rank(P), -1, 2, 0.0, 1.0, 1.0), "individual index -1 out of range for n=3"),
+    # The index cases keep the ids their earlier messages gave them.
+    pytest.param(lambda P, u: if_composition_check(P, ua_rank(P), 0, 3, 0.0, 1.0, 1.0),
+                 "individual j must be an integer in [0, 3), got 3", id="<lambda>-individual index 3 out of range for n=3"),
+    pytest.param(lambda P, u: if_composition_check(P, ua_rank(P), -1, 2, 0.0, 1.0, 1.0),
+                 "individual i must be an integer in [0, 3), got -1", id="<lambda>-individual index -1 out of range for n=3"),
 ])
 def test_metrics_validation_messages(call, message, stab_lb):
     P, _ = stab_lb

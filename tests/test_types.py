@@ -45,15 +45,17 @@ class TestPredictionMatrix:
         assert np.array_equal(P.permuted([2, 0, 1]).rows, P.rows[[2, 0, 1]])
 
     @pytest.mark.parametrize("perm,message", [
-        ([0, 0, 1], r"^permutation holds 0 more than once$"),  # would duplicate row 0
-        ([2], r"^a permutation of 0\.\.2 must be 3 integers, got int64 of shape \(1,\)$"),  # would drop rows
-        ([-1, 0, 1], r"^permutation entry -1 is outside 0\.\.2$"),  # would wrap around
-        ([0, 1, 3], r"^permutation entry 3 is outside 0\.\.2$"),  # was a raw IndexError
+        (np.array([0, 0, 1], dtype=np.int64), r"^permutation holds 0 more than once$"),  # would duplicate row 0
+        (np.array([2], dtype=np.int64),
+         r"^a permutation of 0\.\.2 must be 3 integers, got int64 of shape \(1,\)$"),  # would drop rows
+        (np.array([-1, 0, 1], dtype=np.int64), r"^permutation entry -1 is outside 0\.\.2$"),  # would wrap around
+        (np.array([0, 1, 3], dtype=np.int64), r"^permutation entry 3 is outside 0\.\.2$"),  # was a raw IndexError
+        ([[0, 1], [1]], r"^a permutation must be a flat list of integers, got a ragged one$"),  # was numpy's ValueError
     ])
     def test_permuted_refuses_a_non_permutation(self, perm, message):
         P = PredictionMatrix(np.array([[0.2, 0.8], [1.0, 0.0], [0.5, 0.5]]))
         with pytest.raises(ValidationError, match=message):
-            P.permuted(np.array(perm, dtype=np.int64))
+            P.permuted(perm)
 
     def test_zero_label_extension(self):
         P = PredictionMatrix(np.array([[0.5, 0.5]]))
@@ -93,10 +95,11 @@ class TestRankingDistribution:
         ([0.0, 1.0], r"^a permutation of 0\.\.1 must be 2 integers, got float64 of shape \(2,\)$"),
         ([True, False], r"must be 2 integers, got bool"),
         ([[0, 1], [1, 0]], r"must be 4 integers, got int64 of shape \(2, 2\)$"),
+        ([[0, 1], [0]], r"^a permutation must be a flat list of integers, got a ragged one$"),  # was numpy's ValueError
     ])
     def test_from_order_refuses_a_non_permutation(self, order, message):
         with pytest.raises(ValidationError, match=message):
-            RankingDistribution.from_order(np.array(order))
+            RankingDistribution.from_order(order)
 
     def test_order_has_no_other_missing_attribute(self):
         R = RankingDistribution.from_order([1, 0])
@@ -275,7 +278,8 @@ class TestUtilitySpec:
 @pytest.mark.parametrize("call,message", [
     (lambda: UtilitySpec([], [1.0]), "label values must be a nonempty vector"),
     (lambda: UtilitySpec([1.0], [[1.0]]), "position weights must be a nonempty vector"),
-    (lambda: UtilitySpec.dcg(3), "either label values or L must be given"),
+    pytest.param(lambda: UtilitySpec.dcg(3), "label count L, given no label values, must be an integer in [1, inf), got None",
+                 id="<lambda>-either label values or L must be given"),  # the id of its earlier message
     (lambda: UtilitySpec([1.0], [1.0]).weights_for(2), "utility spec has 1 position weights, need 2"),
 ])
 def test_types_validation_messages(call, message):
