@@ -44,7 +44,7 @@ def _flag_parser() -> argparse.ArgumentParser:
     p.add_argument("--values", help="label values, comma-separated (default 1..L): utility, and rank, "
                    f"stability, audit theorem with --fn {fns['u']}")
     p.add_argument("--weights", default="dcg", help="position weights, 'dcg' or a file of one weight per line: "
-                   "the calls that read --values")
+                   "utility alone (rankers read only label values)")
     p.add_argument("--out", help="write the report to this file instead of stdout: every command")
     p.add_argument("--format", choices=("table", "structured"), default="table", help="every command")
     return p
@@ -80,11 +80,11 @@ def _parser() -> tuple[argparse.ArgumentParser, dict]:
     return build_parser(), vars(_flag_parser().parse_args([]))
 
 
-def _rank_params(args, n, L, u=None) -> dict:
-    """Keyword arguments (u, phi, samples, seed) for `--fn`; `u` is built from
-    --values and --weights if the ranker needs one."""
+def _rank_params(args, L, u=None) -> dict:
+    """Keyword arguments (u, phi, samples, seed) for `--fn`; `u`, if the ranker needs one, is
+    built from --values alone, with one position weight: no ranker reads position weights."""
     if u is None and "u" in rankers.RANKERS[args.fn].params:
-        u = io_mod.load_utility_spec(n, L, args.values, args.weights)
+        u = io_mod.load_utility_spec(1, L, args.values, "dcg")
     return {"u": u, "phi": args.phi, "samples": args.samples, "seed": args.seed}
 
 
@@ -93,7 +93,7 @@ def _rank_params(args, n, L, u=None) -> dict:
 
 def _rank(args):
     P = io_mod.load_prediction_matrix(args.input)
-    return rankers.compute_ranking(args.fn, P, **_rank_params(args, P.n, P.L))
+    return rankers.compute_ranking(args.fn, P, **_rank_params(args, P.L))
 
 
 def _oracle(args):
@@ -103,7 +103,7 @@ def _oracle(args):
 def _stability(args):
     P = io_mod.load_prediction_matrix(args.input)
     P2 = io_mod.load_prediction_matrix(args.input2)
-    r = functools.partial(rankers.compute_ranking, args.fn, **_rank_params(args, P.n, P.L))
+    r = functools.partial(rankers.compute_ranking, args.fn, **_rank_params(args, P.L))
     rep = asdict(metrics_mod.stability_gap(r, P, P2))
     return "stability", rep, [(name, v) for name, v in rep.items() if v is not None]
 
@@ -111,7 +111,7 @@ def _stability(args):
 def _utility(args):
     P = io_mod.load_prediction_matrix(args.input)
     u = io_mod.load_utility_spec(P.n, P.L, args.values, args.weights)
-    M = rankers.compute_ranking(args.fn, P, **_rank_params(args, P.n, P.L, u=u))
+    M = rankers.compute_ranking(args.fn, P, **_rank_params(args, P.L, u=u))
     rep = asdict(metrics_mod.normalized_utility(P, M, u))
     return "utility", rep, list(rep.items())
 
@@ -135,22 +135,16 @@ def _nature(args):
                                    ("within", rep.within_bound)]
 
 
-def _exact_theorem(args):
+def _theorem(args):
     pop = io_mod.load_population_model(args.model)
-    gap = audit_mod.theorem_gap_exact(pop, args.n, args.k, args.group, fn=args.fn,
-                                      u=_rank_params(args, args.n, pop.L)["u"], phi=args.phi, delta=args.delta)
-    bound, alpha = audit_mod.theorem_bound(pop, args.n, args.fn, args.phi, args.delta)
-    return "theorem", {"exactGap": gap, "bound": bound, "alpha": alpha}, [
-        ("gap", gap), ("bound", bound), ("alpha", alpha)]
-
-
-def _sampled_theorem(args):
-    pop = io_mod.load_population_model(args.model)
-    rep = audit_mod.theorem_gap_estimate(
-        pop, args.n, args.k, args.group, fn=args.fn,
-        mc_samples=args.samples, seed=args.seed, u=_rank_params(args, args.n, pop.L)["u"],
-        phi=args.phi, delta=args.delta,
-    )
+    given = {"fn": args.fn, "u": _rank_params(args, pop.L)["u"], "phi": args.phi, "delta": args.delta}
+    if args.exact:
+        gap = audit_mod.theorem_gap_exact(pop, args.n, args.k, args.group, **given)
+        bound, alpha = audit_mod.theorem_bound(pop, args.n, args.fn, args.phi, args.delta)
+        return "theorem", {"exactGap": gap, "bound": bound, "alpha": alpha}, [
+            ("gap", gap), ("bound", bound), ("alpha", alpha)]
+    rep = audit_mod.theorem_gap_estimate(pop, args.n, args.k, args.group, mc_samples=args.samples,
+                                         seed=args.seed, **given)
     return "theorem", asdict(rep), [("estimate", rep.estimate), ("mc_error", rep.mc_error),
                                     ("bound", rep.bound), ("alpha", rep.alpha)]
 
@@ -159,8 +153,8 @@ def _sampled_theorem(args):
 # --fn ids, handler).  Every command parses every flag; required and optional
 # name the flags a mode reads besides its inputs, --fn, --out and --format.
 # Where several --fn ids are accepted, --fn is read and its ranker adds its
-# `rankers.RANKERS[fn].params`: `u` is read from --values and --weights, and
-# phi, samples and seed are required flags.
+# `rankers.RANKERS[fn].params`: `u` is read from --values (utility alone reads
+# --weights), and phi, samples and seed are required flags.
 _ANY, _AUDITED = rankers.RANKING_FUNCTION_IDS, rankers.AUDITED_FUNCTION_IDS
 _MODES = {
     "rank": ((), (), _ANY, _rank),
@@ -170,8 +164,8 @@ _MODES = {
     "multiaccuracy": ((), (), ("ua",), _multiaccuracy),
     "multicalibration": (("delta",), (), ("ua",), _multicalibration),
     "nature": (("n",), ("samples", "seed"), ("ua",), _nature),
-    "exact theorem": (("n", "k", "group"), ("exact", "delta"), _AUDITED, _exact_theorem),
-    "sampled theorem": (("n", "k", "group", "samples", "seed"), ("exact", "delta"), _AUDITED, _sampled_theorem),
+    "exact theorem": (("n", "k", "group"), ("exact", "delta"), _AUDITED, _theorem),
+    "sampled theorem": (("n", "k", "group", "samples", "seed"), ("exact", "delta"), _AUDITED, _theorem),
 }
 
 
@@ -192,7 +186,7 @@ def _check_flags(args, defaults: dict) -> tuple[str, set]:
     if len(fns) > 1:
         params = rankers.RANKERS[args.fn].params
         required += tuple(p for p in params if p != "u")
-        read |= {"fn", *(("values", "weights") if "u" in params else ())}
+        read |= {"fn", *(("values",) if "u" in params else ())}
         scope += f" with --fn {args.fn}"
     read |= set(required)
     given = [dest for dest, default in defaults.items() if getattr(args, dest) != default]

@@ -242,11 +242,13 @@ def opt_rank(P: PredictionMatrix, u: UtilitySpec) -> RankingDistribution:
     deterministic and therefore non-anonymous.  The ranking keeps its order and
     builds its permutation matrix only when `entries` is read.
     """
+    checked_ranker("opt", u=u)
     return RankingDistribution.from_order(_sort_permutation(u.tau(P), True))
 
 
 def min_rank(P: PredictionMatrix, u: UtilitySpec) -> RankingDistribution:
     """Utility-minimizing deterministic ranking: sort by increasing tau(p_i)."""
+    checked_ranker("opt", u=u)  # opt's parameters, checked as opt checks them
     return RankingDistribution.from_order(_sort_permutation(u.tau(P), False))
 
 
@@ -292,6 +294,7 @@ def pl_rank(P: PredictionMatrix, u: UtilitySpec, samples: int, seed: int) -> Ran
     stably by their keys.
     """
     rng = _seeded_rng(seed, samples)
+    checked_ranker("pl", u=u)
     tau = u.tau(P)
     n = P.n
     bits = (n - 1).bit_length()
@@ -357,7 +360,7 @@ AUDITED_FUNCTION_IDS = tuple(fn for fn, r in RANKERS.items() if r.audited)
 def checked_ranker(fn: str, audit: bool = False, **given) -> Ranker:
     """Table entry for `fn`, after checking that it exists, that audits support
     it when `audit` is set, and that each parameter it requires is not None
-    among those passed in `given` (a mixture weight also within [0, 1])."""
+    among those passed in `given` (u also has a `tau`, a mixture weight lies in [0, 1])."""
     if fn not in RANKERS:
         raise ValidationError(f"unknown ranking function '{fn}', expected one of {RANKING_FUNCTION_IDS}")
     ranker = RANKERS[fn]
@@ -366,6 +369,8 @@ def checked_ranker(fn: str, audit: bool = False, **given) -> Ranker:
     missing = [p for p in ranker.params if p in given and given[p] is None]
     if missing:
         raise ValidationError(f"ranking function '{fn}' requires {' and '.join(missing)}")
+    if "u" in ranker.params and "u" in given and not hasattr(given["u"], "tau"):
+        raise ValidationError(f"ranking function '{fn}' requires u as a UtilitySpec, got {given['u']!r}")
     if "phi" in ranker.params and "phi" in given:
         _check_scalar(given["phi"], "mixture weight phi", "[0, 1]")
     return ranker

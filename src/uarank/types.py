@@ -255,8 +255,9 @@ class UtilitySpec:
 
     @classmethod
     def dcg(cls, n: int, label_values=None, L: int | None = None) -> "UtilitySpec":
-        """DCG position weights w_k = 1/log2(1+k); default label values 1..L."""
-        _check_scalar(n, "dataset size n", "[1, inf)", integer=True)
+        """DCG position weights w_k = 1/log2(1+k), n at most the size of the largest float64
+        array numpy can index (np.arange wraps beyond it); default label values 1..L."""
+        _check_scalar(n, "dataset size n", f"[1, {np.iinfo(np.intp).max // 8}]", integer=True)
         if label_values is None:
             _check_scalar(L, "label count L, given no label values,", "[1, inf)", integer=True)
             label_values = np.arange(1, L + 1, dtype=np.float64)
@@ -335,8 +336,8 @@ class PopulationModel:
         return self.ground_truth.shape[1]
 
     def group_mask(self, group: str) -> np.ndarray:
-        if group not in self.groups:
-            raise ValidationError(f"unknown group {group!r}; known: {sorted(self.groups)}")
-        mask = np.zeros(self.T, dtype=bool)
-        mask[list(self.groups[group])] = True
-        return mask
+        try:
+            members = self.groups[group]
+        except (KeyError, TypeError):  # TypeError: an unhashable group, a list say
+            raise ValidationError(f"unknown group {group!r}; known: {sorted(self.groups)}") from None
+        return np.bincount(members, minlength=self.T) > 0

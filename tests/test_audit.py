@@ -863,6 +863,7 @@ ERROR_ORDER = [
     ("unknown_group", dict(group="nope"), ValidationError, "unknown group 'nope'; known: ['1', '2', 'all']"),
     ("unaudited_fn", dict(fn="pl"), ValidationError, "audits support ranking functions ('ua', 'opt', 'mix'); got 'pl'"),
     ("missing_u", dict(u=None), ValidationError, "ranking function 'mix' requires u"),
+    ("u_type", dict(u="x"), ValidationError, "ranking function 'mix' requires u as a UtilitySpec, got 'x'"),
     ("phi_range", dict(phi=2.0), ValidationError, "mixture weight phi must be a real number in [0, 1], got 2.0"),
     ("tau_labels", dict(u=U3), ValidationError, "utility spec has 3 label values, matrix has 2 labels"),
     ("bucket_width", dict(delta=None, bucket=(0, 1)), ValidationError, "a calibration bucket needs its width delta"),

@@ -475,7 +475,7 @@ class TestCli:
 
     @pytest.mark.parametrize("argv,config", [
         (["rank", "--fn", "ua"], {"command": "rank", "fn": "ua"}),
-        (["rank", "--fn", "opt"], {"command": "rank", "fn": "opt", "weights": "dcg"}),
+        (["rank", "--fn", "opt"], {"command": "rank", "fn": "opt"}),
         (["oracle"], {"command": "oracle"}),
     ], ids=["rank-ua", "rank-opt", "oracle"])
     def test_ranking_calls_echo_only_read_flags(self, stab_lb_csv, capsys, argv, config):
@@ -714,17 +714,17 @@ OPTION_FLAGS = _option_flags()
 
 # What each (command, mode, fn) reads besides its input files, --out and --format,
 # written out by hand: (argv head, fn, required flags, optional flags).
-UW = ("--values", "--weights")
+V, UW = ("--values",), ("--values", "--weights")  # utility alone reads --weights
 THEOREM = ("--fn", "--n", "--k", "--group")
 READ_SPEC = [
     (["rank"], "ua", ("--fn",), ()),
-    (["rank"], "opt", ("--fn",), UW),
-    (["rank"], "mix", ("--fn", "--phi"), UW),
-    (["rank"], "pl", ("--fn", "--samples", "--seed"), UW),
+    (["rank"], "opt", ("--fn",), V),
+    (["rank"], "mix", ("--fn", "--phi"), V),
+    (["rank"], "pl", ("--fn", "--samples", "--seed"), V),
     (["stability"], "ua", ("--fn",), ()),
-    (["stability"], "opt", ("--fn",), UW),
-    (["stability"], "mix", ("--fn", "--phi"), UW),
-    (["stability"], "pl", ("--fn", "--samples", "--seed"), UW),
+    (["stability"], "opt", ("--fn",), V),
+    (["stability"], "mix", ("--fn", "--phi"), V),
+    (["stability"], "pl", ("--fn", "--samples", "--seed"), V),
     (["utility"], "ua", ("--fn",), UW),
     (["utility"], "opt", ("--fn",), UW),
     (["utility"], "mix", ("--fn", "--phi"), UW),
@@ -734,11 +734,11 @@ READ_SPEC = [
     (["audit", "multicalibration"], None, ("--delta",), ()),
     (["audit", "nature"], None, ("--n",), ("--samples", "--seed")),
     (["audit", "theorem"], "ua", THEOREM + ("--exact",), ("--delta",)),
-    (["audit", "theorem"], "opt", THEOREM + ("--exact",), ("--delta", *UW)),
-    (["audit", "theorem"], "mix", THEOREM + ("--exact", "--phi"), ("--delta", *UW)),
+    (["audit", "theorem"], "opt", THEOREM + ("--exact",), ("--delta", *V)),
+    (["audit", "theorem"], "mix", THEOREM + ("--exact", "--phi"), ("--delta", *V)),
     (["audit", "theorem"], "ua", THEOREM + ("--samples", "--seed"), ("--delta",)),
-    (["audit", "theorem"], "opt", THEOREM + ("--samples", "--seed"), ("--delta", *UW)),
-    (["audit", "theorem"], "mix", THEOREM + ("--samples", "--seed", "--phi"), ("--delta", *UW)),
+    (["audit", "theorem"], "opt", THEOREM + ("--samples", "--seed"), ("--delta", *V)),
+    (["audit", "theorem"], "mix", THEOREM + ("--samples", "--seed", "--phi"), ("--delta", *V)),
 ]
 
 
@@ -802,6 +802,17 @@ def test_unread_flag_probes_exit_1(argv, named, stab_lb_csv, two_type_json, caps
     assert err.startswith("error: validation:") and "do not read" in err
     for f in named:
         assert re.search(rf"{f}\b", err), (f, err)
+
+
+@pytest.mark.parametrize("flags", [["--exact", "--fn", "opt"], ["--fn", "mix", "--phi", "0.5", "--samples", "10",
+                                                                 "--seed", "0"]], ids=["exact-opt", "sampled-mix"])
+def test_huge_n_theorem_audit_is_a_budget_refusal(flags, two_type_json, capsys):
+    """n = 2^50 is refused by the audit budget before any work.  opt and mix build their utility spec
+    from the label values alone, with nothing sized by n (at 2^50 a DCG vector would take 8 PiB)."""
+    argv = ["audit", "theorem", "--model", two_type_json, "--n", str(2**50), "--k", "1", "--group", "1", *flags]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: budget:") and "Traceback" not in err
 
 
 def test_readme_cli_examples_run(tmp_path, capsys):
@@ -960,8 +971,7 @@ GOLDEN_AUDITS = {
     "model": "tied_model.json",
     "n": 4,
     "samples": 300,
-    "seed": 6,
-    "weights": "dcg"
+    "seed": 6
   },
   "theorem": {
     "alpha": 0.0625,
@@ -990,8 +1000,7 @@ GOLDEN_AUDITS = {
     "n": 4,
     "phi": 0.35,
     "samples": 300,
-    "seed": 7,
-    "weights": "dcg"
+    "seed": 7
   },
   "theorem": {
     "alpha": 0.0625,
@@ -1680,12 +1689,12 @@ def test_out_file_bytes_equal_stdout(cmd, fmt, tmp_path, capsys):
 UNREADABLE = [  # (argv, the path the error names, OS reason); DIR is a directory, U16 a UTF-16 file
     (["rank", "--in", "DIR"], "DIR", "Is a directory"),
     (["audit", "multiaccuracy", "--model", "DIR"], "DIR", "Is a directory"),
-    (["rank", "--fn", "opt", "--weights", "DIR", "--in", "CSV"], "DIR", "Is a directory"),
+    (["utility", "--fn", "opt", "--weights", "DIR", "--in", "CSV"], "DIR", "Is a directory"),
     (["rank", "--in", "U16"], "U16", "not UTF-8 text"),
     (["audit", "multiaccuracy", "--model", "U16"], "U16", "not UTF-8 text"),
     (["rank", "--in", "NONE"], "NONE", "No such file or directory"),
     (["audit", "multiaccuracy", "--model", "NONE"], "NONE", "No such file or directory"),
-    (["rank", "--fn", "opt", "--weights", "NONE", "--in", "CSV"], "NONE", "No such file or directory"),
+    (["utility", "--fn", "opt", "--weights", "NONE", "--in", "CSV"], "NONE", "No such file or directory"),
 ]
 
 

@@ -17,8 +17,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from uarank import (BudgetExceededError, PredictionMatrix, UtilitySpec, ValidationError, if_composition_check,
-                    mix_rank, nature_closeness_check, pl_rank, theorem_gap_estimate, theorem_gap_exact, ua_rank,
-                    ua_rank_conditional)
+                    min_rank, mix_rank, nature_closeness_check, opt_rank, pl_rank, theorem_gap_estimate,
+                    theorem_gap_exact, ua_rank, ua_rank_conditional)
 from uarank.audit import multicalibration_alpha, theorem_bound, two_type_biased_model, type_buckets
 from uarank.cli import main
 from uarank.rankers import compute_ranking
@@ -45,11 +45,14 @@ POP = two_type_biased_model(0.1)
     (lambda: nature_closeness_check(POP, 4.5), "dataset size n"),  # was a TypeError
     (lambda: UtilitySpec.dcg(2.5, L=2), "dataset size n"),  # returned 3 weights
     (lambda: UtilitySpec.dcg(2, L=2.5), "label count L"),  # returned 3 label values
+    (lambda: UtilitySpec.dcg(2**63 - 1, L=2), "dataset size n"),  # np.arange wrapped to an empty vector
+    (lambda: UtilitySpec.dcg(2**63, L=2), "dataset size n"),  # the same
     (lambda: two_type_biased_model("0.1"), "bias alpha"),  # was a TypeError
     (lambda: if_composition_check(P, M, 0, 1, "0.1", 1, 1), "distance d_ij"),  # was a TypeError
 ], ids=["conditional-i-float", "composition-i-float", "conditional-i-bool", "conditional-label-float",
         "pl-samples-float", "pl-seed-float", "pl-seed-bool", "mix-phi-string", "exact-n-float", "exact-delta-string",
-        "exact-k-float", "estimate-samples-float", "nature-n-float", "dcg-n-float", "dcg-L-float", "bias-string",
+        "exact-k-float", "estimate-samples-float", "nature-n-float", "dcg-n-float", "dcg-L-float",
+        "dcg-n-2**63-1", "dcg-n-2**63", "bias-string",
         "composition-d-string"])
 def test_malformed_scalar_names_the_parameter(call, named):
     with pytest.raises(ValidationError, match=f"^{re.escape(named)}(, .*,)? must be an? (integer|real number) in "):
@@ -65,8 +68,23 @@ def test_numpy_integers_give_the_bits_of_python_ints():
 
 
 def test_unknown_group_is_named_by_its_repr():
-    with pytest.raises(ValidationError, match=re.escape("unknown group 1; known: ['1', '2', 'all']")):
-        theorem_gap_exact(POP, 4, 1, 1)
+    for call, group in ((lambda: theorem_gap_exact(POP, 4, 1, 1), "1"),
+                        (lambda: theorem_gap_exact(POP, 4, 1, ["1"]), "['1']"),  # was TypeError: unhashable type
+                        (lambda: POP.group_mask({}), "{}")):  # the same
+        with pytest.raises(ValidationError, match=re.escape(f"unknown group {group}; known: ['1', '2', 'all']")):
+            call()
+
+
+@pytest.mark.parametrize("call", [  # each was an AttributeError: no attribute 'tau'
+    lambda: opt_rank(P, None),
+    lambda: min_rank(P, None),
+    lambda: pl_rank(P, None, 10, 0),
+    lambda: compute_ranking("opt", P, u="x"),
+    lambda: theorem_gap_exact(POP, 4, 1, "1", fn="opt", u="x"),
+], ids=["opt-none", "min-none", "pl-none", "compute-opt-string", "exact-opt-string"])
+def test_ranker_without_a_utility_spec_names_u(call):
+    with pytest.raises(ValidationError, match=r"^ranking function '\w+' requires u\b"):
+        call()
 
 
 def _numpy(x):
