@@ -51,11 +51,26 @@ class MultiaccuracyResult:
 def multiaccuracy_alpha(pop: PopulationModel) -> MultiaccuracyResult:
     """Exact per-group multiaccuracy violations of the predictor.
 
-    For group S: || sum over types in S of weight * (f* - f) ||_inf, which is
-    multicalibration with one bucket (delta = 1): each group is one cell.
+    For group S: || sum over types in S of weight * (f* - f) ||_inf, the sum taken over S's
+    members in the order the model lists them (`_violations`).
     """
-    res = multicalibration_alpha(pop, 1.0)
-    return MultiaccuracyResult(per_group={name: v for (name, _), v in res.per_cell.items()}, alpha=res.alpha)
+    per_group = dict(zip(pop.groups, _violations(pop, list(pop.groups.values()))))
+    return MultiaccuracyResult(per_group=per_group, alpha=max(per_group.values()))
+
+
+def _violations(pop: PopulationModel, cells: list) -> list:
+    """|| sum over t in the cell of w_t (f*_t - f_t) ||_inf for each cell of `cells`, a list of
+    type-index sequences, as floats in that order.  The cells of one size form one (cells, size, L)
+    table, summed over its size axis, which numpy reduces for each cell exactly as it reduces the
+    cell's own (size, L) rows over their first axis: for L >= 2 one member after another, in the
+    order the cell lists them, and for L = 1 as the pairwise sum of that column.  So the violations,
+    alpha and the theorem bound repeat bit for bit, and no cell is padded to another's size."""
+    diff = pop.weights[:, None] * (pop.ground_truth - pop.predicted)
+    by_size = {}
+    for cell in cells:
+        by_size.setdefault(len(cell), []).append(cell)
+    sums = {size: iter(diff[same].sum(axis=1)) for size, same in by_size.items()}  # taken back in cell order
+    return np.abs([next(sums[len(cell)]) for cell in cells]).max(axis=1).tolist()
 
 
 def _bucket_count(delta: float) -> int:
@@ -86,20 +101,24 @@ class MulticalibrationResult:
     alpha: float
 
 
+def _calibration_cells(pop: PopulationModel, delta: float) -> dict:
+    """(group name, bucket) -> the group's members in that bucket, in the order the group lists
+    them; groups in model order, and a group's buckets in the order its members first occupy them."""
+    buckets, cells = type_buckets(pop, delta), {}
+    for name, members in pop.groups.items():
+        for t in members:
+            cells.setdefault((name, buckets[t]), []).append(t)
+    return cells
+
+
 def multicalibration_alpha(pop: PopulationModel, delta: float) -> MulticalibrationResult:
     """Exact per-(group, bucket) multicalibration violations of the predictor.
 
-    Only buckets occupied by at least one type are enumerated.
+    Only buckets occupied by at least one type are enumerated.  A cell's violation sums its
+    members in the order the model lists them (`_violations`), so it repeats bit for bit.
     """
-    buckets = type_buckets(pop, delta)
-    diff = pop.weights[:, None] * (pop.ground_truth - pop.predicted)
-    per_cell = {}
-    for name, members in pop.groups.items():
-        by_bucket = {}
-        for t in members:
-            by_bucket.setdefault(buckets[t], []).append(t)
-        for bucket, ts in by_bucket.items():
-            per_cell[(name, bucket)] = float(np.abs(diff[ts].sum(axis=0)).max())
+    cells = _calibration_cells(pop, delta)
+    per_cell = dict(zip(cells, _violations(pop, list(cells.values()))))
     return MulticalibrationResult(per_cell=per_cell, alpha=max(per_cell.values()))
 
 
@@ -203,8 +222,8 @@ def _gaps(fn: str, phi: float | None, ua, opt) -> np.ndarray:
 def _binomial_pmf(n: int, j: int, q: np.ndarray) -> np.ndarray:
     """Pr[Bin(n, q) = j] for each q in [0, 1], in log space; a power with exponent 0 is
     left out, so q = 0 or 1 takes no 0 * log 0."""
-    log_q = np.log(q, out=np.full(q.shape, -np.inf), where=q > 0.0)
-    log_p = np.log1p(-q, out=np.full(q.shape, -np.inf), where=q < 1.0)
+    with np.errstate(divide="ignore"):  # log 0 is -inf
+        log_q, log_p = np.log(q), np.log1p(-q)
     coef = math.lgamma(n + 1) - math.lgamma(j + 1) - math.lgamma(n - j + 1)
     return np.exp(coef + (j * log_q if j else np.zeros(q.shape)) + ((n - j) * log_p if n - j else 0.0))
 
@@ -218,7 +237,7 @@ def _positions(n: int, k: int, w: np.ndarray, d: np.ndarray) -> np.ndarray:
     individuals: n sum_t w_t P_t(k) = 1 within DS_TOL."""
     u, uw = _legendre_nodes(n // 2 + 1)
     m = w @ d
-    above = m @ np.tril(np.ones((m.shape[-1],) * 2), -1)  # m_{>v}
+    above = m @ np.tri(m.shape[-1], k=-1)  # m_{>v}
     K = _binomial_pmf(n - 1, k - 1, np.clip(above[..., None] + m[..., None] * u, 0.0, 1.0)) @ uw
     P = (d @ K[..., None])[..., 0]
     if np.any(np.abs(n * (P @ w) - 1.0) > DS_TOL):
@@ -253,12 +272,17 @@ def _audit_setup(pop, n, k, group, fn, u, phi, delta, bucket, samples=None) -> t
 def theorem_bound(pop: PopulationModel, n: int, fn="ua", phi=None, delta=None) -> tuple[float, float]:
     """(bound, alpha) of a theorem audit.  alpha is the measured multiaccuracy violation or, given a
     bucket width delta, the larger of the multicalibration and the full domain's multiaccuracy
-    violations; the bound is L*n*alpha, or phi*L*n*alpha + 1 - phi for fn="mix"."""
+    violations; the bound is L*n*alpha, or phi*L*n*alpha + 1 - phi for fn="mix".  Every violation
+    sums a cell's members in the order the model lists them (`_violations`), so alpha and the bound
+    repeat bit for bit."""
     checked_ranker(fn, audit=True, phi=phi)
     _check_scalar(n, "dataset size n", "[1, inf)", integer=True)
-    ma = multiaccuracy_alpha(pop)
-    full_domain = next(name for name, m in pop.groups.items() if sorted(m) == list(range(pop.T)))
-    alpha = ma.alpha if delta is None else max(multicalibration_alpha(pop, delta).alpha, ma.per_group[full_domain])
+    if delta is None:
+        cells = list(pop.groups.values())
+    else:  # the first group that holds every type is the full domain
+        full_domain = next(m for m in pop.groups.values() if sorted(m) == list(range(pop.T)))
+        cells = [*_calibration_cells(pop, delta).values(), full_domain]
+    alpha = max(_violations(pop, cells))
     base = pop.L * n * alpha
     return (phi * base + (1.0 - phi) if fn == "mix" else base), alpha
 

@@ -8,6 +8,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from uarank import (
     BudgetExceededError,
@@ -158,6 +160,70 @@ class TestMulticalibration:
 
     def test_accepts_inverse_delta_of_2_to_53(self):
         assert type_buckets(two_type_biased_model(0.25), 2.0**-53) == [(2**51, 3 * 2**51), (3 * 2**51, 2**51)]
+
+
+@st.composite
+def audited_populations(draw):
+    """Populations for the violation table: 1-9 types, 1-4 labels, rows that sum to 1 within 1e-7 (so
+    one-label rows differ too), some zero-weight types, groups listing their members in drawn order,
+    and maybe a user group that holds every type, out of order."""
+    T, L = draw(st.integers(1, 9)), draw(st.integers(1, 4))
+    unit = st.floats(0.0, 1.0)
+
+    def rows():
+        raw = np.array(draw(st.lists(unit, min_size=T * L, max_size=T * L))).reshape(T, L) + 1e-6
+        shrink = 1.0 - 1e-7 * np.array(draw(st.lists(unit, min_size=T, max_size=T)))
+        return raw / raw.sum(axis=1, keepdims=True) * shrink[:, None]
+
+    w = np.array(draw(st.lists(st.floats(0.05, 1.0), min_size=T, max_size=T)))
+    w[sorted(draw(st.sets(st.integers(0, T - 1), max_size=T - 1)))] = 0.0
+    groups = {}
+    for j in range(draw(st.integers(0, 4))):
+        order = draw(st.permutations(range(T)))
+        groups[f"s{j}"] = tuple(order[: draw(st.integers(1, T))])
+    if draw(st.booleans()):
+        groups["every"] = tuple(draw(st.permutations(range(T))))
+    return PopulationModel(type_names=tuple(f"t{t}" for t in range(T)), weights=w / w.sum(),
+                           ground_truth=rows(), predicted=rows(), groups=groups)
+
+
+def one_label_population():
+    """Nine types, one label: numpy sums a one-label cell's rows as a 1-d pairwise sum, so the
+    7-member group, padded with zero rows to the 9-member full domain, would round differently."""
+    rng = np.random.default_rng(14)
+    truth, predicted = (1.0 - 1e-7 * rng.random((9, 1)) for _ in range(2))
+    w = rng.random(9)
+    return PopulationModel(type_names=tuple(f"t{t}" for t in range(9)), weights=w / w.sum(), ground_truth=truth,
+                           predicted=predicted, groups={"s": tuple(int(t) for t in rng.permutation(9)[:7])})
+
+
+@pytest.mark.baseline_kernels
+@settings(max_examples=150, deadline=None)
+@given(pop=audited_populations())
+@example(pop=one_label_population())
+def test_violation_table_sums_members_in_listed_order(pop):
+    """Every group's and (group, bucket) cell's violation, alpha and the theorem bound equal a
+    plain sum of the cell's rows in the order the model lists its members, bit for bit."""
+    diff = pop.weights[:, None] * (pop.ground_truth - pop.predicted)
+
+    def plain(cell):
+        return float(np.abs(diff[list(cell)].sum(axis=0)).max())
+
+    ma = multiaccuracy_alpha(pop)
+    assert list(ma.per_group.items()) == [(name, plain(m)) for name, m in pop.groups.items()]
+    assert ma.alpha == max(map(plain, pop.groups.values()))
+    assert audit.theorem_bound(pop, 3) == (pop.L * 3 * ma.alpha, ma.alpha)
+    full_domain = next(m for m in pop.groups.values() if sorted(m) == list(range(pop.T)))
+    for delta in (1.0, 1 / 2, 1 / 3, 1 / 4):
+        buckets, cells = type_buckets(pop, delta), {}
+        for name, members in pop.groups.items():
+            for t in members:
+                cells.setdefault((name, buckets[t]), []).append(t)
+        mc = multicalibration_alpha(pop, delta)
+        assert list(mc.per_cell.items()) == [(key, plain(cell)) for key, cell in cells.items()]
+        assert mc.alpha == max(map(plain, cells.values()))
+        alpha = max(mc.alpha, plain(full_domain))
+        assert audit.theorem_bound(pop, 3, "mix", 0.5, delta) == (0.5 * (pop.L * 3 * alpha) + 0.5, alpha)
 
 
 class TestTheoremGapExact:
@@ -538,6 +604,24 @@ class TestClosedFormEdges:
                 for k in range(1, n + 1):
                     got = theorem_gap_exact(pop, n, k, group, fn=fn, u=u, phi=phi)
                     assert got == pytest.approx(ref.exact(n, k, group), abs=1e-15)
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 1899])
+    def test_binomial_pmf_corners_match_the_masked_logs(self, n):
+        """At q = 0, the least subnormal, 1/2, the largest double below 1, and 1, the pmf equals its
+        earlier form, which took the logs into -inf buffers under `where=` masks, bit for bit, and no
+        divide warning escapes."""
+        q = np.array([0.0, 5e-324, 0.5, 1.0 - 2.0**-53, 1.0])
+
+        def masked(j):
+            log_q = np.log(q, out=np.full(q.shape, -np.inf), where=q > 0.0)
+            log_p = np.log1p(-q, out=np.full(q.shape, -np.inf), where=q < 1.0)
+            coef = math.lgamma(n + 1) - math.lgamma(j + 1) - math.lgamma(n - j + 1)
+            return np.exp(coef + (j * log_q if j else np.zeros(q.shape)) + ((n - j) * log_p if n - j else 0.0))
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for j in sorted({0, 1, n - 1, n}):
+                assert audit._binomial_pmf(n, j, q).tobytes() == masked(j).tobytes()
 
     def test_pmf_off_by_1e6_trips_the_position_check(self, monkeypatch):
         pop = random_population(np.random.default_rng(68), 3, 2)

@@ -20,8 +20,9 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
 from uarank import (PredictionMatrix, RankingDistribution, UtilitySpec, ValidationError, load_population_model,
-                    load_prediction_matrix, theorem_gap_exact)
+                    load_prediction_matrix, multiaccuracy_alpha, theorem_gap_exact)
 from uarank import cli, rankers, types
+from uarank.audit import theorem_bound
 from uarank.cli import build_parser, main
 from uarank.io import (_chunks, _matrix_parts, _write_text, load_utility_spec,
                        population_model_from_dict, structured_parts, table_parts, write_report)
@@ -877,17 +878,25 @@ FOUR_TYPE_DOC = {
 }
 
 
-@pytest.mark.parametrize("n", [12, 16])
-def test_exact_audit_of_four_types(n, tmp_path, capsys):
+@pytest.mark.parametrize("n,delta", [
+    pytest.param(12, None, id="12"), pytest.param(16, None, id="16"),
+    pytest.param(12, 0.5, id="12-delta0.5"), pytest.param(16, 0.5, id="16-delta0.5"),
+])
+def test_exact_audit_of_four_types(n, delta, tmp_path, capsys):
     # 4^n ordered type vectors, audited in closed form as one ranking.
     path = tmp_path / "four.json"
     path.write_text(json.dumps(FOUR_TYPE_DOC))
     argv = ["audit", "theorem", "--model", str(path), "--n", str(n), "--k", "2", "--group", "ab", "--exact",
-            "--format", "structured"]
+            "--format", "structured", *(() if delta is None else ("--delta", str(delta)))]
     assert main(argv) == 0
     th = json.loads(capsys.readouterr().out)["theorem"]
-    assert th["exactGap"] == theorem_gap_exact(load_population_model(path), n, 2, "ab")
+    pop = load_population_model(path)
+    assert th["exactGap"] == theorem_gap_exact(pop, n, 2, "ab", delta=delta)
     assert 0.0 < th["exactGap"] <= th["bound"]
+    # The report's bound and alpha are the library's bits; without delta, alpha is the multiaccuracy alpha.
+    assert (th["bound"], th["alpha"]) == theorem_bound(pop, n, delta=delta)
+    if delta is None:
+        assert th["alpha"] == multiaccuracy_alpha(pop).alpha
 
 
 # The first n the audit budget refuses: for sampling, 288 for two types (289 multisets
